@@ -6,8 +6,14 @@ fronts f0, f1 over one chart, chords sit exactly at the critical points of
 the difference psi = f1 - f0: there the slopes agree and the z gap is
 psi(x).  Closed forms are provided for the gas and magnet family pairs and a
 generic scan-and-bisect finder handles arbitrary front pairs.  All
-functions are pure; finder results are ordered by abscissa, so grid scans
-could be farmed out in parallel with a deterministic merge.
+functions are pure and finder results are ordered by abscissa.
+
+The finder evaluates psi' once on the whole grid and finds its brackets
+with boolean masks over shifted views of that array (each node against its
+left and right neighbours): sign changes between neighbours, isolated exact
+zeros and touching minima.  Python only iterates over the flagged cells, so
+the scan costs a few array operations however fine the grid, and the
+per-bracket refinement is the only scalar work.
 """
 
 from __future__ import annotations
@@ -115,10 +121,12 @@ def find_chords(
     Scans the slope difference psi' = f1' - f0' on a uniform grid, refines
     every sign change by bracketing bisection to within tol in the abscissa,
     and turns each root x into a chord (z from f0, f1; p from the common
-    slope).  Roots where |psi| <= trivial_tol are intersections of the
-    fronts, not chords, and are dropped.  Grid nodes where psi' dips below
-    tol without changing sign are polished by a bounded scalar minimization
-    and flagged tangential (they mark bifurcations of the chord count).  An
+    slope).  The scan is a set of array masks, so only the grid cells it
+    flags reach brentq or the minimizer below.  Roots where
+    |psi| <= trivial_tol are intersections of the fronts, not chords, and
+    are dropped.  Grid nodes where psi' dips below tol without changing
+    sign are polished by a bounded scalar minimization and flagged
+    tangential (they mark bifurcations of the chord count).  An
     identically vanishing psi' is reported as a degenerate family.  An empty
     result is a valid outcome.  Roots closer than half a grid cell collapse
     to one; pick grid_n accordingly.
@@ -145,32 +153,38 @@ def find_chords(
     def slope_gap(x: float) -> float:
         return float(f1.slope(x) - f0.slope(x))
 
+    # Position k of these views is node k, k + 1, k + 2, so position k of
+    # an interior mask is node k + 1.
+    left, mid, right = dpsi[:-2], dpsi[1:-1], dpsi[2:]
+    roots: list[tuple[float, bool]] = []  # (abscissa, tangential)
+
+    # A sign change between nodes i and i + 1 brackets a root.
+    for i in np.flatnonzero(dpsi[:-1] * dpsi[1:] < 0.0):
+        roots.append((float(brentq(slope_gap, xs[i], xs[i + 1], xtol=tol)), False))
+
     # An exact zero of psi' at a grid node is a root only when isolated
     # (both neighbours nonzero); runs of exact zeros are underflowed tails
-    # of nearly parallel fronts, not chord families, and are skipped.
-    roots: list[tuple[float, bool]] = []  # (abscissa, tangential)
-    for i in range(grid_n - 1):
-        a, c = dpsi[i], dpsi[i + 1]
-        if a == 0.0:
-            if 0 < i and dpsi[i - 1] != 0.0 and c != 0.0:
-                roots.append((float(xs[i]), dpsi[i - 1] * c > 0.0))
-        elif a * c < 0.0:
-            roots.append((float(brentq(slope_gap, xs[i], xs[i + 1], xtol=tol)), False))
+    # of nearly parallel fronts, not chord families, and are skipped.  Node
+    # 0 and the last node have one neighbour only and never count.
+    flank = left * right
+    for k in np.flatnonzero((mid == 0.0) & (left != 0.0) & (right != 0.0)):
+        roots.append((float(xs[k + 1]), bool(flank[k] > 0.0)))
 
     # Touching roots: strict local minima of |psi'| under tol without a sign
     # change.  The refined minimum must sit well below the flank values,
     # which rejects float-quantization stairs in nearly flat tails.
-    for i in range(1, grid_n - 1):
-        a, mid, c = dpsi[i - 1], dpsi[i], dpsi[i + 1]
-        if mid != 0.0 and abs(mid) < tol and a * c > 0.0 and abs(mid) < min(abs(a), abs(c)):
-            res = minimize_scalar(
-                lambda x: abs(slope_gap(x)),
-                bounds=(float(xs[i - 1]), float(xs[i + 1])),
-                method="bounded",
-                options={"xatol": 1e-10},
-            )
-            if abs(res.fun) < tol and 10.0 * abs(res.fun) < min(abs(a), abs(c)):
-                roots.append((float(res.x), True))
+    abs_mid = np.abs(mid)
+    flank_min = np.minimum(np.abs(left), np.abs(right))
+    touching = (mid != 0.0) & (abs_mid < tol) & (flank > 0.0) & (abs_mid < flank_min)
+    for k in np.flatnonzero(touching):
+        res = minimize_scalar(
+            lambda x: abs(slope_gap(x)),
+            bounds=(float(xs[k]), float(xs[k + 2])),
+            method="bounded",
+            options={"xatol": 1e-10},
+        )
+        if abs(res.fun) < tol and 10.0 * abs(res.fun) < flank_min[k]:
+            roots.append((float(res.x), True))
 
     spacing = (scan_hi - scan_lo) / (grid_n - 1)
     out: list[Chord] = []

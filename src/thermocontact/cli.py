@@ -607,6 +607,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# chord keys without a flag; a config file gives them as numbers
+_CONFIG_ONLY_FLOATS = ("q_lo", "q_hi", "p_lo", "p_hi", "span")
+
+
+def _config_types(command: str) -> dict[str, Callable[[str], Any]]:
+    """The conversion each typed key of a subcommand's config goes through.
+
+    These are the ``type`` callables of the subcommand's flags, so that a
+    config value is read as the same text on the command line would be.
+    """
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    types: dict[str, Callable[[str], Any]] = dict.fromkeys(_CONFIG_ONLY_FLOATS, float)
+    types.update({a.dest: a.type for a in sub.choices[command]._actions if a.type is not None})
+    return types
+
+
+def _coerce_config_value(key: str, value, kind: Callable[[str], Any]):
+    """Convert a config value the way its flag converts command-line text."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValidationError(f"config key {key!r}: invalid {kind.__name__} value {value!r}")
+    try:
+        return kind(str(value))
+    except (ValueError, OverflowError) as exc:
+        raise ValidationError(
+            f"config key {key!r}: invalid {kind.__name__} value {value!r}"
+        ) from exc
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     command = args.command
     allowed = ALLOWED_KEYS[command]
@@ -628,15 +659,19 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ValidationError(
                 f"unknown config keys for {command!r}: {sorted(unknown)}"
             )
+        types = _config_types(command)
         for key, value in doc.items():
             if key == "out_dir":
+                if not isinstance(value, str):
+                    raise ValidationError(f"config key 'out_dir' must be a string, got {value!r}")
                 if getattr(args, "out_dir", None) is None:
                     args.out_dir = value
             elif key == "format":
                 if args.fmt is None:
                     args.fmt = value
             elif options.get(key) is None:
-                options[key] = value
+                kind = types.get(key)
+                options[key] = value if kind is None else _coerce_config_value(key, value, kind)
     out_dir = Path(args.out_dir or os.environ.get("THERMO_OUT_DIR", "."))
     fmt = args.fmt or "csv"
     if fmt not in ("csv", "json"):

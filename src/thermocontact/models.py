@@ -110,6 +110,21 @@ def cw_dphi(T: float, x):
     return np.tanh(np.asarray(x, dtype=float) / T)
 
 
+def _tanh_gap(u, v):
+    """tanh(u) - tanh(v), evaluated as sinh(u - v) / (cosh u cosh v).
+
+    The direct difference cancels where both values are near +-1: each tanh
+    is then within an ulp or so of 1, which is as large as the gap itself
+    once |u| and |v| exceed ~18.  The quotient has no such subtraction and
+    keeps a relative error of a few ulps.  The arguments are clipped to
+    +-350, where tanh is 1 to within 1e-304, so that neither sinh(u - v)
+    nor the product of the cosh values can overflow.
+    """
+    u = np.clip(u, -350.0, 350.0)
+    v = np.clip(v, -350.0, 350.0)
+    return np.sinh(u - v) / (np.cosh(u) * np.cosh(v))
+
+
 @dataclass(frozen=True)
 class IdealGasParams:
     T: float
@@ -185,7 +200,8 @@ def cw_magnetization_roots(
 
     Substituting p = tanh(y) turns the fixed-point equation into
     T y - b tanh(y) = q + H_back, whose roots are bracketed by a sign-change
-    scan (default 10^4 nodes) and refined to ``tol``.  The substitution keeps
+    scan (default 10^4 nodes, done as one array mask) and refined to
+    ``tol``; only the bracketed cells reach brentq.  The substitution keeps
     near-saturated roots resolvable.  A root is unstable iff
     1 - (b/T)(1 - p^2) < 0; among the stable ones the largest z (smallest
     free energy) is the global minimum, ties resolved to the non-negative
@@ -202,15 +218,11 @@ def cw_magnetization_roots(
     ys = np.linspace(y_lo, y_hi, scan_points)
     vals = T * ys - b * np.tanh(ys) - target
 
-    roots_y: list[float] = []
-    for i in range(scan_points - 1):
-        a, c = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots_y.append(float(ys[i]))
-        elif a * c < 0.0:
-            roots_y.append(float(brentq(resid, ys[i], ys[i + 1], xtol=tol)))
-    if vals[-1] == 0.0:
-        roots_y.append(float(ys[-1]))
+    # Exact zeros at any node (the last one included) are roots; a sign
+    # change between nodes i and i + 1 brackets one.
+    roots_y = [float(ys[i]) for i in np.flatnonzero(vals == 0.0)]
+    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+        roots_y.append(float(brentq(resid, ys[i], ys[i + 1], xtol=tol)))
 
     deduped: list[float] = []
     for y in sorted(roots_y):
@@ -293,8 +305,7 @@ def difference_front(model: str, t0: float, t1: float, c: float) -> FrontFunctio
     if model == "cw":
         return FrontFunction(
             f=lambda x: cw_phi(t1, np.asarray(x, dtype=float) + c) - cw_phi(t0, x),
-            fprime=lambda x: cw_dphi(t1, np.asarray(x, dtype=float) + c)
-            - cw_dphi(t0, x),
+            fprime=lambda x: _tanh_gap((np.asarray(x, dtype=float) + c) / t1, x / t0),
             domain=(-math.inf, math.inf),
             label=f"cw difference front t0={t0:g}, t1={t1:g}, c={c:g}",
         )

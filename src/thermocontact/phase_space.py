@@ -419,18 +419,30 @@ def path_to_csv(path: SampledPath, dest: str | IO[str]) -> None:
 
 
 def path_from_csv(src: str | IO[str]) -> SampledPath:
-    """Read a path written by :func:`path_to_csv` (header decides the kind)."""
+    """Read a path written by :func:`path_to_csv` (header decides the kind).
+
+    Raises ValueError, naming the line, on a row whose width differs from
+    the header's.
+    """
 
     def read(fh: IO[str]) -> SampledPath:
         reader = csv.reader(fh)
-        header = next(reader)
-        extended = len(header) > 2 and header[2] == "S"
-        n_pairs = (len(header) - (4 if extended else 2)) // 2
+        header = next(reader, None)
+        if not header:
+            raise ValueError("path CSV has no header row")
+        width = len(header)
+        extended = width > 2 and header[2] == "S"
+        n_pairs = (width - (4 if extended else 2)) // 2
         times = []
         points: list[Point] = []
         for row in reader:
             if not row:
                 continue
+            if len(row) != width:
+                raise ValueError(
+                    f"path CSV line {reader.line_num}: {len(row)} fields, "
+                    f"the header has {width}"
+                )
             vals = [float(x) for x in row]
             times.append(vals[0])
             if extended:

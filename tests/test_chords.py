@@ -210,6 +210,29 @@ class TestFindChords:
         assert not found[0].tangential
         assert found[0].direction == 1
 
+    def test_saturated_magnet_chord_position(self):
+        # at the chord both slopes are within 1e-7 of 1, so their difference
+        # cannot be taken from the rounded tanh values
+        t0, t1, c = 2.830165222358783, 3.0418532411036807, 1.9027459751804239
+        f1 = difference_front("cw", t0, t1, c)
+        found = find_chords(constant_front(), f1, -76.32, 76.32, grid_n=40001)
+        assert len(found) == 1
+        assert abs(found[0].q - t0 * c / (t1 - t0)) <= 1e-12
+
+    def test_magnet_slope_neither_cancels_nor_overflows(self):
+        t0, t1 = 0.5, 0.6
+        # both arguments large and positive: the gap is
+        # 2 (e^-2v - e^-2u) / ((1 + e^-2u)(1 + e^-2v)) with u = (x + c)/t1, v = x/t0
+        u, v = 31.0 / t1, 30.0 / t0
+        gap = 2.0 * (math.exp(-2 * v) - math.exp(-2 * u))
+        gap /= (1.0 + math.exp(-2 * u)) * (1.0 + math.exp(-2 * v))
+        slope = difference_front("cw", t0, t1, 1.0).slope(30.0)
+        assert abs(slope - gap) <= 1e-14 * abs(gap)
+        # arguments of opposite sign beyond the range of cosh
+        assert abs(difference_front("cw", t0, t1, 1000.0).slope(-400.0) - 2.0) <= 1e-15
+        far = difference_front("cw", t0, t1, 1.0).slope(np.array([-1e6, 1e6]))
+        assert np.all(np.isfinite(far))
+
     def test_consistency_across_parameter_draws(self):
         rng = np.random.default_rng(59)
         for _ in range(10):

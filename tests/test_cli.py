@@ -121,6 +121,43 @@ class TestConfigHandling:
         assert dispatch(["chord", "gas", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
         assert (tmp_path / "chords_gas.json").exists()
 
+    def test_config_values_are_read_like_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t_cold": "1", "n_samples": "11"}))
+        rest = ["--t-hot", "5", "--v-min", "1.5", "--v-max", "2"]
+        by_config, by_flags = tmp_path / "config", tmp_path / "flags"
+        assert dispatch(["stirling", "--config", str(cfg), *rest, "--out-dir", str(by_config)]) == 0
+        assert dispatch(
+            ["stirling", "--t-cold", "1", "--n-samples", "11", *rest, "--out-dir", str(by_flags)]
+        ) == 0
+        for f in sorted(by_flags.iterdir()):
+            assert f.read_bytes() == (by_config / f.name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"t_cold": "one"},
+            {"t_cold": [1]},
+            {"t_cold": True},
+            {"n_samples": 10.5},
+            {"out_dir": 5},
+            {"span": "wide"},
+        ],
+    )
+    def test_bad_config_values_exit_1(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        if "span" in doc:
+            argv = ["chord", "cw", "--t0", "2", "--t1", "3", "--c", "1"]
+        else:
+            argv = ["stirling", "--t-hot", "5", "--v-min", "1.5", "--v-max", "2"]
+            if "t_cold" not in doc:
+                argv += ["--t-cold", "1"]
+        code = dispatch([*argv, "--config", str(cfg), "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: config key")
+
     def test_config_must_be_object(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2, 3]")
@@ -299,6 +336,14 @@ class TestOtherCommands:
         src = tmp_path / "red.csv"
         path_to_csv(SampledPath(t, pts), str(src))
         assert dispatch(["reduce", "--input", str(src), "--k", "1", "--out-dir", str(tmp_path)]) == 1
+
+    def test_reduce_rejects_short_row(self, tmp_path, capsys):
+        src = tmp_path / "ext.csv"
+        src.write_text("t,z,S,T,p_1,q_1\n0,0,1,1,0.5,0\n1,1,1\n")
+        code = dispatch(["reduce", "--input", str(src), "--k", "1", "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert err == ["error: path CSV line 3: 3 fields, the header has 6"]
 
     def test_verify_subset(self, tmp_path, capsys):
         code = dispatch(["verify", "--criteria", "1", "--out-dir", str(tmp_path)])

@@ -1,0 +1,140 @@
+"""The array-mask scans return exactly what the per-node loops returned."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scan_oracles import loop_cw_magnetization_roots, loop_find_chords
+from thermocontact import (
+    CurieWeissParams,
+    constant_front,
+    cw_magnetization_roots,
+    difference_front,
+    find_chords,
+)
+from thermocontact.models import FrontFunction
+
+
+def _outcome(fn, *args):
+    """The result of fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _criterion_10_draws():
+    """The find_chords arguments of acceptance criterion 10, in its order."""
+    rng = np.random.default_rng(1001)
+    for _ in range(100):
+        t0 = float(rng.uniform(0.2, 3.0))
+        dT = float(rng.uniform(0.1, 3.0))
+        c = float(rng.uniform(0.05, 0.95)) * dT
+        qstar = -c * t0 / dT
+        yield (
+            constant_front(0.0, (-math.inf, 0.0)),
+            difference_front("gas", t0, t0 + dT, c),
+            10 * qstar - 1.0,
+            qstar / 10.0,
+            20001,
+        )
+        rng.uniform(0.2, 3.0)  # the magnet's b, which the barred front ignores
+        c_cw = float(rng.uniform(-2.0, 2.0))
+        t0c = float(rng.uniform(0.3, 3.0))
+        t1c = t0c + float(rng.uniform(0.2, 3.0))
+        yield constant_front(), difference_front("cw", t0c, t1c, c_cw), -40.0, 40.0, 40001
+
+
+def test_find_chords_matches_loop_on_criterion_10_draws():
+    n_chords = 0
+    for args in _criterion_10_draws():
+        found = find_chords(*args)
+        assert found == loop_find_chords(*args)
+        n_chords += len(found)
+    assert n_chords == 200
+
+
+def _node_front(values):
+    """A front whose slope takes the given values at the nodes 0, 1, 2, ...
+
+    The slope interpolates linearly between nodes, so a scan over
+    [0, len(values) - 1] with len(values) nodes reads the values exactly.
+    Its value is 1 everywhere, so every root becomes a chord of length 1.
+    """
+    nodes = np.arange(len(values), dtype=float)
+    vals = np.asarray(values, dtype=float)
+    return FrontFunction(
+        f=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        fprime=lambda x: np.interp(x, nodes, vals),
+        domain=(-1.0, float(len(values))),
+    )
+
+
+# slope values at the nodes -> expected (q, tangential) of the chords found
+NODE_CASES = {
+    "zero at node 0": ([0.0, 1.0, -1.0, -2.0, -1.0], [(1.5, False)]),
+    "zero at the last node": ([1.0, 2.0, -1.0, -1.0, 0.0], [(5.0 / 3.0, False)]),
+    "isolated zero, same-sign neighbours": ([1.0, 2.0, 0.0, 3.0, 1.0], [(2.0, True)]),
+    "isolated zero, sign change": ([1.0, 2.0, 0.0, -3.0, -1.0], [(2.0, False)]),
+    "run of zeros": ([1.0, 0.0, 0.0, -1.0, -2.0], []),
+    "touching minimum": ([1.0, 0.5, 1e-13, 0.5, 1.0], [(2.0, True)]),
+    "shallow touching minimum": ([1.0, 2e-13, 1e-13, 2e-13, 1.0], []),
+    "several sign changes": (
+        [1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 0.5],
+        [(0.5, False), (4.0 / 3.0, False), (2.5, False), (3.4, False), (4.5, False),
+         (5.0 + 6.0 / 7.0, False)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(NODE_CASES))
+def test_find_chords_matches_loop_on_node_values(name):
+    values, expected = NODE_CASES[name]
+    n = len(values)
+    args = (constant_front(0.0, (-1.0, float(n))), _node_front(values), 0.0, n - 1.0, n)
+    found = find_chords(*args)
+    assert found == loop_find_chords(*args)
+    assert len(found) == len(expected)
+    for ch, (q, tangential) in zip(found, expected):
+        assert abs(ch.q - q) < 1e-9
+        assert ch.tangential is tangential
+
+
+_magnet = st.tuples(
+    st.floats(-5.0, 5.0),  # q
+    st.floats(0.05, 5.0),  # T
+    st.floats(-3.0, 3.0),  # H_back
+    st.floats(0.05, 5.0),  # b
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_magnet)
+def test_magnetization_roots_match_loop(draw):
+    q, T, H, b = draw
+    par = CurieWeissParams(T=T, H_back=H, b=b)
+    assert _outcome(cw_magnetization_roots, q, par) == _outcome(
+        loop_cw_magnetization_roots, q, par
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_magnet, st.integers(1, 300))
+def test_magnetization_roots_match_loop_on_coarse_scans(draw, scan_points):
+    # coarse grids leave roots unbracketed and can put exact zeros on nodes
+    # (q = H_back = 0 makes the grid symmetric about the root y = 0)
+    q, T, H, b = draw
+    for q, H in ((q, H), (0.0, 0.0)):
+        par = CurieWeissParams(T=T, H_back=H, b=b)
+        assert _outcome(cw_magnetization_roots, q, par, scan_points) == _outcome(
+            loop_cw_magnetization_roots, q, par, scan_points
+        )
+
+
+def test_exact_zero_on_a_node_is_a_root():
+    roots = cw_magnetization_roots(0.0, CurieWeissParams(T=2.0, b=1.0), scan_points=3)
+    assert [r.p for r in roots] == [0.0]
+    assert roots == loop_cw_magnetization_roots(0.0, CurieWeissParams(T=2.0, b=1.0), 3)
