@@ -26,6 +26,7 @@ from .microstate import (
     free_energy,
     gibbs,
     internal_energy,
+    lift_rows,
     lift_to_extended,
     load_system,
     normalized_density,

@@ -18,7 +18,6 @@ per-bracket refinement is the only scalar work.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -28,6 +27,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .models import FrontFunction, cw_phi
+from .phase_space import write_csv
 
 TRIVIAL_LENGTH_TOL = 1e-10
 
@@ -222,18 +222,8 @@ def chords_to_json(chords: Sequence[Chord]) -> str:
 
 def chords_to_csv(chords: Sequence[Chord], dest: str | IO[str]) -> None:
     header = ["q", "p", "z_start", "z_end", "length", "direction", "tangential"]
-
-    def write(fh: IO[str]) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for ch in chords:
-            writer.writerow(
-                ["%.17g" % v for v in (ch.q, ch.p, ch.z_start, ch.z_end, ch.length)]
-                + [str(ch.direction), str(int(ch.tangential))]
-            )
-
-    if isinstance(dest, str):
-        with open(dest, "w", newline="") as fh:
-            write(fh)
-    else:
-        write(dest)
+    rows = [
+        (ch.q, ch.p, ch.z_start, ch.z_end, ch.length, ch.direction, int(ch.tangential))
+        for ch in chords
+    ]
+    write_csv(dest, header, rows)

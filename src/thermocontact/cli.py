@@ -14,7 +14,6 @@ are rejected.  ``THERMO_OUT_DIR`` sets the default output directory.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -26,7 +25,15 @@ from typing import Any, Callable
 import numpy as np
 
 from . import microstate as ms
-from .chords import Chord, chords_to_csv, chords_to_json, cw_chord, find_chords, gas_chord
+from .chords import (
+    Chord,
+    _chord_dict,
+    chords_to_csv,
+    chords_to_json,
+    cw_chord,
+    find_chords,
+    gas_chord,
+)
 from .models import (
     CurieWeissParams,
     IdealGasParams,
@@ -41,11 +48,10 @@ from .phase_space import (
     path_from_csv,
     path_to_csv,
     reduce,
+    write_csv,
 )
 from .processes import Schedule, fokker_planck_relax, run_slow_isotopy, stirling_cycle
 from .verify import run_all
-
-_FMT = "%.17g"
 
 
 class ValidationError(ValueError):
@@ -70,23 +76,10 @@ class RunConfig:
         return value
 
 
-def _write_table(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = zip(*columns)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_FMT % v for v in row])
-
-
 def _write_json(path: Path, doc) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def _chord_doc(ch: Chord) -> dict:
-    return json.loads(chords_to_json([ch]))[0]
 
 
 def _load_system_checked(path):
@@ -161,14 +154,10 @@ def emit_figure_data(which: str, cfg: RunConfig) -> list[Path]:
         hot = sample_gas_legendrian(IdealGasParams(T=t1, P_back=c), qs)
         for name, table in (("fig1_family_cold", cold), ("fig1_family_hot", hot)):
             path = out / f"{name}.csv"
-            _write_table(path, ["q", "p", "z"], [table[:, 0], table[:, 1], table[:, 2]])
+            write_csv(path, ["q", "p", "z"], table)
             written.append(path)
         path = out / "fig1_chord.csv"
-        _write_table(
-            path,
-            ["q", "p", "z_start", "z_end"],
-            [np.array([ch.q]), np.array([ch.p]), np.array([ch.z_start]), np.array([ch.z_end])],
-        )
+        write_csv(path, ["q", "p", "z_start", "z_end"], [(ch.q, ch.p, ch.z_start, ch.z_end)])
         written.append(path)
     elif which in ("fig3", "fig4"):
         t0, t1, c = cfg.require("t0"), cfg.require("t1"), cfg.require("c")
@@ -188,17 +177,13 @@ def emit_figure_data(which: str, cfg: RunConfig) -> list[Path]:
         qs = np.linspace(lo, hi, int(cfg.opt("grid", 400)))
         zs = front.value(qs)
         path = out / f"{which}_difference_front.csv"
-        _write_table(path, ["q", "z"], [qs, zs])
+        write_csv(path, ["q", "z"], np.column_stack([qs, zs]))
         written.append(path)
         path = out / f"{which}_zero_section.csv"
-        _write_table(path, ["q", "z"], [qs, np.zeros_like(qs)])
+        write_csv(path, ["q", "z"], np.column_stack([qs, np.zeros_like(qs)]))
         written.append(path)
         path = out / f"{which}_chord.csv"
-        _write_table(
-            path,
-            ["q", "z"],
-            [np.array([qstar, qstar]), np.array([0.0, front.value(qstar)])],
-        )
+        write_csv(path, ["q", "z"], [(qstar, 0.0), (qstar, front.value(qstar))])
         written.append(path)
     elif which == "stirling":
         trace = stirling_cycle(
@@ -259,7 +244,7 @@ def _cmd_chord(cfg: RunConfig) -> int:
             np.linspace(lo, hi, int(cfg.opt("grid", 400))),
         )
         path = cfg.out_dir / "cw_legendrian.csv"
-        _write_table(path, ["q", "p", "z", "S"], [sample[:, j] for j in range(4)])
+        write_csv(path, ["q", "p", "z", "S"], sample)
         files.append(path)
         files.append(_write_chords(cfg, "chords_cw", [closed]))
         check = abs(found[0].q - qstar) if found else math.inf
@@ -341,7 +326,7 @@ def _cmd_relax(cfg: RunConfig) -> int:
     path_file = cfg.out_dir / "relax_path.csv"
     path_to_csv(trace.reduced_path, str(path_file))
     dens_file = cfg.out_dir / "relax_densities.csv"
-    ms.densities_to_csv(list(trace.densities), str(dens_file))
+    ms.densities_to_csv(trace.rho, str(dens_file))
     terminal = ms.gibbs(sp, h, trace.temperatures[-1], q).rho_g
     tv = ms.total_variation(sp, trace.densities[-1], terminal)
     manifest = {
@@ -427,7 +412,7 @@ def _cmd_stirling(cfg: RunConfig) -> int:
                 "file": f"stirling_{seg.name}.csv",
                 "delta_G": seg.delta_G,
                 "form_sign": seg.form_sign,
-                "chord": _chord_doc(seg.chord) if seg.chord is not None else None,
+                "chord": _chord_dict(seg.chord) if seg.chord is not None else None,
                 "temperature_decreasing": seg.temperature_decreasing,
                 "degenerate": seg.degenerate,
             }
@@ -638,6 +623,23 @@ def _coerce_config_value(key: str, value, kind: Callable[[str], Any]):
         ) from exc
 
 
+# text flags whose config value may also be a JSON list, and its item types
+_LIST_ITEMS = {"q": ("numbers", (int, float)), "criteria": ("integers", (int,))}
+
+
+def _check_text_value(key: str, value):
+    """Pass a config value of a text flag: a string, or a list for q/criteria."""
+    if value is None or isinstance(value, str):
+        return value
+    what, kinds = _LIST_ITEMS.get(key, (None, ()))
+    if what and isinstance(value, list) and all(
+        isinstance(x, kinds) and not isinstance(x, bool) for x in value
+    ):
+        return value
+    want = f"a string or a list of {what}" if what else "a string"
+    raise ValidationError(f"config key {key!r} must be {want}, got {value!r}")
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     command = args.command
     allowed = ALLOWED_KEYS[command]
@@ -671,7 +673,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                     args.fmt = value
             elif options.get(key) is None:
                 kind = types.get(key)
-                options[key] = value if kind is None else _coerce_config_value(key, value, kind)
+                if kind is None:
+                    options[key] = _check_text_value(key, value)
+                else:
+                    options[key] = _coerce_config_value(key, value, kind)
     out_dir = Path(args.out_dir or os.environ.get("THERMO_OUT_DIR", "."))
     fmt = args.fmt or "csv"
     if fmt not in ("csv", "json"):

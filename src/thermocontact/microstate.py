@@ -28,7 +28,7 @@ from typing import IO, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .phase_space import ExtendedPoint
+from .phase_space import ExtendedPoint, write_csv
 
 NORMALIZATION_TOL = 1e-12
 
@@ -212,12 +212,50 @@ def gibbs(sp: MicrostateSpace, h: AffineHamiltonian, T: float, q) -> GibbsResult
     return GibbsResult(Density(np.exp(a - log_z)), log_z)
 
 
+def lift_rows(
+    sp: MicrostateSpace, h: AffineHamiltonian, T, q, rho
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lift many densities at once: (z, S, p) for each row of rho.
+
+    ``rho`` is an (N, m) array of densities, ``T`` a temperature per row
+    (or one for all) and q the intensive values shared by every row.
+    Returns z = -G of shape (N,), S of shape (N,) and p of shape (N, n).
+    Rows are checked as :func:`check_density` checks one density; the
+    error names the first bad row.  Each row's value equals what
+    :func:`free_energy`, :func:`entropy` and :func:`pressures` give for it:
+    ``np.vecdot`` sums each row as ``np.dot`` sums one density, and the
+    stacked ``np.matmul`` multiplies each row as ``@`` does.
+    """
+    _check_dims(sp, h, None)
+    R = np.asarray(rho, dtype=float)
+    if R.ndim != 2 or R.shape[1] != sp.m:
+        raise ValueError(f"densities must have shape (N, {sp.m}), got {R.shape}")
+    T = np.broadcast_to(np.asarray(T, dtype=float), R.shape[:1])
+    if not np.all(T > 0):
+        raise ValueError("temperature must be positive")
+    w = sp.weights
+    bad = np.flatnonzero(~np.all(np.isfinite(R) & (R >= 0), axis=1))
+    if bad.size:
+        raise ValueError(f"density row {bad[0]} has negative or non-finite entries")
+    mass = np.vecdot(R, w)
+    bad = np.flatnonzero(np.abs(mass - 1.0) > NORMALIZATION_TOL)
+    if bad.size:
+        raise ValueError(
+            f"density row {bad[0]} has mass {mass[bad[0]]!r}, not 1 within {NORMALIZATION_TOL}"
+        )
+    terms = np.where(R > 0, R * np.log(np.where(R > 0, R, 1.0)), 0.0)
+    S = -np.vecdot(terms, w)
+    G = -T * S + np.vecdot(R, w * h.energies(q))
+    p = -np.matmul(h.v_bar, (R * w)[:, :, None])[:, :, 0]
+    return -G, S, p
+
+
 def lift_to_extended(
     sp: MicrostateSpace, h: AffineHamiltonian, T: float, q, d: Density
 ) -> ExtendedPoint:
     """Macroscopic state as the phase-space point (-G, S, T, p, q)."""
-    z = -free_energy(sp, h, T, q, d)
-    return ExtendedPoint(z, entropy(sp, d), T, pressures(sp, h, d), q)
+    z, S, p = lift_rows(sp, h, T, q, d.rho[None, :])
+    return ExtendedPoint(z[0], S[0], T, p[0], q)
 
 
 # ---------------------------------------------------------------------------
@@ -263,23 +301,16 @@ def save_system(
         json.dump(doc, dest, sort_keys=True, indent=2)
 
 
-def densities_to_csv(densities: Sequence[Density], dest: str | IO[str]) -> None:
-    """One density per row, columns rho_1..rho_m."""
-    if not densities:
+def densities_to_csv(densities: Sequence[Density] | np.ndarray, dest: str | IO[str]) -> None:
+    """One density per row, columns rho_1..rho_m.
+
+    ``densities`` is a sequence of :class:`Density` or an (N, m) array.
+    """
+    if len(densities) == 0:
         raise ValueError("nothing to write")
-    m = densities[0].m
-
-    def write(fh: IO[str]) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"rho_{i + 1}" for i in range(m)])
-        for d in densities:
-            writer.writerow(["%.17g" % v for v in d.rho])
-
-    if isinstance(dest, str):
-        with open(dest, "w", newline="") as fh:
-            write(fh)
-    else:
-        write(dest)
+    rows = densities if isinstance(densities, np.ndarray) else [d.rho for d in densities]
+    rows = np.asarray(rows, dtype=float)
+    write_csv(dest, [f"rho_{i + 1}" for i in range(rows.shape[1])], rows)
 
 
 def densities_from_csv(src: str | IO[str]) -> list[Density]:

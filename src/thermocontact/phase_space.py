@@ -9,7 +9,9 @@ pairs of extensive/intensive variables.  The reduced phase space keeps only
     reduced:   dz - sum_j p_j dq_j
 
 A sampled path is admissible when the form paired with its velocity is
-non-negative at every sample.  Only the sign of the verdict is independent
+non-negative at every sample.  Paths are stored by column (one array per
+coordinate), so certification, reduction and CSV I/O work on whole arrays;
+single points are value types for the scalar API.  Only the sign of the verdict is independent
 of the choice of contact form representing the co-oriented distribution;
 the numeric values reported are specific to the two forms above.
 
@@ -21,8 +23,11 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
+import os
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import IO, Mapping, Sequence, Union
+from typing import IO, Mapping, Union
 
 import numpy as np
 
@@ -179,47 +184,153 @@ Point = Union[ExtendedPoint, ReducedPoint]
 Velocity = Union[ExtendedVelocity, ReducedVelocity]
 
 
+class RowView(Sequence):
+    """A read-only sequence whose item i is built from row i on access.
+
+    Columnar containers hand this out where callers index single samples,
+    so a value object is made only for the rows actually read.
+    """
+
+    def __init__(self, n: int, build: Callable[[int], object]):
+        self._n = n
+        self._build = build
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._build(j) for j in range(*i.indices(self._n))]
+        i = operator.index(i)
+        if i < 0:
+            i += self._n
+        if not 0 <= i < self._n:
+            raise IndexError(f"row index out of range for {self._n} rows")
+        return self._build(i)
+
+
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first True entry (over rows of a 2-D mask), or None."""
+    if mask.ndim > 1:
+        mask = mask.any(axis=1)
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _column(values, name: str, n_rows: int, matrix: bool = False) -> np.ndarray:
+    """A read-only float copy of shape (n_rows,) or (n_rows, n), all finite."""
+    arr = np.array(values, dtype=float)
+    if matrix and arr.ndim == 1:
+        arr = arr.reshape(-1, 1)
+    shape_ok = arr.ndim == (2 if matrix else 1) and arr.shape[0] == n_rows
+    if not shape_ok or arr.size == 0:
+        want = f"({n_rows}, n >= 1)" if matrix else f"({n_rows},)"
+        raise ValueError(f"{name} must have shape {want}, got {arr.shape}")
+    bad = _first(~np.isfinite(arr))
+    if bad is not None:
+        raise ValueError(f"{name} must be finite, got {arr[bad]!r} at sample {bad}")
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class SampledPath:
-    """A path sampled at strictly increasing times.
+    """A path sampled at strictly increasing times, stored by column.
 
-    All points must be of the same kind (extended or reduced) and dimension.
+    ``times`` and ``z`` have shape (N,), ``p`` and ``q`` shape (N, n).  An
+    extended path also carries ``S`` and ``T`` of shape (N,); a reduced path
+    leaves both None.  Every column is a read-only copy, checked once on
+    construction: finite values, N >= 2, strictly increasing times, T > 0
+    and S >= 0.  Errors name the first offending sample.  ``points`` gives
+    the samples as :class:`ExtendedPoint`/:class:`ReducedPoint` values.
     """
 
     times: np.ndarray
-    points: tuple[Point, ...]
+    z: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    S: np.ndarray | None = None
+    T: np.ndarray | None = None
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float, copy=True).reshape(-1)
-        times.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "points", tuple(self.points))
-        if len(self.points) < 2:
+        n_rows = np.size(self.times)
+        if n_rows < 2:
             raise ValueError("a sampled path needs at least 2 samples")
-        if times.size != len(self.points):
+        cols = {"times": _column(self.times, "times", n_rows), "z": _column(self.z, "z", n_rows)}
+        cols["p"] = _column(self.p, "p", n_rows, matrix=True)
+        cols["q"] = _column(self.q, "q", n_rows, matrix=True)
+        if cols["p"].shape != cols["q"].shape:
+            raise ValueError(
+                f"p and q must have equal shapes, got {cols['p'].shape} and {cols['q'].shape}"
+            )
+        if (self.S is None) != (self.T is None):
+            raise ValueError("an extended path needs both S and T, a reduced path neither")
+        if self.S is not None:
+            cols["S"] = _column(self.S, "S", n_rows)
+            cols["T"] = _column(self.T, "T", n_rows)
+            bad = _first(cols["T"] <= 0)
+            if bad is not None:
+                raise ValueError(
+                    f"temperature must be positive, got {cols['T'][bad]} at sample {bad}"
+                )
+            bad = _first(cols["S"] < 0)
+            if bad is not None:
+                raise ValueError(
+                    f"entropy must be non-negative, got {cols['S'][bad]} at sample {bad}"
+                )
+        bad = _first(np.diff(cols["times"]) <= 0)
+        if bad is not None:
+            raise ValueError(
+                f"times must be strictly increasing, got {cols['times'][bad + 1]} after "
+                f"{cols['times'][bad]} at sample {bad + 1}"
+            )
+        for name, arr in cols.items():
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def from_points(cls, times, points: Sequence[Point]) -> "SampledPath":
+        """Stack single-sample points of one kind and dimension into columns."""
+        points = tuple(points)
+        if len(points) != np.size(times):
             raise ValueError("times and points must have equal length")
-        if not np.all(np.diff(times) > 0):
-            raise ValueError("times must be strictly increasing")
-        first = self.points[0]
-        if isinstance(first, ExtendedPoint):
-            dims = {pt.n for pt in self.points if isinstance(pt, ExtendedPoint)}
-        else:
-            dims = {pt.k for pt in self.points if isinstance(pt, ReducedPoint)}
-        if len(dims) != 1 or not all(isinstance(pt, type(first)) for pt in self.points):
+        if not points:
+            raise ValueError("a sampled path needs at least 2 samples")
+        kind = type(points[0])
+        if any(type(pt) is not kind or pt.p.size != points[0].p.size for pt in points):
             raise ValueError("all points must share one kind and dimension")
+        z = [pt.z for pt in points]
+        p = [pt.p for pt in points]
+        q = [pt.q for pt in points]
+        if kind is ExtendedPoint:
+            return cls(times, z, p, q, [pt.S for pt in points], [pt.T for pt in points])
+        return cls(times, z, p, q)
 
     @property
     def kind(self) -> str:
-        return "extended" if isinstance(self.points[0], ExtendedPoint) else "reduced"
+        return "reduced" if self.S is None else "extended"
 
     @property
     def n_samples(self) -> int:
-        return len(self.points)
+        return self.times.size
 
     @property
     def dimension(self) -> int:
-        first = self.points[0]
-        return first.n if isinstance(first, ExtendedPoint) else first.k
+        return self.p.shape[1]
+
+    @property
+    def points(self) -> RowView:
+        """The samples as point values, built on access."""
+        return RowView(self.n_samples, self._point)
+
+    def _point(self, i: int) -> Point:
+        if self.S is None:
+            return ReducedPoint(self.z[i], self.p[i], self.q[i])
+        return ExtendedPoint(self.z[i], self.S[i], self.T[i], self.p[i], self.q[i])
+
+    def coordinates(self) -> np.ndarray:
+        """The (N, 1 + 2n) or (N, 3 + 2n) matrix of z[, S, T], p, q."""
+        head = [self.z] if self.S is None else [self.z, self.S, self.T]
+        return np.column_stack([*head, self.p, self.q])
 
 
 @dataclass(frozen=True)
@@ -257,35 +368,24 @@ def eval_reduced_form(pt: ReducedPoint, v: ReducedVelocity) -> float:
     return float(v.dz - np.dot(pt.p, v.dq))
 
 
-def _coordinate_matrix(path: SampledPath) -> np.ndarray:
-    if path.kind == "extended":
-        return np.array(
-            [[pt.z, pt.S, pt.T, *pt.p, *pt.q] for pt in path.points], dtype=float
-        )
-    return np.array([[pt.z, *pt.p, *pt.q] for pt in path.points], dtype=float)
-
-
-def path_velocities(path: SampledPath) -> list[Velocity]:
-    """Estimate velocities at every sample of a path.
+def _velocity_matrix(path: SampledPath) -> np.ndarray:
+    """Time derivatives of :meth:`SampledPath.coordinates`, one row per sample.
 
     Central differences at interior nodes (second order on non-uniform
     grids), one-sided differences at the endpoints (second order when the
     path has at least three samples).
     """
-    coords = _coordinate_matrix(path)
     edge_order = 2 if path.n_samples >= 3 else 1
-    vel = np.gradient(coords, path.times, axis=0, edge_order=edge_order)
+    return np.gradient(path.coordinates(), path.times, axis=0, edge_order=edge_order)
+
+
+def path_velocities(path: SampledPath) -> list[Velocity]:
+    """Velocities at every sample of a path, as single-sample values."""
+    vel = _velocity_matrix(path)
     d = path.dimension
-    out: list[Velocity] = []
     if path.kind == "extended":
-        for row in vel:
-            out.append(
-                ExtendedVelocity(row[0], row[1], row[2], row[3 : 3 + d], row[3 + d :])
-            )
-    else:
-        for row in vel:
-            out.append(ReducedVelocity(row[0], row[1 : 1 + d], row[1 + d :]))
-    return out
+        return [ExtendedVelocity(r[0], r[1], r[2], r[3 : 3 + d], r[3 + d :]) for r in vel]
+    return [ReducedVelocity(r[0], r[1 : 1 + d], r[1 + d :]) for r in vel]
 
 
 def check_path_nonnegative(
@@ -293,8 +393,10 @@ def check_path_nonnegative(
 ) -> NonnegReport:
     """Certify that the contact form is >= -slack along a sampled path.
 
-    Velocities come from :func:`path_velocities`; the form is evaluated at
-    every sample and the verdict reflects the minimum value.
+    One gradient of the coordinate matrix gives the velocities; the form
+    dz - S dT - p . dq (extended) or dz - p . dq (reduced) is evaluated on
+    whole columns and the verdict reflects the minimum value.  ``p . dq``
+    goes through ``np.vecdot``, which sums each row as ``np.dot`` does.
     """
     if slack < 0:
         raise ValueError("slack must be non-negative")
@@ -302,12 +404,14 @@ def check_path_nonnegative(
         raise ValueError(
             f"requested form {which_form!r} but the path is {path.kind!r}"
         )
-    form = eval_extended_form if path.kind == "extended" else eval_reduced_form
-    values = np.array(
-        [form(pt, v) for pt, v in zip(path.points, path_velocities(path))]
-    )
+    vel = _velocity_matrix(path)
+    dq = np.ascontiguousarray(vel[:, vel.shape[1] - path.dimension :])
+    values = vel[:, 0]
+    if path.kind == "extended":
+        values = values - path.S * vel[:, 2]
+    values = values - np.vecdot(path.p, dq)
     values.flags.writeable = False
-    violating = tuple(int(i) for i in np.nonzero(values < -slack)[0])
+    violating = tuple(np.flatnonzero(values < -slack).tolist())
     min_value = float(values.min())
     verdict = "nonnegative" if min_value >= -slack else "violated"
     return NonnegReport(min_value, violating, values, verdict, slack)
@@ -330,43 +434,57 @@ def admissibility_decrement(
     return float(total)
 
 
-def _reduce_point(pt: ExtendedPoint, spec: ReductionSpec) -> ReducedPoint:
-    spec.validate_for_dimension(pt.n)
-    if spec.T0 is not None and abs(pt.T - spec.T0) > spec.tol:
-        raise ReductionError(
-            f"temperature constraint violated: |T - T0| = {abs(pt.T - spec.T0):.3e} "
-            f"> tol={spec.tol:.3e}"
-        )
+def _check_constraints(T, p, q, spec: ReductionSpec, where: str) -> None:
+    """Reject the first sample (rows of T, p, q) that breaks a pinned constraint.
+
+    At that sample the constraints are tried in the order T0, frozen q,
+    zeroed p.  ``where`` formats the sample index into the message.
+    """
+    checks = []
+    if spec.T0 is not None:
+        checks.append(("temperature constraint violated", "|T - T0|", np.abs(T - spec.T0)))
     for i, pinned in spec.frozen_q.items():
-        if pinned is not None and abs(pt.q[i] - pinned) > spec.tol:
-            raise ReductionError(
-                f"frozen intensive constraint violated at q_{i + 1}: "
-                f"|q - q0| = {abs(pt.q[i] - pinned):.3e} > tol={spec.tol:.3e}"
+        if pinned is not None:
+            checks.append(
+                (f"frozen intensive constraint violated at q_{i + 1}", "|q - q0|",
+                 np.abs(q[:, i] - pinned))
             )
     for e in spec.zeroed_p:
-        if abs(pt.p[e]) > spec.tol:
-            raise ReductionError(
-                f"zeroed extensive constraint violated at p_{e + 1}: "
-                f"|p| = {abs(pt.p[e]):.3e} > tol={spec.tol:.3e}"
-            )
-    return ReducedPoint(pt.z, pt.p[: spec.k], pt.q[: spec.k])
+        checks.append((f"zeroed extensive constraint violated at p_{e + 1}", "|p|",
+                       np.abs(p[:, e])))
+    worst = None
+    for what, label, dev in checks:
+        row = _first(dev > spec.tol)
+        if row is not None and (worst is None or row < worst[0]):
+            worst = (row, what, label, dev[row])
+    if worst is not None:
+        row, what, label, value = worst
+        raise ReductionError(
+            f"{what}{where.format(row)}: {label} = {value:.3e} > tol={spec.tol:.3e}"
+        )
 
 
 def reduce(
     pt_or_path: ExtendedPoint | SampledPath, spec: ReductionSpec
 ) -> ReducedPoint | SampledPath:
-    """Project an extended point (or path, pointwise) to (z, p_1..k, q_1..k).
+    """Project an extended point or path to (z, p_1..k, q_1..k).
 
     Constraints pinned by the spec (T0, frozen q values, zeroed p) are
-    enforced per point within spec.tol and violations are rejected naming
-    the constraint.
+    enforced on every sample within spec.tol; a violation is rejected
+    naming the constraint and, on a path, the first offending sample.
     """
+    k = spec.k
     if isinstance(pt_or_path, SampledPath):
-        if pt_or_path.kind != "extended":
+        path = pt_or_path
+        if path.kind != "extended":
             raise ValueError("only extended paths can be reduced")
-        pts = tuple(_reduce_point(pt, spec) for pt in pt_or_path.points)
-        return SampledPath(pt_or_path.times, pts)
-    return _reduce_point(pt_or_path, spec)
+        spec.validate_for_dimension(path.dimension)
+        _check_constraints(path.T, path.p, path.q, spec, " (sample {})")
+        return SampledPath(path.times, path.z, path.p[:, :k], path.q[:, :k])
+    pt = pt_or_path
+    spec.validate_for_dimension(pt.n)
+    _check_constraints(np.array([pt.T]), pt.p[None, :], pt.q[None, :], spec, "")
+    return ReducedPoint(pt.z, pt.p[:k], pt.q[:k])
 
 
 def irreversible_entropy_rate(pt: ExtendedPoint, v: ExtendedVelocity) -> float:
@@ -380,8 +498,31 @@ def irreversible_entropy_rate(pt: ExtendedPoint, v: ExtendedVelocity) -> float:
 _FMT = "%.17g"
 
 
-def _format_row(values: Sequence[float]) -> list[str]:
-    return [_FMT % v for v in values]
+def write_csv(dest: str | os.PathLike | IO[str], header: Sequence[str], rows) -> None:
+    """Write a header line and rows of numbers as CSV, every value as %.17g.
+
+    ``rows`` is a 2-D array or an iterable of equal-length number rows;
+    whole numbers print without a decimal point.  ``dest`` is a file name
+    or an open text stream.  Lines end in ``\\n`` and nothing is quoted, as
+    no header name or formatted number holds a comma or a quote.
+    """
+    table = np.asarray(rows, dtype=float)
+    if table.size == 0:
+        table = table.reshape(0, len(header))
+    if table.ndim != 2 or table.shape[1] != len(header):
+        raise ValueError(f"rows of shape {table.shape} do not fit a {len(header)}-column header")
+    line = ",".join([_FMT] * len(header)) + "\n"
+    text = ",".join(header) + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
+    if isinstance(dest, (str, os.PathLike)):
+        with open(dest, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        dest.write(text)
+
+
+def _path_header(n: int, extended: bool) -> list[str]:
+    head = ["t", "z", "S", "T"] if extended else ["t", "z"]
+    return head + [f"p_{j + 1}" for j in range(n)] + [f"q_{j + 1}" for j in range(n)]
 
 
 def path_to_csv(path: SampledPath, dest: str | IO[str]) -> None:
@@ -390,39 +531,17 @@ def path_to_csv(path: SampledPath, dest: str | IO[str]) -> None:
     Extended header: t,z,S,T,p_1..p_n,q_1..q_n; reduced: t,z,p_1..p_k,q_1..q_k.
     Values carry full double precision.
     """
-    d = path.dimension
-    if path.kind == "extended":
-        header = (
-            ["t", "z", "S", "T"]
-            + [f"p_{j + 1}" for j in range(d)]
-            + [f"q_{j + 1}" for j in range(d)]
-        )
-    else:
-        header = (
-            ["t", "z"]
-            + [f"p_{j + 1}" for j in range(d)]
-            + [f"q_{j + 1}" for j in range(d)]
-        )
-    coords = _coordinate_matrix(path)
-
-    def write(fh: IO[str]) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for t, row in zip(path.times, coords):
-            writer.writerow(_format_row([t, *row]))
-
-    if isinstance(dest, str):
-        with open(dest, "w", newline="") as fh:
-            write(fh)
-    else:
-        write(dest)
+    header = _path_header(path.dimension, path.kind == "extended")
+    write_csv(dest, header, np.column_stack([path.times, path.coordinates()]))
 
 
 def path_from_csv(src: str | IO[str]) -> SampledPath:
-    """Read a path written by :func:`path_to_csv` (header decides the kind).
+    """Read a path written by :func:`path_to_csv`.
 
-    Raises ValueError, naming the line, on a row whose width differs from
-    the header's.
+    The header must be exactly t,z,S,T,p_1..p_n,q_1..q_n (extended) or
+    t,z,p_1..p_k,q_1..q_k (reduced) with n, k >= 1.  Raises ValueError,
+    naming the line, on any other header and on a row whose width differs
+    from the header's.
     """
 
     def read(fh: IO[str]) -> SampledPath:
@@ -430,11 +549,15 @@ def path_from_csv(src: str | IO[str]) -> SampledPath:
         header = next(reader, None)
         if not header:
             raise ValueError("path CSV has no header row")
+        extended = header[2:4] == ["S", "T"]
         width = len(header)
-        extended = width > 2 and header[2] == "S"
-        n_pairs = (width - (4 if extended else 2)) // 2
-        times = []
-        points: list[Point] = []
+        n = (width - (4 if extended else 2)) // 2
+        if n < 1 or header != _path_header(n, extended):
+            raise ValueError(
+                f"path CSV line 1: header {','.join(header)!r} is neither "
+                "t,z,S,T,p_1..p_n,q_1..q_n nor t,z,p_1..p_k,q_1..q_k"
+            )
+        rows = []
         for row in reader:
             if not row:
                 continue
@@ -443,23 +566,13 @@ def path_from_csv(src: str | IO[str]) -> SampledPath:
                     f"path CSV line {reader.line_num}: {len(row)} fields, "
                     f"the header has {width}"
                 )
-            vals = [float(x) for x in row]
-            times.append(vals[0])
-            if extended:
-                points.append(
-                    ExtendedPoint(
-                        vals[1],
-                        vals[2],
-                        vals[3],
-                        vals[4 : 4 + n_pairs],
-                        vals[4 + n_pairs :],
-                    )
-                )
-            else:
-                points.append(
-                    ReducedPoint(vals[1], vals[2 : 2 + n_pairs], vals[2 + n_pairs :])
-                )
-        return SampledPath(np.array(times), tuple(points))
+            rows.append(row)
+        table = np.array(rows, dtype=float).reshape(-1, width)
+        c = 4 if extended else 2
+        S, T = (table[:, 2], table[:, 3]) if extended else (None, None)
+        return SampledPath(
+            table[:, 0], table[:, 1], table[:, c : c + n], table[:, c + n :], S, T
+        )
 
     if isinstance(src, str):
         with open(src, newline="") as fh:

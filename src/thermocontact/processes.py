@@ -40,10 +40,9 @@ from .models import (
 from .phase_space import (
     NonnegReport,
     ReducedPoint,
-    ReductionSpec,
+    RowView,
     SampledPath,
     check_path_nonnegative,
-    reduce,
 )
 
 
@@ -119,25 +118,18 @@ class IsotopyTrace:
     def legendrian_residual(self) -> float:
         """Max distance of any sample from the scheduled equilibrium family."""
         worst = 0.0
-        sched = self.schedule
+        T = self.schedule.temperatures
+        bg = self.schedule.backgrounds
         for path in self.paths:
-            for j, pt in enumerate(path.points):
-                T = sched.temperatures[j]
-                bg = sched.backgrounds[j]
-                p, q = float(pt.p[0]), float(pt.q[0])
-                if self.model == "gas":
-                    worst = max(
-                        worst,
-                        abs(p - float(gas_dphi(T, q - bg))),
-                        abs(pt.z - float(gas_phi(T, q - bg))),
-                    )
-                else:
-                    arg = q + bg + self.b * p
-                    worst = max(
-                        worst,
-                        abs(p - math.tanh(arg / T)),
-                        abs(pt.z - (float(cw_phi(T, arg)) - self.b * p * p / 2.0)),
-                    )
+            p, q = path.p[:, 0], path.q[:, 0]
+            if self.model == "gas":
+                dev = [np.abs(p - gas_dphi(T, q - bg)), np.abs(path.z - gas_phi(T, q - bg))]
+            else:
+                arg = q + bg + self.b * p
+                # math.tanh, not np.tanh: the two may round differently
+                tanh = np.array([math.tanh(a) for a in (arg / T).tolist()])
+                dev = [np.abs(p - tanh), np.abs(path.z - (cw_phi(T, arg) - self.b * p * p / 2.0))]
+            worst = max(worst, *(float(d.max()) for d in dev))
         return worst
 
 
@@ -178,17 +170,10 @@ def run_slow_isotopy(
                 raise ValueError(
                     f"gas chart value q={x} leaves the front domain under the schedule"
                 )
-            pts = []
-            for j in range(times.size):
-                arg = x - bgs[j]
-                pts.append(
-                    ReducedPoint(
-                        float(gas_phi(temps[j], arg)),
-                        [float(gas_dphi(temps[j], arg))],
-                        [x],
-                    )
-                )
-            paths.append(SampledPath(times, tuple(pts)))
+            arg = x - bgs
+            paths.append(
+                SampledPath(times, gas_phi(temps, arg), gas_dphi(temps, arg), np.full(times.size, x))
+            )
     else:
         if b is None or not b > 0:
             raise ValueError("the magnet model needs a positive spin interaction b")
@@ -197,7 +182,7 @@ def run_slow_isotopy(
                 raise ValueError(f"magnet chart value p={x} must lie in (-1, 1)")
             q = -b * x + temps[0] * math.atanh(x) - bgs[0]
             p_prev = float(x)
-            pts = []
+            z, p = np.empty(times.size), np.empty(times.size)
             for j in range(times.size):
                 par = CurieWeissParams(T=temps[j], H_back=bgs[j], b=b)
                 roots = cw_magnetization_roots(q, par, scan_points=scan_points)
@@ -209,8 +194,8 @@ def run_slow_isotopy(
                         f"{p_prev:.6g} to {nearest.p:.6g}"
                     )
                 p_prev = nearest.p
-                pts.append(ReducedPoint(nearest.z, [nearest.p], [q]))
-            paths.append(SampledPath(times, tuple(pts)))
+                z[j], p[j] = nearest.z, nearest.p
+            paths.append(SampledPath(times, z, p, np.full(times.size, q)))
 
     reports = tuple(check_path_nonnegative(path, slack=slack) for path in paths)
     return IsotopyTrace(model, b, sched, x_grid, tuple(paths), reports)
@@ -270,16 +255,23 @@ def ultrafast_jump(
 class RelaxTrace:
     """Nodes of a simplex gradient-flow relaxation.
 
+    ``rho`` holds the density of node j in row j, read-only;
+    ``densities[j]`` gives that row as a :class:`~thermocontact.microstate.Density`.
     ``temperatures[j]`` is the coefficient used over the step leaving node
     j, so the per-step Lyapunov contract compares G at that temperature.
     """
 
     t_grid: np.ndarray
-    densities: tuple[ms.Density, ...]
+    rho: np.ndarray
     temperatures: np.ndarray
     reduced_path: SampledPath
     form_values: np.ndarray
     G_values: np.ndarray
+
+    @property
+    def densities(self) -> RowView:
+        """The node densities, each built when it is indexed."""
+        return RowView(self.rho.shape[0], lambda j: ms.Density(self.rho[j]))
 
     def spectral_gap_estimate(self) -> float:
         """Decay-rate estimate fitted to the free-energy tail.
@@ -380,21 +372,12 @@ def fokker_planck_relax(
 
     t_grid = np.array(ts)
     temperatures = np.array(temps)
-    densities = tuple(ms.Density(r) for r in rhos)
-    reduced_pts = []
-    G_values = np.empty(t_grid.size)
-    n = q.size
-    for j, d in enumerate(densities):
-        T_j = temperatures[j]
-        ext = ms.lift_to_extended(sp, h, T_j, q, d)
-        reduced_pts.append(reduce(ext, ReductionSpec(k=n, T0=T_j)))
-        G_values[j] = -ext.z
-    reduced_path = SampledPath(t_grid, tuple(reduced_pts))
-    z = np.array([pt.z for pt in reduced_pts])
+    rho_rows = np.array(rhos)
+    rho_rows.flags.writeable = False
+    z, _, p = ms.lift_rows(sp, h, temperatures, q, rho_rows)
+    reduced_path = SampledPath(t_grid, z, p, np.broadcast_to(q, p.shape))
     form_values = np.diff(z) / np.diff(t_grid)
-    return RelaxTrace(
-        t_grid, densities, temperatures, reduced_path, form_values, G_values
-    )
+    return RelaxTrace(t_grid, rho_rows, temperatures, reduced_path, form_values, -z)
 
 
 # ---------------------------------------------------------------------------
@@ -421,11 +404,11 @@ class StirlingCycleTrace:
 
     @property
     def closure_residual(self) -> float:
-        first = self.segments[0].path.points[0]
-        last = self.segments[-1].path.points[-1]
+        first = self.segments[0].path
+        last = self.segments[-1].path
         return max(
-            abs(float(first.p[0]) - float(last.p[0])),
-            abs(float(first.q[0]) - float(last.q[0])),
+            abs(float(first.p[0, 0]) - float(last.p[-1, 0])),
+            abs(float(first.q[0, 0]) - float(last.q[-1, 0])),
         )
 
     @property
@@ -465,15 +448,16 @@ def stirling_cycle(
 
     def isotherm(T: float, v_from: float, v_to: float, t0: float, name: str):
         vs = np.linspace(v_from, v_to, n_samples)
-        pts = tuple(_gas_state(T, float(v)) for v in vs)
-        path = SampledPath(np.linspace(t0, t0 + 1.0, n_samples), pts)
-        delta_G = -(pts[-1].z - pts[0].z)
+        # the chart of _gas_state, with math.log as there
+        z = np.array([T * math.log(v) for v in vs.tolist()])
+        path = SampledPath(np.linspace(t0, t0 + 1.0, n_samples), z, vs, -T / vs)
+        delta_G = -float(z[-1] - z[0])
         return CycleSegment(name, path, delta_G, "zero", None, False, False)
 
     def corner(T_from: float, T_to: float, v: float, t0: float, name: str):
         a = _gas_state(T_from, v)
         bpt = _gas_state(T_to, v)
-        path = SampledPath(np.array([t0, t0 + 1.0]), (a, bpt))
+        path = SampledPath.from_points([t0, t0 + 1.0], (a, bpt))
         delta_G = -(bpt.z - a.z)
         # form increment dz - p dq along the straight corner segment
         increment = (bpt.z - a.z) - float(a.p[0]) * (float(bpt.q[0]) - float(a.q[0]))

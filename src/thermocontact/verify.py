@@ -34,7 +34,6 @@ from .models import (
     select_equilibrium,
 )
 from .phase_space import (
-    ExtendedPoint,
     ReducedPoint,
     ReductionSpec,
     SampledPath,
@@ -267,11 +266,10 @@ def criterion_5() -> CriterionResult:
     )
 
 
-def criterion_6() -> CriterionResult:
-    """Relaxation contract: mass, Lyapunov, form sign, terminal Gibbs."""
+def criterion_6_runs(n_runs: int = 50):
+    """The relaxations of criterion 6: yields (space, Hamiltonian, q, trace)."""
     rng = np.random.default_rng(601)
-    worst_mass = worst_lyap = worst_form = worst_tv = 0.0
-    for run in range(50):
+    for run in range(n_runs):
         sp, h = _random_system(rng, m_max=8, n_max=2, weight_lo=1.0, scale=0.5)
         q = rng.uniform(-1.0, 1.0, h.n)
         T0 = float(rng.uniform(1.0, 2.0))
@@ -282,19 +280,24 @@ def criterion_6() -> CriterionResult:
             return T0 + dT * min(t, ramp) / ramp
 
         rho0 = ms.normalized_density(sp, rng.uniform(0.2, 1.0, sp.m))
-        trace = fokker_planck_relax(sp, h, q, T_of_t, rho0, 0.01, 12.0)
+        yield sp, h, q, fokker_planck_relax(sp, h, q, T_of_t, rho0, 0.01, 12.0)
 
+
+def criterion_6() -> CriterionResult:
+    """Relaxation contract: mass, Lyapunov, form sign, terminal Gibbs."""
+    worst_mass = worst_lyap = worst_form = worst_tv = 0.0
+    for sp, h, q, trace in criterion_6_runs():
         w = sp.weights
-        mass = np.array([np.dot(w, d.rho) for d in trace.densities])
-        worst_mass = max(worst_mass, float(np.abs(mass - 1.0).max()))
-        energies = h.energies(q)
-        for j in range(len(trace.densities) - 1):
-            T_step = trace.temperatures[j]
-            r0 = trace.densities[j].rho
-            r1 = trace.densities[j + 1].rho
-            g0 = T_step * np.dot(w, r0 * np.log(r0)) + np.dot(w * energies, r0)
-            g1 = T_step * np.dot(w, r1 * np.log(r1)) + np.dot(w * energies, r1)
-            worst_lyap = max(worst_lyap, float(g1 - g0))
+        R = trace.rho
+        worst_mass = max(worst_mass, float(np.abs(np.vecdot(R, w) - 1.0).max()))
+        # G of every node at the temperature of the step leaving the node
+        # before it (np.vecdot sums each row as np.dot does)
+        entropy_term = np.vecdot(R * np.log(R), w)
+        energy_term = np.vecdot(R, w * h.energies(q))
+        T_step = trace.temperatures[:-1]
+        g0 = T_step * entropy_term[:-1] + energy_term[:-1]
+        g1 = T_step * entropy_term[1:] + energy_term[1:]
+        worst_lyap = max(worst_lyap, float((g1 - g0).max()))
         worst_form = max(worst_form, float(-trace.form_values.min()))
         terminal = ms.gibbs(sp, h, trace.temperatures[-1], q).rho_g
         worst_tv = max(worst_tv, ms.total_variation(sp, trace.densities[-1], terminal))
@@ -313,14 +316,17 @@ def criterion_6() -> CriterionResult:
     )
 
 
-def criterion_7() -> CriterionResult:
-    """Admissible extended paths project to non-negative reduced paths."""
+def criterion_7_draws(n_paths: int = 1000, n_nodes: int = 201):
+    """The paths of criterion 7: yields (extended path, reduction spec).
+
+    Each path is admissible by construction: z is integrated from
+    zdot = S Tdot + sum_j p_j qdot_j + margin with a positive margin, T
+    rises, frozen intensive variables are non-decreasing against positive
+    p, and zeroed extensive variables stay at 0.
+    """
     rng = np.random.default_rng(701)
-    n_nodes = 201
     t = np.linspace(0.0, 1.0, n_nodes)
-    worst = math.inf
-    all_ok = True
-    for _ in range(1000):
+    for _ in range(n_paths):
         n = int(rng.integers(1, 4))
         k = int(rng.integers(1, n + 1))
         rest = list(range(k, n))
@@ -337,7 +343,6 @@ def criterion_7() -> CriterionResult:
 
         p = np.empty((n, n_nodes))
         q = np.empty((n, n_nodes))
-        pdot = np.empty((n, n_nodes))
         qdot = np.empty((n, n_nodes))
         for j in range(n):
             cf = _smooth_coeffs(rng, 0.5)
@@ -348,10 +353,8 @@ def criterion_7() -> CriterionResult:
                     [[0.0], np.cumsum((qd[1:] + qd[:-1]) / 2 * np.diff(t))]
                 )
                 qdot[j] = qd
-                pdot[j] = 0.0
             elif j in zeroed_idx:
                 p[j] = 0.0
-                pdot[j] = 0.0
                 q[j] = _smooth_eval(cf, t)
                 qdot[j] = 0.0
             else:
@@ -369,16 +372,20 @@ def criterion_7() -> CriterionResult:
         zdot = budget + margin
         z = np.concatenate([[0.0], np.cumsum((zdot[1:] + zdot[:-1]) / 2 * np.diff(t))])
 
-        pts = tuple(
-            ExtendedPoint(z[i], S[i], T[i], p[:, i], q[:, i]) for i in range(n_nodes)
-        )
         spec = ReductionSpec(
             k=k,
             frozen_q={i: None for i in frozen_idx},
             zeroed_p=tuple(zeroed_idx),
         )
-        reduced = reduce(SampledPath(t, pts), spec)
-        rep = check_path_nonnegative(reduced, slack=1e-9)
+        yield SampledPath(t, z, p.T, q.T, S, T), spec
+
+
+def criterion_7() -> CriterionResult:
+    """Admissible extended paths project to non-negative reduced paths."""
+    worst = math.inf
+    all_ok = True
+    for path, spec in criterion_7_draws():
+        rep = check_path_nonnegative(reduce(path, spec), slack=1e-9)
         worst = min(worst, rep.min_form_value)
         all_ok = all_ok and rep.verdict == "nonnegative"
     return CriterionResult(
@@ -401,13 +408,10 @@ def criterion_8() -> CriterionResult:
     # the traced path through the chord point (x = -0.5) rides the chord
     chord_path = trace.paths[-1]
     pq_err = max(
-        max(abs(float(pt.p[0]) - 2.0) for pt in chord_path.points),
-        max(abs(float(pt.q[0]) + 0.5) for pt in chord_path.points),
+        float(np.abs(chord_path.p[:, 0] - 2.0).max()),
+        float(np.abs(chord_path.q[:, 0] + 0.5).max()),
     )
-    z_err = max(
-        abs(pt.z - (1.0 + 4.0 * tj) * LN2)
-        for tj, pt in zip(sched.times, chord_path.points)
-    )
+    z_err = float(np.abs(chord_path.z - (1.0 + 4.0 * sched.times) * LN2).max())
     ok = slice_err <= 1e-9 and pq_err <= 1e-9 and z_err <= 1e-10
     return CriterionResult(
         8,

@@ -158,6 +158,35 @@ class TestConfigHandling:
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error: config key")
 
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["gibbs", "--T", "1", "--q", "0.3"], {"system": 5}),
+            (["gibbs", "--T", "1", "--q", "0.3"], {"system": ["a"]}),
+            (["gibbs", "--system", "s.json", "--T", "1"], {"q": True}),
+            (["gibbs", "--system", "s.json", "--T", "1"], {"q": ["0.3"]}),
+            (["relax", "--system", "s.json", "--q", "0", "--T0", "1"], {"rho0": 5}),
+            (["reduce", "--k", "1"], {"input": 5}),
+            (["reduce", "--input", "p.csv", "--k", "1"], {"frozen": [2]}),
+            (["reduce", "--input", "p.csv", "--k", "1"], {"zeroed": 2}),
+            (["verify"], {"criteria": [None]}),
+            (["verify"], {"criteria": [1.5]}),
+        ],
+    )
+    def test_text_config_values_must_be_strings(self, tmp_path, capsys, argv, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code = dispatch([*argv, "--config", str(cfg), "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        (key,) = doc
+        assert len(err) == 1 and err[0].startswith(f"error: config key {key!r} must be a string")
+
+    def test_list_config_values_still_accepted(self, tmp_path, system_file):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"q": [0.3], "system": str(system_file)}))
+        assert dispatch(["gibbs", "--T", "1", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+
     def test_config_must_be_object(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2, 3]")
@@ -313,7 +342,7 @@ class TestOtherCommands:
             for ti in t
         )
         src = tmp_path / "ext.csv"
-        path_to_csv(SampledPath(t, pts), str(src))
+        path_to_csv(SampledPath.from_points(t, pts), str(src))
         code = dispatch(
             [
                 "reduce",
@@ -334,7 +363,7 @@ class TestOtherCommands:
         t = np.array([0.0, 1.0])
         pts = tuple(ReducedPoint(ti, [1.0], [0.0]) for ti in t)
         src = tmp_path / "red.csv"
-        path_to_csv(SampledPath(t, pts), str(src))
+        path_to_csv(SampledPath.from_points(t, pts), str(src))
         assert dispatch(["reduce", "--input", str(src), "--k", "1", "--out-dir", str(tmp_path)]) == 1
 
     def test_reduce_rejects_short_row(self, tmp_path, capsys):
@@ -344,6 +373,14 @@ class TestOtherCommands:
         err = capsys.readouterr().err.splitlines()
         assert code == 1
         assert err == ["error: path CSV line 3: 3 fields, the header has 6"]
+
+    def test_reduce_rejects_bad_header(self, tmp_path, capsys):
+        src = tmp_path / "ext.csv"
+        src.write_text("t,z,S,T,p_1,q_2\n0,0,1,1,0.5,0\n1,1,1,1,0.5,0\n")
+        code = dispatch(["reduce", "--input", str(src), "--k", "1", "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: path CSV line 1: header")
 
     def test_verify_subset(self, tmp_path, capsys):
         code = dispatch(["verify", "--criteria", "1", "--out-dir", str(tmp_path)])

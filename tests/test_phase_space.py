@@ -122,7 +122,7 @@ class TestPathChecks:
     def chord_path(self, L, n=20):
         t = np.linspace(0.0, 1.0, n)
         pts = tuple(ReducedPoint(0.5 + ti * L, [2.0], [-0.5]) for ti in t)
-        return SampledPath(t, pts)
+        return SampledPath.from_points(t, pts)
 
     def test_upward_chord_is_nonnegative_with_min_L(self):
         rep = check_path_nonnegative(self.chord_path(0.7))
@@ -143,7 +143,7 @@ class TestPathChecks:
         pts = tuple(
             ReducedPoint(front.value(q), [front.slope(q)], [q]) for q in qs
         )
-        rep = check_path_nonnegative(SampledPath(t, pts), slack=1e-6)
+        rep = check_path_nonnegative(SampledPath.from_points(t, pts), slack=1e-6)
         assert rep.verdict == "nonnegative"
         assert abs(rep.min_form_value) < 1e-6
 
@@ -153,7 +153,7 @@ class TestPathChecks:
             pts = tuple(
                 ReducedPoint(math.sin(ti) + 2.0 * ti, [math.cos(ti)], [ti]) for ti in t
             )
-            rep = check_path_nonnegative(SampledPath(t, pts), slack=1e-3)
+            rep = check_path_nonnegative(SampledPath.from_points(t, pts), slack=1e-3)
             assert rep.verdict == "nonnegative"
 
     def test_which_form_must_match(self):
@@ -162,16 +162,16 @@ class TestPathChecks:
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
-            SampledPath(np.array([0.0]), (ReducedPoint(0.0, [1.0], [0.0]),))
+            SampledPath.from_points(np.array([0.0]), (ReducedPoint(0.0, [1.0], [0.0]),))
 
     def test_times_strictly_increasing(self):
         pts = (ReducedPoint(0.0, [1.0], [0.0]),) * 2
         with pytest.raises(ValueError):
-            SampledPath(np.array([0.0, 0.0]), pts)
+            SampledPath.from_points(np.array([0.0, 0.0]), pts)
 
     def test_mixed_kinds_rejected(self):
         with pytest.raises(ValueError):
-            SampledPath(
+            SampledPath.from_points(
                 np.array([0.0, 1.0]),
                 (ReducedPoint(0.0, [1.0], [0.0]), make_ext()),
             )
@@ -180,7 +180,7 @@ class TestPathChecks:
         # quadratic coordinates are differentiated exactly at interior nodes
         t = np.linspace(0.0, 1.0, 11)
         pts = tuple(ReducedPoint(3 * ti**2, [ti], [2 * ti]) for ti in t)
-        vels = path_velocities(SampledPath(t, pts))
+        vels = path_velocities(SampledPath.from_points(t, pts))
         for ti, v in list(zip(t, vels))[1:-1]:
             assert abs(v.dz - 6 * ti) < 1e-12
             assert abs(float(v.dq[0]) - 2.0) < 1e-12
@@ -191,7 +191,7 @@ class TestPathChecks:
             ExtendedPoint(ti, 2.0 * ti, 1.0 + ti, [3.0 * ti, 0.0], [0.0, -ti])
             for ti in t
         )
-        vels = path_velocities(SampledPath(t, pts))
+        vels = path_velocities(SampledPath.from_points(t, pts))
         v = vels[3]
         assert isinstance(v, ExtendedVelocity)
         assert abs(v.dz - 1.0) < 1e-12
@@ -199,6 +199,71 @@ class TestPathChecks:
         assert abs(v.dT - 1.0) < 1e-12
         assert abs(float(v.dp[0]) - 3.0) < 1e-12
         assert abs(float(v.dq[1]) + 1.0) < 1e-12
+
+
+class TestColumns:
+    def ext_path(self, n_rows=6, **cols):
+        t = np.linspace(0.0, 1.0, n_rows)
+        base = dict(
+            z=2.0 * t, p=np.column_stack([t, 0 * t]), q=np.column_stack([-t, t]),
+            S=np.ones(n_rows), T=1.0 + t,
+        )
+        base.update(cols)
+        return SampledPath(t, base["z"], base["p"], base["q"], base["S"], base["T"])
+
+    def test_columns_are_read_only_copies(self):
+        z = np.arange(4.0)
+        path = SampledPath(np.arange(4.0), z, z, -z)
+        assert path.p.shape == (4, 1) and path.dimension == 1
+        assert z.flags.writeable
+        with pytest.raises(ValueError):
+            path.z[0] = 5.0
+        z[0] = 5.0
+        assert path.z[0] == 0.0
+
+    def test_points_view_builds_samples(self):
+        path = self.ext_path()
+        pts = path.points
+        assert len(pts) == 6
+        last = pts[-1]
+        assert isinstance(last, ExtendedPoint)
+        assert last.z == 2.0 and last.T == 2.0 and np.array_equal(last.q, [-1.0, 1.0])
+        assert [pt.z for pt in pts[1:3]] == [0.4, 0.8]
+        assert [pt.z for pt in pts] == path.z.tolist()
+        with pytest.raises(IndexError):
+            pts[6]
+
+    def test_errors_name_the_first_offending_sample(self):
+        T = np.array([1.0, 1.0, 1.0, 0.0, -1.0, 1.0])
+        with pytest.raises(ValueError, match="temperature must be positive.*sample 3"):
+            self.ext_path(T=T)
+        S = np.array([1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
+        with pytest.raises(ValueError, match="entropy must be non-negative.*sample 2"):
+            self.ext_path(S=S)
+        z = np.array([0.0, 1.0, 2.0, 3.0, np.inf, np.nan])
+        with pytest.raises(ValueError, match="z must be finite.*sample 4"):
+            self.ext_path(z=z)
+        with pytest.raises(ValueError, match="strictly increasing.*sample 2"):
+            SampledPath([0.0, 1.0, 1.0, 0.5], np.zeros(4), np.zeros(4), np.zeros(4))
+
+    def test_shapes_must_agree(self):
+        with pytest.raises(ValueError, match="p and q"):
+            self.ext_path(q=np.zeros((6, 3)))
+        with pytest.raises(ValueError, match="z must have shape"):
+            self.ext_path(z=np.zeros(5))
+        with pytest.raises(ValueError, match="both S and T"):
+            SampledPath(np.arange(3.0), np.zeros(3), np.zeros(3), np.zeros(3), S=np.ones(3))
+
+    def test_reduce_names_the_first_offending_sample(self):
+        p = np.zeros((6, 2))
+        p[[3, 5], 1] = 0.5
+        T = np.array([1.0, 1.0, 1.0, 1.0, 2.0, 1.0])
+        path = self.ext_path(p=p, T=T)
+        with pytest.raises(ReductionError, match=r"p_2 \(sample 3\)"):
+            reduce(path, ReductionSpec(k=1, zeroed_p=(1,), T0=1.0))
+        T[2] = 2.0
+        with pytest.raises(ReductionError, match=r"temperature constraint violated \(sample 2\)"):
+            reduce(self.ext_path(p=p, T=T), ReductionSpec(k=1, zeroed_p=(1,), T0=1.0))
 
 
 class TestAdmissibilityDecrement:
@@ -294,7 +359,7 @@ class TestReduce:
                 for i in range(t.size)
             )
             spec = ReductionSpec(k=1, frozen_q={1: None}, zeroed_p=(2,))
-            red = reduce(SampledPath(t, pts), spec)
+            red = reduce(SampledPath.from_points(t, pts), spec)
             rep = check_path_nonnegative(red, slack=1e-9)
             assert rep.verdict == "nonnegative"
 
@@ -302,7 +367,7 @@ class TestReduce:
         t = np.array([0.0, 1.0])
         pts = tuple(ReducedPoint(0.0, [1.0], [0.0]) for _ in t)
         with pytest.raises(ValueError):
-            reduce(SampledPath(t, pts), ReductionSpec(k=1))
+            reduce(SampledPath.from_points(t, pts), ReductionSpec(k=1))
 
 
 class TestEntropyRate:
@@ -319,7 +384,7 @@ class TestEntropyRate:
     def test_nonnegative_on_accepted_paths(self):
         t = np.linspace(0.0, 1.0, 30)
         pts = tuple(make_ext(z=1.5 * ti, S=1.0, T=1.0 + ti) for ti in t)
-        path = SampledPath(t, pts)
+        path = SampledPath.from_points(t, pts)
         rep = check_path_nonnegative(path, slack=0.0)
         assert rep.verdict == "nonnegative"
         for pt, v in zip(path.points, path_velocities(path)):
@@ -333,7 +398,7 @@ class TestSerialization:
             ExtendedPoint(1.0 / 3 + ti, 0.1, 2.0, [ti, -ti], [0.5, ti]) for ti in t
         )
         buf = io.StringIO()
-        path_to_csv(SampledPath(t, pts), buf)
+        path_to_csv(SampledPath.from_points(t, pts), buf)
         text = buf.getvalue()
         assert text.splitlines()[0] == "t,z,S,T,p_1,p_2,q_1,q_2"
         back = path_from_csv(io.StringIO(text))
@@ -346,18 +411,29 @@ class TestSerialization:
         t = np.array([0.0, 0.5])
         pts = tuple(ReducedPoint(1.0 / 7, [2.0], [ti]) for ti in t)
         buf = io.StringIO()
-        path_to_csv(SampledPath(t, pts), buf)
+        path_to_csv(SampledPath.from_points(t, pts), buf)
         assert buf.getvalue().splitlines()[0] == "t,z,p_1,q_1"
         back = path_from_csv(io.StringIO(buf.getvalue()))
         assert back.kind == "reduced"
         assert back.points[0].z == 1.0 / 7
+
+    @pytest.mark.parametrize(
+        "header",
+        ["t,z,S,p_1,q_1", "t,z,S,T,p_1,q_2", "t,z,S,T", "t,z", "t,z,q_1,p_1", "z,t,p_1,q_1",
+         "t,z,S,T,p_1,q_1,x"],
+    )
+    def test_header_must_be_a_path_header(self, header):
+        width = len(header.split(","))
+        text = header + "\n" + "\n".join([",".join(["1"] * width)] * 2) + "\n"
+        with pytest.raises(ValueError, match="path CSV line 1: header"):
+            path_from_csv(io.StringIO(text))
 
     def test_report_json_fields(self):
         import json
 
         t = np.linspace(0.0, 1.0, 4)
         pts = tuple(ReducedPoint(-ti, [1.0], [0.0]) for ti in t)
-        rep = check_path_nonnegative(SampledPath(t, pts))
+        rep = check_path_nonnegative(SampledPath.from_points(t, pts))
         doc = json.loads(rep.to_json())
         assert set(doc) == {"min_form_value", "violations", "verdict"}
         assert doc["verdict"] == "violated"

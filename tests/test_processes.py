@@ -259,7 +259,7 @@ class TestFokkerPlanck:
         ext_pts = tuple(
             lift_to_extended(sp, h, T, [0.0], d) for d in trace.densities
         )
-        path = SampledPath(trace.t_grid, ext_pts)
+        path = SampledPath.from_points(trace.t_grid, ext_pts)
         vels = path_velocities(path)
         g_dot = np.gradient(trace.G_values, trace.t_grid, edge_order=2)
         for j in range(1, len(vels) - 1):
