@@ -623,20 +623,37 @@ def _coerce_config_value(key: str, value, kind: Callable[[str], Any]):
         ) from exc
 
 
-# text flags whose config value may also be a JSON list, and its item types
-_LIST_ITEMS = {"q": ("numbers", (int, float)), "criteria": ("integers", (int,))}
+# text flags whose config value may be a JSON number, read as its text
+_NUMBER_TEXT = ("q", "criteria", "frozen", "zeroed")
+# text flags whose config value may be a JSON list of numbers or strings
+_LIST_TEXT = ("q", "criteria")
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _check_text_value(key: str, value):
-    """Pass a config value of a text flag: a string, or a list for q/criteria."""
+    """Pass a config value of a text flag as the flag's text would be read.
+
+    File and name keys take a string; ``q``, ``criteria``, ``frozen`` and
+    ``zeroed`` also take a number (its command-line text), and ``q`` and
+    ``criteria`` a list of numbers or strings.
+    """
     if value is None or isinstance(value, str):
         return value
-    what, kinds = _LIST_ITEMS.get(key, (None, ()))
-    if what and isinstance(value, list) and all(
-        isinstance(x, kinds) and not isinstance(x, bool) for x in value
+    if key in _NUMBER_TEXT and _is_number(value):
+        return str(value)
+    if key in _LIST_TEXT and isinstance(value, list) and all(
+        _is_number(x) or isinstance(x, str) for x in value
     ):
         return value
-    want = f"a string or a list of {what}" if what else "a string"
+    if key in _LIST_TEXT:
+        want = "a string, a number or a list of numbers or strings"
+    elif key in _NUMBER_TEXT:
+        want = "a string or a number"
+    else:
+        want = "a string"
     raise ValidationError(f"config key {key!r} must be {want}, got {value!r}")
 
 

@@ -85,12 +85,43 @@ class Density:
         return self.rho.size
 
 
+# Row formulas shared by the one-density functions and lift_rows.  Each
+# takes an (N, m) array of densities and returns one value per row;
+# np.vecdot sums each row as np.dot sums one vector, and the stacked
+# np.matmul multiplies each row as ``@`` does, so a single row gives the
+# same bits as the one-vector form.
+
+def _check_masses(w: np.ndarray, R: np.ndarray) -> None:
+    """Raise for the first row whose mass sum_i w_i r_i is not 1."""
+    mass = np.vecdot(R, w)
+    bad = np.flatnonzero(np.abs(mass - 1.0) > NORMALIZATION_TOL)
+    if bad.size:
+        what = "density" if len(R) == 1 else f"density row {bad[0]}"
+        raise ValueError(
+            f"{what} mass is {float(mass[bad[0]])!r}, not 1 within {NORMALIZATION_TOL}"
+        )
+
+
+def _entropy_rows(w: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """- sum_i w_i r_i ln r_i per row r, with the 0 ln 0 := 0 convention."""
+    terms = np.where(R > 0, R * np.log(np.where(R > 0, R, 1.0)), 0.0)
+    return -np.vecdot(terms, w)
+
+
+def _pressure_rows(w: np.ndarray, v_bar: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """p_j = - sum_i w_i v_bar[j, i] r_i per row r, shape (N, n)."""
+    return -np.matmul(v_bar, (R * w)[:, :, None])[:, :, 0]
+
+
+def _free_energy_rows(w, h: AffineHamiltonian, T, q, R, S) -> np.ndarray:
+    """-T S + sum_i w_i H(q, m_i) r_i per row r, given the rows' entropies S."""
+    return -T * S + np.vecdot(R, w * h.energies(q))
+
+
 def check_density(sp: MicrostateSpace, d: Density) -> None:
     if d.m != sp.m:
         raise ValueError(f"density has {d.m} entries for a space of {sp.m} states")
-    mass = float(np.dot(sp.weights, d.rho))
-    if abs(mass - 1.0) > NORMALIZATION_TOL:
-        raise ValueError(f"density mass is {mass!r}, not 1 within {NORMALIZATION_TOL}")
+    _check_masses(sp.weights, d.rho[None, :])
 
 
 def uniform_density(sp: MicrostateSpace) -> Density:
@@ -172,9 +203,7 @@ def _check_dims(sp: MicrostateSpace, h: AffineHamiltonian | None, d: Density | N
 def entropy(sp: MicrostateSpace, d: Density) -> float:
     """- sum_i w_i rho_i ln rho_i, with the 0 ln 0 := 0 convention."""
     _check_dims(sp, None, d)
-    r = d.rho
-    terms = np.where(r > 0, r * np.log(np.where(r > 0, r, 1.0)), 0.0)
-    return -float(np.dot(sp.weights, terms))
+    return float(_entropy_rows(sp.weights, d.rho[None, :])[0])
 
 
 def internal_energy(sp: MicrostateSpace, h: AffineHamiltonian, d: Density) -> float:
@@ -186,7 +215,7 @@ def internal_energy(sp: MicrostateSpace, h: AffineHamiltonian, d: Density) -> fl
 def pressures(sp: MicrostateSpace, h: AffineHamiltonian, d: Density) -> np.ndarray:
     """Generalized pressures p_j = - sum_i w_i v_bar[j, i] rho_i."""
     _check_dims(sp, h, d)
-    return -(h.v_bar @ (sp.weights * d.rho))
+    return _pressure_rows(sp.weights, h.v_bar, d.rho[None, :])[0]
 
 
 def free_energy(
@@ -199,7 +228,9 @@ def free_energy(
     if not T > 0:
         raise ValueError("temperature must be positive")
     _check_dims(sp, h, d)
-    return float(-T * entropy(sp, d) + np.dot(sp.weights * h.energies(q), d.rho))
+    R = d.rho[None, :]
+    S = _entropy_rows(sp.weights, R)
+    return float(_free_energy_rows(sp.weights, h, T, q, R, S)[0])
 
 
 def gibbs(sp: MicrostateSpace, h: AffineHamiltonian, T: float, q) -> GibbsResult:
@@ -222,9 +253,8 @@ def lift_rows(
     Returns z = -G of shape (N,), S of shape (N,) and p of shape (N, n).
     Rows are checked as :func:`check_density` checks one density; the
     error names the first bad row.  Each row's value equals what
-    :func:`free_energy`, :func:`entropy` and :func:`pressures` give for it:
-    ``np.vecdot`` sums each row as ``np.dot`` sums one density, and the
-    stacked ``np.matmul`` multiplies each row as ``@`` does.
+    :func:`free_energy`, :func:`entropy` and :func:`pressures` give for it,
+    since both go through the same row formulas.
     """
     _check_dims(sp, h, None)
     R = np.asarray(rho, dtype=float)
@@ -237,17 +267,10 @@ def lift_rows(
     bad = np.flatnonzero(~np.all(np.isfinite(R) & (R >= 0), axis=1))
     if bad.size:
         raise ValueError(f"density row {bad[0]} has negative or non-finite entries")
-    mass = np.vecdot(R, w)
-    bad = np.flatnonzero(np.abs(mass - 1.0) > NORMALIZATION_TOL)
-    if bad.size:
-        raise ValueError(
-            f"density row {bad[0]} has mass {mass[bad[0]]!r}, not 1 within {NORMALIZATION_TOL}"
-        )
-    terms = np.where(R > 0, R * np.log(np.where(R > 0, R, 1.0)), 0.0)
-    S = -np.vecdot(terms, w)
-    G = -T * S + np.vecdot(R, w * h.energies(q))
-    p = -np.matmul(h.v_bar, (R * w)[:, :, None])[:, :, 0]
-    return -G, S, p
+    _check_masses(w, R)
+    S = _entropy_rows(w, R)
+    G = _free_energy_rows(w, h, T, q, R, S)
+    return -G, S, _pressure_rows(w, h.v_bar, R)
 
 
 def lift_to_extended(

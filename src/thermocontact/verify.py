@@ -266,10 +266,10 @@ def criterion_5() -> CriterionResult:
     )
 
 
-def criterion_6_runs(n_runs: int = 50):
-    """The relaxations of criterion 6: yields (space, Hamiltonian, q, trace)."""
+def criterion_6_runs():
+    """The 50 relaxations of criterion 6: yields (space, Hamiltonian, q, trace)."""
     rng = np.random.default_rng(601)
-    for run in range(n_runs):
+    for run in range(50):
         sp, h = _random_system(rng, m_max=8, n_max=2, weight_lo=1.0, scale=0.5)
         q = rng.uniform(-1.0, 1.0, h.n)
         T0 = float(rng.uniform(1.0, 2.0))
@@ -316,8 +316,8 @@ def criterion_6() -> CriterionResult:
     )
 
 
-def criterion_7_draws(n_paths: int = 1000, n_nodes: int = 201):
-    """The paths of criterion 7: yields (extended path, reduction spec).
+def criterion_7_draws():
+    """The 1000 paths of criterion 7: yields (extended path, reduction spec).
 
     Each path is admissible by construction: z is integrated from
     zdot = S Tdot + sum_j p_j qdot_j + margin with a positive margin, T
@@ -325,8 +325,9 @@ def criterion_7_draws(n_paths: int = 1000, n_nodes: int = 201):
     p, and zeroed extensive variables stay at 0.
     """
     rng = np.random.default_rng(701)
+    n_nodes = 201
     t = np.linspace(0.0, 1.0, n_nodes)
-    for _ in range(n_paths):
+    for _ in range(1000):
         n = int(rng.integers(1, 4))
         k = int(rng.integers(1, n + 1))
         rest = list(range(k, n))

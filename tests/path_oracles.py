@@ -67,11 +67,25 @@ def loop_reduce_point(pt: ExtendedPoint, spec: ReductionSpec) -> ReducedPoint:
     return ReducedPoint(pt.z, pt.p[: spec.k], pt.q[: spec.k])
 
 
+def loop_entropy(w, r) -> float:
+    terms = np.where(r > 0, r * np.log(np.where(r > 0, r, 1.0)), 0.0)
+    return -float(np.dot(w, terms))
+
+
+def loop_pressures(w, v_bar, r) -> np.ndarray:
+    return -(v_bar @ (w * r))
+
+
+def loop_free_energy(w, h, T: float, q, r) -> float:
+    return float(-T * loop_entropy(w, r) + np.dot(w * h.energies(q), r))
+
+
 def loop_lift(sp, h, T: float, q, rho) -> ExtendedPoint:
-    """One node of the relaxation lift, from the scalar microstate functions."""
-    d = ms.Density(rho)
-    z = -ms.free_energy(sp, h, T, q, d)
-    return ExtendedPoint(z, ms.entropy(sp, d), T, ms.pressures(sp, h, d), q)
+    """One node of the relaxation lift, from one-vector np.dot and ``@`` sums."""
+    r = ms.Density(rho).rho
+    w = sp.weights
+    z = -loop_free_energy(w, h, T, q, r)
+    return ExtendedPoint(z, loop_entropy(w, r), T, loop_pressures(w, h.v_bar, r), q)
 
 
 def loop_relax_lift(sp, h, q, t_grid, temperatures, rho_rows):

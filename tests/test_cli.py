@@ -164,13 +164,14 @@ class TestConfigHandling:
             (["gibbs", "--T", "1", "--q", "0.3"], {"system": 5}),
             (["gibbs", "--T", "1", "--q", "0.3"], {"system": ["a"]}),
             (["gibbs", "--system", "s.json", "--T", "1"], {"q": True}),
-            (["gibbs", "--system", "s.json", "--T", "1"], {"q": ["0.3"]}),
+            (["gibbs", "--system", "s.json", "--T", "1"], {"q": {"a": 1}}),
+            (["gibbs", "--system", "s.json", "--T", "1"], {"q": [None]}),
             (["relax", "--system", "s.json", "--q", "0", "--T0", "1"], {"rho0": 5}),
             (["reduce", "--k", "1"], {"input": 5}),
             (["reduce", "--input", "p.csv", "--k", "1"], {"frozen": [2]}),
-            (["reduce", "--input", "p.csv", "--k", "1"], {"zeroed": 2}),
+            (["reduce", "--input", "p.csv", "--k", "1"], {"zeroed": True}),
             (["verify"], {"criteria": [None]}),
-            (["verify"], {"criteria": [1.5]}),
+            (["verify"], {"criteria": {"1": 1}}),
         ],
     )
     def test_text_config_values_must_be_strings(self, tmp_path, capsys, argv, doc):
@@ -182,10 +183,39 @@ class TestConfigHandling:
         (key,) = doc
         assert len(err) == 1 and err[0].startswith(f"error: config key {key!r} must be a string")
 
-    def test_list_config_values_still_accepted(self, tmp_path, system_file):
+    @pytest.mark.parametrize("q", [[0.3], ["0.3"], 0.3, "0.3"])
+    def test_q_config_values_read_as_the_flag(self, tmp_path, system_file, q):
+        flag_dir, cfg_dir = tmp_path / "flag", tmp_path / "cfg"
+        argv = ["gibbs", "--system", str(system_file), "--T", "1"]
+        assert dispatch([*argv, "--q", "0.3", "--out-dir", str(flag_dir)]) == 0
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"q": [0.3], "system": str(system_file)}))
-        assert dispatch(["gibbs", "--T", "1", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        cfg.write_text(json.dumps({"q": q}))
+        assert dispatch([*argv, "--config", str(cfg), "--out-dir", str(cfg_dir)]) == 0
+        for name in ("gibbs_density.csv", "gibbs_point.json"):
+            assert (cfg_dir / name).read_bytes() == (flag_dir / name).read_bytes()
+
+    @pytest.mark.parametrize("key", ["frozen", "zeroed"])
+    def test_index_config_values_may_be_numbers(self, tmp_path, key):
+        t = np.linspace(0.0, 1.0, 5)
+        pts = tuple(ExtendedPoint(ti, 1.0, 1.0 + ti, [0.5, 0.0], [0.0, 1.0]) for ti in t)
+        src = tmp_path / "ext.csv"
+        path_to_csv(SampledPath.from_points(t, pts), str(src))
+        flag_dir, cfg_dir = tmp_path / "flag", tmp_path / "cfg"
+        argv = ["reduce", "--input", str(src), "--k", "1"]
+        assert dispatch([*argv, f"--{key}", "2", "--out-dir", str(flag_dir)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 2}))
+        assert dispatch([*argv, "--config", str(cfg), "--out-dir", str(cfg_dir)]) == 0
+        for name in ("reduced_path.csv", "reduced_report.json"):
+            assert (cfg_dir / name).read_bytes() == (flag_dir / name).read_bytes()
+
+    @pytest.mark.parametrize("criteria", [1, [1], ["1"], "1"])
+    def test_criteria_config_values_read_as_the_flag(self, tmp_path, capsys, criteria):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"criteria": criteria}))
+        assert dispatch(["verify", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "criterion  1 " in out and "verify: all 1 criteria passed" in out
 
     def test_config_must_be_object(self, tmp_path):
         cfg = tmp_path / "cfg.json"

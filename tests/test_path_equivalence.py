@@ -14,12 +14,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from path_oracles import (
+    loop_entropy,
     loop_form_values,
+    loop_free_energy,
     loop_path_from_csv,
     loop_path_to_csv,
+    loop_pressures,
     loop_reduce_point,
     loop_relax_lift,
 )
+from thermocontact import microstate as ms
 from thermocontact import (
     ReducedPoint,
     ReductionSpec,
@@ -61,7 +65,7 @@ def test_criterion_7_draws_match_loops():
 
 
 def test_criterion_6_relaxations_match_loop():
-    for sp, h, q, trace in criterion_6_runs(4):
+    for sp, h, q, trace in itertools.islice(criterion_6_runs(), 4):
         points, G_values, form_values = loop_relax_lift(
             sp, h, q, trace.t_grid, trace.temperatures, trace.rho
         )
@@ -91,6 +95,42 @@ def extended_paths(draw, max_samples=30):
     p = draw(arrays(float, (n_rows, n), elements=value))
     q = draw(arrays(float, (n_rows, n), elements=value))
     return SampledPath(times, z, p, q, S, T)
+
+
+@st.composite
+def systems_with_densities(draw):
+    """(space, Hamiltonian, T, q, density) with m = 1..40, n = 1..3, some zeros."""
+    m = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 3))
+    sp = ms.MicrostateSpace(
+        tuple(str(i) for i in range(m)), draw(arrays(float, m, elements=_finite(0.1, 5.0)))
+    )
+    h = ms.AffineHamiltonian(
+        draw(arrays(float, m, elements=_finite(-10.0, 10.0))),
+        draw(arrays(float, (n, m), elements=_finite(-10.0, 10.0))),
+    )
+    raw = draw(arrays(float, m, elements=_finite(0.0, 10.0)))
+    raw[draw(st.integers(0, m - 1))] = 1.0
+    T = draw(_finite(1e-2, 1e2))
+    q = draw(arrays(float, n, elements=_finite(-10.0, 10.0)))
+    return sp, h, T, q, ms.normalized_density(sp, raw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems_with_densities())
+def test_one_density_functions_match_loops(drawn):
+    sp, h, T, q, d = drawn
+    w, r = sp.weights, d.rho
+    S = loop_entropy(w, r)
+    p = loop_pressures(w, h.v_bar, r)
+    G = loop_free_energy(w, h, T, q, r)
+    assert ms.entropy(sp, d) == S
+    assert np.array_equal(ms.pressures(sp, h, d), p)
+    assert ms.free_energy(sp, h, T, q, d) == G
+    z_rows, S_rows, p_rows = ms.lift_rows(sp, h, T, q, np.stack([r, r]))
+    assert np.array_equal(z_rows, [-G, -G])
+    assert np.array_equal(S_rows, [S, S])
+    assert np.array_equal(p_rows, [p, p])
 
 
 @st.composite
