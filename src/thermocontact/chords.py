@@ -26,7 +26,7 @@ from typing import IO, Sequence
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .models import FrontFunction, cw_phi
+from .models import FrontFunction, _cw_z
 from .phase_space import write_csv
 
 TRIVIAL_LENGTH_TOL = 1e-10
@@ -101,10 +101,7 @@ def cw_chord(t0: float, t1: float, c: float, b: float) -> Chord:
         raise ValueError("spin interaction b must be positive")
     p = math.tanh(c / (t1 - t0))
     q = c * t0 / (t1 - t0) - b * p
-    half = b * p * p / 2.0
-    z0 = float(cw_phi(t0, q + b * p)) - half
-    z1 = float(cw_phi(t1, q + c + b * p)) - half
-    return Chord(q=q, p=p, z_start=z0, z_end=z1)
+    return Chord(q=q, p=p, z_start=_cw_z(p, q, t0, 0.0, b), z_end=_cw_z(p, q, t1, c, b))
 
 
 def find_chords(

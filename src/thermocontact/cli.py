@@ -36,6 +36,7 @@ from .chords import (
 )
 from .models import (
     CurieWeissParams,
+    FrontFunction,
     IdealGasParams,
     constant_front,
     difference_front,
@@ -132,94 +133,61 @@ def _write_chords(cfg: RunConfig, name: str, chords: list[Chord]) -> Path:
     return path
 
 
-# ---------------------------------------------------------------------------
-# figure data
+def _write_table(cfg: RunConfig, name: str, header: list[str], rows) -> Path:
+    path = cfg.out_dir / f"{name}.csv"
+    write_csv(path, header, rows)
+    return path
 
-def emit_figure_data(which: str, cfg: RunConfig) -> list[Path]:
-    """Write plot-ready CSVs for a named figure into cfg.out_dir.
 
-    fig1: the two gas equilibrium curves in the (q, p) chart plus the chord
-    marker; fig3/fig4: the flattened front pair (zero section and difference
-    front) plus the vertical chord segment, for the gas and magnet models
-    respectively; stirling: the four-segment cycle polyline.
-    """
-    out = cfg.out_dir
-    written: list[Path] = []
-    if which == "fig1":
-        t0, t1, c = cfg.require("t0"), cfg.require("t1"), cfg.require("c")
-        ch = gas_chord(t0, t1, c)
-        q_hi = min(-0.05, c - 0.05)
-        qs = np.linspace(cfg.opt("q_lo", -6.0), cfg.opt("q_hi", q_hi), int(cfg.opt("grid", 400)))
-        cold = sample_gas_legendrian(IdealGasParams(T=t0, P_back=0.0), qs)
-        hot = sample_gas_legendrian(IdealGasParams(T=t1, P_back=c), qs)
-        for name, table in (("fig1_family_cold", cold), ("fig1_family_hot", hot)):
-            path = out / f"{name}.csv"
-            write_csv(path, ["q", "p", "z"], table)
-            written.append(path)
-        path = out / "fig1_chord.csv"
-        write_csv(path, ["q", "p", "z_start", "z_end"], [(ch.q, ch.p, ch.z_start, ch.z_end)])
-        written.append(path)
-    elif which in ("fig3", "fig4"):
-        t0, t1, c = cfg.require("t0"), cfg.require("t1"), cfg.require("c")
-        model = "gas" if which == "fig3" else "cw"
-        front = difference_front(model, t0, t1, c)
-        if model == "gas":
-            ch = gas_chord(t0, t1, c)
-            qstar = ch.q
-            lo = cfg.opt("q_lo", 10.0 * qstar - 1.0)
-            hi = cfg.opt("q_hi", min(0.0, c) - 1e-3)
-        else:
-            b = cfg.opt("b", 1.0)
-            ch = cw_chord(t0, t1, c, b)
-            qstar = ch.q + b * ch.p
-            span = cfg.opt("span", max(10.0, 3.0 * abs(qstar)))
-            lo, hi = cfg.opt("q_lo", -span), cfg.opt("q_hi", span)
-        qs = np.linspace(lo, hi, int(cfg.opt("grid", 400)))
-        zs = front.value(qs)
-        path = out / f"{which}_difference_front.csv"
-        write_csv(path, ["q", "z"], np.column_stack([qs, zs]))
-        written.append(path)
-        path = out / f"{which}_zero_section.csv"
-        write_csv(path, ["q", "z"], np.column_stack([qs, np.zeros_like(qs)]))
-        written.append(path)
-        path = out / f"{which}_chord.csv"
-        write_csv(path, ["q", "z"], [(qstar, 0.0), (qstar, front.value(qstar))])
-        written.append(path)
-    elif which == "stirling":
-        trace = stirling_cycle(
-            cfg.require("t_cold"),
-            cfg.require("t_hot"),
-            cfg.require("v_min"),
-            cfg.require("v_max"),
-            int(cfg.opt("n_samples", 101)),
+def _write_front_pair(
+    cfg: RunConfig, fig: str, front: FrontFunction, qs: np.ndarray, qstar: float
+) -> list[Path]:
+    """fig3/fig4: the difference front and the zero section over qs, and the
+    vertical chord segment at qstar."""
+    return [
+        _write_table(cfg, f"{fig}_{name}", ["q", "z"], rows)
+        for name, rows in (
+            ("difference_front", np.column_stack([qs, front.value(qs)])),
+            ("zero_section", np.column_stack([qs, np.zeros_like(qs)])),
+            ("chord", [(qstar, 0.0), (qstar, front.value(qstar))]),
         )
-        for seg in trace.segments:
-            path = out / f"stirling_{seg.name}.csv"
-            path_to_csv(seg.path, str(path))
-            written.append(path)
-    else:
-        raise ValidationError(f"unknown figure {which!r}")
-    return written
+    ]
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_chord(cfg: RunConfig) -> int:
+    """Closed-form chord, the finder cross-check and the figure data.
+
+    gas: fig1 (the two equilibrium curves and the chord marker) and fig3;
+    cw: fig4 and the magnet Legendrian sample.  fig3/fig4 are the flattened
+    front pair with the chord segment (docs/formats.md).
+    """
     model = cfg.require("model")
     t0, t1, c = cfg.require("t0"), cfg.require("t1"), cfg.require("c")
     if not 0 < t0 < t1:
         raise ValidationError("need --t1 > --t0 > 0")
     grid_n = int(cfg.opt("grid_n", 20001))
+    grid = int(cfg.opt("grid", 400))
     if model == "gas":
         if not c > 0:
             raise ValidationError("the gas jump needs --c > 0")
         closed = gas_chord(t0, t1, c)
         f1 = difference_front("gas", t0, t1, c)
         lo = 10.0 * closed.q - 1.0
-        hi = closed.q / 10.0
-        found = find_chords(constant_front(0.0, (-math.inf, 0.0)), f1, lo, hi, grid_n)
-        files = emit_figure_data("fig1", cfg) + emit_figure_data("fig3", cfg)
+        zero = constant_front(0.0, (-math.inf, 0.0))
+        found = find_chords(zero, f1, lo, closed.q / 10.0, grid_n)
+        qs = np.linspace(cfg.opt("q_lo", -6.0), cfg.opt("q_hi", min(-0.05, c - 0.05)), grid)
+        cold, hot = IdealGasParams(T=t0, P_back=0.0), IdealGasParams(T=t1, P_back=c)
+        marker = [(closed.q, closed.p, closed.z_start, closed.z_end)]
+        files = [
+            _write_table(cfg, "fig1_family_cold", ["q", "p", "z"], sample_gas_legendrian(cold, qs)),
+            _write_table(cfg, "fig1_family_hot", ["q", "p", "z"], sample_gas_legendrian(hot, qs)),
+            _write_table(cfg, "fig1_chord", ["q", "p", "z_start", "z_end"], marker),
+        ]
+        qs = np.linspace(cfg.opt("q_lo", lo), cfg.opt("q_hi", min(0.0, c) - 1e-3), grid)
+        files += _write_front_pair(cfg, "fig3", f1, qs, closed.q)
         files.append(_write_chords(cfg, "chords_gas", [closed]))
         check = abs(found[0].q - closed.q) if found else math.inf
         print(
@@ -237,15 +205,14 @@ def _cmd_chord(cfg: RunConfig) -> int:
         f1 = difference_front("cw", t0, t1, c)
         span = max(10.0, 3.0 * abs(qstar))
         found = find_chords(constant_front(), f1, -span, span, grid_n)
-        files = emit_figure_data("fig4", cfg)
-        lo, hi = cfg.opt("p_lo", -0.99), cfg.opt("p_hi", 0.99)
+        span = cfg.opt("span", span)
+        qs = np.linspace(cfg.opt("q_lo", -span), cfg.opt("q_hi", span), grid)
+        files = _write_front_pair(cfg, "fig4", f1, qs, qstar)
         sample = sample_cw_legendrian(
             CurieWeissParams(T=t0, H_back=0.0, b=b),
-            np.linspace(lo, hi, int(cfg.opt("grid", 400))),
+            np.linspace(cfg.opt("p_lo", -0.99), cfg.opt("p_hi", 0.99), grid),
         )
-        path = cfg.out_dir / "cw_legendrian.csv"
-        write_csv(path, ["q", "p", "z", "S"], sample)
-        files.append(path)
+        files.append(_write_table(cfg, "cw_legendrian", ["q", "p", "z", "S"], sample))
         files.append(_write_chords(cfg, "chords_cw", [closed]))
         check = abs(found[0].q - qstar) if found else math.inf
         print(
@@ -403,13 +370,14 @@ def _cmd_stirling(cfg: RunConfig) -> int:
         raise ValidationError("need --t-hot > --t-cold > 0 and --v-max > --v-min > 0")
     n_samples = int(cfg.opt("n_samples", 101))
     trace = stirling_cycle(t_cold, t_hot, v_min, v_max, n_samples)
-    files = emit_figure_data("stirling", cfg)
     segments = []
     for seg in trace.segments:
+        fname = f"stirling_{seg.name}.csv"
+        path_to_csv(seg.path, str(cfg.out_dir / fname))
         segments.append(
             {
                 "name": seg.name,
-                "file": f"stirling_{seg.name}.csv",
+                "file": fname,
                 "delta_G": seg.delta_G,
                 "form_sign": seg.form_sign,
                 "chord": _chord_dict(seg.chord) if seg.chord is not None else None,
@@ -429,7 +397,7 @@ def _cmd_stirling(cfg: RunConfig) -> int:
     _write_json(cfg.out_dir / "stirling_manifest.json", manifest)
     print(
         f"stirling: 4 segments, closure={trace.closure_residual:.3e} "
-        f"sum dG={trace.total_delta_G:.3e} files={len(files) + 1}"
+        f"sum dG={trace.total_delta_G:.3e} files={len(segments) + 1}"
     )
     return 0
 
@@ -501,18 +469,6 @@ COMMANDS: dict[str, Callable[[RunConfig], int]] = {
     "verify": _cmd_verify,
 }
 
-# flag names (argparse dest) accepted per subcommand, for config validation
-ALLOWED_KEYS: dict[str, set[str]] = {
-    "chord": {"model", "t0", "t1", "c", "b", "grid_n", "grid", "q_lo", "q_hi", "p_lo", "p_hi", "span"},
-    "gibbs": {"system", "T", "q"},
-    "relax": {"system", "q", "T0", "T1", "ramp", "t_end", "dt0", "rho0"},
-    "isotopy": {"model", "T0", "T1", "bg0", "bg1", "n_times", "x_lo", "x_hi", "n_x", "b", "slack"},
-    "stirling": {"t_cold", "t_hot", "v_min", "v_max", "n_samples"},
-    "reduce": {"input", "k", "T0", "frozen", "zeroed", "tol", "slack"},
-    "verify": {"criteria"},
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thermocontact",
@@ -534,6 +490,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float)
     p.add_argument("--grid-n", dest="grid_n", type=int)
     p.add_argument("--grid", type=int)
+    p.add_argument("--q-lo", dest="q_lo", type=float, help="figure window start")
+    p.add_argument("--q-hi", dest="q_hi", type=float, help="figure window end")
+    p.add_argument("--p-lo", dest="p_lo", type=float, help="cw Legendrian sample start")
+    p.add_argument("--p-hi", dest="p_hi", type=float, help="cw Legendrian sample end")
+    p.add_argument("--span", type=float, help="cw figure half-width")
     common(p)
 
     p = sub.add_parser("gibbs", help="equilibrium density and lifted phase-space point")
@@ -592,23 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# chord keys without a flag; a config file gives them as numbers
-_CONFIG_ONLY_FLOATS = ("q_lo", "q_hi", "p_lo", "p_hi", "span")
-
-
-def _config_types(command: str) -> dict[str, Callable[[str], Any]]:
-    """The conversion each typed key of a subcommand's config goes through.
-
-    These are the ``type`` callables of the subcommand's flags, so that a
-    config value is read as the same text on the command line would be.
-    """
-    parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    types: dict[str, Callable[[str], Any]] = dict.fromkeys(_CONFIG_ONLY_FLOATS, float)
-    types.update({a.dest: a.type for a in sub.choices[command]._actions if a.type is not None})
-    return types
-
-
 def _coerce_config_value(key: str, value, kind: Callable[[str], Any]):
     """Convert a config value the way its flag converts command-line text."""
     if value is None:
@@ -657,9 +601,14 @@ def _check_text_value(key: str, value):
     raise ValidationError(f"config key {key!r} must be {want}, got {value!r}")
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
+def build_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
+    """Merge ``args`` with its ``--config`` file into a RunConfig.
+
+    The keys a config may set are the subcommand's flags (``args`` holds
+    one entry per flag ``dest``), and each typed value goes through its
+    flag's ``type`` as read from ``parser``.
+    """
     command = args.command
-    allowed = ALLOWED_KEYS[command]
     options: dict[str, Any] = {
         k: v
         for k, v in vars(args).items()
@@ -673,12 +622,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ValidationError(f"cannot read config {args.config!r}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ValidationError("config must be a JSON object")
-        unknown = set(doc) - allowed - {"out_dir", "format"}
+        unknown = set(doc) - set(options) - {"out_dir", "format"}
         if unknown:
             raise ValidationError(
                 f"unknown config keys for {command!r}: {sorted(unknown)}"
             )
-        types = _config_types(command)
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        types = {a.dest: a.type for a in sub.choices[command]._actions}
         for key, value in doc.items():
             if key == "out_dir":
                 if not isinstance(value, str):
@@ -689,7 +639,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 if args.fmt is None:
                     args.fmt = value
             elif options.get(key) is None:
-                kind = types.get(key)
+                kind = types[key]
                 if kind is None:
                     options[key] = _check_text_value(key, value)
                 else:
@@ -709,7 +659,7 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        cfg = build_config(args)
+        cfg = build_config(args, parser)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg)
     except (ValidationError, ValueError) as exc:

@@ -337,10 +337,24 @@ def densities_to_csv(densities: Sequence[Density] | np.ndarray, dest: str | IO[s
 
 
 def densities_from_csv(src: str | IO[str]) -> list[Density]:
+    """Read densities written by :func:`densities_to_csv`.
+
+    Raises ValueError on a file without a header row and, naming the line,
+    on a row that is not a density of numbers.
+    """
+
     def read(fh: IO[str]) -> list[Density]:
         reader = csv.reader(fh)
-        next(reader)  # header
-        return [Density([float(x) for x in row]) for row in reader if row]
+        if next(reader, None) is None:
+            raise ValueError("density CSV has no header row")
+        out = []
+        for row in reader:
+            if row:
+                try:
+                    out.append(Density([float(x) for x in row]))
+                except ValueError as exc:
+                    raise ValueError(f"density CSV line {reader.line_num}: {exc}") from None
+        return out
 
     if isinstance(src, str):
         with open(src, newline="") as fh:

@@ -186,8 +186,14 @@ def cw_entropy(p: float) -> float:
     return out
 
 
-def _cw_z(p: float, q: float, par: CurieWeissParams) -> float:
-    return float(cw_phi(par.T, q + par.H_back + par.b * p)) - par.b * p * p / 2.0
+def _cw_z(p, q, T, H_back, b):
+    """The magnet z-formula T ln 2cosh((q + H_back + b p)/T) - b p^2/2.
+
+    Takes scalars (returns a float) or equal-length columns (returns an
+    array), so one evaluation order serves points, chords and whole paths.
+    """
+    z = cw_phi(T, q + H_back + b * p) - b * p * p / 2.0
+    return float(z) if np.ndim(z) == 0 else z
 
 
 def cw_magnetization_roots(
@@ -239,7 +245,7 @@ def cw_magnetization_roots(
                 f"{SELF_CONSISTENCY_TOL} at p={p!r}"
             )
         unstable = 1.0 - (b / T) * (1.0 - p * p) < 0.0
-        points.append([p, _cw_z(p, q, par), unstable])
+        points.append([p, _cw_z(p, q, T, par.H_back, b), unstable])
 
     stable = [pt for pt in points if not pt[2]]
     best = None
@@ -270,15 +276,21 @@ def select_equilibrium(points: list[CWBranchPoint]) -> CWBranchPoint:
     return max(points, key=lambda pt: pt.z)
 
 
-def cw_point_from_p(p: float, par: CurieWeissParams) -> CWBranchPoint:
-    """Equilibrium point over magnetization p: q = -b p + T atanh(p) - H_back."""
+def _cw_qz(p: float, par: CurieWeissParams) -> tuple[float, float]:
+    """q = -b p + T atanh(p) - H_back and z over magnetization p, checked
+    against the self-consistency equation."""
     if not -1.0 < p < 1.0:
         raise ValueError(f"magnetization must lie in (-1, 1), got {p}")
     q = -par.b * p + par.T * math.atanh(p) - par.H_back
-    z = _cw_z(p, q, par)
     residual = abs(p - math.tanh((q + par.H_back + par.b * p) / par.T))
     if residual > SELF_CONSISTENCY_TOL:
         raise RuntimeError(f"self-consistency residual {residual:.3e} too large")
+    return q, _cw_z(p, q, par.T, par.H_back, par.b)
+
+
+def cw_point_from_p(p: float, par: CurieWeissParams) -> CWBranchPoint:
+    """Equilibrium point over magnetization p, labelled by the root solve at its q."""
+    q, z = _cw_qz(p, par)
     roots = cw_magnetization_roots(q, par)
     nearest = min(roots, key=lambda r: abs(r.p - p))
     return CWBranchPoint(p, q, z, nearest.stability)
@@ -414,7 +426,7 @@ def sample_gas_legendrian(par: IdealGasParams, q_grid) -> np.ndarray:
 def sample_cw_legendrian(par: CurieWeissParams, p_grid) -> np.ndarray:
     """Columns (q, p, z, S) of the magnet equilibrium family over a p grid."""
     rows = []
-    for p in np.asarray(p_grid, dtype=float):
-        pt = cw_point_from_p(float(p), par)
-        rows.append([pt.q, pt.p, pt.z, cw_entropy(pt.p)])
+    for p in np.asarray(p_grid, dtype=float).tolist():
+        q, z = _cw_qz(p, par)
+        rows.append([q, p, z, cw_entropy(p)])
     return np.array(rows)

@@ -540,8 +540,8 @@ def path_from_csv(src: str | IO[str]) -> SampledPath:
 
     The header must be exactly t,z,S,T,p_1..p_n,q_1..q_n (extended) or
     t,z,p_1..p_k,q_1..q_k (reduced) with n, k >= 1.  Raises ValueError,
-    naming the line, on any other header and on a row whose width differs
-    from the header's.
+    naming the line, on any other header, on a row whose width differs
+    from the header's and on a cell that is not a number.
     """
 
     def read(fh: IO[str]) -> SampledPath:
@@ -558,8 +558,10 @@ def path_from_csv(src: str | IO[str]) -> SampledPath:
                 "t,z,S,T,p_1..p_n,q_1..q_n nor t,z,p_1..p_k,q_1..q_k"
             )
         rows = []
+        blanks = []  # for each skipped blank line, the number of rows before it
         for row in reader:
             if not row:
+                blanks.append(len(rows))
                 continue
             if len(row) != width:
                 raise ValueError(
@@ -567,7 +569,18 @@ def path_from_csv(src: str | IO[str]) -> SampledPath:
                     f"the header has {width}"
                 )
             rows.append(row)
-        table = np.array(rows, dtype=float).reshape(-1, width)
+        try:
+            table = np.array(rows, dtype=float).reshape(-1, width)
+        except ValueError:
+            # Only now look for the row: the header and each row or blank
+            # line before the first row with a non-number take one line.
+            for i, row in enumerate(rows):
+                try:
+                    np.array(row, dtype=float)
+                except ValueError as exc:
+                    line = i + 2 + sum(1 for b in blanks if b <= i)
+                    raise ValueError(f"path CSV line {line}: {exc}") from None
+            raise
         c = 4 if extended else 2
         S, T = (table[:, 2], table[:, 3]) if extended else (None, None)
         return SampledPath(

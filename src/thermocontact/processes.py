@@ -32,8 +32,8 @@ from . import microstate as ms
 from .chords import Chord, DegenerateChordError, gas_chord
 from .models import (
     CurieWeissParams,
+    _cw_z,
     cw_magnetization_roots,
-    cw_phi,
     gas_dphi,
     gas_phi,
 )
@@ -125,10 +125,10 @@ class IsotopyTrace:
             if self.model == "gas":
                 dev = [np.abs(p - gas_dphi(T, q - bg)), np.abs(path.z - gas_phi(T, q - bg))]
             else:
-                arg = q + bg + self.b * p
+                arg = (q + bg + self.b * p) / T
                 # math.tanh, not np.tanh: the two may round differently
-                tanh = np.array([math.tanh(a) for a in (arg / T).tolist()])
-                dev = [np.abs(p - tanh), np.abs(path.z - (cw_phi(T, arg) - self.b * p * p / 2.0))]
+                tanh = np.array([math.tanh(a) for a in arg.tolist()])
+                dev = [np.abs(p - tanh), np.abs(path.z - _cw_z(p, q, T, bg, self.b))]
             worst = max(worst, *(float(d.max()) for d in dev))
         return worst
 

@@ -133,7 +133,7 @@ def loop_cw_magnetization_roots(
                 f"{SELF_CONSISTENCY_TOL} at p={p!r}"
             )
         unstable = 1.0 - (b / T) * (1.0 - p * p) < 0.0
-        points.append([p, _cw_z(p, q, par), unstable])
+        points.append([p, _cw_z(p, q, T, par.H_back, b), unstable])
 
     stable = [pt for pt in points if not pt[2]]
     best = None

@@ -1,12 +1,17 @@
+import argparse
+import collections
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from thermocontact import ExtendedPoint, SampledPath, path_from_csv, path_to_csv, save_system
 from thermocontact import AffineHamiltonian, MicrostateSpace
-from thermocontact.cli import dispatch
+from thermocontact import cli
+from thermocontact.cli import build_parser, dispatch
 
 
 @pytest.fixture()
@@ -217,6 +222,41 @@ class TestConfigHandling:
         out = capsys.readouterr().out
         assert "criterion  1 " in out and "verify: all 1 criteria passed" in out
 
+    @pytest.mark.parametrize(
+        "model, window, table, column, first",
+        [
+            ("gas", {"q_lo": -4.0, "q_hi": -0.2}, "fig3_difference_front.csv", 0, -4.0),
+            ("cw", {"span": 5.0}, "fig4_difference_front.csv", 0, -5.0),
+            ("cw", {"p_lo": -0.9, "p_hi": 0.9}, "cw_legendrian.csv", 1, -0.9),
+        ],
+    )
+    def test_chord_window_flags_match_config_keys(self, tmp_path, model, window, table, column, first):
+        argv = ["chord", model, "--t0", "1", "--t1", "5", "--c", "2", "--grid", "16"]
+        flags = [a for key, value in window.items() for a in (f"--{key.replace('_', '-')}", str(value))]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(window))
+        by_flags, by_config = tmp_path / "flags", tmp_path / "config"
+        assert dispatch([*argv, *flags, "--out-dir", str(by_flags)]) == 0
+        assert dispatch([*argv, "--config", str(cfg), "--out-dir", str(by_config)]) == 0
+        for f in sorted(by_flags.iterdir()):
+            assert f.read_bytes() == (by_config / f.name).read_bytes()
+        rows = np.loadtxt(by_flags / table, delimiter=",", skiprows=1)
+        assert rows[0, column] == first
+
+    def test_config_key_table_matches_the_parser(self):
+        text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+        documented = {
+            m[1]: set(re.findall(r"`(\w+)`", m[2]))
+            for m in re.finditer(r"^\| `(\w+)` \| (.*) \|$", text, re.M)
+        }
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {
+            command: {a.dest for a in p._actions} - {"help", "config", "out_dir", "fmt"}
+            for command, p in sub.choices.items()
+        }
+        assert documented == dests
+
     def test_config_must_be_object(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2, 3]")
@@ -314,6 +354,26 @@ class TestOtherCommands:
         manifest = json.loads((tmp_path / "relax_manifest.json").read_text())
         assert manifest["terminal_tv_to_gibbs"] < 1e-6
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("", "error: density CSV has no header row"),
+            (
+                "rho_1,rho_2,rho_3\n0.6,0.3,0.1\n\n0.6,x,0.1\n",
+                "error: density CSV line 4: could not convert string to float: 'x'",
+            ),
+        ],
+    )
+    def test_relax_rejects_bad_density_file(self, tmp_path, system_file, capsys, text, error):
+        rho_file = tmp_path / "rho0.csv"
+        rho_file.write_text(text)
+        code = dispatch(
+            ["relax", "--system", str(system_file), "--q", "0", "--T0", "1",
+             "--rho0", str(rho_file), "--out-dir", str(tmp_path)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [error]
+
     def test_isotopy(self, tmp_path, capsys):
         code = dispatch(
             [
@@ -404,6 +464,14 @@ class TestOtherCommands:
         assert code == 1
         assert err == ["error: path CSV line 3: 3 fields, the header has 6"]
 
+    def test_reduce_rejects_non_numeric_cell(self, tmp_path, capsys):
+        src = tmp_path / "ext.csv"
+        src.write_text("t,z,S,T,p_1,q_1\n0,0,1,1,0.5,0\n\n1,1,1,1,x,0\n")
+        code = dispatch(["reduce", "--input", str(src), "--k", "1", "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert err == ["error: path CSV line 4: could not convert string to float: 'x'"]
+
     def test_reduce_rejects_bad_header(self, tmp_path, capsys):
         src = tmp_path / "ext.csv"
         src.write_text("t,z,S,T,p_1,q_2\n0,0,1,1,0.5,0\n1,1,1,1,0.5,0\n")
@@ -426,3 +494,33 @@ class TestOtherCommands:
 
     def test_help_exits_zero(self):
         assert dispatch(["--help"]) == 0
+
+
+def _counting(calls: collections.Counter, name: str, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+@pytest.mark.parametrize(
+    "argv, computed",
+    [
+        (["chord", "gas", "--config", "{cfg}"], ("gas_chord", "difference_front")),
+        (["chord", "cw", "--config", "{cfg}", "--grid", "16"], ("cw_chord", "difference_front")),
+        (
+            ["stirling", "--t-cold", "1", "--t-hot", "5", "--v-min", "1.5", "--v-max", "2"],
+            ("stirling_cycle",),
+        ),
+    ],
+)
+def test_one_parser_and_one_computation_per_run(tmp_path, monkeypatch, argv, computed):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t0": 1, "t1": 5, "c": 2}))
+    calls = collections.Counter()
+    for name in ("build_parser", *computed):
+        monkeypatch.setattr(cli, name, _counting(calls, name, getattr(cli, name)))
+    argv = [a.replace("{cfg}", str(cfg)) for a in argv]
+    assert dispatch([*argv, "--out-dir", str(tmp_path / "out")]) == 0
+    assert calls == collections.Counter(["build_parser", *computed])
