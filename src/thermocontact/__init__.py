@@ -59,21 +59,16 @@ from .models import (
 )
 from .phase_space import (
     ExtendedPoint,
-    ExtendedVelocity,
     NonnegReport,
     ReducedPoint,
-    ReducedVelocity,
     ReductionError,
     ReductionSpec,
     SampledPath,
     admissibility_decrement,
     check_path_nonnegative,
-    eval_extended_form,
-    eval_reduced_form,
     irreversible_entropy_rate,
     path_from_csv,
     path_to_csv,
-    path_velocities,
     reduce,
 )
 from .processes import (

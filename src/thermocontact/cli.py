@@ -272,9 +272,9 @@ def _cmd_relax(cfg: RunConfig) -> int:
         rho0 = ms.uniform_density(sp)
     else:
         densities = _read_input_checked(ms.densities_from_csv, rho_src)
-        if not densities:
+        if not len(densities):
             raise ValidationError(f"no density rows in {rho_src!r}")
-        rho0 = densities[0]
+        rho0 = ms.Density(densities[0])
         ms.check_density(sp, rho0)
 
     if ramp > 0 and T1 > T0:
@@ -580,7 +580,7 @@ def _is_number(x) -> bool:
 def _check_text_value(key: str, value):
     """Pass a config value of a text flag as the flag's text would be read.
 
-    File and name keys take a string; ``q``, ``criteria``, ``frozen`` and
+    File keys take a string; ``q``, ``criteria``, ``frozen`` and
     ``zeroed`` also take a number (its command-line text), and ``q`` and
     ``criteria`` a list of numbers or strings.
     """
@@ -604,9 +604,10 @@ def _check_text_value(key: str, value):
 def build_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
     """Merge ``args`` with its ``--config`` file into a RunConfig.
 
-    The keys a config may set are the subcommand's flags (``args`` holds
-    one entry per flag ``dest``), and each typed value goes through its
-    flag's ``type`` as read from ``parser``.
+    The keys a config may set are the ``dest``s of the subcommand's flags
+    (not its positional arguments, which the command line always sets),
+    and each typed value goes through its flag's ``type``; both are read
+    from ``parser``.
     """
     command = args.command
     options: dict[str, Any] = {
@@ -622,13 +623,13 @@ def build_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> R
             raise ValidationError(f"cannot read config {args.config!r}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ValidationError("config must be a JSON object")
-        unknown = set(doc) - set(options) - {"out_dir", "format"}
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        types = {a.dest: a.type for a in sub.choices[command]._actions if a.option_strings}
+        unknown = set(doc) - (set(types) & set(options)) - {"out_dir", "format"}
         if unknown:
             raise ValidationError(
                 f"unknown config keys for {command!r}: {sorted(unknown)}"
             )
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        types = {a.dest: a.type for a in sub.choices[command]._actions}
         for key, value in doc.items():
             if key == "out_dir":
                 if not isinstance(value, str):

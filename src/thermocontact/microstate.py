@@ -20,7 +20,6 @@ All operations are pure functions; safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from typing import IO, Sequence
@@ -28,7 +27,7 @@ from typing import IO, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .phase_space import ExtendedPoint, write_csv
+from .phase_space import ExtendedPoint, read_csv, write_csv
 
 NORMALIZATION_TOL = 1e-12
 
@@ -336,27 +335,26 @@ def densities_to_csv(densities: Sequence[Density] | np.ndarray, dest: str | IO[s
     write_csv(dest, [f"rho_{i + 1}" for i in range(rows.shape[1])], rows)
 
 
-def densities_from_csv(src: str | IO[str]) -> list[Density]:
-    """Read densities written by :func:`densities_to_csv`.
+def densities_from_csv(src: str | IO[str]) -> np.ndarray:
+    """Read densities written by :func:`densities_to_csv` as one table.
 
-    Raises ValueError on a file without a header row and, naming the line,
-    on a row that is not a density of numbers.
+    Returns a read-only (N, m) array, one density per row.  The header
+    must be exactly rho_1..rho_m with m >= 1.  Raises ValueError, naming
+    the line, on any other header, on a negative or non-finite entry, and
+    as :func:`phase_space.read_csv` does (no header row, a row whose width
+    differs from the header's, a cell that is not a number).
     """
 
-    def read(fh: IO[str]) -> list[Density]:
-        reader = csv.reader(fh)
-        if next(reader, None) is None:
-            raise ValueError("density CSV has no header row")
-        out = []
-        for row in reader:
-            if row:
-                try:
-                    out.append(Density([float(x) for x in row]))
-                except ValueError as exc:
-                    raise ValueError(f"density CSV line {reader.line_num}: {exc}") from None
-        return out
+    def header_error(header: list[str]) -> str | None:
+        if header != [f"rho_{i + 1}" for i in range(len(header))]:
+            return f"header {','.join(header)!r} is not rho_1..rho_m"
+        return None
 
-    if isinstance(src, str):
-        with open(src, newline="") as fh:
-            return read(fh)
-    return read(src)
+    _, table, lines = read_csv(src, "density", header_error)
+    bad = np.flatnonzero(~np.all(np.isfinite(table) & (table >= 0), axis=1))
+    if bad.size:
+        raise ValueError(
+            f"density CSV line {lines[bad[0]]}: density entries must be finite and non-negative"
+        )
+    table.flags.writeable = False
+    return table

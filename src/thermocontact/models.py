@@ -31,8 +31,6 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from .phase_space import ReducedPoint
-
 SELF_CONSISTENCY_TOL = 1e-10
 
 
@@ -326,48 +324,51 @@ def difference_front(model: str, t0: float, t1: float, c: float) -> FrontFunctio
 
 # ---------------------------------------------------------------------------
 # barred changes of variables
+#
+# The four maps take scalars (and return floats) or equal-length columns
+# (and return arrays), as _cw_z does, and return the tuple (z, p, q).
 
-def _scalar_point(pt: ReducedPoint) -> tuple[float, float, float]:
-    if pt.k != 1:
-        raise ValueError("barred changes of variables expect scalar (k=1) points")
-    return pt.z, float(pt.p[0]), float(pt.q[0])
-
-
-def gas_to_barred(pt: ReducedPoint, t0: float) -> ReducedPoint:
-    """(z, p, q) -> (z - phi_{t0}(q), p - phi'_{t0}(q), q); needs q < 0."""
-    z, p, q = _scalar_point(pt)
-    if not q < 0:
-        raise DomainError(f"gas barred map needs q < 0, got q={q}")
-    return ReducedPoint(z - float(gas_phi(t0, q)), [p - float(gas_dphi(t0, q))], [q])
+def _columns(*xs) -> list[np.ndarray]:
+    return [np.array(x, dtype=float) for x in xs]
 
 
-def gas_from_barred(pt: ReducedPoint, t0: float) -> ReducedPoint:
-    z, p, q = _scalar_point(pt)
-    if not q < 0:
-        raise DomainError(f"gas barred map needs q < 0, got q={q}")
-    return ReducedPoint(z + float(gas_phi(t0, q)), [p + float(gas_dphi(t0, q))], [q])
+def _floats(*cols) -> tuple:
+    """0-d results as floats, columns as arrays."""
+    return tuple(float(c) if np.ndim(c) == 0 else c for c in cols)
 
 
-def cw_to_barred(pt: ReducedPoint, t0: float, b: float) -> ReducedPoint:
+def _gas_columns(z, p, q) -> list[np.ndarray]:
+    z, p, q = _columns(z, p, q)
+    if not np.all(q < 0):
+        raise DomainError(f"gas barred map needs q < 0, got max q={float(np.max(q))}")
+    return [z, p, q]
+
+
+def gas_to_barred(z, p, q, t0: float) -> tuple:
+    """(z, p, q) -> (z - phi_{t0}(q), p - phi'_{t0}(q), q); needs every q < 0."""
+    z, p, q = _gas_columns(z, p, q)
+    return _floats(z - gas_phi(t0, q), p - gas_dphi(t0, q), q)
+
+
+def gas_from_barred(z, p, q, t0: float) -> tuple:
+    """Inverse of :func:`gas_to_barred`; needs every q < 0."""
+    z, p, q = _gas_columns(z, p, q)
+    return _floats(z + gas_phi(t0, q), p + gas_dphi(t0, q), q)
+
+
+def cw_to_barred(z, p, q, t0: float, b: float) -> tuple:
     """(z, p, q) -> (Z, P, Q) with Q = q + b p, P = p - Phi'_{t0}(Q),
     Z = z - Phi_{t0}(Q) + b p^2/2.  Preserves dz - p dq."""
-    z, p, q = _scalar_point(pt)
+    z, p, q = _columns(z, p, q)
     Q = q + b * p
-    return ReducedPoint(
-        z - float(cw_phi(t0, Q)) + b * p * p / 2.0,
-        [p - float(cw_dphi(t0, Q))],
-        [Q],
-    )
+    return _floats(z - cw_phi(t0, Q) + b * p * p / 2.0, p - cw_dphi(t0, Q), Q)
 
 
-def cw_from_barred(pt: ReducedPoint, t0: float, b: float) -> ReducedPoint:
-    Z, P, Q = _scalar_point(pt)
-    p = P + float(cw_dphi(t0, Q))
-    return ReducedPoint(
-        Z + float(cw_phi(t0, Q)) - b * p * p / 2.0,
-        [p],
-        [Q - b * p],
-    )
+def cw_from_barred(Z, P, Q, t0: float, b: float) -> tuple:
+    """Inverse of :func:`cw_to_barred`."""
+    Z, P, Q = _columns(Z, P, Q)
+    p = P + cw_dphi(t0, Q)
+    return _floats(Z + cw_phi(t0, Q) - b * p * p / 2.0, p, Q - b * p)
 
 
 # ---------------------------------------------------------------------------

@@ -80,30 +80,6 @@ class ExtendedPoint:
 
 
 @dataclass(frozen=True)
-class ExtendedVelocity:
-    """Time derivatives paired with an :class:`ExtendedPoint`."""
-
-    dz: float
-    dS: float
-    dT: float
-    dp: np.ndarray
-    dq: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "dz", float(self.dz))
-        object.__setattr__(self, "dS", float(self.dS))
-        object.__setattr__(self, "dT", float(self.dT))
-        object.__setattr__(self, "dp", _vector(self.dp, "dp"))
-        object.__setattr__(self, "dq", _vector(self.dq, "dq"))
-        if self.dp.size != self.dq.size:
-            raise ValueError("dp and dq must have equal length")
-
-    @property
-    def n(self) -> int:
-        return self.dp.size
-
-
-@dataclass(frozen=True)
 class ReducedPoint:
     """A point (z, p, q) of the reduced phase space."""
 
@@ -121,24 +97,6 @@ class ReducedPoint:
     @property
     def k(self) -> int:
         return self.p.size
-
-
-@dataclass(frozen=True)
-class ReducedVelocity:
-    dz: float
-    dp: np.ndarray
-    dq: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "dz", float(self.dz))
-        object.__setattr__(self, "dp", _vector(self.dp, "dp"))
-        object.__setattr__(self, "dq", _vector(self.dq, "dq"))
-        if self.dp.size != self.dq.size:
-            raise ValueError("dp and dq must have equal length")
-
-    @property
-    def k(self) -> int:
-        return self.dp.size
 
 
 @dataclass(frozen=True)
@@ -181,7 +139,6 @@ class ReductionSpec:
 
 
 Point = Union[ExtendedPoint, ReducedPoint]
-Velocity = Union[ExtendedVelocity, ReducedVelocity]
 
 
 class RowView(Sequence):
@@ -354,20 +311,6 @@ class NonnegReport:
         )
 
 
-def eval_extended_form(pt: ExtendedPoint, v: ExtendedVelocity) -> float:
-    """Pair the extended contact form with a velocity: dz - S dT - p . dq."""
-    if pt.n != v.n:
-        raise ValueError(f"dimension mismatch: point n={pt.n}, velocity n={v.n}")
-    return float(v.dz - pt.S * v.dT - np.dot(pt.p, v.dq))
-
-
-def eval_reduced_form(pt: ReducedPoint, v: ReducedVelocity) -> float:
-    """Pair the reduced contact form with a velocity: dz - p . dq."""
-    if pt.k != v.k:
-        raise ValueError(f"dimension mismatch: point k={pt.k}, velocity k={v.k}")
-    return float(v.dz - np.dot(pt.p, v.dq))
-
-
 def _velocity_matrix(path: SampledPath) -> np.ndarray:
     """Time derivatives of :meth:`SampledPath.coordinates`, one row per sample.
 
@@ -379,37 +322,35 @@ def _velocity_matrix(path: SampledPath) -> np.ndarray:
     return np.gradient(path.coordinates(), path.times, axis=0, edge_order=edge_order)
 
 
-def path_velocities(path: SampledPath) -> list[Velocity]:
-    """Velocities at every sample of a path, as single-sample values."""
-    vel = _velocity_matrix(path)
-    d = path.dimension
-    if path.kind == "extended":
-        return [ExtendedVelocity(r[0], r[1], r[2], r[3 : 3 + d], r[3 + d :]) for r in vel]
-    return [ReducedVelocity(r[0], r[1 : 1 + d], r[1 + d :]) for r in vel]
+def _form_values(path: SampledPath, vel: np.ndarray) -> np.ndarray:
+    """dz - S dT - p . dq (extended) or dz - p . dq (reduced) at every sample.
 
-
-def check_path_nonnegative(
-    path: SampledPath, which_form: str | None = None, slack: float = DEFAULT_SLACK
-) -> NonnegReport:
-    """Certify that the contact form is >= -slack along a sampled path.
-
-    One gradient of the coordinate matrix gives the velocities; the form
-    dz - S dT - p . dq (extended) or dz - p . dq (reduced) is evaluated on
-    whole columns and the verdict reflects the minimum value.  ``p . dq``
-    goes through ``np.vecdot``, which sums each row as ``np.dot`` does.
+    ``vel`` is :func:`_velocity_matrix` of the path; ``p . dq`` goes through
+    ``np.vecdot``, which sums each row as ``np.dot`` does.
     """
-    if slack < 0:
-        raise ValueError("slack must be non-negative")
-    if which_form is not None and which_form != path.kind:
-        raise ValueError(
-            f"requested form {which_form!r} but the path is {path.kind!r}"
-        )
-    vel = _velocity_matrix(path)
     dq = np.ascontiguousarray(vel[:, vel.shape[1] - path.dimension :])
     values = vel[:, 0]
     if path.kind == "extended":
         values = values - path.S * vel[:, 2]
-    values = values - np.vecdot(path.p, dq)
+    return values - np.vecdot(path.p, dq)
+
+
+def _extended_velocities(path: SampledPath, what: str) -> np.ndarray:
+    if path.kind != "extended":
+        raise ValueError(f"{what} needs an extended path, got a {path.kind} one")
+    return _velocity_matrix(path)
+
+
+def check_path_nonnegative(path: SampledPath, slack: float = DEFAULT_SLACK) -> NonnegReport:
+    """Certify that the contact form is >= -slack along a sampled path.
+
+    One gradient of the coordinate matrix gives the velocities; the path's
+    kind selects the form, which is evaluated on whole columns, and the
+    verdict reflects the minimum value.
+    """
+    if slack < 0:
+        raise ValueError("slack must be non-negative")
+    values = _form_values(path, _velocity_matrix(path))
     values.flags.writeable = False
     violating = tuple(np.flatnonzero(values < -slack).tolist())
     min_value = float(values.min())
@@ -417,21 +358,20 @@ def check_path_nonnegative(
     return NonnegReport(min_value, violating, values, verdict, slack)
 
 
-def admissibility_decrement(
-    pt: ExtendedPoint, v: ExtendedVelocity, spec: ReductionSpec
-) -> float:
+def admissibility_decrement(path: SampledPath, spec: ReductionSpec) -> np.ndarray:
     """Free-energy decrement contributed by the reduced intensive variables.
 
-    Returns S dT + sum over frozen indices of p_j dq_j.  The S dT term is the
-    temperature's contribution; it vanishes for temperature-frozen paths.
+    Returns S dT + sum over frozen indices of p_j dq_j at every sample of an
+    extended path.  The S dT term is the temperature's contribution; it
+    vanishes for temperature-frozen paths.
     """
-    if pt.n != v.n:
-        raise ValueError(f"dimension mismatch: point n={pt.n}, velocity n={v.n}")
-    spec.validate_for_dimension(pt.n)
-    total = pt.S * v.dT
+    vel = _extended_velocities(path, "admissibility_decrement")
+    spec.validate_for_dimension(path.dimension)
+    dq = vel[:, vel.shape[1] - path.dimension :]
+    total = path.S * vel[:, 2]
     for i in spec.frozen_q:
-        total += pt.p[i] * v.dq[i]
-    return float(total)
+        total = total + path.p[:, i] * dq[:, i]
+    return total
 
 
 def _check_constraints(T, p, q, spec: ReductionSpec, where: str) -> None:
@@ -487,9 +427,10 @@ def reduce(
     return ReducedPoint(pt.z, pt.p[:k], pt.q[:k])
 
 
-def irreversible_entropy_rate(pt: ExtendedPoint, v: ExtendedVelocity) -> float:
-    """Entropy production rate of a path element: form value divided by T."""
-    return eval_extended_form(pt, v) / pt.T
+def irreversible_entropy_rate(path: SampledPath) -> np.ndarray:
+    """Entropy production rate at every sample of an extended path: the
+    form value divided by T."""
+    return _form_values(path, _extended_velocities(path, "irreversible_entropy_rate")) / path.T
 
 
 # ---------------------------------------------------------------------------
@@ -535,59 +476,78 @@ def path_to_csv(path: SampledPath, dest: str | IO[str]) -> None:
     write_csv(dest, header, np.column_stack([path.times, path.coordinates()]))
 
 
-def path_from_csv(src: str | IO[str]) -> SampledPath:
-    """Read a path written by :func:`path_to_csv`.
+def read_csv(
+    src: str | IO[str], what: str, header_error: Callable[[list[str]], str | None]
+) -> tuple[list[str], np.ndarray, list[int]]:
+    """Read a header line and rows of numbers, as :func:`write_csv` writes them.
 
-    The header must be exactly t,z,S,T,p_1..p_n,q_1..q_n (extended) or
-    t,z,p_1..p_k,q_1..q_k (reduced) with n, k >= 1.  Raises ValueError,
-    naming the line, on any other header, on a row whose width differs
-    from the header's and on a cell that is not a number.
+    Returns the header, the rows as one (N, width) float array and the
+    line number of each row; blank lines are skipped.  Raises ValueError,
+    naming the line (``"<what> CSV line 4: ..."``), on a file without a
+    header row, on a header for which ``header_error`` returns a message,
+    on a row whose width differs from the header's and on a cell that is
+    not a number.
     """
 
-    def read(fh: IO[str]) -> SampledPath:
+    def read(fh: IO[str]):
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header:
-            raise ValueError("path CSV has no header row")
-        extended = header[2:4] == ["S", "T"]
+            raise ValueError(f"{what} CSV has no header row")
+        problem = header_error(header)
+        if problem is not None:
+            raise ValueError(f"{what} CSV line 1: {problem}")
         width = len(header)
-        n = (width - (4 if extended else 2)) // 2
-        if n < 1 or header != _path_header(n, extended):
-            raise ValueError(
-                f"path CSV line 1: header {','.join(header)!r} is neither "
-                "t,z,S,T,p_1..p_n,q_1..q_n nor t,z,p_1..p_k,q_1..q_k"
-            )
-        rows = []
-        blanks = []  # for each skipped blank line, the number of rows before it
+        rows, lines = [], []
         for row in reader:
             if not row:
-                blanks.append(len(rows))
                 continue
             if len(row) != width:
                 raise ValueError(
-                    f"path CSV line {reader.line_num}: {len(row)} fields, "
+                    f"{what} CSV line {reader.line_num}: {len(row)} fields, "
                     f"the header has {width}"
                 )
             rows.append(row)
+            lines.append(reader.line_num)
         try:
             table = np.array(rows, dtype=float).reshape(-1, width)
         except ValueError:
-            # Only now look for the row: the header and each row or blank
-            # line before the first row with a non-number take one line.
-            for i, row in enumerate(rows):
+            # only now look for the first row with a non-number
+            for row, line in zip(rows, lines):
                 try:
                     np.array(row, dtype=float)
                 except ValueError as exc:
-                    line = i + 2 + sum(1 for b in blanks if b <= i)
-                    raise ValueError(f"path CSV line {line}: {exc}") from None
+                    raise ValueError(f"{what} CSV line {line}: {exc}") from None
             raise
-        c = 4 if extended else 2
-        S, T = (table[:, 2], table[:, 3]) if extended else (None, None)
-        return SampledPath(
-            table[:, 0], table[:, 1], table[:, c : c + n], table[:, c + n :], S, T
-        )
+        return header, table, lines
 
     if isinstance(src, str):
         with open(src, newline="") as fh:
             return read(fh)
     return read(src)
+
+
+def path_from_csv(src: str | IO[str]) -> SampledPath:
+    """Read a path written by :func:`path_to_csv`.
+
+    The header must be exactly t,z,S,T,p_1..p_n,q_1..q_n (extended) or
+    t,z,p_1..p_k,q_1..q_k (reduced) with n, k >= 1.  Raises ValueError,
+    naming the line, on any other header and as :func:`read_csv` does.
+    """
+
+    def header_error(header: list[str]) -> str | None:
+        extended = header[2:4] == ["S", "T"]
+        n = (len(header) - (4 if extended else 2)) // 2
+        if n < 1 or header != _path_header(n, extended):
+            return (
+                f"header {','.join(header)!r} is neither "
+                "t,z,S,T,p_1..p_n,q_1..q_n nor t,z,p_1..p_k,q_1..q_k"
+            )
+        return None
+
+    header, table, _ = read_csv(src, "path", header_error)
+    extended = header[2:4] == ["S", "T"]
+    c = 4 if extended else 2
+    n = (len(header) - c) // 2
+    S, T = (table[:, 2], table[:, 3]) if extended else (None, None)
+    return SampledPath(table[:, 0], table[:, 1], table[:, c : c + n], table[:, c + n :], S, T)

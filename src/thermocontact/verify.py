@@ -24,17 +24,16 @@ from .models import (
     cw_from_barred,
     cw_magnetization_roots,
     cw_phi,
-    cw_point_from_p,
     cw_to_barred,
     difference_front,
     gas_dphi,
     gas_from_barred,
     gas_phi,
     gas_to_barred,
+    sample_cw_legendrian,
     select_equilibrium,
 )
 from .phase_space import (
-    ReducedPoint,
     ReductionSpec,
     SampledPath,
     check_path_nonnegative,
@@ -210,52 +209,37 @@ def criterion_5() -> CriterionResult:
         q_cw = _smooth_eval(_smooth_coeffs(rng, 0.5), t)
         q_gas = -2.0 + 0.4 * np.tanh(_smooth_eval(_smooth_coeffs(rng, 0.5), t))
 
-        for model, qs in (("cw", q_cw), ("gas", q_gas)):
-            if model == "cw":
-                Q = qs + b * p
-                P = p - np.tanh(Q / T0)
-                Z = z - cw_phi(T0, Q) + b * p * p / 2.0
-            else:
-                Q = qs
-                P = p - gas_dphi(T0, qs)
-                Z = z - gas_phi(T0, qs)
+        for qs, (Z, P, Q) in (
+            (q_cw, cw_to_barred(z, p, q_cw, T0, b)),
+            (q_gas, gas_to_barred(z, p, q_gas, T0)),
+        ):
             lhs = np.gradient(Z, t) - P * np.gradient(Q, t)
             rhs = np.gradient(z, t) - p * np.gradient(qs, t)
             worst_form = max(worst_form, float(np.abs((lhs - rhs)[1:-1]).max()))
 
     # reference family onto the zero section
-    worst_zero = 0.0
-    for q in np.linspace(-5.0, -0.1, 200):
-        pt = ReducedPoint(float(gas_phi(1.7, q)), [float(gas_dphi(1.7, q))], [q])
-        img = gas_to_barred(pt, 1.7)
-        worst_zero = max(worst_zero, abs(img.z), abs(float(img.p[0])))
+    q = np.linspace(-5.0, -0.1, 200)
+    Z, P, _ = gas_to_barred(gas_phi(1.7, q), gas_dphi(1.7, q), q, 1.7)
+    worst_zero = max(float(np.abs(Z).max()), float(np.abs(P).max()))
     par = CurieWeissParams(T=1.3, H_back=0.0, b=0.8)
-    for p0 in np.linspace(-0.95, 0.95, 200):
-        bp = cw_point_from_p(float(p0), par)
-        img = cw_to_barred(ReducedPoint(bp.z, [bp.p], [bp.q]), par.T, par.b)
-        worst_zero = max(worst_zero, abs(img.z), abs(float(img.p[0])))
+    q, p, z, _ = sample_cw_legendrian(par, np.linspace(-0.95, 0.95, 200)).T
+    Z, P, _ = cw_to_barred(z, p, q, par.T, par.b)
+    worst_zero = max(worst_zero, float(np.abs(Z).max()), float(np.abs(P).max()))
 
-    # round trips
-    worst_rt = 0.0
-    for _ in range(200):
-        pt = ReducedPoint(
-            float(rng.normal()), [float(rng.normal())], [float(rng.uniform(-4, -0.2))]
-        )
-        back = gas_from_barred(gas_to_barred(pt, 1.7), 1.7)
-        worst_rt = max(
-            worst_rt,
-            abs(back.z - pt.z),
-            abs(float(back.p[0] - pt.p[0])),
-            abs(float(back.q[0] - pt.q[0])),
-        )
-        pt2 = ReducedPoint(float(rng.normal()), [float(rng.normal())], [float(rng.normal())])
-        back2 = cw_from_barred(cw_to_barred(pt2, 1.3, 0.8), 1.3, 0.8)
-        worst_rt = max(
-            worst_rt,
-            abs(back2.z - pt2.z),
-            abs(float(back2.p[0] - pt2.p[0])),
-            abs(float(back2.q[0] - pt2.q[0])),
-        )
+    # round trips, drawn in the order gas (z, p, q), magnet (z, p, q) per row
+    draws = np.array(
+        [
+            [rng.normal(), rng.normal(), rng.uniform(-4, -0.2),
+             rng.normal(), rng.normal(), rng.normal()]
+            for _ in range(200)
+        ]
+    )
+    gas, cw = draws[:, :3].T, draws[:, 3:].T
+    back = gas_from_barred(*gas_to_barred(*gas, 1.7), 1.7)
+    back2 = cw_from_barred(*cw_to_barred(*cw, 1.3, 0.8), 1.3, 0.8)
+    worst_rt = max(
+        float(np.abs(np.subtract(back, gas)).max()), float(np.abs(np.subtract(back2, cw)).max())
+    )
     ok = worst_form < 1e-8 and worst_zero < 1e-10 and worst_rt < 1e-12
     return CriterionResult(
         5,

@@ -2,9 +2,10 @@
 
 These are the point-by-point loops that ``phase_space`` and
 ``processes.fokker_planck_relax`` used before paths were stored by column:
-the per-node lift and reduction of a relaxation, the per-sample velocity
-objects and form evaluation of the certifier, the per-point reduction, and
-the per-point CSV reader and writer.  A path is a pair ``(times, points)``
+the per-node lift and reduction of a relaxation, the per-sample velocities
+and form pairing of the certifier, the per-sample admissibility decrement
+and entropy production rate, the per-point reduction, and the per-point
+CSV reader and writer.  A path is a pair ``(times, points)``
 of a time array and a tuple of ``ExtendedPoint``/``ReducedPoint``.  The
 column code must give results equal (``==`` or ``array_equal``) to these.
 """
@@ -19,13 +20,9 @@ import numpy as np
 from thermocontact import microstate as ms
 from thermocontact.phase_space import (
     ExtendedPoint,
-    ExtendedVelocity,
     ReducedPoint,
-    ReducedVelocity,
     ReductionError,
     ReductionSpec,
-    eval_extended_form,
-    eval_reduced_form,
 )
 
 
@@ -35,23 +32,54 @@ def _coordinate_matrix(points) -> np.ndarray:
     return np.array([[pt.z, *pt.p, *pt.q] for pt in points], dtype=float)
 
 
-def loop_velocities(times, points) -> list:
+def loop_velocities(times, points) -> list[tuple]:
+    """One velocity per sample: ``(dz, dS, dT, dp, dq)`` on an extended path,
+    ``(dz, dp, dq)`` on a reduced one, with ``dp`` and ``dq`` copied arrays."""
     coords = _coordinate_matrix(points)
     edge_order = 2 if len(points) >= 3 else 1
     vel = np.gradient(coords, times, axis=0, edge_order=edge_order)
     d = points[0].p.size
     if isinstance(points[0], ExtendedPoint):
         return [
-            ExtendedVelocity(row[0], row[1], row[2], row[3 : 3 + d], row[3 + d :])
-            for row in vel
+            (float(r[0]), float(r[1]), float(r[2]), np.array(r[3 : 3 + d]), np.array(r[3 + d :]))
+            for r in vel
         ]
-    return [ReducedVelocity(row[0], row[1 : 1 + d], row[1 + d :]) for row in vel]
+    return [(float(r[0]), np.array(r[1 : 1 + d]), np.array(r[1 + d :])) for r in vel]
+
+
+def loop_extended_form(pt: ExtendedPoint, v: tuple) -> float:
+    """dz - S dT - p . dq at one sample."""
+    dz, _, dT, _, dq = v
+    return float(dz - pt.S * dT - np.dot(pt.p, dq))
+
+
+def loop_reduced_form(pt: ReducedPoint, v: tuple) -> float:
+    """dz - p . dq at one sample."""
+    dz, _, dq = v
+    return float(dz - np.dot(pt.p, dq))
 
 
 def loop_form_values(times, points) -> np.ndarray:
     """The form at every sample, as ``check_path_nonnegative`` reports it."""
-    form = eval_extended_form if isinstance(points[0], ExtendedPoint) else eval_reduced_form
+    form = loop_extended_form if isinstance(points[0], ExtendedPoint) else loop_reduced_form
     return np.array([form(pt, v) for pt, v in zip(points, loop_velocities(times, points))])
+
+
+def loop_decrements(times, points, spec: ReductionSpec) -> np.ndarray:
+    """S dT + sum over frozen j of p_j dq_j at every sample."""
+    out = []
+    for pt, (_, _, dT, _, dq) in zip(points, loop_velocities(times, points)):
+        total = pt.S * dT
+        for i in spec.frozen_q:
+            total += pt.p[i] * dq[i]
+        out.append(float(total))
+    return np.array(out)
+
+
+def loop_entropy_rates(times, points) -> np.ndarray:
+    """The extended form over T at every sample."""
+    vels = loop_velocities(times, points)
+    return np.array([loop_extended_form(pt, v) / pt.T for pt, v in zip(points, vels)])
 
 
 def loop_reduce_point(pt: ExtendedPoint, spec: ReductionSpec) -> ReducedPoint:

@@ -10,7 +10,6 @@ from thermocontact import (
     DegenerateChordError,
     DegenerateFamilyError,
     IdealGasParams,
-    ReducedPoint,
     chords_to_csv,
     chords_to_json,
     constant_front,
@@ -181,11 +180,11 @@ class TestFindChords:
         assert abs(ch.q - closed.q) < 1e-8
         assert abs(ch.length - closed.length) < 1e-8
         # un-bar the endpoints: start on the cold family, end on the hot one
-        start = gas_from_barred(ReducedPoint(ch.z_start, [ch.p], [ch.q]), t0)
-        end = gas_from_barred(ReducedPoint(ch.z_end, [ch.p], [ch.q]), t0)
-        assert abs(start.z - closed.z_start) < 1e-8
-        assert abs(end.z - closed.z_end) < 1e-8
-        assert abs(float(start.p[0]) - closed.p) < 1e-8
+        start = gas_from_barred(ch.z_start, ch.p, ch.q, t0)
+        end = gas_from_barred(ch.z_end, ch.p, ch.q, t0)
+        assert abs(start[0] - closed.z_start) < 1e-8
+        assert abs(end[0] - closed.z_end) < 1e-8
+        assert abs(start[1] - closed.p) < 1e-8
 
     def test_barred_magnet_reproduces_closed_form(self):
         t0, t1, c, b = 2.0, 10.0 / 3.0, 1.0, 1.0
@@ -194,10 +193,10 @@ class TestFindChords:
         found = find_chords(constant_front(), f1, -20.0, 20.0, grid_n=20001)
         assert len(found) == 1
         ch = found[0]
-        start = cw_from_barred(ReducedPoint(ch.z_start, [ch.p], [ch.q]), t0, b)
-        assert abs(start.z - closed.z_start) < 1e-8
-        assert abs(float(start.p[0]) - closed.p) < 1e-8
-        assert abs(float(start.q[0]) - closed.q) < 1e-8
+        z, p, q = cw_from_barred(ch.z_start, ch.p, ch.q, t0, b)
+        assert abs(z - closed.z_start) < 1e-8
+        assert abs(p - closed.p) < 1e-8
+        assert abs(q - closed.q) < 1e-8
         assert abs(ch.length - closed.length) < 1e-8
 
     def test_saturated_tails_produce_no_spurious_chords(self):

@@ -120,6 +120,24 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"t0": 1.0, "bogus": 1}))
         assert dispatch(["chord", "gas", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["chord", "gas"], {"model": "cw", "t0": 1, "t1": 5, "c": 2}),
+            (["isotopy", "gas"], {"model": "cw", "T0": 1, "T1": 5, "bg0": 0, "bg1": 2}),
+        ],
+    )
+    def test_positional_model_key_rejected(self, tmp_path, capsys, argv, doc):
+        # the positional model always comes from the command line, so a
+        # config key for it could never take effect
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert dispatch([*argv, "--config", str(cfg), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: unknown config keys for {argv[0]!r}: ['model']"]
+        assert not out.exists()
+
     def test_format_via_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"t0": 1.0, "t1": 5.0, "c": 2.0, "format": "json"}))
@@ -252,7 +270,8 @@ class TestConfigHandling:
         parser = build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         dests = {
-            command: {a.dest for a in p._actions} - {"help", "config", "out_dir", "fmt"}
+            command: {a.dest for a in p._actions if a.option_strings}
+            - {"help", "config", "out_dir", "fmt"}
             for command, p in sub.choices.items()
         }
         assert documented == dests
@@ -361,6 +380,19 @@ class TestOtherCommands:
             (
                 "rho_1,rho_2,rho_3\n0.6,0.3,0.1\n\n0.6,x,0.1\n",
                 "error: density CSV line 4: could not convert string to float: 'x'",
+            ),
+            ("x\n0.2,0.8\n", "error: density CSV line 1: header 'x' is not rho_1..rho_m"),
+            (
+                "rho_1,rho_3,rho_2\n0.6,0.3,0.1\n",
+                "error: density CSV line 1: header 'rho_1,rho_3,rho_2' is not rho_1..rho_m",
+            ),
+            (
+                "rho_1,rho_2,rho_3\n0.5,0.25,0.25\n\n0.6,0.4\n",
+                "error: density CSV line 4: 2 fields, the header has 3",
+            ),
+            (
+                "rho_1,rho_2,rho_3\n1.2,-0.1,-0.1\n",
+                "error: density CSV line 2: density entries must be finite and non-negative",
             ),
         ],
     )

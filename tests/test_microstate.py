@@ -291,9 +291,9 @@ class TestSerialization:
         text = buf.getvalue()
         assert text.splitlines()[0] == "rho_1,rho_2,rho_3"
         back = densities_from_csv(io.StringIO(text))
-        assert len(back) == 2
+        assert back.shape == (2, 3) and not back.flags.writeable
         for a, b in zip(rows, back):
-            assert np.array_equal(a.rho, b.rho)
+            assert np.array_equal(a.rho, b)
 
     def test_system_state_count_mismatch(self):
         doc = {"labels": ["a", "b"], "weights": [1, 1], "v_int": [0.0], "v_bar": [[1.0]]}

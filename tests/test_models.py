@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermocontact import (
     CurieWeissParams,
     DomainError,
     IdealGasParams,
-    ReducedPoint,
     constant_front,
     cw_coupling_derivatives,
     cw_dz_dT,
@@ -210,37 +211,36 @@ class TestBarredMaps:
     def test_gas_reference_family_flattens(self):
         T0 = 1.7
         for q in np.linspace(-5.0, -0.1, 50):
-            pt = ReducedPoint(float(gas_phi(T0, q)), [1.7 / -q], [q])
-            img = gas_to_barred(pt, T0)
-            assert abs(img.z) < 1e-10
-            assert abs(float(img.p[0])) < 1e-10
-            assert float(img.q[0]) == q
+            Z, P, Q = gas_to_barred(float(gas_phi(T0, q)), 1.7 / -q, q, T0)
+            assert abs(Z) < 1e-10
+            assert abs(P) < 1e-10
+            assert Q == q
 
     def test_cw_reference_family_flattens(self):
         par = CurieWeissParams(T=1.3, H_back=0.0, b=0.8)
         for p in np.linspace(-0.95, 0.95, 50):
             bp = cw_point_from_p(float(p), par)
-            img = cw_to_barred(ReducedPoint(bp.z, [bp.p], [bp.q]), par.T, par.b)
-            assert abs(img.z) < 1e-10
-            assert abs(float(img.p[0])) < 1e-10
+            Z, P, _ = cw_to_barred(bp.z, bp.p, bp.q, par.T, par.b)
+            assert abs(Z) < 1e-10
+            assert abs(P) < 1e-10
 
     def test_round_trips(self):
         rng = np.random.default_rng(43)
         for _ in range(1000):
             z, p = rng.normal(size=2)
-            pt_gas = ReducedPoint(z, [p], [float(rng.uniform(-4, -0.1))])
-            back = gas_from_barred(gas_to_barred(pt_gas, 2.2), 2.2)
-            assert abs(back.z - pt_gas.z) < 1e-12
-            assert abs(float(back.p[0] - pt_gas.p[0])) < 1e-12
-            pt_cw = ReducedPoint(z, [p], [float(rng.normal())])
-            back = cw_from_barred(cw_to_barred(pt_cw, 1.1, 0.9), 1.1, 0.9)
-            assert abs(back.z - pt_cw.z) < 1e-12
-            assert abs(float(back.p[0] - pt_cw.p[0])) < 1e-12
-            assert abs(float(back.q[0] - pt_cw.q[0])) < 1e-12
+            q = float(rng.uniform(-4, -0.1))
+            back = gas_from_barred(*gas_to_barred(z, p, q, 2.2), 2.2)
+            assert abs(back[0] - z) < 1e-12
+            assert abs(back[1] - p) < 1e-12
+            q = float(rng.normal())
+            back = cw_from_barred(*cw_to_barred(z, p, q, 1.1, 0.9), 1.1, 0.9)
+            assert abs(back[0] - z) < 1e-12
+            assert abs(back[1] - p) < 1e-12
+            assert abs(back[2] - q) < 1e-12
 
     def test_gas_domain_requirement(self):
         with pytest.raises(DomainError):
-            gas_to_barred(ReducedPoint(0.0, [1.0], [0.5]), 1.0)
+            gas_to_barred(0.0, 1.0, 0.5, 1.0)
 
     def test_form_preservation_along_sampled_curves(self):
         rng = np.random.default_rng(47)
@@ -251,22 +251,83 @@ class TestBarredMaps:
             z = 0.4 * np.sin(t + rng.uniform(0, 6)) + 0.3 * t
             p = 0.4 * np.cos(0.8 * t + rng.uniform(0, 6))
             q = -2.0 + 0.3 * np.sin(0.9 * t + rng.uniform(0, 6))
-            # gas side
-            Z = z - gas_phi(T0, q)
-            P = p - (-T0 / q)
-            lhs = np.gradient(Z, t) - P * np.gradient(q, t)
             rhs = np.gradient(z, t) - p * np.gradient(q, t)
-            assert np.abs((lhs - rhs)[1:-1]).max() < 1e-8
-            # magnet side
-            Q = q + b * p
-            Zc = z - cw_phi(T0, Q) + b * p * p / 2.0
-            Pc = p - np.tanh(Q / T0)
-            lhs = np.gradient(Zc, t) - Pc * np.gradient(Q, t)
-            assert np.abs((lhs - rhs)[1:-1]).max() < 1e-8
+            for Z, P, Q in (gas_to_barred(z, p, q, T0), cw_to_barred(z, p, q, T0, b)):
+                lhs = np.gradient(Z, t) - P * np.gradient(Q, t)
+                assert np.abs((lhs - rhs)[1:-1]).max() < 1e-8
 
     def test_scalar_points_required(self):
+        # scalars or equal-length columns; columns of different lengths fail
         with pytest.raises(ValueError):
-            gas_to_barred(ReducedPoint(0.0, [1.0, 2.0], [-1.0, -2.0]), 1.0)
+            gas_to_barred([0.0, 1.0], [1.0, 2.0, 3.0], [-1.0, -2.0], 1.0)
+        with pytest.raises(ValueError):
+            cw_to_barred([0.0, 1.0], [1.0, 2.0, 3.0], [-1.0, -2.0], 1.0, 0.5)
+
+    def test_scalars_give_floats_and_columns_arrays(self):
+        out = cw_to_barred(0.1, 0.2, 0.3, 1.1, 0.9)
+        assert all(type(x) is float for x in out)
+        out = gas_from_barred([0.1, 0.2], [0.3, 0.4], [-1.0, -2.0], 1.1)
+        assert all(isinstance(x, np.ndarray) and x.shape == (2,) for x in out)
+
+
+# ranges of the criterion-5 and reference-family draws, where a round trip
+# loses no more than a few ulps of values of order 10
+_coord = st.floats(-5.0, 5.0)
+_temperature = st.floats(0.5, 3.0)
+_coupling = st.floats(0.1, 2.0)
+_MAPS = {
+    "gas_to_barred": (gas_to_barred, False),
+    "gas_from_barred": (gas_from_barred, False),
+    "cw_to_barred": (cw_to_barred, True),
+    "cw_from_barred": (cw_from_barred, True),
+}
+
+
+@st.composite
+def _columns(draw, negative_q: bool):
+    n = draw(st.integers(1, 20))
+    z, p = (draw(st.lists(_coord, min_size=n, max_size=n)) for _ in range(2))
+    q_values = st.floats(-4.0, -0.1) if negative_q else _coord
+    q = draw(st.lists(q_values, min_size=n, max_size=n))
+    return np.array(z), np.array(p), np.array(q)
+
+
+class TestBarredMapProperties:
+    @pytest.mark.parametrize("name", sorted(_MAPS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), t0=_temperature, b=_coupling)
+    def test_column_equals_scalar_per_element(self, name, data, t0, b):
+        fn, magnet = _MAPS[name]
+        extra = (t0, b) if magnet else (t0,)
+        z, p, q = data.draw(_columns(negative_q=not magnet))
+        cols = fn(z, p, q, *extra)
+        for i in range(z.size):
+            assert fn(float(z[i]), float(p[i]), float(q[i]), *extra) == tuple(
+                float(c[i]) for c in cols
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(gas=_columns(negative_q=True), cw=_columns(negative_q=False),
+           t0=_temperature, b=_coupling)
+    def test_round_trips_within_1e_12(self, gas, cw, t0, b):
+        for x, back in (
+            (gas, gas_from_barred(*gas_to_barred(*gas, t0), t0)),
+            (cw, cw_from_barred(*cw_to_barred(*cw, t0, b), t0, b)),
+        ):
+            for a, e in zip(back, x):
+                assert np.abs(a - e).max() <= 1e-12
+
+    @pytest.mark.parametrize("fn", [gas_to_barred, gas_from_barred])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), t0=_temperature)
+    def test_gas_maps_reject_any_nonnegative_q(self, fn, data, t0):
+        z, p, q = data.draw(_columns(negative_q=True))
+        i = data.draw(st.integers(0, q.size - 1))
+        q[i] = data.draw(st.floats(0.0, 50.0))
+        with pytest.raises(DomainError):
+            fn(z, p, q, t0)
+        with pytest.raises(DomainError):
+            fn(float(z[i]), float(p[i]), float(q[i]), t0)
 
 
 class TestCouplingDerivatives:

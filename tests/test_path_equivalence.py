@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from path_oracles import (
+    loop_decrements,
     loop_entropy,
+    loop_entropy_rates,
     loop_form_values,
     loop_free_energy,
     loop_path_from_csv,
@@ -28,7 +30,9 @@ from thermocontact import (
     ReducedPoint,
     ReductionSpec,
     SampledPath,
+    admissibility_decrement,
     check_path_nonnegative,
+    irreversible_entropy_rate,
     path_from_csv,
     path_to_csv,
     reduce,
@@ -58,6 +62,12 @@ def test_criterion_7_draws_match_loops():
     for path, spec in itertools.islice(criterion_7_draws(), 0, None, 5):
         points = tuple(path.points)
         assert np.array_equal(_form_values(path), loop_form_values(path.times, points))
+        assert np.array_equal(
+            admissibility_decrement(path, spec), loop_decrements(path.times, points, spec)
+        )
+        assert np.array_equal(
+            irreversible_entropy_rate(path), loop_entropy_rates(path.times, points)
+        )
         reduced = reduce(path, spec)
         expected = tuple(loop_reduce_point(pt, spec) for pt in points)
         _assert_columns_equal(reduced, expected)

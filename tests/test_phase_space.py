@@ -6,27 +6,50 @@ import pytest
 
 from thermocontact import (
     ExtendedPoint,
-    ExtendedVelocity,
     ReducedPoint,
-    ReducedVelocity,
     ReductionError,
     ReductionSpec,
     SampledPath,
     admissibility_decrement,
     check_path_nonnegative,
-    eval_extended_form,
-    eval_reduced_form,
     irreversible_entropy_rate,
     path_from_csv,
     path_to_csv,
-    path_velocities,
     reduce,
 )
 from thermocontact.models import cw_entropy
+from thermocontact.phase_space import _velocity_matrix
 
 
 def make_ext(z=0.0, S=1.0, T=1.0, p=(0.0,), q=(0.0,)):
     return ExtendedPoint(z, S, T, p, q)
+
+
+# Paths through one point with one constant velocity: every column is
+# value + rate * t.  On the integer times 0, 1, 2 and with small whole or
+# half rates the gradient gives the rate exactly at every sample.
+T3 = np.arange(3.0)
+
+
+def _line(value, rate, t):
+    """Columns value + rate * t, shape (N, len(value))."""
+    return np.atleast_1d(value) + np.multiply.outer(t, np.atleast_1d(rate))
+
+
+def ext_line(z=0.0, S=1.0, T=1.0, p=(0.0,), q=(0.0,), dz=0.0, dT=0.0, dq=(0.0,), t=T3):
+    """An extended path with constant S and p and rates dz, dT, dq."""
+    return SampledPath(
+        t, z + dz * t, _line(p, 0.0, t), _line(q, dq, t), np.full(t.size, S), T + dT * t
+    )
+
+
+def red_line(z=0.0, p=(0.0,), q=(0.0,), dz=0.0, dq=(0.0,), t=T3):
+    """A reduced path with constant p and rates dz, dq."""
+    return SampledPath(t, z + dz * t, _line(p, 0.0, t), _line(q, dq, t))
+
+
+def form_values(path):
+    return check_path_nonnegative(path).per_step_values
 
 
 class TestPointValidation:
@@ -56,51 +79,35 @@ class TestPointValidation:
 
 class TestExtendedForm:
     def test_reeb_direction(self):
-        v = ExtendedVelocity(1.0, 0.0, 0.0, [0.0], [0.0])
-        assert eval_extended_form(make_ext(), v) == 1.0
+        assert np.all(form_values(ext_line(dz=1.0)) == 1.0)
 
     def test_contact_plane_tangent(self):
-        pt = make_ext(S=2.0, p=(3.0,))
-        v = ExtendedVelocity(2.0 * 1.0 + 3.0 * 1.0, 0.0, 1.0, [0.0], [1.0])
-        assert eval_extended_form(pt, v) == 0.0
+        path = ext_line(S=2.0, p=(3.0,), dz=2.0 * 1.0 + 3.0 * 1.0, dT=1.0, dq=(1.0,))
+        assert np.all(form_values(path) == 0.0)
 
     def test_pure_temperature_move_of_z_constant_path(self):
-        pt = make_ext(S=1.0, p=(0.0,))
-        v = ExtendedVelocity(0.0, 0.0, 1.0, [0.0], [0.0])
-        assert eval_extended_form(pt, v) == -1.0
-
-    def test_dimension_mismatch(self):
-        v = ExtendedVelocity(1.0, 0.0, 0.0, [0.0, 0.0], [0.0, 0.0])
-        with pytest.raises(ValueError):
-            eval_extended_form(make_ext(), v)
+        assert np.all(form_values(ext_line(S=1.0, p=(0.0,), dT=1.0)) == -1.0)
 
     def test_linear_in_velocity(self):
         rng = np.random.default_rng(7)
-        pt = make_ext(S=1.3, p=rng.normal(size=3), q=rng.normal(size=3))
-        va = ExtendedVelocity(*rng.normal(size=3), rng.normal(size=3), rng.normal(size=3))
-        vb = ExtendedVelocity(*rng.normal(size=3), rng.normal(size=3), rng.normal(size=3))
-        combo = ExtendedVelocity(
-            2.0 * va.dz - 3.0 * vb.dz,
-            2.0 * va.dS - 3.0 * vb.dS,
-            2.0 * va.dT - 3.0 * vb.dT,
-            2.0 * va.dp - 3.0 * vb.dp,
-            2.0 * va.dq - 3.0 * vb.dq,
-        )
-        expect = 2.0 * eval_extended_form(pt, va) - 3.0 * eval_extended_form(pt, vb)
-        assert abs(eval_extended_form(pt, combo) - expect) < 1e-12
+        t = np.array([0.0, 0.1, 0.2])
+        pt = dict(S=1.3, p=rng.normal(size=3), q=rng.normal(size=3))
+        va, vb = (dict(dz=rng.normal(), dT=rng.normal(), dq=rng.normal(size=3)) for _ in "ab")
+        combo = {k: 2.0 * va[k] - 3.0 * vb[k] for k in va}
+        fa, fb, fc = (form_values(ext_line(**pt, **v, t=t)) for v in (va, vb, combo))
+        assert np.abs(fc - (2.0 * fa - 3.0 * fb)).max() < 1e-12
 
 
 class TestReducedForm:
     def test_reeb_direction(self):
-        pt = ReducedPoint(0.0, [1.0], [0.0])
-        assert eval_reduced_form(pt, ReducedVelocity(1.0, [0.0], [0.0])) == 1.0
+        assert np.all(form_values(red_line(p=(1.0,), dz=1.0)) == 1.0)
 
     def test_arithmetic_example(self):
-        pt = ReducedPoint(0.0, [2.0], [0.0])
-        assert eval_reduced_form(pt, ReducedVelocity(1.0, [0.0], [1.0])) == -1.0
+        assert np.all(form_values(red_line(p=(2.0,), dz=1.0, dq=(1.0,))) == -1.0)
 
     def test_vanishes_on_jet_graph_tangents_fd(self):
-        # tangents to {z = f(q), p = f'(q)} built from finite differences
+        # a three-sample path along {z = f(q), p = f'(q)}; its middle
+        # velocity is the central finite difference
         rng = np.random.default_rng(11)
         step = 1e-5
         for _ in range(50):
@@ -109,13 +116,15 @@ class TestReducedForm:
             def f(x):
                 return a[0] + a[1] * x + a[2] * x * x + a[3] * np.sin(x)
 
+            def fp(x):
+                return a[1] + 2 * a[2] * x + a[3] * np.cos(x)
+
             x = float(rng.uniform(-2, 2))
-            fp = (f(x + step) - f(x - step)) / (2 * step)
-            fpp = (f(x + step) - 2 * f(x) + f(x - step)) / step**2
             dq = float(rng.uniform(-1, 1))
-            pt = ReducedPoint(f(x), [a[1] + 2 * a[2] * x + a[3] * math.cos(x)], [x])
-            v = ReducedVelocity(fp * dq, [fpp * dq], [dq])
-            assert abs(eval_reduced_form(pt, v)) < 1e-8
+            t = np.array([-step, 0.0, step])
+            q = x + dq * t
+            path = SampledPath(t, f(q), fp(q), q)
+            assert abs(form_values(path)[1]) < 1e-8
 
 
 class TestPathChecks:
@@ -156,10 +165,6 @@ class TestPathChecks:
             rep = check_path_nonnegative(SampledPath.from_points(t, pts), slack=1e-3)
             assert rep.verdict == "nonnegative"
 
-    def test_which_form_must_match(self):
-        with pytest.raises(ValueError):
-            check_path_nonnegative(self.chord_path(1.0), which_form="extended")
-
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             SampledPath.from_points(np.array([0.0]), (ReducedPoint(0.0, [1.0], [0.0]),))
@@ -180,10 +185,10 @@ class TestPathChecks:
         # quadratic coordinates are differentiated exactly at interior nodes
         t = np.linspace(0.0, 1.0, 11)
         pts = tuple(ReducedPoint(3 * ti**2, [ti], [2 * ti]) for ti in t)
-        vels = path_velocities(SampledPath.from_points(t, pts))
-        for ti, v in list(zip(t, vels))[1:-1]:
-            assert abs(v.dz - 6 * ti) < 1e-12
-            assert abs(float(v.dq[0]) - 2.0) < 1e-12
+        vel = _velocity_matrix(SampledPath.from_points(t, pts))  # rows dz, dp, dq
+        for ti, (dz, _, dq) in list(zip(t, vel))[1:-1]:
+            assert abs(dz - 6 * ti) < 1e-12
+            assert abs(dq - 2.0) < 1e-12
 
     def test_extended_velocities_carry_all_coordinates(self):
         t = np.linspace(0.0, 1.0, 7)
@@ -191,14 +196,13 @@ class TestPathChecks:
             ExtendedPoint(ti, 2.0 * ti, 1.0 + ti, [3.0 * ti, 0.0], [0.0, -ti])
             for ti in t
         )
-        vels = path_velocities(SampledPath.from_points(t, pts))
-        v = vels[3]
-        assert isinstance(v, ExtendedVelocity)
-        assert abs(v.dz - 1.0) < 1e-12
-        assert abs(v.dS - 2.0) < 1e-12
-        assert abs(v.dT - 1.0) < 1e-12
-        assert abs(float(v.dp[0]) - 3.0) < 1e-12
-        assert abs(float(v.dq[1]) + 1.0) < 1e-12
+        vel = _velocity_matrix(SampledPath.from_points(t, pts))
+        dz, dS, dT, dp_1, _, _, dq_2 = vel[3]  # row dz, dS, dT, dp_1, dp_2, dq_1, dq_2
+        assert abs(dz - 1.0) < 1e-12
+        assert abs(dS - 2.0) < 1e-12
+        assert abs(dT - 1.0) < 1e-12
+        assert abs(dp_1 - 3.0) < 1e-12
+        assert abs(dq_2 + 1.0) < 1e-12
 
 
 class TestColumns:
@@ -268,29 +272,30 @@ class TestColumns:
 
 class TestAdmissibilityDecrement:
     def test_temperature_only_reduction(self):
-        pt = make_ext(S=2.0)
-        v = ExtendedVelocity(0.0, 0.0, 0.5, [0.0], [0.0])
+        path = ext_line(S=2.0, dT=0.5)
         spec = ReductionSpec(k=1, T0=1.0)
-        assert admissibility_decrement(pt, v, spec) == 1.0
+        assert np.all(admissibility_decrement(path, spec) == 1.0)
 
     def test_nothing_reduced_gives_zero(self):
-        pt = make_ext(S=2.0)
-        v = ExtendedVelocity(1.0, 0.3, 0.0, [0.4], [0.9])
-        assert admissibility_decrement(pt, v, ReductionSpec(k=1)) == 0.0
+        # S moves at rate 0.3 while T stays put
+        t = T3
+        path = SampledPath(t, 1.0 * t, 0.4 * t, 0.9 * t, 2.0 + 0.3 * t, np.ones(3))
+        assert np.all(admissibility_decrement(path, ReductionSpec(k=1)) == 0.0)
 
     def test_magnet_entropy_makes_heating_admissible(self):
         # S comes from the mixing-entropy formula, positive away from saturation
         for M in (-0.9, -0.2, 0.0, 0.4, 0.8):
-            S = cw_entropy(M)
-            pt = ExtendedPoint(0.0, S, 1.0, [M], [0.1])
-            v = ExtendedVelocity(0.0, 0.0, 0.7, [0.0], [0.0])
-            assert admissibility_decrement(pt, v, ReductionSpec(k=1, T0=1.0)) > 0
+            path = ext_line(S=cw_entropy(M), T=1.0, p=(M,), q=(0.1,), dT=0.7)
+            assert np.all(admissibility_decrement(path, ReductionSpec(k=1, T0=1.0)) > 0)
 
     def test_frozen_indices_contribute(self):
-        pt = ExtendedPoint(0.0, 1.0, 1.0, [1.0, 2.0], [0.0, 0.0])
-        v = ExtendedVelocity(0.0, 0.0, 0.0, [0.0, 0.0], [0.0, 0.5])
+        path = ext_line(S=1.0, p=(1.0, 2.0), q=(0.0, 0.0), dq=(0.0, 0.5))
         spec = ReductionSpec(k=1, frozen_q={1: 0.0})
-        assert admissibility_decrement(pt, v, spec) == 1.0
+        assert np.all(admissibility_decrement(path, spec) == 1.0)
+
+    def test_needs_an_extended_path(self):
+        with pytest.raises(ValueError, match="extended"):
+            admissibility_decrement(red_line(), ReductionSpec(k=1))
 
 
 class TestReduce:
@@ -372,14 +377,11 @@ class TestReduce:
 
 class TestEntropyRate:
     def test_reversible_tangent_has_zero_rate(self):
-        pt = make_ext(S=2.0, T=2.0, p=(3.0,))
-        v = ExtendedVelocity(2.0 * 1.0 + 3.0 * 0.5, 0.0, 1.0, [0.2], [0.5])
-        assert abs(irreversible_entropy_rate(pt, v)) < 1e-15
+        path = ext_line(S=2.0, T=2.0, p=(3.0,), dz=2.0 * 1.0 + 3.0 * 0.5, dT=1.0, dq=(0.5,))
+        assert np.abs(irreversible_entropy_rate(path)).max() < 1e-15
 
     def test_reeb_direction_rate(self):
-        pt = make_ext(T=2.0)
-        v = ExtendedVelocity(1.0, 0.0, 0.0, [0.0], [0.0])
-        assert irreversible_entropy_rate(pt, v) == 0.5
+        assert np.all(irreversible_entropy_rate(ext_line(T=2.0, dz=1.0)) == 0.5)
 
     def test_nonnegative_on_accepted_paths(self):
         t = np.linspace(0.0, 1.0, 30)
@@ -387,8 +389,11 @@ class TestEntropyRate:
         path = SampledPath.from_points(t, pts)
         rep = check_path_nonnegative(path, slack=0.0)
         assert rep.verdict == "nonnegative"
-        for pt, v in zip(path.points, path_velocities(path)):
-            assert irreversible_entropy_rate(pt, v) >= 0.0
+        assert np.all(irreversible_entropy_rate(path) >= 0.0)
+
+    def test_needs_an_extended_path(self):
+        with pytest.raises(ValueError, match="extended"):
+            irreversible_entropy_rate(red_line())
 
 
 class TestSerialization:
