@@ -45,6 +45,7 @@ from .models import (
     cw_coupling_derivatives,
     cw_dz_dT,
     cw_entropy,
+    cw_entropy_y,
     cw_from_barred,
     cw_magnetization_roots,
     cw_point_from_p,

@@ -32,6 +32,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 SELF_CONSISTENCY_TOL = 1e-10
+# nodes of the grid on whose cells cw_magnetization_roots refines each root
+SCAN_NODES = 10_000
 
 
 class DomainError(ValueError):
@@ -148,12 +150,27 @@ class CurieWeissParams:
 
 @dataclass(frozen=True)
 class CWBranchPoint:
-    """An equilibrium magnetization branch point (p, q, z) with its stability."""
+    """An equilibrium magnetization branch point (p, q, z) with its stability.
+
+    ``y`` = atanh(p) is the solved variable; it stays finite where p rounds
+    to +-1, so quantities that depend on p should be evaluated in y.
+    """
 
     p: float
     q: float
     z: float
     stability: str  # 'global_min' | 'local_min' | 'unstable'
+    y: float
+
+
+def _gas_zp(q, T, P_back):
+    """z = phi_T(q - P_back) and p = phi_T'(q - P_back) on the gas front.
+
+    Takes scalars (returns floats) or columns (returns arrays), as _cw_z
+    does; T and P_back may be columns too, one value per sample.
+    """
+    x = np.asarray(q, dtype=float) - P_back
+    return _floats(gas_phi(T, x), gas_dphi(T, x))
 
 
 def gas_front(par: IdealGasParams) -> FrontFunction:
@@ -164,8 +181,8 @@ def gas_front(par: IdealGasParams) -> FrontFunction:
     """
     T, pb = par.T, par.P_back
     return FrontFunction(
-        f=lambda q: gas_phi(T, np.asarray(q, dtype=float) - pb),
-        fprime=lambda q: gas_dphi(T, np.asarray(q, dtype=float) - pb),
+        f=lambda q: _gas_zp(q, T, pb)[0],
+        fprime=lambda q: _gas_zp(q, T, pb)[1],
         domain=(-math.inf, pb),
         label=f"gas front T={T:g}, P_back={pb:g}",
     )
@@ -184,6 +201,18 @@ def cw_entropy(p: float) -> float:
     return out
 
 
+def cw_entropy_y(y: float) -> float:
+    """Mixing entropy of the magnetization tanh(y), for any finite y.
+
+    Equals ln 2cosh(y) - y tanh(y), evaluated as 2sw/(1+w) + log1p(w) with
+    s = |y| and w = exp(-2s), which keeps the exponentially small tail
+    representable where tanh(y) rounds to +-1 and cw_entropy cannot take p.
+    """
+    s = abs(y)
+    w = math.exp(-2.0 * s)
+    return 2.0 * s * w / (1.0 + w) + math.log1p(w)
+
+
 def _cw_z(p, q, T, H_back, b):
     """The magnet z-formula T ln 2cosh((q + H_back + b p)/T) - b p^2/2.
 
@@ -194,22 +223,36 @@ def _cw_z(p, q, T, H_back, b):
     return float(z) if np.ndim(z) == 0 else z
 
 
+def cw_fold(T: float, b: float) -> float | None:
+    """The turning point y* = acosh(sqrt(b/T)) of g(y) = T y - b tanh y.
+
+    g' = T - b sech^2 y, so g is increasing on y <= -y* and y >= y* and
+    decreasing in between; None when b <= T, where g is monotone on the
+    whole line.  These are the monotone pieces of the magnet family, and the
+    fold is where two of its roots meet and disappear.
+    """
+    return math.acosh(math.sqrt(b / T)) if b > T else None
+
+
 def cw_magnetization_roots(
     q: float,
     par: CurieWeissParams,
-    scan_points: int = 10_000,
     tol: float = 1e-12,
 ) -> list[CWBranchPoint]:
     """All magnetizations solving p = tanh((q + H_back + b p)/T), with labels.
 
     Substituting p = tanh(y) turns the fixed-point equation into
-    T y - b tanh(y) = q + H_back, whose roots are bracketed by a sign-change
-    scan (default 10^4 nodes, done as one array mask) and refined to
-    ``tol``; only the bracketed cells reach brentq.  The substitution keeps
-    near-saturated roots resolvable.  A root is unstable iff
-    1 - (b/T)(1 - p^2) < 0; among the stable ones the largest z (smallest
-    free energy) is the global minimum, ties resolved to the non-negative
-    branch.
+    g(y) = T y - b tanh(y) - q - H_back = 0, which keeps near-saturated
+    roots resolvable.  g is monotone on each piece cut at the folds +-y* of
+    :func:`cw_fold`, so each piece whose ends differ in sign holds exactly
+    one root, found there to ``tol``.  Each root is then refined again on
+    the cell that brackets it in a grid of ``SCAN_NODES`` nodes over
+    [y_lo, y_hi], built as np.linspace builds it, so the result does not
+    depend on the piece ends.  A root whose cell has no sign change (two
+    roots of a near-fold pair sharing one cell) keeps its piece solution.
+    A root is unstable iff 1 - (b/T)(1 - p^2) < 0; among the stable ones
+    the largest z (smallest free energy) is the global minimum, ties
+    resolved to the non-negative branch.
     """
     T, b = par.T, par.b
     target = q + par.H_back
@@ -219,14 +262,36 @@ def cw_magnetization_roots(
 
     y_lo = (target - b) / T - 1.0
     y_hi = (target + b) / T + 1.0
-    ys = np.linspace(y_lo, y_hi, scan_points)
+    fold = cw_fold(T, b)
+    cuts = [] if fold is None else [y for y in (-fold, fold) if y_lo < y < y_hi]
+    edges = [y_lo, *cuts, y_hi]
+    g_edges = [resid(y) for y in edges]
+    pieces = []  # (root on the piece, piece ends)
+    for a, c, ga, gc in zip(edges, edges[1:], g_edges, g_edges[1:]):
+        if min(ga, gc) <= 0.0 <= max(ga, gc):
+            pieces.append((float(brentq(resid, a, c, xtol=tol)), a, c))
+
+    # Nodes i - 1 .. i + 2 around the cell i holding each root, all in one
+    # numpy call: node k is k * step + y_lo and the last node is y_hi, as
+    # np.linspace computes them.
+    step = (y_hi - y_lo) / (SCAN_NODES - 1)
+    first = [min(max(int((y - y_lo) / step), 1), SCAN_NODES - 3) - 1 for y, _, _ in pieces]
+    index = np.add.outer(first, np.arange(4)).astype(float)
+    ys = index * step + y_lo
+    ys[index == SCAN_NODES - 1] = y_hi
     vals = T * ys - b * np.tanh(ys) - target
 
-    # Exact zeros at any node (the last one included) are roots; a sign
-    # change between nodes i and i + 1 brackets one.
-    roots_y = [float(ys[i]) for i in np.flatnonzero(vals == 0.0)]
-    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
-        roots_y.append(float(brentq(resid, ys[i], ys[i + 1], xtol=tol)))
+    roots_y = []
+    for (y, a, c), nodes, g in zip(pieces, ys.tolist(), vals.tolist()):
+        # exact zeros on a node are roots; a sign change brackets one
+        brackets = [(nodes[k], nodes[k]) for k in range(4) if g[k] == 0.0]
+        brackets += [(nodes[k], nodes[k + 1]) for k in range(3) if g[k] * g[k + 1] < 0.0]
+        if brackets:
+            lo, hi = min(brackets, key=lambda br: max(br[0] - y, y - br[1], 0.0))
+            cell_y = lo if lo == hi else float(brentq(resid, lo, hi, xtol=tol))
+            if a <= cell_y <= c:
+                y = cell_y
+        roots_y.append(y)
 
     deduped: list[float] = []
     for y in sorted(roots_y):
@@ -243,7 +308,7 @@ def cw_magnetization_roots(
                 f"{SELF_CONSISTENCY_TOL} at p={p!r}"
             )
         unstable = 1.0 - (b / T) * (1.0 - p * p) < 0.0
-        points.append([p, _cw_z(p, q, T, par.H_back, b), unstable])
+        points.append([p, _cw_z(p, q, T, par.H_back, b), unstable, y])
 
     stable = [pt for pt in points if not pt[2]]
     best = None
@@ -260,7 +325,7 @@ def cw_magnetization_roots(
             label = "global_min"
         else:
             label = "local_min"
-        out.append(CWBranchPoint(pt[0], q, pt[1], label))
+        out.append(CWBranchPoint(pt[0], q, pt[1], label, pt[3]))
     return out
 
 
@@ -291,7 +356,7 @@ def cw_point_from_p(p: float, par: CurieWeissParams) -> CWBranchPoint:
     q, z = _cw_qz(p, par)
     roots = cw_magnetization_roots(q, par)
     nearest = min(roots, key=lambda r: abs(r.p - p))
-    return CWBranchPoint(p, q, z, nearest.stability)
+    return CWBranchPoint(p, q, z, nearest.stability, math.atanh(p))
 
 
 def difference_front(model: str, t0: float, t1: float, c: float) -> FrontFunction:
@@ -401,17 +466,15 @@ def cw_dz_dT(p: float, q: float, T: float, b: float) -> float:
         ln 2 + ln cosh(A/T) - (A/T) tanh(A/T),
 
     which equals the mixing entropy of tanh(A/T) and is strictly positive
-    for finite A/T.  Evaluated as 2sw/(1+w) + log1p(w) with s = |A/T| and
-    w = exp(-2s), which keeps the exponentially small tail representable
-    instead of being absorbed by the large cosh term.
+    for finite A/T; evaluated by :func:`cw_entropy_y`, which keeps the
+    exponentially small tail representable instead of being absorbed by the
+    large cosh term.
     """
     if not -1.0 < p < 1.0:
         raise ValueError(f"magnetization must lie in (-1, 1), got {p}")
     if not T > 0:
         raise ValueError("temperature must be positive")
-    s = abs(q + b * p) / T
-    w = math.exp(-2.0 * s)
-    return 2.0 * s * w / (1.0 + w) + math.log1p(w)
+    return cw_entropy_y((q + b * p) / T)
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +482,9 @@ def cw_dz_dT(p: float, q: float, T: float, b: float) -> float:
 
 def sample_gas_legendrian(par: IdealGasParams, q_grid) -> np.ndarray:
     """Columns (q, p, z) of the gas equilibrium family over a q grid."""
-    front = gas_front(par)
-    q = np.asarray(q_grid, dtype=float)
-    return np.column_stack([q, front.slope(q), front.value(q)])
+    q = gas_front(par)._check(q_grid)
+    z, p = _gas_zp(q, par.T, par.P_back)
+    return np.column_stack([q, p, z])
 
 
 def sample_cw_legendrian(par: CurieWeissParams, p_grid) -> np.ndarray:

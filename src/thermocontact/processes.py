@@ -33,9 +33,9 @@ from .chords import Chord, DegenerateChordError, gas_chord
 from .models import (
     CurieWeissParams,
     _cw_z,
+    _gas_zp,
+    cw_fold,
     cw_magnetization_roots,
-    gas_dphi,
-    gas_phi,
 )
 from .phase_space import (
     NonnegReport,
@@ -123,7 +123,8 @@ class IsotopyTrace:
         for path in self.paths:
             p, q = path.p[:, 0], path.q[:, 0]
             if self.model == "gas":
-                dev = [np.abs(p - gas_dphi(T, q - bg)), np.abs(path.z - gas_phi(T, q - bg))]
+                z, p_front = _gas_zp(q, T, bg)
+                dev = [np.abs(p - p_front), np.abs(path.z - z)]
             else:
                 arg = (q + bg + self.b * p) / T
                 # math.tanh, not np.tanh: the two may round differently
@@ -133,26 +134,36 @@ class IsotopyTrace:
         return worst
 
 
+def _cw_side(y: float, fold: float | None) -> int:
+    """-1, 0 or 1: the monotone piece (y <= -y*, |y| < y*, y >= y*) of the
+    magnet root y where the family folds at +-y*, else the sign of y."""
+    if fold is None:
+        return (y > 0.0) - (y < 0.0)
+    return (y >= fold) - (y <= -fold)
+
+
 def run_slow_isotopy(
     model: str,
     sched: Schedule,
     x_grid,
     b: float | None = None,
     slack: float = 1e-8,
-    scan_points: int = 10_000,
-    branch_jump_tol: float = 0.1,
 ) -> IsotopyTrace:
     """Trace the scheduled equilibrium family point by point.
 
     Each x is a chart parameter of the initial family: an intensive value q
     for the gas, a magnetization p for the magnet.  The intensive coordinate
     of every traced point is held fixed while the family moves, so the gas
-    point follows p = phi'_T(q - bg) directly and the magnet point tracks
-    the self-consistency root nearest to its previous magnetization.  A
-    magnetization jump above ``branch_jump_tol`` means the tracked branch
-    disappeared (a fold of the family); this raises
-    :class:`BranchLossError` naming the time node rather than silently
-    hopping branches.
+    point follows p = phi'_T(q - bg) directly.  The magnet point follows its
+    root of T y - b tanh y = q + bg (p = tanh y) by the monotone piece that
+    holds it (:func:`~thermocontact.models.cw_fold`): the whole line where
+    T >= b, else y <= -y*, |y| < y* or y >= y*.  Between two nodes where the
+    family folds the root stays on its piece; between two nodes where it
+    does not, the single root always continues; across a split or a merge
+    it continues to the root with the same sign of y, y = 0 going to the
+    middle piece.  When that root does not exist the branch has passed a
+    fold, and :class:`BranchLossError` names the time node rather than
+    silently hopping branches.
     """
     if model not in ("gas", "cw"):
         raise ValueError(f"unknown model {model!r}, expected 'gas' or 'cw'")
@@ -170,31 +181,32 @@ def run_slow_isotopy(
                 raise ValueError(
                     f"gas chart value q={x} leaves the front domain under the schedule"
                 )
-            arg = x - bgs
-            paths.append(
-                SampledPath(times, gas_phi(temps, arg), gas_dphi(temps, arg), np.full(times.size, x))
-            )
+            z, p = _gas_zp(x, temps, bgs)
+            paths.append(SampledPath(times, z, p, np.full(times.size, x)))
     else:
         if b is None or not b > 0:
             raise ValueError("the magnet model needs a positive spin interaction b")
+        folds = [cw_fold(T, b) for T in temps.tolist()]
         for x in x_grid:
             if not -1.0 < x < 1.0:
                 raise ValueError(f"magnet chart value p={x} must lie in (-1, 1)")
             q = -b * x + temps[0] * math.atanh(x) - bgs[0]
-            p_prev = float(x)
+            y_prev, fold_prev = math.atanh(x), folds[0]
             z, p = np.empty(times.size), np.empty(times.size)
-            for j in range(times.size):
-                par = CurieWeissParams(T=temps[j], H_back=bgs[j], b=b)
-                roots = cw_magnetization_roots(q, par, scan_points=scan_points)
-                nearest = min(roots, key=lambda r: abs(r.p - p_prev))
-                if abs(nearest.p - p_prev) > branch_jump_tol:
+            for j, fold in enumerate(folds):
+                roots = cw_magnetization_roots(q, CurieWeissParams(T=temps[j], H_back=bgs[j], b=b))
+                if fold is not None or fold_prev is not None:
+                    # the same piece between split nodes, else the same sign of y
+                    side = _cw_side(y_prev, fold_prev if fold is not None else None)
+                    roots = [r for r in roots if _cw_side(r.y, fold) == side]
+                if not roots:
                     raise BranchLossError(
                         f"equilibrium branch lost at time node {j} "
-                        f"(t={times[j]:.6g}): magnetization jumped from "
-                        f"{p_prev:.6g} to {nearest.p:.6g}"
+                        f"(t={times[j]:.6g}): the root continuing magnetization "
+                        f"{math.tanh(y_prev):.6g} vanished at a fold"
                     )
-                p_prev = nearest.p
-                z[j], p[j] = nearest.z, nearest.p
+                y_prev, fold_prev = roots[0].y, fold
+                z[j], p[j] = roots[0].z, roots[0].p
             paths.append(SampledPath(times, z, p, np.full(times.size, q)))
 
     reports = tuple(check_path_nonnegative(path, slack=slack) for path in paths)

@@ -2,9 +2,12 @@
 
 These are the scalar walks that ``chords.find_chords`` and
 ``models.cw_magnetization_roots`` used before their scans were vectorised.
-The library versions must return results equal (``==``) to these on every
+``find_chords`` must return results equal (``==``) to its loop on every
 input: the refinement, dedup and edge rules are the same, only the way the
-brackets are found differs.
+brackets are found differs.  ``cw_magnetization_roots`` now solves the
+monotone pieces of its equation and refines each root on the same 10^4-node
+grid, so it must equal its loop wherever the scan brackets every root; it
+also returns the roots that share one scan cell, which the loop misses.
 """
 
 from __future__ import annotations
@@ -133,7 +136,7 @@ def loop_cw_magnetization_roots(
                 f"{SELF_CONSISTENCY_TOL} at p={p!r}"
             )
         unstable = 1.0 - (b / T) * (1.0 - p * p) < 0.0
-        points.append([p, _cw_z(p, q, T, par.H_back, b), unstable])
+        points.append([p, _cw_z(p, q, T, par.H_back, b), unstable, y])
 
     stable = [pt for pt in points if not pt[2]]
     best = None
@@ -150,5 +153,5 @@ def loop_cw_magnetization_roots(
             label = "global_min"
         else:
             label = "local_min"
-        out.append(CWBranchPoint(pt[0], q, pt[1], label))
+        out.append(CWBranchPoint(pt[0], q, pt[1], label, pt[3]))
     return out

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermocontact import (
     Chord,
@@ -250,6 +252,44 @@ class TestFindChords:
             assert len(found) == 1
             assert abs(found[0].q - closed.q) < 1e-8
             assert abs(found[0].length - closed.length) < 1e-8
+
+
+class TestFindChordsAgainstClosedForms:
+    """On criterion 10's ranges, the scan finds exactly the closed-form chord."""
+
+    @staticmethod
+    def assert_one_upward_chord(found, q, length):
+        assert len(found) == 1
+        assert found[0].direction == 1
+        assert abs(found[0].q - q) <= 1e-8
+        assert abs(found[0].length - length) <= 1e-8
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.floats(0.2, 3.0), st.floats(0.1, 3.0), st.floats(0.05, 0.95))
+    def test_gas(self, t0, dT, frac):
+        c = frac * dT
+        qstar = -c * t0 / dT
+        found = find_chords(
+            constant_front(0.0, (-math.inf, 0.0)),
+            difference_front("gas", t0, t0 + dT, c),
+            10 * qstar - 1.0,
+            qstar / 10.0,
+            grid_n=20001,
+        )
+        closed = gas_chord(t0, t0 + dT, c)
+        self.assert_one_upward_chord(found, closed.q, closed.length)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.floats(0.3, 3.0), st.floats(0.2, 3.0), st.floats(-2.0, 2.0), st.floats(0.2, 3.0)
+    )
+    def test_cw(self, t0, dT, c, b):
+        found = find_chords(
+            constant_front(), difference_front("cw", t0, t0 + dT, c), -40.0, 40.0, grid_n=40001
+        )
+        closed = cw_chord(t0, t0 + dT, c, b)
+        # the barred abscissa Q = q + b p
+        self.assert_one_upward_chord(found, closed.q + b * closed.p, closed.length)
 
 
 class TestSerialization:

@@ -434,6 +434,21 @@ class TestOtherCommands:
         )
         assert code == 2
 
+    def test_isotopy_without_a_fold_keeps_every_branch(self, tmp_path):
+        # T > b at every node: coarse time steps move p by more than 0.1
+        # between nodes, but each node has exactly one root to continue to
+        code = dispatch(
+            [
+                "isotopy", "cw",
+                "--b", "1", "--T0", "1.1", "--T1", "1.6",
+                "--x-lo", "0.05", "--x-hi", "0.3", "--n-x", "6", "--n-times", "6",
+                "--out-dir", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        manifest = json.loads((tmp_path / "isotopy_manifest.json").read_text())
+        assert manifest["legendrian_residual"] < 1e-8
+
     def test_stirling(self, tmp_path, capsys):
         code = dispatch(
             [

@@ -13,6 +13,7 @@ from thermocontact import (
     cw_coupling_derivatives,
     cw_dz_dT,
     cw_entropy,
+    cw_entropy_y,
     cw_from_barred,
     cw_magnetization_roots,
     cw_point_from_p,
@@ -143,6 +144,14 @@ class TestMagnetizationRoots:
         roots = cw_magnetization_roots(10.0, CurieWeissParams(T=1.0, b=1.0))
         assert len(roots) == 1
         assert roots[0].p > 0.99999
+
+    def test_saturated_roots_keep_a_finite_y(self):
+        # at T = 0.04 the outer roots are p = tanh(+-25), which rounds to +-1
+        roots = cw_magnetization_roots(0.0, CurieWeissParams(T=0.04, b=1.0))
+        assert [r.p for r in roots] == [-1.0, 0.0, 1.0]
+        for r in roots:
+            assert math.isfinite(r.y) and r.p == math.tanh(r.y)
+            assert cw_entropy_y(r.y) > 0.0
 
     def test_asymmetric_global_minimum(self):
         # a positive field tilts the double well toward positive p

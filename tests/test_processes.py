@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermocontact import (
     AffineHamiltonian,
@@ -131,6 +133,38 @@ class TestSlowIsotopyMagnet:
         sched = Schedule.linear(101, 1.0, 2.0, 0.0, 0.0)
         with pytest.raises(BranchLossError, match="time node"):
             run_slow_isotopy("cw", sched, [-0.5], b=1.2)
+
+    def test_zero_magnetization_splits_onto_the_middle_piece(self):
+        # q = 0: the single root y = 0 above T = b continues as the unstable
+        # middle root below it, not as either outer branch
+        trace = run_slow_isotopy("cw", Schedule.linear(2, 2.0, 0.5), [0.0], b=1.0)
+        assert trace.paths[0].p[:, 0].tolist() == [0.0, 0.0]
+
+    def test_merge_continues_the_root_of_the_same_sign(self):
+        # at T = 0.5 < b the outer roots at +-0.96 continue through the merge;
+        # -0.9 at a positive field is metastable and has no root left at T = 2
+        sched = Schedule.linear(2, 0.5, 2.0)
+        trace = run_slow_isotopy("cw", sched, [-0.96, 0.96], b=1.0)
+        assert [np.sign(path.p[:, 0]).tolist() for path in trace.paths] == [[-1, -1], [1, 1]]
+        with pytest.raises(BranchLossError, match="time node 1"):
+            run_slow_isotopy("cw", sched, [-0.9], b=1.0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        st.floats(0.05, 3.0),  # b
+        st.floats(1e-6, 2.0),  # T0 / b - 1
+        st.floats(1e-6, 2.0),  # T1 / b - 1
+        st.floats(-2.0, 2.0),  # bg0
+        st.floats(-2.0, 2.0),  # bg1
+        st.integers(2, 12),  # n_times
+        st.lists(st.floats(-0.99, 0.99), min_size=1, max_size=4),  # x_grid
+    )
+    def test_no_branch_loss_without_a_fold(self, b, u0, u1, bg0, bg1, n_times, x_grid):
+        # T > b at every node leaves exactly one root, so nothing can be lost
+        sched = Schedule.linear(n_times, b * (1.0 + u0), b * (1.0 + u1), bg0, bg1)
+        assert np.all(sched.temperatures > b)
+        trace = run_slow_isotopy("cw", sched, x_grid, b=b)
+        assert trace.legendrian_residual() < 1e-8
 
     def test_b_required(self):
         sched = Schedule.linear(11, 1.0, 1.5, 0.0, 0.0)

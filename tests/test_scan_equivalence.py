@@ -1,4 +1,5 @@
-"""The array-mask scans return exactly what the per-node loops returned."""
+"""The library root finders return exactly what the per-node loops return
+wherever the loops find every root."""
 
 import math
 
@@ -121,20 +122,31 @@ def test_magnetization_roots_match_loop(draw):
     )
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(_magnet, st.integers(1, 300))
-def test_magnetization_roots_match_loop_on_coarse_scans(draw, scan_points):
-    # coarse grids leave roots unbracketed and can put exact zeros on nodes
-    # (q = H_back = 0 makes the grid symmetric about the root y = 0)
-    q, T, H, b = draw
-    for q, H in ((q, H), (0.0, 0.0)):
-        par = CurieWeissParams(T=T, H_back=H, b=b)
-        assert _outcome(cw_magnetization_roots, q, par, scan_points) == _outcome(
-            loop_cw_magnetization_roots, q, par, scan_points
-        )
-
-
 def test_exact_zero_on_a_node_is_a_root():
-    roots = cw_magnetization_roots(0.0, CurieWeissParams(T=2.0, b=1.0), scan_points=3)
-    assert [r.p for r in roots] == [0.0]
-    assert roots == loop_cw_magnetization_roots(0.0, CurieWeissParams(T=2.0, b=1.0), 3)
+    # the residual is exactly 0.0 on node 4343 of the 10^4-node grid; the
+    # piece solution alone lands one ulp away from that node
+    q, par = -0.4389697289957094, CurieWeissParams(T=2.0, b=1.0)
+    roots = cw_magnetization_roots(q, par)
+    node = np.linspace((q - 1.0) / 2.0 - 1.0, (q + 1.0) / 2.0 + 1.0, 10_000)[4343]
+    assert 2.0 * node - np.tanh(node) - q == 0.0
+    assert [r.y for r in roots] == [node]
+    assert roots == loop_cw_magnetization_roots(q, par)
+
+
+@pytest.mark.parametrize(
+    "q, T, labels",
+    [
+        # a fold pair 3.4e-4 apart, in one cell of width 6e-4
+        (-0.26641997767677594, 0.5, ["global_min", "unstable", "local_min"]),
+        # three roots spanning 1.4e-4 next to the pitchfork, cells 4e-4 wide
+        (-1.5539199884980005e-14, 0.9999999983566775, ["local_min", "unstable", "global_min"]),
+    ],
+)
+def test_roots_closer_than_a_scan_cell(q, T, labels):
+    # the scan misses roots that share a cell: no sign change marks them
+    par = CurieWeissParams(T=T, b=1.0)
+    roots = cw_magnetization_roots(q, par)
+    assert [r.stability for r in roots] == labels
+    for r in roots:
+        assert abs(r.p - math.tanh((q + r.p) / T)) < 1e-15
+    assert len(loop_cw_magnetization_roots(q, par)) == 1
