@@ -154,6 +154,10 @@ class CWBranchPoint:
 
     ``y`` = atanh(p) is the solved variable; it stays finite where p rounds
     to +-1, so quantities that depend on p should be evaluated in y.
+    ``piece`` is -1, 0 or 1: the monotone piece y <= -y*, |y| < y* or
+    y >= y* of :func:`cw_fold` that the root was solved on, and where the
+    family does not fold the sign of y (read from the sign of q + H_back,
+    which it equals exactly), so y = 0 sits on the middle piece either way.
     """
 
     p: float
@@ -161,6 +165,7 @@ class CWBranchPoint:
     z: float
     stability: str  # 'global_min' | 'local_min' | 'unstable'
     y: float
+    piece: int
 
 
 def _gas_zp(q, T, P_back):
@@ -245,11 +250,12 @@ def cw_magnetization_roots(
     g(y) = T y - b tanh(y) - q - H_back = 0, which keeps near-saturated
     roots resolvable.  g is monotone on each piece cut at the folds +-y* of
     :func:`cw_fold`, so each piece whose ends differ in sign holds exactly
-    one root, found there to ``tol``.  Each root is then refined again on
-    the cell that brackets it in a grid of ``SCAN_NODES`` nodes over
-    [y_lo, y_hi], built as np.linspace builds it, so the result does not
-    depend on the piece ends.  A root whose cell has no sign change (two
-    roots of a near-fold pair sharing one cell) keeps its piece solution.
+    one root, found there to ``tol`` and labelled with that ``piece``.
+    Each root is then refined again on the cell that brackets it in a grid
+    of ``SCAN_NODES`` nodes over [y_lo, y_hi], built as np.linspace builds
+    it, so the result does not depend on the piece ends.  A root whose cell
+    has no sign change (two roots of a near-fold pair sharing one cell)
+    keeps its piece solution.
     A root is unstable iff 1 - (b/T)(1 - p^2) < 0; among the stable ones
     the largest z (smallest free energy) is the global minimum, ties
     resolved to the non-negative branch.
@@ -266,23 +272,28 @@ def cw_magnetization_roots(
     cuts = [] if fold is None else [y for y in (-fold, fold) if y_lo < y < y_hi]
     edges = [y_lo, *cuts, y_hi]
     g_edges = [resid(y) for y in edges]
-    pieces = []  # (root on the piece, piece ends)
+    pieces = []  # (root on the piece, piece ends, piece)
     for a, c, ga, gc in zip(edges, edges[1:], g_edges, g_edges[1:]):
         if min(ga, gc) <= 0.0 <= max(ga, gc):
-            pieces.append((float(brentq(resid, a, c, xtol=tol)), a, c))
+            if fold is None:
+                # g is increasing and g(0) = -target: the exact sign of y
+                piece = int(target > 0.0) - int(target < 0.0)
+            else:
+                piece = int(a >= fold) - int(c <= -fold)
+            pieces.append((float(brentq(resid, a, c, xtol=tol)), a, c, piece))
 
     # Nodes i - 1 .. i + 2 around the cell i holding each root, all in one
     # numpy call: node k is k * step + y_lo and the last node is y_hi, as
     # np.linspace computes them.
     step = (y_hi - y_lo) / (SCAN_NODES - 1)
-    first = [min(max(int((y - y_lo) / step), 1), SCAN_NODES - 3) - 1 for y, _, _ in pieces]
+    first = [min(max(int((y - y_lo) / step), 1), SCAN_NODES - 3) - 1 for y, *_ in pieces]
     index = np.add.outer(first, np.arange(4)).astype(float)
     ys = index * step + y_lo
     ys[index == SCAN_NODES - 1] = y_hi
     vals = T * ys - b * np.tanh(ys) - target
 
     roots_y = []
-    for (y, a, c), nodes, g in zip(pieces, ys.tolist(), vals.tolist()):
+    for (y, a, c, piece), nodes, g in zip(pieces, ys.tolist(), vals.tolist()):
         # exact zeros on a node are roots; a sign change brackets one
         brackets = [(nodes[k], nodes[k]) for k in range(4) if g[k] == 0.0]
         brackets += [(nodes[k], nodes[k + 1]) for k in range(3) if g[k] * g[k + 1] < 0.0]
@@ -291,15 +302,15 @@ def cw_magnetization_roots(
             cell_y = lo if lo == hi else float(brentq(resid, lo, hi, xtol=tol))
             if a <= cell_y <= c:
                 y = cell_y
-        roots_y.append(y)
+        roots_y.append((y, piece))
 
-    deduped: list[float] = []
-    for y in sorted(roots_y):
-        if not deduped or abs(y - deduped[-1]) > 10 * tol:
-            deduped.append(y)
+    deduped: list[tuple[float, int]] = []
+    for y, piece in sorted(roots_y):
+        if not deduped or abs(y - deduped[-1][0]) > 10 * tol:
+            deduped.append((y, piece))
 
     points = []
-    for y in deduped:
+    for y, piece in deduped:
         p = math.tanh(y)
         residual = abs(p - math.tanh((q + par.H_back + b * p) / T))
         if residual > SELF_CONSISTENCY_TOL:
@@ -308,7 +319,7 @@ def cw_magnetization_roots(
                 f"{SELF_CONSISTENCY_TOL} at p={p!r}"
             )
         unstable = 1.0 - (b / T) * (1.0 - p * p) < 0.0
-        points.append([p, _cw_z(p, q, T, par.H_back, b), unstable, y])
+        points.append([p, _cw_z(p, q, T, par.H_back, b), unstable, y, piece])
 
     stable = [pt for pt in points if not pt[2]]
     best = None
@@ -325,7 +336,7 @@ def cw_magnetization_roots(
             label = "global_min"
         else:
             label = "local_min"
-        out.append(CWBranchPoint(pt[0], q, pt[1], label, pt[3]))
+        out.append(CWBranchPoint(pt[0], q, pt[1], label, pt[3], pt[4]))
     return out
 
 
@@ -356,7 +367,7 @@ def cw_point_from_p(p: float, par: CurieWeissParams) -> CWBranchPoint:
     q, z = _cw_qz(p, par)
     roots = cw_magnetization_roots(q, par)
     nearest = min(roots, key=lambda r: abs(r.p - p))
-    return CWBranchPoint(p, q, z, nearest.stability, math.atanh(p))
+    return CWBranchPoint(p, q, z, nearest.stability, math.atanh(p), nearest.piece)
 
 
 def difference_front(model: str, t0: float, t1: float, c: float) -> FrontFunction:

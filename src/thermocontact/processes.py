@@ -34,7 +34,6 @@ from .models import (
     CurieWeissParams,
     _cw_z,
     _gas_zp,
-    cw_fold,
     cw_magnetization_roots,
 )
 from .phase_space import (
@@ -134,14 +133,6 @@ class IsotopyTrace:
         return worst
 
 
-def _cw_side(y: float, fold: float | None) -> int:
-    """-1, 0 or 1: the monotone piece (y <= -y*, |y| < y*, y >= y*) of the
-    magnet root y where the family folds at +-y*, else the sign of y."""
-    if fold is None:
-        return (y > 0.0) - (y < 0.0)
-    return (y >= fold) - (y <= -fold)
-
-
 def run_slow_isotopy(
     model: str,
     sched: Schedule,
@@ -154,16 +145,16 @@ def run_slow_isotopy(
     Each x is a chart parameter of the initial family: an intensive value q
     for the gas, a magnetization p for the magnet.  The intensive coordinate
     of every traced point is held fixed while the family moves, so the gas
-    point follows p = phi'_T(q - bg) directly.  The magnet point follows its
-    root of T y - b tanh y = q + bg (p = tanh y) by the monotone piece that
-    holds it (:func:`~thermocontact.models.cw_fold`): the whole line where
-    T >= b, else y <= -y*, |y| < y* or y >= y*.  Between two nodes where the
-    family folds the root stays on its piece; between two nodes where it
-    does not, the single root always continues; across a split or a merge
-    it continues to the root with the same sign of y, y = 0 going to the
-    middle piece.  When that root does not exist the branch has passed a
-    fold, and :class:`BranchLossError` names the time node rather than
-    silently hopping branches.
+    point follows its root of T y - b tanh y = q + bg (p = tanh y) by the
+    ``piece`` that :func:`~thermocontact.models.cw_magnetization_roots`
+    labels it with: y <= -y*, |y| < y* or y >= y* where T < b and the
+    family folds at +-y*, else the sign of y, read exactly from the sign of
+    q + bg.  Between two nodes with T >= b the single root always
+    continues; otherwise the root continues to the one on the same piece,
+    so across a split or a merge the sign of y carries over and y = 0 goes
+    to the middle piece.  When that root does not exist the branch has
+    passed a fold, and :class:`BranchLossError` names the time node rather
+    than silently hopping branches.
     """
     if model not in ("gas", "cw"):
         raise ValueError(f"unknown model {model!r}, expected 'gas' or 'cw'")
@@ -186,26 +177,26 @@ def run_slow_isotopy(
     else:
         if b is None or not b > 0:
             raise ValueError("the magnet model needs a positive spin interaction b")
-        folds = [cw_fold(T, b) for T in temps.tolist()]
+        splits = (temps < b).tolist()
         for x in x_grid:
             if not -1.0 < x < 1.0:
                 raise ValueError(f"magnet chart value p={x} must lie in (-1, 1)")
-            q = -b * x + temps[0] * math.atanh(x) - bgs[0]
-            y_prev, fold_prev = math.atanh(x), folds[0]
+            y0 = math.atanh(x)
+            q = -b * x + temps[0] * y0 - bgs[0]
             z, p = np.empty(times.size), np.empty(times.size)
-            for j, fold in enumerate(folds):
+            for j, split in enumerate(splits):
                 roots = cw_magnetization_roots(q, CurieWeissParams(T=temps[j], H_back=bgs[j], b=b))
-                if fold is not None or fold_prev is not None:
-                    # the same piece between split nodes, else the same sign of y
-                    side = _cw_side(y_prev, fold_prev if fold is not None else None)
-                    roots = [r for r in roots if _cw_side(r.y, fold) == side]
+                if j == 0:
+                    roots = [min(roots, key=lambda r: abs(r.y - y0))]
+                elif split or splits[j - 1]:
+                    roots = [r for r in roots if r.piece == piece]
                 if not roots:
                     raise BranchLossError(
                         f"equilibrium branch lost at time node {j} "
                         f"(t={times[j]:.6g}): the root continuing magnetization "
-                        f"{math.tanh(y_prev):.6g} vanished at a fold"
+                        f"{p[j - 1]:.6g} vanished at a fold"
                     )
-                y_prev, fold_prev = roots[0].y, fold
+                piece = roots[0].piece
                 z[j], p[j] = roots[0].z, roots[0].p
             paths.append(SampledPath(times, z, p, np.full(times.size, q)))
 

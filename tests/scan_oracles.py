@@ -24,6 +24,7 @@ from thermocontact.models import (
     CWBranchPoint,
     FrontFunction,
     _cw_z,
+    cw_fold,
 )
 
 
@@ -126,8 +127,14 @@ def loop_cw_magnetization_roots(
         if not deduped or abs(y - deduped[-1]) > 10 * tol:
             deduped.append(y)
 
+    fold = cw_fold(T, b)
     points = []
     for y in deduped:
+        # the monotone piece holding y, as CWBranchPoint.piece defines it
+        if fold is None:
+            piece = int(target > 0.0) - int(target < 0.0)
+        else:
+            piece = int(y >= fold) - int(y <= -fold)
         p = math.tanh(y)
         residual = abs(p - math.tanh((q + par.H_back + b * p) / T))
         if residual > SELF_CONSISTENCY_TOL:
@@ -136,7 +143,7 @@ def loop_cw_magnetization_roots(
                 f"{SELF_CONSISTENCY_TOL} at p={p!r}"
             )
         unstable = 1.0 - (b / T) * (1.0 - p * p) < 0.0
-        points.append([p, _cw_z(p, q, T, par.H_back, b), unstable, y])
+        points.append([p, _cw_z(p, q, T, par.H_back, b), unstable, y, piece])
 
     stable = [pt for pt in points if not pt[2]]
     best = None
@@ -153,5 +160,5 @@ def loop_cw_magnetization_roots(
             label = "global_min"
         else:
             label = "local_min"
-        out.append(CWBranchPoint(pt[0], q, pt[1], label, pt[3]))
+        out.append(CWBranchPoint(pt[0], q, pt[1], label, pt[3], pt[4]))
     return out

@@ -449,6 +449,23 @@ class TestOtherCommands:
         manifest = json.loads((tmp_path / "isotopy_manifest.json").read_text())
         assert manifest["legendrian_residual"] < 1e-8
 
+    def test_isotopy_through_T_equal_b_keeps_the_zero_root(self, tmp_path):
+        # the symmetric default grid holds x = 0, whose root sits at
+        # q + bg = 0 exactly; it must stay on the middle root p = 0
+        code = dispatch(
+            [
+                "isotopy", "cw",
+                "--b", "1", "--T0", "1.5", "--T1", "0.5",
+                "--x-lo", "-0.5", "--x-hi", "0.5",
+                "--out-dir", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        manifest = json.loads((tmp_path / "isotopy_manifest.json").read_text())
+        assert manifest["paths"][4]["x"] == 0.0
+        middle = path_from_csv(str(tmp_path / manifest["paths"][4]["file"]))
+        assert np.all(np.abs(middle.p[:, 0]) < 1e-11)
+
     def test_stirling(self, tmp_path, capsys):
         code = dispatch(
             [

@@ -140,6 +140,22 @@ class TestSlowIsotopyMagnet:
         trace = run_slow_isotopy("cw", Schedule.linear(2, 2.0, 0.5), [0.0], b=1.0)
         assert trace.paths[0].p[:, 0].tolist() == [0.0, 0.0]
 
+    @pytest.mark.parametrize("T0, T1", [(1.5, 0.5), (0.5, 1.5)])
+    @pytest.mark.parametrize("bg", [0.0, 0.3])
+    def test_zero_field_root_keeps_the_middle_piece_through_T_equal_b(self, T0, T1, bg):
+        # q + bg = 0 at every node: the solver returns y within 1e-12 of the
+        # exact root 0 with either sign, so its sign must not pick the piece
+        # on either side of T = b = 1 (a node of this schedule)
+        trace = run_slow_isotopy("cw", Schedule.linear(11, T0, T1, bg, bg), [0.0], b=1.0)
+        assert np.all(np.abs(trace.paths[0].p[:, 0]) < 1e-11)
+        assert trace.legendrian_residual() < 1e-8
+
+    def test_middle_root_off_zero_field_is_lost_at_the_merge(self):
+        # p = -0.1 is the middle root at T = 0.5 (q = 0.0498); it meets the
+        # lower root at a fold before T reaches b, so none continues it
+        with pytest.raises(BranchLossError, match="time node 1"):
+            run_slow_isotopy("cw", Schedule.linear(2, 0.5, 1.5), [-0.1], b=1.0)
+
     def test_merge_continues_the_root_of_the_same_sign(self):
         # at T = 0.5 < b the outer roots at +-0.96 continue through the merge;
         # -0.9 at a positive field is metastable and has no root left at T = 2
