@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
+from ._solve import brentq, minimize_scalar_bounded
 from .models import FrontFunction, _cw_z
 from .phase_space import write_csv
 
@@ -157,7 +157,7 @@ def find_chords(
 
     # A sign change between nodes i and i + 1 brackets a root.
     for i in np.flatnonzero(dpsi[:-1] * dpsi[1:] < 0.0):
-        roots.append((float(brentq(slope_gap, xs[i], xs[i + 1], xtol=tol)), False))
+        roots.append((brentq(slope_gap, xs[i], xs[i + 1], xtol=tol), False))
 
     # An exact zero of psi' at a grid node is a root only when isolated
     # (both neighbours nonzero); runs of exact zeros are underflowed tails
@@ -174,14 +174,11 @@ def find_chords(
     flank_min = np.minimum(np.abs(left), np.abs(right))
     touching = (mid != 0.0) & (abs_mid < tol) & (flank > 0.0) & (abs_mid < flank_min)
     for k in np.flatnonzero(touching):
-        res = minimize_scalar(
-            lambda x: abs(slope_gap(x)),
-            bounds=(float(xs[k]), float(xs[k + 2])),
-            method="bounded",
-            options={"xatol": 1e-10},
+        x, fx = minimize_scalar_bounded(
+            lambda x: abs(slope_gap(x)), float(xs[k]), float(xs[k + 2]), xatol=1e-10
         )
-        if abs(res.fun) < tol and 10.0 * abs(res.fun) < flank_min[k]:
-            roots.append((float(res.x), True))
+        if fx < tol and 10.0 * fx < flank_min[k]:
+            roots.append((x, True))
 
     spacing = (scan_hi - scan_lo) / (grid_n - 1)
     out: list[Chord] = []

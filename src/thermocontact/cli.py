@@ -97,13 +97,21 @@ def _read_input_checked(reader, path):
         raise ValidationError(f"cannot read input file {path!r}: {exc}") from exc
 
 
+def finite_float(text: str) -> float:
+    """The type of every float flag: a number that is neither nan nor infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_floats(value, what: str) -> np.ndarray:
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return np.asarray(value, dtype=float).reshape(-1)
+    """The comma-separated (or, from a config, listed) values of --what."""
+    items = value if isinstance(value, list) else str(value).split(",")
     try:
-        return np.array([float(x) for x in str(value).split(",") if x != ""])
+        return np.array([finite_float(str(x)) for x in items if x != ""])
     except ValueError as exc:
-        raise ValidationError(f"cannot parse {what} from {value!r}") from exc
+        raise ValidationError(f"cannot parse --{what} from {value!r}: {exc}") from exc
 
 
 def _parse_indices(text: str, what: str) -> list[int]:
@@ -414,7 +422,13 @@ def _cmd_reduce(cfg: RunConfig) -> int:
             continue
         if "=" in piece:
             idx, _, val = piece.partition("=")
-            frozen[_parse_indices(idx, "frozen")[0]] = float(val)
+            if not idx:
+                raise ValidationError(f"--frozen pin {piece!r} has no index")
+            i = _parse_indices(idx, "frozen")[0]
+            try:
+                frozen[i] = finite_float(val)
+            except ValueError as exc:
+                raise ValidationError(f"cannot parse --frozen pin {piece!r}: {exc}") from exc
         else:
             frozen[_parse_indices(piece, "frozen")[0]] = None
     zeroed = tuple(_parse_indices(cfg.opt("zeroed", ""), "zeroed"))
@@ -484,66 +498,66 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chord", help="closed-form chords plus the generic-finder cross-check")
     p.add_argument("model", choices=("gas", "cw"))
-    p.add_argument("--t0", type=float)
-    p.add_argument("--t1", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--b", type=float)
+    p.add_argument("--t0", type=finite_float)
+    p.add_argument("--t1", type=finite_float)
+    p.add_argument("--c", type=finite_float)
+    p.add_argument("--b", type=finite_float)
     p.add_argument("--grid-n", dest="grid_n", type=int)
     p.add_argument("--grid", type=int)
-    p.add_argument("--q-lo", dest="q_lo", type=float, help="figure window start")
-    p.add_argument("--q-hi", dest="q_hi", type=float, help="figure window end")
-    p.add_argument("--p-lo", dest="p_lo", type=float, help="cw Legendrian sample start")
-    p.add_argument("--p-hi", dest="p_hi", type=float, help="cw Legendrian sample end")
-    p.add_argument("--span", type=float, help="cw figure half-width")
+    p.add_argument("--q-lo", dest="q_lo", type=finite_float, help="figure window start")
+    p.add_argument("--q-hi", dest="q_hi", type=finite_float, help="figure window end")
+    p.add_argument("--p-lo", dest="p_lo", type=finite_float, help="cw Legendrian sample start")
+    p.add_argument("--p-hi", dest="p_hi", type=finite_float, help="cw Legendrian sample end")
+    p.add_argument("--span", type=finite_float, help="cw figure half-width")
     common(p)
 
     p = sub.add_parser("gibbs", help="equilibrium density and lifted phase-space point")
     p.add_argument("--system", help="system JSON file")
-    p.add_argument("--T", type=float)
+    p.add_argument("--T", type=finite_float)
     p.add_argument("--q", help="comma-separated intensive values")
     common(p)
 
     p = sub.add_parser("relax", help="gradient-flow relaxation of a density")
     p.add_argument("--system")
     p.add_argument("--q")
-    p.add_argument("--T0", type=float)
-    p.add_argument("--T1", type=float)
-    p.add_argument("--ramp", type=float, help="duration of the linear T ramp")
-    p.add_argument("--t-end", dest="t_end", type=float)
-    p.add_argument("--dt0", type=float)
+    p.add_argument("--T0", type=finite_float)
+    p.add_argument("--T1", type=finite_float)
+    p.add_argument("--ramp", type=finite_float, help="duration of the linear T ramp")
+    p.add_argument("--t-end", dest="t_end", type=finite_float)
+    p.add_argument("--dt0", type=finite_float)
     p.add_argument("--rho0", help="'uniform' or a density CSV (first row used)")
     common(p)
 
     p = sub.add_parser("isotopy", help="trace the scheduled equilibrium family")
     p.add_argument("model", choices=("gas", "cw"))
-    p.add_argument("--T0", type=float)
-    p.add_argument("--T1", type=float)
-    p.add_argument("--bg0", type=float)
-    p.add_argument("--bg1", type=float)
+    p.add_argument("--T0", type=finite_float)
+    p.add_argument("--T1", type=finite_float)
+    p.add_argument("--bg0", type=finite_float)
+    p.add_argument("--bg1", type=finite_float)
     p.add_argument("--n-times", dest="n_times", type=int)
-    p.add_argument("--x-lo", dest="x_lo", type=float)
-    p.add_argument("--x-hi", dest="x_hi", type=float)
+    p.add_argument("--x-lo", dest="x_lo", type=finite_float)
+    p.add_argument("--x-hi", dest="x_hi", type=finite_float)
     p.add_argument("--n-x", dest="n_x", type=int)
-    p.add_argument("--b", type=float)
-    p.add_argument("--slack", type=float)
+    p.add_argument("--b", type=finite_float)
+    p.add_argument("--slack", type=finite_float)
     common(p)
 
     p = sub.add_parser("stirling", help="four-segment engine cycle of the gas")
-    p.add_argument("--t-cold", dest="t_cold", type=float)
-    p.add_argument("--t-hot", dest="t_hot", type=float)
-    p.add_argument("--v-min", dest="v_min", type=float)
-    p.add_argument("--v-max", dest="v_max", type=float)
+    p.add_argument("--t-cold", dest="t_cold", type=finite_float)
+    p.add_argument("--t-hot", dest="t_hot", type=finite_float)
+    p.add_argument("--v-min", dest="v_min", type=finite_float)
+    p.add_argument("--v-max", dest="v_max", type=finite_float)
     p.add_argument("--n-samples", dest="n_samples", type=int)
     common(p)
 
     p = sub.add_parser("reduce", help="project an extended path CSV")
     p.add_argument("--input", help="extended path CSV")
     p.add_argument("--k", type=int)
-    p.add_argument("--T0", type=float)
+    p.add_argument("--T0", type=finite_float)
     p.add_argument("--frozen", help="1-based 'i=value' pins or bare indices, comma-separated")
     p.add_argument("--zeroed", help="1-based indices, comma-separated")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--slack", type=float)
+    p.add_argument("--tol", type=finite_float)
+    p.add_argument("--slack", type=finite_float)
     common(p)
 
     p = sub.add_parser("verify", help="run the acceptance suite")

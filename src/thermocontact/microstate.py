@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
+from ._solve import logsumexp
 from .phase_space import ExtendedPoint, read_csv, write_csv
 
 NORMALIZATION_TOL = 1e-12
@@ -238,7 +238,7 @@ def gibbs(sp: MicrostateSpace, h: AffineHamiltonian, T: float, q) -> GibbsResult
         raise ValueError("temperature must be positive")
     _check_dims(sp, h, None)
     a = -h.energies(q) / T
-    log_z = float(logsumexp(a, b=sp.weights))
+    log_z = logsumexp(a, sp.weights)
     return GibbsResult(Density(np.exp(a - log_z)), log_z)
 
 

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
+
+from ._solve import brentq
 
 SELF_CONSISTENCY_TOL = 1e-10
 # nodes of the grid on whose cells cw_magnetization_roots refines each root
@@ -280,7 +281,7 @@ def cw_magnetization_roots(
                 piece = int(target > 0.0) - int(target < 0.0)
             else:
                 piece = int(a >= fold) - int(c <= -fold)
-            pieces.append((float(brentq(resid, a, c, xtol=tol)), a, c, piece))
+            pieces.append((brentq(resid, a, c, xtol=tol), a, c, piece))
 
     # Nodes i - 1 .. i + 2 around the cell i holding each root, all in one
     # numpy call: node k is k * step + y_lo and the last node is y_hi, as
@@ -299,7 +300,7 @@ def cw_magnetization_roots(
         brackets += [(nodes[k], nodes[k + 1]) for k in range(3) if g[k] * g[k + 1] < 0.0]
         if brackets:
             lo, hi = min(brackets, key=lambda br: max(br[0] - y, y - br[1], 0.0))
-            cell_y = lo if lo == hi else float(brentq(resid, lo, hi, xtol=tol))
+            cell_y = lo if lo == hi else brentq(resid, lo, hi, xtol=tol)
             if a <= cell_y <= c:
                 y = cell_y
         roots_y.append((y, piece))

@@ -44,6 +44,9 @@ from .phase_space import (
     check_path_nonnegative,
 )
 
+# fokker_planck_relax rejects a dt0 that needs more steps than this
+MAX_RELAX_STEPS = 100_000
+
 
 class BranchLossError(RuntimeError):
     """A tracked equilibrium branch disappeared during an isotopy."""
@@ -310,7 +313,8 @@ def fokker_planck_relax(
     mass is conserved exactly and the free energy is a Lyapunov function at
     fixed temperature.  Explicit Euler steps are halved whenever an entry
     would drop below ``rho_floor`` or G would rise (beyond ``lyapunov_tol``)
-    at the step temperature; a step below 1e-15 aborts the run.  The
+    at the step temperature; a step below 1e-15 aborts the run.  Steps
+    never exceed dt0, so a dt0 below t_end / MAX_RELAX_STEPS is rejected.  The
     temperature schedule must be positive and non-decreasing; the intensive
     variables q stay fixed.  The trace carries the reduced (z, p, q) path,
     per-step contact-form estimates (z difference quotients, q being
@@ -321,6 +325,10 @@ def fokker_planck_relax(
         raise ValueError("dt0 must be positive")
     if not t_end > 0:
         raise ValueError("t_end must be positive")
+    if t_end > MAX_RELAX_STEPS * dt0:
+        raise ValueError(
+            f"dt0 = {dt0!r} needs more than {MAX_RELAX_STEPS} steps to reach t_end = {t_end!r}"
+        )
     ms.check_density(sp, rho0)
     if float(rho0.rho.min()) <= rho_floor:
         raise ValueError("initial density must be strictly positive (above the floor)")

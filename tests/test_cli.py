@@ -2,7 +2,10 @@ import argparse
 import collections
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 
 from thermocontact import ExtendedPoint, SampledPath, path_from_csv, path_to_csv, save_system
 from thermocontact import AffineHamiltonian, MicrostateSpace
+import thermocontact
 from thermocontact import cli
 from thermocontact.cli import build_parser, dispatch
 
@@ -308,6 +312,78 @@ class TestDeterminism:
             )
         for f in sorted(a.iterdir()):
             assert f.read_bytes() == (b / f.name).read_bytes()
+
+
+def _extended_csv(tmp_path) -> str:
+    src = tmp_path / "ext.csv"
+    src.write_text("t,z,S,T,p_1,p_2,q_1,q_2\n0,0,0.5,1,0.5,0,0,1\n1,4,0.75,1.5,0.25,0,0.1,0\n")
+    return str(src)
+
+
+class TestFiniteFloats:
+    """Every float flag, config value and --q/--frozen value must be finite."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["isotopy", "gas", "--T0", "1", "--T1", "5", "--bg0", "0", "--bg1", "2",
+              "--x-lo", "-2.5", "--x-hi", "-0.5", "--n-x", "9", "--slack", "nan"], "--slack"),
+            (["reduce", "--input", "{ext}", "--k", "1", "--zeroed", "2", "--slack", "nan"],
+             "--slack"),
+            (["chord", "gas", "--t0", "1", "--t1", "5", "--c", "inf"], "--c"),
+            (["gibbs", "--system", "{system}", "--T", "inf", "--q", "0.3"], "--T"),
+            (["gibbs", "--system", "{system}", "--T", "1", "--q", "0.3,-inf"], "--q"),
+            (["relax", "--system", "{system}", "--q", "nan", "--T0", "1"], "--q"),
+            (["relax", "--system", "{system}", "--q", "0.1", "--T0", "1", "--dt0=-inf"],
+             "--dt0"),
+            (["reduce", "--input", "{ext}", "--k", "1", "--frozen", "2=inf"], "--frozen"),
+        ],
+    )
+    def test_non_finite_values_exit_1(self, tmp_path, system_file, capsys, argv, flag):
+        argv = [a.format(ext=_extended_csv(tmp_path), system=system_file) for a in argv]
+        out = tmp_path / "out"
+        code = dispatch([*argv, "--out-dir", str(out)])
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert code == 1
+        assert len(errors) == 1 and flag in errors[0]
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", '"nan"', '"inf"'])
+    def test_non_finite_config_values_exit_1(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"slack": %s}' % text)
+        argv = ["isotopy", "gas", "--T0", "1", "--T1", "5", "--x-lo", "-2.5", "--x-hi", "-0.5"]
+        code = dispatch([*argv, "--config", str(cfg), "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: config key 'slack'")
+
+    def test_non_finite_q_in_a_config_list(self, tmp_path, system_file, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"q": [0.3, NaN]}')
+        argv = ["gibbs", "--system", str(system_file), "--T", "1"]
+        code = dispatch([*argv, "--config", str(cfg), "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: cannot parse --q")
+
+    def test_frozen_pin_needs_an_index(self, tmp_path, capsys):
+        argv = ["reduce", "--input", _extended_csv(tmp_path), "--k", "1", "--frozen", "=5"]
+        assert dispatch([*argv, "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: --frozen pin '=5' has no index"]
+
+    def test_tiny_dt0_ends_at_once(self, tmp_path, system_file):
+        src = str(Path(thermocontact.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "thermocontact.cli", "relax", "--system", str(system_file),
+             "--q", "0.3", "--T0", "1", "--dt0", "1e-320", "--out-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "error: dt0 = 1e-320 needs more than 100000 steps to reach t_end = 20.0"
+        ]
 
 
 class TestOtherCommands:

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from thermocontact import (
     AffineHamiltonian,
@@ -203,6 +206,30 @@ class TestGibbs:
             for _ in range(1000):
                 d = random_density(rng, sp)
                 assert g_min <= free_energy(sp, h, T, q, d) + 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_minimality_property(self, data):
+        # G at the Gibbs density is the least G over densities, to roundoff
+        m = data.draw(st.integers(1, 12))
+        n = data.draw(st.integers(1, 3))
+        value = st.floats(-5.0, 5.0, allow_nan=False)
+        sp = MicrostateSpace(
+            tuple(f"s{i}" for i in range(m)),
+            data.draw(arrays(float, m, elements=st.floats(0.1, 5.0))),
+        )
+        h = AffineHamiltonian(
+            data.draw(arrays(float, m, elements=value)),
+            data.draw(arrays(float, (n, m), elements=value)),
+        )
+        T = data.draw(st.floats(0.05, 20.0))
+        q = data.draw(arrays(float, n, elements=value))
+        g_min = free_energy(sp, h, T, q, gibbs(sp, h, T, q).rho_g)
+        for _ in range(5):
+            raw = data.draw(arrays(float, m, elements=st.floats(0.0, 10.0)))
+            raw[data.draw(st.integers(0, m - 1))] = 1.0
+            g = free_energy(sp, h, T, q, normalized_density(sp, raw))
+            assert g_min <= g + 1e-12 * max(abs(g), 1.0)
 
     def test_stationarity_spread(self):
         rng = np.random.default_rng(21)

@@ -325,6 +325,14 @@ class TestFokkerPlanck:
         with pytest.raises(IntegrationError, match="underflow"):
             fokker_planck_relax(sp, h, [0.0], lambda t: 1.0, rho0, 0.1, 10.0)
 
+    @pytest.mark.parametrize("dt0", [1e-320, 5e-6 * 0.999])
+    def test_dt0_needing_too_many_steps_rejected(self, dt0):
+        # steps never exceed dt0: t_end / dt0 above the cap cannot finish
+        sp = unit_space(2)
+        h = AffineHamiltonian([0.0, 1.0], np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="needs more than 100000 steps"):
+            fokker_planck_relax(sp, h, [0.0], lambda t: 1.0, uniform_density(sp), dt0, 0.5)
+
     def test_decreasing_temperature_rejected(self):
         sp = unit_space(2)
         h = AffineHamiltonian([0.0, 1.0], np.zeros((1, 2)))
