@@ -18,29 +18,22 @@ from typing import Callable
 
 import numpy as np
 
-EPS = float(np.finfo(float).eps)
+# brentq's relative tolerance and iteration cap: scipy's defaults
+_RTOL = 4 * float(np.finfo(float).eps)
+_MAXITER = 100
 
 
-def brentq(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    xtol: float = 2e-12,
-    rtol: float = 4 * EPS,
-    maxiter: int = 100,
-) -> float:
+def brentq(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
     """A root of f in [a, b], where f(a) and f(b) differ in sign.
 
     Brent's method: inverse quadratic interpolation or secant steps,
     falling back to bisection, until the bracket is narrower than
-    xtol + rtol |x|.  An end where f is exactly zero is returned as is.
+    xtol + 4 eps |x|.  An end where f is exactly zero is returned as is.
     Raises ValueError when f(a) and f(b) have the same sign or f returns
-    NaN, and RuntimeError when maxiter iterations do not converge.
+    NaN, and RuntimeError when _MAXITER iterations do not converge.
     """
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < 4 * EPS:
-        raise ValueError(f"rtol too small ({rtol:g} < {4 * EPS:g})")
 
     def call(x: float) -> float:
         fx = float(f(x))
@@ -58,7 +51,7 @@ def brentq(
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
 
-    for _ in range(maxiter):
+    for _ in range(_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -66,7 +59,7 @@ def brentq(
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -91,7 +84,7 @@ def brentq(
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError(f"Failed to converge after {_MAXITER} iterations.")
 
 
 def minimize_scalar_bounded(
@@ -184,6 +177,8 @@ def logsumexp(a, b) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # gibbs passes positive weights only; the mask keeps the port equal
+        # to scipy for every b >= 0 (a zero weight drops even an infinite a)
         a_w = np.where(b == 0, -np.inf, a)
         a_max = a_w.max()
         top = a_w == a_max

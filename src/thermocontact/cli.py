@@ -105,6 +105,11 @@ def finite_float(text: str) -> float:
     return value
 
 
+# argparse and _coerce_config_value name the flag type by __name__:
+# "invalid finite float value: 'nan'"
+finite_float.__name__ = "finite float"
+
+
 def _parse_floats(value, what: str) -> np.ndarray:
     """The comma-separated (or, from a config, listed) values of --what."""
     items = value if isinstance(value, list) else str(value).split(",")

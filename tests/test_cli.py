@@ -348,6 +348,13 @@ class TestFiniteFloats:
         assert len(errors) == 1 and flag in errors[0]
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("text", ["nan", "-inf", "abc"])
+    def test_flag_error_names_the_rule(self, tmp_path, capsys, text):
+        argv = ["chord", "gas", "--t0", "1", "--t1", "5", f"--c={text}"]
+        assert dispatch([*argv, "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].endswith(f"error: argument --c: invalid finite float value: {text!r}")
+
     @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", '"nan"', '"inf"'])
     def test_non_finite_config_values_exit_1(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.json"
@@ -357,6 +364,7 @@ class TestFiniteFloats:
         err = capsys.readouterr().err.splitlines()
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error: config key 'slack'")
+        assert "invalid finite float value" in err[0]
 
     def test_non_finite_q_in_a_config_list(self, tmp_path, system_file, capsys):
         cfg = tmp_path / "cfg.json"

@@ -22,7 +22,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import optimize, special
 
 import thermocontact
-from thermocontact import constant_front, difference_front
+from thermocontact import _solve, constant_front, difference_front
 from thermocontact._solve import brentq, logsumexp, minimize_scalar_bounded
 
 
@@ -124,7 +124,8 @@ class TestBrentq:
 
     def test_same_sign_bracket_raises_value_error(self):
         f = _magnet_resid(2.0, 1.0, 0.3)
-        mine, ref = _outcome(brentq, f, 1.0, 2.0), _outcome(optimize.brentq, f, 1.0, 2.0)
+        mine = _outcome(brentq, f, 1.0, 2.0, xtol=2e-12)
+        ref = _outcome(optimize.brentq, f, 1.0, 2.0, xtol=2e-12)
         assert mine == ref
         assert mine == (ValueError, "f(a) and f(b) must have different signs")
 
@@ -141,14 +142,15 @@ class TestBrentq:
         def f(x):
             return math.nan if x > 0.5 else x
 
-        mine = _outcome(brentq, f, -1.0, 1.0)
-        assert mine == _outcome(optimize.brentq, f, -1.0, 1.0)
+        mine = _outcome(brentq, f, -1.0, 1.0, xtol=2e-12)
+        assert mine == _outcome(optimize.brentq, f, -1.0, 1.0, xtol=2e-12)
         assert mine == (ValueError, "The function value at x=1.0 is NaN; solver cannot continue.")
 
-    def test_no_convergence_raises_runtime_error(self):
+    def test_no_convergence_raises_runtime_error(self, monkeypatch):
+        monkeypatch.setattr(_solve, "_MAXITER", 2)
         f = _magnet_resid(2.0, 1.0, 0.3)
-        mine = _outcome(brentq, f, -5.0, 5.0, maxiter=2)
-        assert mine == _outcome(optimize.brentq, f, -5.0, 5.0, maxiter=2)
+        mine = _outcome(brentq, f, -5.0, 5.0, xtol=2e-12)
+        assert mine == _outcome(optimize.brentq, f, -5.0, 5.0, xtol=2e-12, maxiter=2)
         assert mine == (RuntimeError, "Failed to converge after 2 iterations.")
 
 
