@@ -8,12 +8,13 @@ psi(x).  Closed forms are provided for the gas and magnet family pairs and a
 generic scan-and-bisect finder handles arbitrary front pairs.  All
 functions are pure and finder results are ordered by abscissa.
 
-The finder evaluates psi' once on the whole grid and finds its brackets
-with boolean masks over shifted views of that array (each node against its
-left and right neighbours): sign changes between neighbours, isolated exact
-zeros and touching minima.  Python only iterates over the flagged cells, so
-the scan costs a few array operations however fine the grid, and the
-per-bracket refinement is the only scalar work.
+The finder evaluates psi' on the grid one block of nodes at a time and
+finds its brackets with boolean masks over shifted views of each block
+(each node against its left and right neighbours): sign changes between
+neighbours, isolated exact zeros and touching minima.  Python only iterates
+over the blocks and the flagged cells, so the scan costs a few array
+operations per block, and the per-bracket refinement is the only scalar
+work.
 """
 
 from __future__ import annotations
@@ -30,6 +31,13 @@ from .models import FrontFunction, _cw_z
 from .phase_space import write_csv
 
 TRIVIAL_LENGTH_TOL = 1e-10
+# find_chords scans its grid in blocks of this many nodes, so that its
+# temporaries take under 0.4 MB whatever grid_n is.  A 40001-node grid
+# scanned in one piece took 2.2 MB per call: glibc's malloc returned that
+# memory to the system after each call and page-faulted it back in on the
+# next, which cost about a third of the call's time, more or less from one
+# process to the next, depending on where the heap's free space lay.
+SCAN_BLOCK = 4096
 
 
 class DegenerateChordError(RuntimeError):
@@ -118,10 +126,10 @@ def find_chords(
     Scans the slope difference psi' = f1' - f0' on a uniform grid, refines
     every sign change by bracketing bisection to within tol in the abscissa,
     and turns each root x into a chord (z from f0, f1; p from the common
-    slope).  The scan is a set of array masks, so only the grid cells it
-    flags reach brentq or the minimizer below.  Roots where
-    |psi| <= trivial_tol are intersections of the fronts, not chords, and
-    are dropped.  Grid nodes where psi' dips below tol without changing
+    slope).  The scan is a set of array masks over blocks of SCAN_BLOCK
+    nodes, so only the grid cells it flags reach brentq or the minimizer
+    below.  Roots where |psi| <= trivial_tol are intersections of the
+    fronts, not chords, and are dropped.  Grid nodes where psi' dips below tol without changing
     sign are polished by a bounded scalar minimization and flagged
     tangential (they mark bifurcations of the chord count).  An
     identically vanishing psi' is reported as a degenerate family.  An empty
@@ -139,9 +147,54 @@ def find_chords(
                 f"front {front.label!r}"
             )
 
-    xs = np.linspace(scan_lo, scan_hi, grid_n)
-    dpsi = np.asarray(f1.slope(xs) - f0.slope(xs), dtype=float)
-    if np.all(np.abs(dpsi) < 1e-15):
+    # Node k is k * step + lo and the last node is hi, as np.linspace
+    # computes them.
+    lo, hi = float(scan_lo), float(scan_hi)
+    step = (hi - lo) / (grid_n - 1)
+    flat = True
+    crossings: list[tuple[float, float]] = []  # cells holding a sign change
+    zeros: list[tuple[float, bool]] = []  # (node, tangential)
+    dips: list[tuple[float, float, float]] = []  # (left node, right node, flank)
+    for start in range(0, grid_n, SCAN_BLOCK):
+        # The block owns nodes start .. start + SCAN_BLOCK - 1 and the cells
+        # to their right; one node more on each side gives every owned
+        # interior node both neighbours and every owned cell its right end.
+        k0 = max(start - 1, 0)
+        k1 = min(start + SCAN_BLOCK + 1, grid_n)
+        xs = np.arange(k0, k1, dtype=float) * step + lo
+        if k1 == grid_n:
+            xs[-1] = hi
+        dpsi = np.asarray(f1.slope(xs) - f0.slope(xs), dtype=float)
+        mag = np.abs(dpsi)
+        flat = flat and bool(np.all(mag < 1e-15))
+
+        # A sign change between nodes i and i + 1 brackets a root.
+        own = start - k0
+        for i in np.flatnonzero(dpsi[own:-1] * dpsi[own + 1:] < 0.0).tolist():
+            crossings.append((float(xs[own + i]), float(xs[own + i + 1])))
+
+        # Position k of these views is node k, k + 1, k + 2, so position k
+        # of an interior mask is node k + 1.
+        left, mid, right = dpsi[:-2], dpsi[1:-1], dpsi[2:]
+
+        # An exact zero of psi' at a grid node is a root only when isolated
+        # (both neighbours nonzero); runs of exact zeros are underflowed
+        # tails of nearly parallel fronts, not chord families, and are
+        # skipped.  Node 0 and the last node have one neighbour only and
+        # never count.
+        flank = left * right
+        for k in np.flatnonzero((mid == 0.0) & (left != 0.0) & (right != 0.0)).tolist():
+            zeros.append((float(xs[k + 1]), bool(flank[k] > 0.0)))
+
+        # Touching roots: strict local minima of |psi'| under tol without a
+        # sign change.
+        abs_mid = mag[1:-1]
+        flank_min = np.minimum(mag[:-2], mag[2:])
+        touching = (mid != 0.0) & (abs_mid < tol) & (flank > 0.0) & (abs_mid < flank_min)
+        for k in np.flatnonzero(touching).tolist():
+            dips.append((float(xs[k]), float(xs[k + 2]), float(flank_min[k])))
+
+    if flat:
         raise DegenerateFamilyError(
             "front difference has identically vanishing slope on the grid; "
             "every point of the window carries a chord"
@@ -150,41 +203,18 @@ def find_chords(
     def slope_gap(x: float) -> float:
         return float(f1.slope(x) - f0.slope(x))
 
-    # Position k of these views is node k, k + 1, k + 2, so position k of
-    # an interior mask is node k + 1.
-    left, mid, right = dpsi[:-2], dpsi[1:-1], dpsi[2:]
-    roots: list[tuple[float, bool]] = []  # (abscissa, tangential)
-
-    # A sign change between nodes i and i + 1 brackets a root.
-    for i in np.flatnonzero(dpsi[:-1] * dpsi[1:] < 0.0):
-        roots.append((brentq(slope_gap, xs[i], xs[i + 1], xtol=tol), False))
-
-    # An exact zero of psi' at a grid node is a root only when isolated
-    # (both neighbours nonzero); runs of exact zeros are underflowed tails
-    # of nearly parallel fronts, not chord families, and are skipped.  Node
-    # 0 and the last node have one neighbour only and never count.
-    flank = left * right
-    for k in np.flatnonzero((mid == 0.0) & (left != 0.0) & (right != 0.0)):
-        roots.append((float(xs[k + 1]), bool(flank[k] > 0.0)))
-
-    # Touching roots: strict local minima of |psi'| under tol without a sign
-    # change.  The refined minimum must sit well below the flank values,
+    roots = [(brentq(slope_gap, a, b, xtol=tol), False) for a, b in crossings] + zeros
+    # The refined minimum of a dip must sit well below the flank values,
     # which rejects float-quantization stairs in nearly flat tails.
-    abs_mid = np.abs(mid)
-    flank_min = np.minimum(np.abs(left), np.abs(right))
-    touching = (mid != 0.0) & (abs_mid < tol) & (flank > 0.0) & (abs_mid < flank_min)
-    for k in np.flatnonzero(touching):
-        x, fx = minimize_scalar_bounded(
-            lambda x: abs(slope_gap(x)), float(xs[k]), float(xs[k + 2]), xatol=1e-10
-        )
-        if fx < tol and 10.0 * fx < flank_min[k]:
+    for a, b, flank_min_k in dips:
+        x, fx = minimize_scalar_bounded(lambda x: abs(slope_gap(x)), a, b, xatol=1e-10)
+        if fx < tol and 10.0 * fx < flank_min_k:
             roots.append((x, True))
 
-    spacing = (scan_hi - scan_lo) / (grid_n - 1)
     out: list[Chord] = []
     seen: list[float] = []
     for x, tangential in sorted(roots):
-        if seen and abs(x - seen[-1]) < 0.5 * spacing:
+        if seen and abs(x - seen[-1]) < 0.5 * step:
             continue
         seen.append(x)
         z0 = f0.value(x)

@@ -16,6 +16,7 @@ from thermocontact import (
     difference_front,
     find_chords,
 )
+from thermocontact.chords import SCAN_BLOCK
 from thermocontact.models import FrontFunction
 
 
@@ -102,6 +103,37 @@ def test_find_chords_matches_loop_on_node_values(name):
     for ch, (q, tangential) in zip(found, expected):
         assert abs(ch.q - q) < 1e-9
         assert ch.tangential is tangential
+
+
+def test_find_chords_matches_loop_across_scan_blocks():
+    # roots on the nodes and cells where one scan block meets the next
+    B = SCAN_BLOCK
+    values = np.ones(3 * B + 3)
+    values[B - 1 : B + 2] = [2.0, 0.0, 3.0]  # isolated zero on a block's first node
+    values[2 * B : 2 * B + 2] = -1.0  # sign changes in the cells 2B - 1 and 2B + 1
+    values[3 * B - 2 : 3 * B + 1] = [0.5, 1e-13, 0.5]  # touching on a block's last node
+    n = len(values)
+    args = (constant_front(0.0, (-1.0, float(n))), _node_front(values), 0.0, n - 1.0, n)
+    found = find_chords(*args)
+    assert found == loop_find_chords(*args)
+    assert [ch.q for ch in found] == pytest.approx([B, 2 * B - 0.5, 2 * B + 1.5, 3 * B - 1])
+    assert [ch.tangential for ch in found] == [True, False, False, True]
+
+
+@pytest.mark.parametrize("n", [3, SCAN_BLOCK, SCAN_BLOCK + 1, SCAN_BLOCK + 2, 2 * SCAN_BLOCK + 5])
+@pytest.mark.parametrize("lo, hi", [(-40.0, 40.0), (-3.7, 0.1), (1e-3, 2.9e5)])
+def test_scan_nodes_are_the_linspace_nodes(n, lo, hi):
+    blocks = []
+
+    def fprime(x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim:
+            blocks.append(x.copy())
+        return x - lo - 0.3 * (hi - lo)
+
+    front = FrontFunction(f=lambda x: 0.5 * np.square(x), fprime=fprime, domain=(-50.0, 3e5))
+    find_chords(constant_front(), front, lo, hi, n)
+    assert np.array_equal(np.unique(np.concatenate(blocks)), np.linspace(lo, hi, n))
 
 
 _magnet = st.tuples(
