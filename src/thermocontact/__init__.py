@@ -59,9 +59,7 @@ from .models import (
     select_equilibrium,
 )
 from .phase_space import (
-    ExtendedPoint,
     NonnegReport,
-    ReducedPoint,
     ReductionError,
     ReductionSpec,
     SampledPath,

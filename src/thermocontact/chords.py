@@ -30,6 +30,8 @@ from ._solve import brentq, minimize_scalar_bounded
 from .models import FrontFunction, _cw_z
 from .phase_space import write_csv
 
+# find_chords' abscissa tolerance, and the |psi'| under which a dip touches
+ROOT_TOL = 1e-12
 TRIVIAL_LENGTH_TOL = 1e-10
 # find_chords scans its grid in blocks of this many nodes, so that its
 # temporaries take under 0.4 MB whatever grid_n is.  A 40001-node grid
@@ -118,20 +120,19 @@ def find_chords(
     scan_lo: float,
     scan_hi: float,
     grid_n: int = 4096,
-    tol: float = 1e-12,
-    trivial_tol: float = TRIVIAL_LENGTH_TOL,
 ) -> list[Chord]:
     """All chords between the fronts f0 and f1 inside [scan_lo, scan_hi].
 
     Scans the slope difference psi' = f1' - f0' on a uniform grid, refines
-    every sign change by bracketing bisection to within tol in the abscissa,
-    and turns each root x into a chord (z from f0, f1; p from the common
-    slope).  The scan is a set of array masks over blocks of SCAN_BLOCK
-    nodes, so only the grid cells it flags reach brentq or the minimizer
-    below.  Roots where |psi| <= trivial_tol are intersections of the
-    fronts, not chords, and are dropped.  Grid nodes where psi' dips below tol without changing
-    sign are polished by a bounded scalar minimization and flagged
-    tangential (they mark bifurcations of the chord count).  An
+    every sign change by bracketing bisection to within ROOT_TOL in the
+    abscissa, and turns each root x into a chord (z from f0, f1; p from the
+    common slope).  The scan is a set of array masks over blocks of
+    SCAN_BLOCK nodes, so only the grid cells it flags reach brentq or the
+    minimizer below.  Roots where |psi| <= TRIVIAL_LENGTH_TOL are
+    intersections of the fronts, not chords, and are dropped.  Grid nodes
+    where psi' dips below ROOT_TOL without changing sign are polished by a
+    bounded scalar minimization and flagged tangential (they mark
+    bifurcations of the chord count).  An
     identically vanishing psi' is reported as a degenerate family.  An empty
     result is a valid outcome.  Roots closer than half a grid cell collapse
     to one; pick grid_n accordingly.
@@ -186,11 +187,11 @@ def find_chords(
         for k in np.flatnonzero((mid == 0.0) & (left != 0.0) & (right != 0.0)).tolist():
             zeros.append((float(xs[k + 1]), bool(flank[k] > 0.0)))
 
-        # Touching roots: strict local minima of |psi'| under tol without a
+        # Touching roots: strict local minima of |psi'| under ROOT_TOL without a
         # sign change.
         abs_mid = mag[1:-1]
         flank_min = np.minimum(mag[:-2], mag[2:])
-        touching = (mid != 0.0) & (abs_mid < tol) & (flank > 0.0) & (abs_mid < flank_min)
+        touching = (mid != 0.0) & (abs_mid < ROOT_TOL) & (flank > 0.0) & (abs_mid < flank_min)
         for k in np.flatnonzero(touching).tolist():
             dips.append((float(xs[k]), float(xs[k + 2]), float(flank_min[k])))
 
@@ -203,12 +204,12 @@ def find_chords(
     def slope_gap(x: float) -> float:
         return float(f1.slope(x) - f0.slope(x))
 
-    roots = [(brentq(slope_gap, a, b, xtol=tol), False) for a, b in crossings] + zeros
+    roots = [(brentq(slope_gap, a, b, xtol=ROOT_TOL), False) for a, b in crossings] + zeros
     # The refined minimum of a dip must sit well below the flank values,
     # which rejects float-quantization stairs in nearly flat tails.
     for a, b, flank_min_k in dips:
         x, fx = minimize_scalar_bounded(lambda x: abs(slope_gap(x)), a, b, xatol=1e-10)
-        if fx < tol and 10.0 * fx < flank_min_k:
+        if fx < ROOT_TOL and 10.0 * fx < flank_min_k:
             roots.append((x, True))
 
     out: list[Chord] = []
@@ -219,7 +220,7 @@ def find_chords(
         seen.append(x)
         z0 = f0.value(x)
         z1 = f1.value(x)
-        if abs(z1 - z0) <= trivial_tol:
+        if abs(z1 - z0) <= TRIVIAL_LENGTH_TOL:
             continue
         out.append(Chord(q=x, p=f0.slope(x), z_start=z0, z_end=z1, tangential=tangential))
     return out

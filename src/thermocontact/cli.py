@@ -246,22 +246,15 @@ def _cmd_gibbs(cfg: RunConfig) -> int:
     if q.size != h.n:
         raise ValidationError(f"q has length {q.size}, the system expects {h.n}")
     res = ms.gibbs(sp, h, T, q)
-    pt = ms.lift_to_extended(sp, h, T, q, res.rho_g)
+    z, S, p = ms.lift_to_extended(sp, h, T, q, res.rho_g)
     ms.densities_to_csv([res.rho_g], str(cfg.out_dir / "gibbs_density.csv"))
     _write_json(
         cfg.out_dir / "gibbs_point.json",
-        {
-            "log_z": res.log_z,
-            "z": pt.z,
-            "S": pt.S,
-            "T": pt.T,
-            "p": pt.p.tolist(),
-            "q": pt.q.tolist(),
-        },
+        {"log_z": res.log_z, "z": z, "S": S, "T": T, "p": p.tolist(), "q": q.tolist()},
     )
     print(
         f"gibbs: m={sp.m} n={h.n} T={T:g} log_z={res.log_z:.12g} "
-        f"G={-pt.z:.12g} S={pt.S:.12g}"
+        f"G={-z:.12g} S={S:.12g}"
     )
     return 0
 
@@ -444,7 +437,6 @@ def _cmd_reduce(cfg: RunConfig) -> int:
         T0=cfg.opt("T0"),
         tol=cfg.opt("tol", 1e-9),
     )
-    spec.validate_for_dimension(path.dimension)
     reduced = reduce(path, spec)
     out_file = cfg.out_dir / "reduced_path.csv"
     path_to_csv(reduced, str(out_file))

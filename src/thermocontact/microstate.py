@@ -21,13 +21,14 @@ All operations are pure functions; safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
 
 from ._solve import logsumexp
-from .phase_space import ExtendedPoint, read_csv, write_csv
+from .phase_space import read_csv, write_csv
 
 NORMALIZATION_TOL = 1e-12
 
@@ -232,14 +233,31 @@ def free_energy(
     return float(_free_energy_rows(sp.weights, h, T, q, R, S)[0])
 
 
+def _beyond_double(what: str, T, q, detail: str) -> FloatingPointError:
+    q = np.asarray(q, dtype=float).reshape(-1).tolist()
+    return FloatingPointError(
+        f"{what} at T={float(T)!r}, q={q} is beyond double precision ({detail})"
+    )
+
+
 def gibbs(sp: MicrostateSpace, h: AffineHamiltonian, T: float, q) -> GibbsResult:
-    """Free-energy minimizer exp(-H(q, .)/T)/Z and log Z (weighted)."""
+    """Free-energy minimizer exp(-H(q, .)/T)/Z and log Z (weighted).
+
+    Raises FloatingPointError, naming T and q, when doubles cannot hold the
+    result: log Z is not finite (H/T overflows), or it is so large that the
+    weights are lost in it and the density's mass is not 1.
+    """
     if not T > 0:
         raise ValueError("temperature must be positive")
     _check_dims(sp, h, None)
-    a = -h.energies(q) / T
-    log_z = logsumexp(a, sp.weights)
-    return GibbsResult(Density(np.exp(a - log_z)), log_z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = -h.energies(q) / T
+        log_z = logsumexp(a, sp.weights)
+        rho = np.exp(a - log_z)
+    mass = float(np.vecdot(rho, sp.weights))
+    if not (math.isfinite(log_z) and abs(mass - 1.0) <= NORMALIZATION_TOL):
+        raise _beyond_double("the Gibbs density", T, q, f"log Z = {log_z!r}, mass {mass!r}")
+    return GibbsResult(Density(rho), log_z)
 
 
 def lift_rows(
@@ -274,10 +292,15 @@ def lift_rows(
 
 def lift_to_extended(
     sp: MicrostateSpace, h: AffineHamiltonian, T: float, q, d: Density
-) -> ExtendedPoint:
-    """Macroscopic state as the phase-space point (-G, S, T, p, q)."""
-    z, S, p = lift_rows(sp, h, T, q, d.rho[None, :])
-    return ExtendedPoint(z[0], S[0], T, p[0], q)
+) -> tuple[float, float, np.ndarray]:
+    """(z, S, p) of one density at (T, q), z = -G: with T and q, its point
+    of the extended phase space.  Raises FloatingPointError, naming T and
+    q, when one of them overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, S, p = lift_rows(sp, h, T, q, d.rho[None, :])
+    if not np.all(np.isfinite([z[0], S[0], *p[0]])):
+        raise _beyond_double("the lift", T, q, f"z = {float(z[0])!r}, p = {p[0].tolist()}")
+    return float(z[0]), float(S[0]), p[0]
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ import numpy as np
 from ._solve import brentq
 
 SELF_CONSISTENCY_TOL = 1e-10
+# y tolerance of cw_magnetization_roots; roots within 10 * ROOT_TOL are one
+ROOT_TOL = 1e-12
 # nodes of the grid on whose cells cw_magnetization_roots refines each root
 SCAN_NODES = 10_000
 
@@ -243,7 +245,6 @@ def cw_fold(T: float, b: float) -> float | None:
 def cw_magnetization_roots(
     q: float,
     par: CurieWeissParams,
-    tol: float = 1e-12,
 ) -> list[CWBranchPoint]:
     """All magnetizations solving p = tanh((q + H_back + b p)/T), with labels.
 
@@ -251,7 +252,7 @@ def cw_magnetization_roots(
     g(y) = T y - b tanh(y) - q - H_back = 0, which keeps near-saturated
     roots resolvable.  g is monotone on each piece cut at the folds +-y* of
     :func:`cw_fold`, so each piece whose ends differ in sign holds exactly
-    one root, found there to ``tol`` and labelled with that ``piece``.
+    one root, found there to ``ROOT_TOL`` and labelled with that ``piece``.
     Each root is then refined again on the cell that brackets it in a grid
     of ``SCAN_NODES`` nodes over [y_lo, y_hi], built as np.linspace builds
     it, so the result does not depend on the piece ends.  A root whose cell
@@ -281,7 +282,7 @@ def cw_magnetization_roots(
                 piece = int(target > 0.0) - int(target < 0.0)
             else:
                 piece = int(a >= fold) - int(c <= -fold)
-            pieces.append((brentq(resid, a, c, xtol=tol), a, c, piece))
+            pieces.append((brentq(resid, a, c, xtol=ROOT_TOL), a, c, piece))
 
     # Nodes i - 1 .. i + 2 around the cell i holding each root, all in one
     # numpy call: node k is k * step + y_lo and the last node is y_hi, as
@@ -300,14 +301,14 @@ def cw_magnetization_roots(
         brackets += [(nodes[k], nodes[k + 1]) for k in range(3) if g[k] * g[k + 1] < 0.0]
         if brackets:
             lo, hi = min(brackets, key=lambda br: max(br[0] - y, y - br[1], 0.0))
-            cell_y = lo if lo == hi else brentq(resid, lo, hi, xtol=tol)
+            cell_y = lo if lo == hi else brentq(resid, lo, hi, xtol=ROOT_TOL)
             if a <= cell_y <= c:
                 y = cell_y
         roots_y.append((y, piece))
 
     deduped: list[tuple[float, int]] = []
     for y, piece in sorted(roots_y):
-        if not deduped or abs(y - deduped[-1][0]) > 10 * tol:
+        if not deduped or abs(y - deduped[-1][0]) > 10 * ROOT_TOL:
             deduped.append((y, piece))
 
     points = []

@@ -10,10 +10,10 @@ pairs of extensive/intensive variables.  The reduced phase space keeps only
 
 A sampled path is admissible when the form paired with its velocity is
 non-negative at every sample.  Paths are stored by column (one array per
-coordinate), so certification, reduction and CSV I/O work on whole arrays;
-single points are value types for the scalar API.  Only the sign of the verdict is independent
-of the choice of contact form representing the co-oriented distribution;
-the numeric values reported are specific to the two forms above.
+coordinate), so certification, reduction and CSV I/O work on whole arrays.
+Only the sign of the verdict is independent of the choice of contact form
+representing the co-oriented distribution; the numeric values reported are
+specific to the two forms above.
 
 All operations are pure functions over immutable inputs and are safe for
 unrestricted concurrent use.
@@ -27,7 +27,7 @@ import operator
 import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import IO, Mapping, Union
+from typing import IO, Mapping
 
 import numpy as np
 
@@ -36,67 +36,7 @@ DEFAULT_REDUCTION_TOL = 1e-9
 
 
 class ReductionError(ValueError):
-    """A point violates one of the constraints pinned by a ReductionSpec."""
-
-
-def _vector(x, name: str) -> np.ndarray:
-    arr = np.array(x, dtype=float, copy=True).reshape(-1)
-    if arr.size == 0:
-        raise ValueError(f"{name} must have length >= 1")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite, got {arr!r}")
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True)
-class ExtendedPoint:
-    """A point (z, S, T, p, q) of the extended phase space."""
-
-    z: float
-    S: float
-    T: float
-    p: np.ndarray
-    q: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", float(self.z))
-        object.__setattr__(self, "S", float(self.S))
-        object.__setattr__(self, "T", float(self.T))
-        object.__setattr__(self, "p", _vector(self.p, "p"))
-        object.__setattr__(self, "q", _vector(self.q, "q"))
-        if not self.T > 0:
-            raise ValueError(f"temperature must be positive, got {self.T}")
-        if self.S < 0:
-            raise ValueError(f"entropy must be non-negative, got {self.S}")
-        if self.p.size != self.q.size:
-            raise ValueError(
-                f"p and q must have equal length, got {self.p.size} and {self.q.size}"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.p.size
-
-
-@dataclass(frozen=True)
-class ReducedPoint:
-    """A point (z, p, q) of the reduced phase space."""
-
-    z: float
-    p: np.ndarray
-    q: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", float(self.z))
-        object.__setattr__(self, "p", _vector(self.p, "p"))
-        object.__setattr__(self, "q", _vector(self.q, "q"))
-        if self.p.size != self.q.size:
-            raise ValueError("p and q must have equal length")
-
-    @property
-    def k(self) -> int:
-        return self.p.size
+    """A path sample violates one of the constraints pinned by a ReductionSpec."""
 
 
 @dataclass(frozen=True)
@@ -136,9 +76,6 @@ class ReductionSpec:
                 f"kept/frozen/zeroed indices must partition 0..{n - 1}, got "
                 f"kept={sorted(kept)}, frozen={sorted(frozen)}, zeroed={sorted(zeroed)}"
             )
-
-
-Point = Union[ExtendedPoint, ReducedPoint]
 
 
 class RowView(Sequence):
@@ -198,8 +135,7 @@ class SampledPath:
     extended path also carries ``S`` and ``T`` of shape (N,); a reduced path
     leaves both None.  Every column is a read-only copy, checked once on
     construction: finite values, N >= 2, strictly increasing times, T > 0
-    and S >= 0.  Errors name the first offending sample.  ``points`` gives
-    the samples as :class:`ExtendedPoint`/:class:`ReducedPoint` values.
+    and S >= 0.  Errors name the first offending sample.
     """
 
     times: np.ndarray
@@ -244,24 +180,6 @@ class SampledPath:
         for name, arr in cols.items():
             object.__setattr__(self, name, arr)
 
-    @classmethod
-    def from_points(cls, times, points: Sequence[Point]) -> "SampledPath":
-        """Stack single-sample points of one kind and dimension into columns."""
-        points = tuple(points)
-        if len(points) != np.size(times):
-            raise ValueError("times and points must have equal length")
-        if not points:
-            raise ValueError("a sampled path needs at least 2 samples")
-        kind = type(points[0])
-        if any(type(pt) is not kind or pt.p.size != points[0].p.size for pt in points):
-            raise ValueError("all points must share one kind and dimension")
-        z = [pt.z for pt in points]
-        p = [pt.p for pt in points]
-        q = [pt.q for pt in points]
-        if kind is ExtendedPoint:
-            return cls(times, z, p, q, [pt.S for pt in points], [pt.T for pt in points])
-        return cls(times, z, p, q)
-
     @property
     def kind(self) -> str:
         return "reduced" if self.S is None else "extended"
@@ -273,16 +191,6 @@ class SampledPath:
     @property
     def dimension(self) -> int:
         return self.p.shape[1]
-
-    @property
-    def points(self) -> RowView:
-        """The samples as point values, built on access."""
-        return RowView(self.n_samples, self._point)
-
-    def _point(self, i: int) -> Point:
-        if self.S is None:
-            return ReducedPoint(self.z[i], self.p[i], self.q[i])
-        return ExtendedPoint(self.z[i], self.S[i], self.T[i], self.p[i], self.q[i])
 
     def coordinates(self) -> np.ndarray:
         """The (N, 1 + 2n) or (N, 3 + 2n) matrix of z[, S, T], p, q."""
@@ -374,24 +282,31 @@ def admissibility_decrement(path: SampledPath, spec: ReductionSpec) -> np.ndarra
     return total
 
 
-def _check_constraints(T, p, q, spec: ReductionSpec, where: str) -> None:
-    """Reject the first sample (rows of T, p, q) that breaks a pinned constraint.
+def reduce(path: SampledPath, spec: ReductionSpec) -> SampledPath:
+    """Project an extended path to (z, p_1..k, q_1..k).
 
-    At that sample the constraints are tried in the order T0, frozen q,
-    zeroed p.  ``where`` formats the sample index into the message.
+    Constraints pinned by the spec (T0, frozen q values, zeroed p) are
+    enforced on every sample within spec.tol.  The first sample that breaks
+    one is rejected, naming the sample and the constraint (tried there in
+    the order T0, frozen q, zeroed p).
     """
+    if path.kind != "extended":
+        raise ValueError("only extended paths can be reduced")
+    spec.validate_for_dimension(path.dimension)
     checks = []
     if spec.T0 is not None:
-        checks.append(("temperature constraint violated", "|T - T0|", np.abs(T - spec.T0)))
+        checks.append(
+            ("temperature constraint violated", "|T - T0|", np.abs(path.T - spec.T0))
+        )
     for i, pinned in spec.frozen_q.items():
         if pinned is not None:
             checks.append(
                 (f"frozen intensive constraint violated at q_{i + 1}", "|q - q0|",
-                 np.abs(q[:, i] - pinned))
+                 np.abs(path.q[:, i] - pinned))
             )
     for e in spec.zeroed_p:
         checks.append((f"zeroed extensive constraint violated at p_{e + 1}", "|p|",
-                       np.abs(p[:, e])))
+                       np.abs(path.p[:, e])))
     worst = None
     for what, label, dev in checks:
         row = _first(dev > spec.tol)
@@ -400,31 +315,9 @@ def _check_constraints(T, p, q, spec: ReductionSpec, where: str) -> None:
     if worst is not None:
         row, what, label, value = worst
         raise ReductionError(
-            f"{what}{where.format(row)}: {label} = {value:.3e} > tol={spec.tol:.3e}"
+            f"{what} (sample {row}): {label} = {value:.3e} > tol={spec.tol:.3e}"
         )
-
-
-def reduce(
-    pt_or_path: ExtendedPoint | SampledPath, spec: ReductionSpec
-) -> ReducedPoint | SampledPath:
-    """Project an extended point or path to (z, p_1..k, q_1..k).
-
-    Constraints pinned by the spec (T0, frozen q values, zeroed p) are
-    enforced on every sample within spec.tol; a violation is rejected
-    naming the constraint and, on a path, the first offending sample.
-    """
-    k = spec.k
-    if isinstance(pt_or_path, SampledPath):
-        path = pt_or_path
-        if path.kind != "extended":
-            raise ValueError("only extended paths can be reduced")
-        spec.validate_for_dimension(path.dimension)
-        _check_constraints(path.T, path.p, path.q, spec, " (sample {})")
-        return SampledPath(path.times, path.z, path.p[:, :k], path.q[:, :k])
-    pt = pt_or_path
-    spec.validate_for_dimension(pt.n)
-    _check_constraints(np.array([pt.T]), pt.p[None, :], pt.q[None, :], spec, "")
-    return ReducedPoint(pt.z, pt.p[:k], pt.q[:k])
+    return SampledPath(path.times, path.z, path.p[:, : spec.k], path.q[:, : spec.k])
 
 
 def irreversible_entropy_rate(path: SampledPath) -> np.ndarray:

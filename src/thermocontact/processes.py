@@ -36,16 +36,15 @@ from .models import (
     _gas_zp,
     cw_magnetization_roots,
 )
-from .phase_space import (
-    NonnegReport,
-    ReducedPoint,
-    RowView,
-    SampledPath,
-    check_path_nonnegative,
-)
+from .phase_space import NonnegReport, RowView, SampledPath, check_path_nonnegative
 
 # fokker_planck_relax rejects a dt0 that needs more steps than this
 MAX_RELAX_STEPS = 100_000
+# fokker_planck_relax: positivity floor and Lyapunov slack of a step
+RHO_FLOOR = 1e-14
+LYAPUNOV_TOL = 1e-12
+# ultrafast_jump: largest total variation to the post-jump minimizer
+COINCIDENCE_TOL = 1e-8
 
 
 class BranchLossError(RuntimeError):
@@ -88,9 +87,9 @@ class Schedule:
         T_end: float,
         bg_start: float = 0.0,
         bg_end: float = 0.0,
-        duration: float = 1.0,
     ) -> "Schedule":
-        t = np.linspace(0.0, duration, n_nodes)
+        """``n_nodes`` equal steps over times [0, 1]; T and background linear."""
+        t = np.linspace(0.0, 1.0, n_nodes)
         return cls(
             t,
             np.linspace(T_start, T_end, n_nodes),
@@ -112,10 +111,6 @@ class IsotopyTrace:
     x_grid: np.ndarray
     paths: tuple[SampledPath, ...]
     reports: tuple[NonnegReport, ...]
-
-    def slice_points(self, j: int) -> list[ReducedPoint]:
-        """The family sample at time node j."""
-        return [path.points[j] for path in self.paths]
 
     def legendrian_residual(self) -> float:
         """Max distance of any sample from the scheduled equilibrium family."""
@@ -212,10 +207,13 @@ def run_slow_isotopy(
 
 @dataclass(frozen=True)
 class JumpRecord:
-    """Stage-1 outcome of an abrupt parameter change at frozen density."""
+    """Stage-1 outcome of an abrupt parameter change at frozen density:
+    z moves from ``z_before`` to ``z_after_stage1`` at the pre-jump p and q."""
 
-    before: ReducedPoint
-    after_stage1: ReducedPoint
+    z_before: float
+    z_after_stage1: float
+    p: np.ndarray
+    q: np.ndarray
     is_ultrafast: bool
     gibbs_residual: float
 
@@ -227,7 +225,6 @@ def ultrafast_jump(
     T1: float,
     q,
     background_jump,
-    coincidence_tol: float = 1e-8,
 ) -> JumpRecord:
     """Jump the temperature T0 -> T1 and the background by c at frozen state.
 
@@ -237,10 +234,10 @@ def ultrafast_jump(
     background entering the Hamiltonian as an internal-energy shift
     c . v_bar.  The jump is ultrafast when the frozen density already is the
     minimizer of the post-jump parameters, measured in total variation
-    against ``coincidence_tol``; otherwise stage 2 is a relaxation
+    against ``COINCIDENCE_TOL``; otherwise stage 2 is a relaxation
     (:func:`fokker_planck_relax`).
     """
-    q = np.asarray(q, dtype=float).reshape(-1)
+    q = np.array(q, dtype=float).reshape(-1)
     c = np.asarray(background_jump, dtype=float).reshape(-1)
     if q.size != c.size:
         raise ValueError("background jump must match the dimension of q")
@@ -248,10 +245,9 @@ def ultrafast_jump(
     p0 = ms.pressures(sp, h, rho0)
     z0 = -ms.free_energy(sp, h, T0, q, rho0)
     z1 = -ms.free_energy(sp, h, T1, q + c, rho0)
-    before = ReducedPoint(z0, p0, q)
-    after = ReducedPoint(z1, p0, q)
     residual = ms.total_variation(sp, rho0, ms.gibbs(sp, h, T1, q + c).rho_g)
-    return JumpRecord(before, after, residual <= coincidence_tol, residual)
+    p0.flags.writeable = q.flags.writeable = False
+    return JumpRecord(z0, z1, p0, q, residual <= COINCIDENCE_TOL, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +299,6 @@ def fokker_planck_relax(
     rho0: ms.Density,
     dt0: float,
     t_end: float,
-    rho_floor: float = 1e-14,
-    lyapunov_tol: float = 1e-12,
 ) -> RelaxTrace:
     """Integrate the projected free-energy gradient flow of the density.
 
@@ -312,7 +306,7 @@ def fokker_planck_relax(
     g_i = T (1 + ln rho_i) + H(q, m_i) recentred by its weighted mean, so
     mass is conserved exactly and the free energy is a Lyapunov function at
     fixed temperature.  Explicit Euler steps are halved whenever an entry
-    would drop below ``rho_floor`` or G would rise (beyond ``lyapunov_tol``)
+    would drop to ``RHO_FLOOR`` or G would rise (beyond ``LYAPUNOV_TOL``)
     at the step temperature; a step below 1e-15 aborts the run.  Steps
     never exceed dt0, so a dt0 below t_end / MAX_RELAX_STEPS is rejected.  The
     temperature schedule must be positive and non-decreasing; the intensive
@@ -330,7 +324,7 @@ def fokker_planck_relax(
             f"dt0 = {dt0!r} needs more than {MAX_RELAX_STEPS} steps to reach t_end = {t_end!r}"
         )
     ms.check_density(sp, rho0)
-    if float(rho0.rho.min()) <= rho_floor:
+    if float(rho0.rho.min()) <= RHO_FLOOR:
         raise ValueError("initial density must be strictly positive (above the floor)")
 
     w = sp.weights
@@ -366,7 +360,7 @@ def fokker_planck_relax(
         dt = min(dt, t_end - t)
         while True:
             trial = rho - dt * g
-            if float(trial.min()) > rho_floor and G_of(T, trial) <= g_curr + lyapunov_tol:
+            if float(trial.min()) > RHO_FLOOR and G_of(T, trial) <= g_curr + LYAPUNOV_TOL:
                 break
             dt *= 0.5
             if dt < 1e-15:
@@ -427,11 +421,6 @@ class StirlingCycleTrace:
         return float(sum(seg.delta_G for seg in self.segments))
 
 
-def _gas_state(T: float, v: float) -> ReducedPoint:
-    # physical chart: q is minus the total pressure T/v, z = T ln v
-    return ReducedPoint(T * math.log(v), [v], [-T / v])
-
-
 def stirling_cycle(
     T_C: float, T_H: float, v_min: float, v_max: float, n_samples: int = 101
 ) -> StirlingCycleTrace:
@@ -459,19 +448,20 @@ def stirling_cycle(
 
     def isotherm(T: float, v_from: float, v_to: float, t0: float, name: str):
         vs = np.linspace(v_from, v_to, n_samples)
-        # the chart of _gas_state, with math.log as there
+        # physical chart: z = T ln v (math.log, as the corners use it) and
+        # q is minus the total pressure T/v
         z = np.array([T * math.log(v) for v in vs.tolist()])
         path = SampledPath(np.linspace(t0, t0 + 1.0, n_samples), z, vs, -T / vs)
         delta_G = -float(z[-1] - z[0])
         return CycleSegment(name, path, delta_G, "zero", None, False, False)
 
     def corner(T_from: float, T_to: float, v: float, t0: float, name: str):
-        a = _gas_state(T_from, v)
-        bpt = _gas_state(T_to, v)
-        path = SampledPath.from_points([t0, t0 + 1.0], (a, bpt))
-        delta_G = -(bpt.z - a.z)
+        z = [T_from * math.log(v), T_to * math.log(v)]
+        q = [-T_from / v, -T_to / v]
+        path = SampledPath([t0, t0 + 1.0], z, [v, v], q)
+        delta_G = -(z[1] - z[0])
         # form increment dz - p dq along the straight corner segment
-        increment = (bpt.z - a.z) - float(a.p[0]) * (float(bpt.q[0]) - float(a.q[0]))
+        increment = (z[1] - z[0]) - v * (q[1] - q[0])
         if abs(increment) <= 1e-12:
             sign = "zero"
         else:

@@ -75,7 +75,7 @@ def criterion_1() -> CriterionResult:
     len_err = abs(ch.length - 4 * LN2)
     f0 = constant_front(0.0, (-math.inf, 0.0))
     f1 = difference_front("gas", 1.0, 5.0, 2.0)
-    found = find_chords(f0, f1, -6.0, -0.01, grid_n=20001, tol=1e-12)
+    found = find_chords(f0, f1, -6.0, -0.01, grid_n=20001)
     pos_err = abs(found[0].q + 0.5) if len(found) == 1 else math.inf
     finder_len_err = abs(found[0].length - 4 * LN2) if len(found) == 1 else math.inf
     ok = exact and len_err <= 1e-12 and pos_err <= 1e-8 and finder_len_err <= 1e-12
@@ -95,7 +95,7 @@ def criterion_2() -> CriterionResult:
     p_err = abs(ch.p - math.tanh(0.75))
     qstar_err = abs((ch.q + b * ch.p) - 1.5)
     f1 = difference_front("cw", t0, t1, c)
-    found = find_chords(constant_front(), f1, -30.0, 30.0, grid_n=20001, tol=1e-12)
+    found = find_chords(constant_front(), f1, -30.0, 30.0, grid_n=20001)
     finder_pos_err = abs(found[0].q - 1.5) if len(found) == 1 else math.inf
     finder_len_err = abs(found[0].length - ch.length) if len(found) == 1 else math.inf
     asym = max(abs(f1.value(50.0) - c), abs(f1.value(-50.0) + c))

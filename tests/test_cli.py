@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermocontact import ExtendedPoint, SampledPath, path_from_csv, path_to_csv, save_system
+from thermocontact import SampledPath, path_from_csv, path_to_csv, save_system
 from thermocontact import AffineHamiltonian, MicrostateSpace
 import thermocontact
 from thermocontact import cli
@@ -224,9 +224,9 @@ class TestConfigHandling:
     @pytest.mark.parametrize("key", ["frozen", "zeroed"])
     def test_index_config_values_may_be_numbers(self, tmp_path, key):
         t = np.linspace(0.0, 1.0, 5)
-        pts = tuple(ExtendedPoint(ti, 1.0, 1.0 + ti, [0.5, 0.0], [0.0, 1.0]) for ti in t)
+        p, q = np.tile([0.5, 0.0], (5, 1)), np.tile([0.0, 1.0], (5, 1))
         src = tmp_path / "ext.csv"
-        path_to_csv(SampledPath.from_points(t, pts), str(src))
+        path_to_csv(SampledPath(t, t, p, q, np.ones(5), 1.0 + t), str(src))
         flag_dir, cfg_dir = tmp_path / "flag", tmp_path / "cfg"
         argv = ["reduce", "--input", str(src), "--k", "1"]
         assert dispatch([*argv, f"--{key}", "2", "--out-dir", str(flag_dir)]) == 0
@@ -314,6 +314,16 @@ class TestDeterminism:
             assert f.read_bytes() == (b / f.name).read_bytes()
 
 
+def _cli_process(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter, whose stderr shows any warning."""
+    src = str(Path(thermocontact.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "thermocontact.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+
+
 def _extended_csv(tmp_path) -> str:
     src = tmp_path / "ext.csv"
     src.write_text("t,z,S,T,p_1,p_2,q_1,q_2\n0,0,0.5,1,0.5,0,0,1\n1,4,0.75,1.5,0.25,0,0.1,0\n")
@@ -381,13 +391,8 @@ class TestFiniteFloats:
         assert capsys.readouterr().err.splitlines() == ["error: --frozen pin '=5' has no index"]
 
     def test_tiny_dt0_ends_at_once(self, tmp_path, system_file):
-        src = str(Path(thermocontact.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "thermocontact.cli", "relax", "--system", str(system_file),
-             "--q", "0.3", "--T0", "1", "--dt0", "1e-320", "--out-dir", str(tmp_path)],
-            capture_output=True, text=True, env=env, timeout=30,
-        )
+        proc = _cli_process(["relax", "--system", str(system_file), "--q", "0.3", "--T0", "1",
+                             "--dt0", "1e-320", "--out-dir", str(tmp_path)])
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [
             "error: dt0 = 1e-320 needs more than 100000 steps to reach t_end = 20.0"
@@ -403,6 +408,37 @@ class TestOtherCommands:
         assert "log_z=" in capsys.readouterr().out
         doc = json.loads((tmp_path / "gibbs_point.json").read_text())
         assert set(doc) == {"log_z", "z", "S", "T", "p", "q"}
+
+    @pytest.mark.parametrize(
+        "T, q, code, density",
+        [
+            # H/T overflows and log Z with it: not representable
+            ("1e-320", "3.3", 2, None),
+            # z = -G overflows at the doubled middle weight
+            ("1e308", "1e308", 2, None),
+            # the ground state alone: a representable limit
+            ("1e-320", "0", 0, "rho_1,rho_2,rho_3\n1,0,0\n"),
+        ],
+    )
+    def test_gibbs_at_extreme_inputs(self, tmp_path, T, q, code, density):
+        system = tmp_path / "s.json"
+        system.write_text(
+            '{"labels":["a","b","c"],"weights":[1,2,1],"v_int":[0,0.5,0.5],"v_bar":[[1,-1,1]]}'
+        )
+        out = tmp_path / "out"
+        proc = _cli_process(["gibbs", "--system", str(system), "--T", T, "--q", q,
+                             "--out-dir", str(out)])
+        assert proc.returncode == code
+        err = proc.stderr.splitlines()
+        if code:
+            assert len(err) == 1 and err[0].startswith("failure: ")
+            assert f"T={float(T)!r}, q=[{float(q)!r}]" in err[0]
+            assert not any(out.iterdir())
+        else:
+            assert err == []
+            assert (out / "gibbs_density.csv").read_text() == density
+            text = (out / "gibbs_point.json").read_text()
+            assert "Infinity" not in text and "NaN" not in text
 
     def test_gibbs_dimension_mismatch(self, tmp_path, system_file):
         code = dispatch(
@@ -575,12 +611,9 @@ class TestOtherCommands:
 
     def test_reduce_roundtrip(self, tmp_path):
         t = np.linspace(0.0, 1.0, 9)
-        pts = tuple(
-            ExtendedPoint(2.0 * ti, 1.0, 1.0 + ti, [0.5, 0.0], [0.1 * ti, 1.0])
-            for ti in t
-        )
+        p, q = np.tile([0.5, 0.0], (9, 1)), np.column_stack([0.1 * t, np.ones(9)])
         src = tmp_path / "ext.csv"
-        path_to_csv(SampledPath.from_points(t, pts), str(src))
+        path_to_csv(SampledPath(t, 2.0 * t, p, q, np.ones(9), 1.0 + t), str(src))
         code = dispatch(
             [
                 "reduce",
@@ -596,12 +629,9 @@ class TestOtherCommands:
         assert report["verdict"] == "nonnegative"
 
     def test_reduce_rejects_reduced_input(self, tmp_path):
-        from thermocontact import ReducedPoint
-
         t = np.array([0.0, 1.0])
-        pts = tuple(ReducedPoint(ti, [1.0], [0.0]) for ti in t)
         src = tmp_path / "red.csv"
-        path_to_csv(SampledPath.from_points(t, pts), str(src))
+        path_to_csv(SampledPath(t, t, np.ones(2), np.zeros(2)), str(src))
         assert dispatch(["reduce", "--input", str(src), "--k", "1", "--out-dir", str(tmp_path)]) == 1
 
     def test_reduce_rejects_short_row(self, tmp_path, capsys):

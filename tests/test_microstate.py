@@ -253,10 +253,10 @@ class TestLift:
         sp = unit_space(4)
         h = AffineHamiltonian(np.zeros(4), np.zeros((1, 4)))
         T = 1.7
-        pt = lift_to_extended(sp, h, T, [0.0], uniform_density(sp))
-        assert abs(pt.z - T * math.log(4)) < 1e-12
-        assert abs(pt.S - math.log(4)) < 1e-14
-        assert np.allclose(pt.p, 0.0, atol=0)
+        z, S, p = lift_to_extended(sp, h, T, [0.0], uniform_density(sp))
+        assert abs(z - T * math.log(4)) < 1e-12
+        assert abs(S - math.log(4)) < 1e-14
+        assert np.allclose(p, 0.0, atol=0)
 
     def test_gibbs_lift_sits_on_equilibrium_graph(self):
         # S and p match minus the finite-difference T/q derivatives of
@@ -271,24 +271,23 @@ class TestLift:
             def g_star(T_, q_):
                 return free_energy(sp, h, T_, q_, gibbs(sp, h, T_, q_).rho_g)
 
-            pt = lift_to_extended(sp, h, T, q, gibbs(sp, h, T, q).rho_g)
+            _, S, p = lift_to_extended(sp, h, T, q, gibbs(sp, h, T, q).rho_g)
             dT = (g_star(T + step, q) - g_star(T - step, q)) / (2 * step)
-            assert abs(pt.S + dT) < 1e-6
+            assert abs(S + dT) < 1e-6
             for j in range(h.n):
                 e = np.zeros(h.n)
                 e[j] = step
                 dq = (g_star(T, q + e) - g_star(T, q - e)) / (2 * step)
-                assert abs(pt.p[j] + dq) < 1e-6
+                assert abs(p[j] + dq) < 1e-6
 
     def test_non_gibbs_density_lifts_off_graph(self):
         sp = unit_space(2)
         h = AffineHamiltonian([0.0, 1.0], [[1.0, -1.0]])
         d = Density([0.9, 0.1])
-        pt = lift_to_extended(sp, h, 1.0, [0.2], d)
+        z, _, _ = lift_to_extended(sp, h, 1.0, [0.2], d)
         res = gibbs(sp, h, 1.0, [0.2])
-        on_graph = lift_to_extended(sp, h, 1.0, [0.2], res.rho_g)
-        assert pt.z < on_graph.z  # strictly higher free energy off equilibrium
-        assert pt.T == on_graph.T
+        z_on_graph, _, _ = lift_to_extended(sp, h, 1.0, [0.2], res.rho_g)
+        assert z < z_on_graph  # strictly higher free energy off equilibrium
 
 
 class TestSerialization:

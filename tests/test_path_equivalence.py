@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from path_oracles import (
+    ReducedRow,
     loop_decrements,
     loop_entropy,
     loop_entropy_rates,
@@ -24,10 +25,10 @@ from path_oracles import (
     loop_pressures,
     loop_reduce_point,
     loop_relax_lift,
+    path_rows,
 )
 from thermocontact import microstate as ms
 from thermocontact import (
-    ReducedPoint,
     ReductionSpec,
     SampledPath,
     admissibility_decrement,
@@ -46,7 +47,7 @@ def _assert_columns_equal(path: SampledPath, points) -> None:
     assert np.array_equal(path.z, [pt.z for pt in points])
     assert np.array_equal(path.p, np.array([pt.p for pt in points]))
     assert np.array_equal(path.q, np.array([pt.q for pt in points]))
-    if isinstance(points[0], ReducedPoint):
+    if isinstance(points[0], ReducedRow):
         assert path.kind == "reduced" and path.S is None and path.T is None
     else:
         assert np.array_equal(path.S, [pt.S for pt in points])
@@ -60,7 +61,7 @@ def _form_values(path: SampledPath) -> np.ndarray:
 def test_criterion_7_draws_match_loops():
     # every fifth of the 1000 draws keeps the per-sample oracles under ~3 s
     for path, spec in itertools.islice(criterion_7_draws(), 0, None, 5):
-        points = tuple(path.points)
+        points = path_rows(path)
         assert np.array_equal(_form_values(path), loop_form_values(path.times, points))
         assert np.array_equal(
             admissibility_decrement(path, spec), loop_decrements(path.times, points, spec)
@@ -155,7 +156,7 @@ def reductions(draw, n):
 @settings(max_examples=150, deadline=None)
 @given(extended_paths(), st.data())
 def test_extended_paths_match_loops(path, data):
-    points = tuple(path.points)
+    points = path_rows(path)
     _assert_columns_equal(path, points)
     assert np.array_equal(_form_values(path), loop_form_values(path.times, points))
 
@@ -173,7 +174,7 @@ def test_extended_paths_match_loops(path, data):
     p[:, list(spec.zeroed_p)] = 0.0
     zeroed = SampledPath(path.times, path.z, p, path.q, path.S, path.T)
     reduced = reduce(zeroed, spec)
-    expected_points = tuple(loop_reduce_point(pt, spec) for pt in zeroed.points)
+    expected_points = tuple(loop_reduce_point(pt, spec) for pt in path_rows(zeroed))
     _assert_columns_equal(reduced, expected_points)
     assert np.array_equal(
         _form_values(reduced), loop_form_values(path.times, expected_points)

@@ -1,12 +1,9 @@
 import io
-import math
 
 import numpy as np
 import pytest
 
 from thermocontact import (
-    ExtendedPoint,
-    ReducedPoint,
     ReductionError,
     ReductionSpec,
     SampledPath,
@@ -21,14 +18,12 @@ from thermocontact.models import cw_entropy
 from thermocontact.phase_space import _velocity_matrix
 
 
-def make_ext(z=0.0, S=1.0, T=1.0, p=(0.0,), q=(0.0,)):
-    return ExtendedPoint(z, S, T, p, q)
-
-
 # Paths through one point with one constant velocity: every column is
 # value + rate * t.  On the integer times 0, 1, 2 and with small whole or
-# half rates the gradient gives the rate exactly at every sample.
+# half rates the gradient gives the rate exactly at every sample.  With the
+# rates left at zero and the times T2 a path is one state sampled twice.
 T3 = np.arange(3.0)
+T2 = np.arange(2.0)
 
 
 def _line(value, rate, t):
@@ -53,28 +48,31 @@ def form_values(path):
 
 
 class TestPointValidation:
+    """The per-sample rules, which every sample of a path must meet."""
+
     def test_temperature_must_be_positive(self):
         with pytest.raises(ValueError):
-            make_ext(T=0.0)
+            ext_line(T=0.0, t=T2)
         with pytest.raises(ValueError):
-            make_ext(T=-1.0)
+            ext_line(T=-1.0, t=T2)
 
     def test_entropy_must_be_nonnegative(self):
         with pytest.raises(ValueError):
-            make_ext(S=-0.1)
+            ext_line(S=-0.1, t=T2)
 
     def test_pq_lengths_must_match(self):
+        p, q = np.ones((2, 2)), np.ones((2, 1))
         with pytest.raises(ValueError):
-            ExtendedPoint(0.0, 1.0, 1.0, [1.0, 2.0], [1.0])
+            SampledPath(T2, np.zeros(2), p, q, np.ones(2), np.ones(2))
         with pytest.raises(ValueError):
-            ReducedPoint(0.0, [1.0, 2.0], [1.0])
+            SampledPath(T2, np.zeros(2), p, q)
 
     def test_points_are_immutable(self):
-        pt = make_ext()
+        path = ext_line(t=T2)
         with pytest.raises(Exception):
-            pt.z = 2.0
+            path.z = np.ones(2)
         with pytest.raises(Exception):
-            pt.p[0] = 5.0
+            path.p[0, 0] = 5.0
 
 
 class TestExtendedForm:
@@ -130,8 +128,7 @@ class TestReducedForm:
 class TestPathChecks:
     def chord_path(self, L, n=20):
         t = np.linspace(0.0, 1.0, n)
-        pts = tuple(ReducedPoint(0.5 + ti * L, [2.0], [-0.5]) for ti in t)
-        return SampledPath.from_points(t, pts)
+        return SampledPath(t, 0.5 + t * L, np.full(n, 2.0), np.full(n, -0.5))
 
     def test_upward_chord_is_nonnegative_with_min_L(self):
         rep = check_path_nonnegative(self.chord_path(0.7))
@@ -149,54 +146,38 @@ class TestPathChecks:
         front = gas_front(IdealGasParams(T=1.7, P_back=0.4))
         t = np.linspace(0.0, 1.0, 801)
         qs = -2.0 + 0.8 * t
-        pts = tuple(
-            ReducedPoint(front.value(q), [front.slope(q)], [q]) for q in qs
-        )
-        rep = check_path_nonnegative(SampledPath.from_points(t, pts), slack=1e-6)
+        path = SampledPath(t, front.value(qs), front.slope(qs), qs)
+        rep = check_path_nonnegative(path, slack=1e-6)
         assert rep.verdict == "nonnegative"
         assert abs(rep.min_form_value) < 1e-6
 
     def test_refinement_keeps_passing(self):
         for n in (101, 201):
             t = np.linspace(0.0, 1.0, n)
-            pts = tuple(
-                ReducedPoint(math.sin(ti) + 2.0 * ti, [math.cos(ti)], [ti]) for ti in t
-            )
-            rep = check_path_nonnegative(SampledPath.from_points(t, pts), slack=1e-3)
+            path = SampledPath(t, np.sin(t) + 2.0 * t, np.cos(t), t)
+            rep = check_path_nonnegative(path, slack=1e-3)
             assert rep.verdict == "nonnegative"
 
     def test_too_few_samples(self):
-        with pytest.raises(ValueError):
-            SampledPath.from_points(np.array([0.0]), (ReducedPoint(0.0, [1.0], [0.0]),))
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            SampledPath(np.array([0.0]), [0.0], [1.0], [0.0])
 
     def test_times_strictly_increasing(self):
-        pts = (ReducedPoint(0.0, [1.0], [0.0]),) * 2
-        with pytest.raises(ValueError):
-            SampledPath.from_points(np.array([0.0, 0.0]), pts)
-
-    def test_mixed_kinds_rejected(self):
-        with pytest.raises(ValueError):
-            SampledPath.from_points(
-                np.array([0.0, 1.0]),
-                (ReducedPoint(0.0, [1.0], [0.0]), make_ext()),
-            )
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SampledPath(np.array([0.0, 0.0]), [0.0, 0.0], [1.0, 1.0], [0.0, 0.0])
 
     def test_interior_velocities_are_second_order(self):
         # quadratic coordinates are differentiated exactly at interior nodes
         t = np.linspace(0.0, 1.0, 11)
-        pts = tuple(ReducedPoint(3 * ti**2, [ti], [2 * ti]) for ti in t)
-        vel = _velocity_matrix(SampledPath.from_points(t, pts))  # rows dz, dp, dq
+        vel = _velocity_matrix(SampledPath(t, 3 * t**2, t, 2 * t))  # rows dz, dp, dq
         for ti, (dz, _, dq) in list(zip(t, vel))[1:-1]:
             assert abs(dz - 6 * ti) < 1e-12
             assert abs(dq - 2.0) < 1e-12
 
     def test_extended_velocities_carry_all_coordinates(self):
         t = np.linspace(0.0, 1.0, 7)
-        pts = tuple(
-            ExtendedPoint(ti, 2.0 * ti, 1.0 + ti, [3.0 * ti, 0.0], [0.0, -ti])
-            for ti in t
-        )
-        vel = _velocity_matrix(SampledPath.from_points(t, pts))
+        p, q = np.column_stack([3.0 * t, 0 * t]), np.column_stack([0 * t, -t])
+        vel = _velocity_matrix(SampledPath(t, t, p, q, 2.0 * t, 1.0 + t))
         dz, dS, dT, dp_1, _, _, dq_2 = vel[3]  # row dz, dS, dT, dp_1, dp_2, dq_1, dq_2
         assert abs(dz - 1.0) < 1e-12
         assert abs(dS - 2.0) < 1e-12
@@ -224,18 +205,6 @@ class TestColumns:
             path.z[0] = 5.0
         z[0] = 5.0
         assert path.z[0] == 0.0
-
-    def test_points_view_builds_samples(self):
-        path = self.ext_path()
-        pts = path.points
-        assert len(pts) == 6
-        last = pts[-1]
-        assert isinstance(last, ExtendedPoint)
-        assert last.z == 2.0 and last.T == 2.0 and np.array_equal(last.q, [-1.0, 1.0])
-        assert [pt.z for pt in pts[1:3]] == [0.4, 0.8]
-        assert [pt.z for pt in pts] == path.z.tolist()
-        with pytest.raises(IndexError):
-            pts[6]
 
     def test_errors_name_the_first_offending_sample(self):
         T = np.array([1.0, 1.0, 1.0, 0.0, -1.0, 1.0])
@@ -300,35 +269,35 @@ class TestAdmissibilityDecrement:
 
 class TestReduce:
     def test_projection_example(self):
-        pt = ExtendedPoint(1.5, 0.7, 2.0, [0.4, 0.0], [1.1, 3.0])
+        path = ext_line(z=1.5, S=0.7, T=2.0, p=(0.4, 0.0), q=(1.1, 3.0), t=T2)
         spec = ReductionSpec(k=1, frozen_q={}, zeroed_p=(1,), T0=2.0)
         # n=2 with q_2 reduced via freezing is the other standard layout
         spec2 = ReductionSpec(k=1, frozen_q={1: 3.0}, zeroed_p=(), T0=2.0)
-        red = reduce(pt, spec)
-        assert red.z == 1.5 and float(red.p[0]) == 0.4 and float(red.q[0]) == 1.1
-        red2 = reduce(pt, spec2)
-        assert float(red2.q[0]) == 1.1
+        red = reduce(path, spec)
+        assert red.kind == "reduced" and red.dimension == 1
+        assert np.all(red.z == 1.5) and np.all(red.p == 0.4) and np.all(red.q == 1.1)
+        red2 = reduce(path, spec2)
+        assert np.all(red2.q == 1.1)
 
     def test_zeroed_constraint_violation(self):
-        pt = ExtendedPoint(0.0, 1.0, 1.0, [0.4, 0.1], [0.0, 0.0])
+        path = ext_line(p=(0.4, 0.1), q=(0.0, 0.0), t=T2)
         spec = ReductionSpec(k=1, zeroed_p=(1,), T0=1.0)
-        with pytest.raises(ReductionError, match="p_2"):
-            reduce(pt, spec)
+        with pytest.raises(ReductionError, match=r"p_2 \(sample 0\)"):
+            reduce(path, spec)
 
     def test_temperature_pin_violation(self):
-        pt = make_ext(T=1.5)
         with pytest.raises(ReductionError, match="temperature"):
-            reduce(pt, ReductionSpec(k=1, T0=1.0))
+            reduce(ext_line(T=1.5, t=T2), ReductionSpec(k=1, T0=1.0))
 
     def test_frozen_pin_violation(self):
-        pt = ExtendedPoint(0.0, 1.0, 1.0, [0.4, 0.0], [0.0, 2.0])
+        path = ext_line(p=(0.4, 0.0), q=(0.0, 2.0), t=T2)
         with pytest.raises(ReductionError, match="q_2"):
-            reduce(pt, ReductionSpec(k=1, frozen_q={1: 1.0}))
+            reduce(path, ReductionSpec(k=1, frozen_q={1: 1.0}))
 
     def test_partition_must_cover_all_indices(self):
-        pt = ExtendedPoint(0.0, 1.0, 1.0, [0.4, 0.0, 0.0], [0.0, 2.0, 1.0])
+        path = ext_line(p=(0.4, 0.0, 0.0), q=(0.0, 2.0, 1.0), t=T2)
         with pytest.raises(ValueError, match="partition"):
-            reduce(pt, ReductionSpec(k=1, frozen_q={1: 2.0}))
+            reduce(path, ReductionSpec(k=1, frozen_q={1: 2.0}))
 
     def test_reduced_paths_stay_nonnegative(self):
         # admissible extended paths (form >= 0, decrement >= 0, p_E = 0)
@@ -357,22 +326,15 @@ class TestReduce:
             z = np.concatenate(
                 [[0.0], np.cumsum((zdot[1:] + zdot[:-1]) / 2 * np.diff(t))]
             )
-            pts = tuple(
-                ExtendedPoint(
-                    z[i], S[i], T[i], [p1[i], p2[i], p3[i]], [q1[i], q2[i], q3[i]]
-                )
-                for i in range(t.size)
-            )
+            p, q = np.column_stack([p1, p2, p3]), np.column_stack([q1, q2, q3])
             spec = ReductionSpec(k=1, frozen_q={1: None}, zeroed_p=(2,))
-            red = reduce(SampledPath.from_points(t, pts), spec)
+            red = reduce(SampledPath(t, z, p, q, S, T), spec)
             rep = check_path_nonnegative(red, slack=1e-9)
             assert rep.verdict == "nonnegative"
 
     def test_reduce_requires_extended_path(self):
-        t = np.array([0.0, 1.0])
-        pts = tuple(ReducedPoint(0.0, [1.0], [0.0]) for _ in t)
         with pytest.raises(ValueError):
-            reduce(SampledPath.from_points(t, pts), ReductionSpec(k=1))
+            reduce(red_line(p=(1.0,), t=T2), ReductionSpec(k=1))
 
 
 class TestEntropyRate:
@@ -385,8 +347,7 @@ class TestEntropyRate:
 
     def test_nonnegative_on_accepted_paths(self):
         t = np.linspace(0.0, 1.0, 30)
-        pts = tuple(make_ext(z=1.5 * ti, S=1.0, T=1.0 + ti) for ti in t)
-        path = SampledPath.from_points(t, pts)
+        path = SampledPath(t, 1.5 * t, np.zeros(30), np.zeros(30), np.ones(30), 1.0 + t)
         rep = check_path_nonnegative(path, slack=0.0)
         assert rep.verdict == "nonnegative"
         assert np.all(irreversible_entropy_rate(path) >= 0.0)
@@ -399,28 +360,25 @@ class TestEntropyRate:
 class TestSerialization:
     def test_extended_roundtrip(self):
         t = np.linspace(0.0, 1.0, 5)
-        pts = tuple(
-            ExtendedPoint(1.0 / 3 + ti, 0.1, 2.0, [ti, -ti], [0.5, ti]) for ti in t
-        )
+        p, q = np.column_stack([t, -t]), np.column_stack([np.full(5, 0.5), t])
+        path = SampledPath(t, 1.0 / 3 + t, p, q, np.full(5, 0.1), np.full(5, 2.0))
         buf = io.StringIO()
-        path_to_csv(SampledPath.from_points(t, pts), buf)
+        path_to_csv(path, buf)
         text = buf.getvalue()
         assert text.splitlines()[0] == "t,z,S,T,p_1,p_2,q_1,q_2"
         back = path_from_csv(io.StringIO(text))
         assert back.kind == "extended"
-        for a, b in zip(pts, back.points):
-            assert a.z == b.z and a.S == b.S and a.T == b.T
-            assert np.array_equal(a.p, b.p) and np.array_equal(a.q, b.q)
+        for name in ("times", "z", "S", "T", "p", "q"):
+            assert np.array_equal(getattr(back, name), getattr(path, name))
 
     def test_reduced_roundtrip_header(self):
         t = np.array([0.0, 0.5])
-        pts = tuple(ReducedPoint(1.0 / 7, [2.0], [ti]) for ti in t)
         buf = io.StringIO()
-        path_to_csv(SampledPath.from_points(t, pts), buf)
+        path_to_csv(SampledPath(t, np.full(2, 1.0 / 7), np.full(2, 2.0), t), buf)
         assert buf.getvalue().splitlines()[0] == "t,z,p_1,q_1"
         back = path_from_csv(io.StringIO(buf.getvalue()))
         assert back.kind == "reduced"
-        assert back.points[0].z == 1.0 / 7
+        assert back.z[0] == 1.0 / 7
 
     @pytest.mark.parametrize(
         "header",
@@ -437,8 +395,7 @@ class TestSerialization:
         import json
 
         t = np.linspace(0.0, 1.0, 4)
-        pts = tuple(ReducedPoint(-ti, [1.0], [0.0]) for ti in t)
-        rep = check_path_nonnegative(SampledPath.from_points(t, pts))
+        rep = check_path_nonnegative(SampledPath(t, -t, np.ones(4), np.zeros(4)))
         doc = json.loads(rep.to_json())
         assert set(doc) == {"min_form_value", "violations", "verdict"}
         assert doc["verdict"] == "violated"

@@ -18,6 +18,7 @@ from thermocontact import (
     irreversible_entropy_rate,
     lift_to_extended,
     normalized_density,
+    pressures,
     run_slow_isotopy,
     stirling_cycle,
     total_variation,
@@ -53,16 +54,16 @@ class TestSlowIsotopyGas:
     def test_every_slice_contains_the_chord_point(self):
         trace = run_slow_isotopy("gas", self.example_schedule(), [-1.5, -0.5])
         chord_path = trace.paths[-1]
-        for pt in chord_path.points:
-            assert abs(float(pt.p[0]) - 2.0) <= 1e-9
-            assert abs(float(pt.q[0]) + 0.5) <= 1e-9
+        for p, q in zip(chord_path.p[:, 0].tolist(), chord_path.q[:, 0].tolist()):
+            assert abs(p - 2.0) <= 1e-9
+            assert abs(q + 0.5) <= 1e-9
 
     def test_chord_point_trajectory_rides_the_chord(self):
         sched = self.example_schedule()
         trace = run_slow_isotopy("gas", sched, [-0.5])
         path = trace.paths[0]
-        for tj, pt in zip(sched.times, path.points):
-            assert abs(pt.z - (1.0 + 4.0 * tj) * LN2) <= 1e-10
+        for tj, z in zip(sched.times, path.z):
+            assert abs(z - (1.0 + 4.0 * tj) * LN2) <= 1e-10
         rep = trace.reports[0]
         assert rep.verdict == "nonnegative"
         assert rep.min_form_value > 1.0  # the chord is traversed strictly upward
@@ -71,7 +72,7 @@ class TestSlowIsotopyGas:
         sched = Schedule.linear(11, 2.0, 2.0, 0.5, 0.5)
         trace = run_slow_isotopy("gas", sched, [-2.0, -1.0])
         for path, rep in zip(trace.paths, trace.reports):
-            zs = {pt.z for pt in path.points}
+            zs = set(path.z.tolist())
             assert len(zs) == 1
             assert rep.verdict == "nonnegative"
             assert abs(rep.min_form_value) < 1e-14
@@ -97,8 +98,8 @@ class TestSlowIsotopyGas:
     def test_slices_stay_on_family(self):
         trace = run_slow_isotopy("gas", self.example_schedule(), [-2.0, -1.0, -0.5])
         assert trace.legendrian_residual() < 1e-8
-        first_slice = trace.slice_points(0)
-        assert [float(pt.q[0]) for pt in first_slice] == [-2.0, -1.0, -0.5]
+        first_slice = [float(path.q[0, 0]) for path in trace.paths]
+        assert first_slice == [-2.0, -1.0, -0.5]
 
     def test_unknown_model(self):
         with pytest.raises(ValueError):
@@ -119,13 +120,13 @@ class TestSlowIsotopyMagnet:
         x_grid = [-0.4, 0.2]
         trace = run_slow_isotopy("cw", sched, x_grid, b=0.8)
         for x, path in zip(x_grid, trace.paths):
-            assert abs(float(path.points[0].p[0]) - x) < 1e-10
+            assert abs(float(path.p[0, 0]) - x) < 1e-10
 
     def test_branch_tracking_through_double_well(self):
         # cooling from above: q < 0 keeps the tracked branch negative
         sched = Schedule.linear(51, 1.0, 1.6, 0.0, 0.0)
         trace = run_slow_isotopy("cw", sched, [-0.8], b=0.9)
-        ps = [float(pt.p[0]) for pt in trace.paths[0].points]
+        ps = trace.paths[0].p[:, 0].tolist()
         assert all(p < 0 for p in ps)
 
     def test_branch_loss_is_reported_with_node(self):
@@ -203,8 +204,8 @@ class TestUltrafastJump:
         sp, h = self.system()
         rec = ultrafast_jump(sp, h, 1.0, 1.0, [1.0], [0.0])
         assert rec.is_ultrafast
-        assert rec.after_stage1.z == rec.before.z
-        assert np.array_equal(rec.after_stage1.p, rec.before.p)
+        assert rec.z_after_stage1 == rec.z_before
+        assert np.array_equal(rec.p, pressures(sp, h, gibbs(sp, h, 1.0, [1.0]).rho_g))
 
     def test_proportional_weights_stay_gibbs(self):
         # doubling T while doubling the field leaves exp(-H/T) unchanged
@@ -212,7 +213,7 @@ class TestUltrafastJump:
         rec = ultrafast_jump(sp, h, 1.0, 2.0, [1.0], [1.0])
         assert rec.is_ultrafast
         assert rec.gibbs_residual < 1e-12
-        assert rec.after_stage1.z != rec.before.z
+        assert rec.z_after_stage1 != rec.z_before
 
     def test_constant_energy_shift_stays_gibbs(self):
         # a background jump acting equally on every state rescales the
@@ -225,9 +226,15 @@ class TestUltrafastJump:
 
     def test_extensive_variables_frozen_bitwise(self):
         sp, h = self.system()
-        rec = ultrafast_jump(sp, h, 1.0, 1.7, [0.5], [0.8])
-        assert np.array_equal(rec.after_stage1.p, rec.before.p)
-        assert np.array_equal(rec.after_stage1.q, rec.before.q)
+        q = np.array([0.5])
+        rec = ultrafast_jump(sp, h, 1.0, 1.7, q, [0.8])
+        # p and q are the pre-jump Gibbs state's, copied and read-only
+        assert np.array_equal(rec.p, pressures(sp, h, gibbs(sp, h, 1.0, q).rho_g))
+        assert np.array_equal(rec.q, q) and rec.q is not q
+        with pytest.raises(ValueError):
+            rec.p[0] = 0.0
+        with pytest.raises(ValueError):
+            rec.q[0] = 0.0
 
     def test_generic_jump_needs_relaxation(self):
         sp, h = self.system()
@@ -263,6 +270,21 @@ class TestFokkerPlanck:
         trace = fokker_planck_relax(sp, h, [0.0], lambda t: 1.0, rho0, 0.05, 25.0)
         assert total_variation(sp, trace.densities[-1], uniform_density(sp)) < 1e-6
         assert np.all(np.diff(trace.G_values) <= 1e-12)
+
+    def test_densities_view_builds_rows(self):
+        sp = unit_space(3)
+        h = AffineHamiltonian([0.0, 0.4, 1.0], np.zeros((1, 3)))
+        rho0 = normalized_density(sp, [0.6, 0.3, 0.1])
+        trace = fokker_planck_relax(sp, h, [0.0], lambda t: 1.0, rho0, 0.1, 1.0)
+        dens = trace.densities
+        n = trace.rho.shape[0]
+        assert len(dens) == n
+        last = dens[-1]
+        assert isinstance(last, Density) and np.array_equal(last.rho, trace.rho[n - 1])
+        assert [d.rho.tolist() for d in dens[1:3]] == trace.rho[1:3].tolist()
+        assert [d.rho.tolist() for d in dens] == trace.rho.tolist()
+        with pytest.raises(IndexError):
+            dens[n]
 
     def test_mass_and_positivity_along_the_flow(self):
         rng = np.random.default_rng(61)
@@ -305,10 +327,9 @@ class TestFokkerPlanck:
         T = 1.3
         rho0 = normalized_density(sp, [0.5, 0.2, 0.2, 0.1])
         trace = fokker_planck_relax(sp, h, [0.0], lambda t: T, rho0, 0.02, 3.0)
-        ext_pts = tuple(
-            lift_to_extended(sp, h, T, [0.0], d) for d in trace.densities
-        )
-        path = SampledPath.from_points(trace.t_grid, ext_pts)
+        lifts = [lift_to_extended(sp, h, T, [0.0], d) for d in trace.densities]
+        z, S, p = (np.array(col) for col in zip(*lifts))
+        path = SampledPath(trace.t_grid, z, p, np.zeros_like(p), S, np.full(z.size, T))
         rates = irreversible_entropy_rate(path)
         g_dot = np.gradient(trace.G_values, trace.t_grid, edge_order=2)
         for j in range(1, len(rates) - 1):
@@ -408,8 +429,8 @@ class TestStirlingCycle:
             "isotherm_cold",
             "heating_corner",
         ]
-        assert float(trace.segments[1].path.points[0].p[0]) == 1.5
-        assert float(trace.segments[3].path.points[0].p[0]) == 2.0
+        assert float(trace.segments[1].path.p[0, 0]) == 1.5
+        assert float(trace.segments[3].path.p[0, 0]) == 2.0
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
