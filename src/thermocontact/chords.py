@@ -111,9 +111,21 @@ def cw_chord(t0: float, t1: float, c: float, b: float) -> Chord:
         raise ValueError("spin interaction b must be positive")
     p = math.tanh(c / (t1 - t0))
     q = c * t0 / (t1 - t0) - b * p
+    # models.cw_phi takes x / T and doubles it, at each end of the chord
+    for T, H in ((t0, 0.0), (t1, c)):
+        if not math.isfinite(2.0 * ((q + H + b * p) / T)):
+            raise FloatingPointError(
+                f"the magnet chord at t0={t0!r}, t1={t1!r}, c={c!r}, b={b!r} "
+                "is beyond double precision"
+            )
     return Chord(q=q, p=p, z_start=_cw_z(p, q, t0, 0.0, b), z_end=_cw_z(p, q, t1, c, b))
 
 
+# Overflow is not an error in the scan: a product of two slope values that
+# overflows keeps the sign that the masks read, the magnet slopes clip an
+# overflowing x / T (see models._tanh_gap), and a node whose slope
+# difference is nan (two overflowed gas slopes) brackets nothing.
+@np.errstate(over="ignore", invalid="ignore")
 def find_chords(
     f0: FrontFunction,
     f1: FrontFunction,

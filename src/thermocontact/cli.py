@@ -1,24 +1,28 @@
 """Command-line entry point.
 
 Subcommands: gibbs, chord, relax, isotopy, stirling, reduce, verify.
-Every subcommand validates its inputs before computing and writes nothing
-on validation failure.  Identical configurations produce byte-identical
-output files (full double precision, deterministic ordering).
+Each subcommand computes everything first and returns an :class:`Outcome`
+holding the text of its files; :func:`dispatch` alone writes them, after
+the subcommand has returned, so a run that exits non-zero writes no file.
+Identical configurations produce byte-identical output files (full double
+precision, deterministic ordering).
 
 Exit status: 0 on success, 1 on validation errors (including usage), 2 on
 numerical failures.  A JSON file passed through ``--config`` supplies
-defaults for the subcommand's flags; explicit flags win and unknown keys
-are rejected.  ``THERMO_OUT_DIR`` sets the default output directory.
+defaults for the subcommand's flags; explicit flags win, unknown keys are
+rejected and every value passes its flag's check.  ``THERMO_OUT_DIR`` sets
+the default output directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -63,8 +67,7 @@ class ValidationError(ValueError):
 class RunConfig:
     command: str
     out_dir: Path
-    fmt: str = "csv"
-    options: dict[str, Any] = field(default_factory=dict)
+    options: dict[str, Any]
 
     def opt(self, key: str, default=None):
         value = self.options.get(key)
@@ -77,24 +80,37 @@ class RunConfig:
         return value
 
 
-def _write_json(path: Path, doc) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+@dataclass
+class Outcome:
+    """A subcommand's output files (name to text), stdout and exit status."""
+
+    files: dict[str, str]
+    stdout: str
+    status: int = 0
 
 
-def _load_system_checked(path):
+def _json(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _csv(write: Callable[..., None], *args) -> str:
+    """The text that a library CSV writer, called as ``write(*args, stream)``,
+    writes."""
+    out = io.StringIO()
+    write(*args, out)
+    return out.getvalue()
+
+
+def _table(header: list[str], rows) -> str:
+    return _csv(lambda out: write_csv(out, header, rows))
+
+
+def _read_checked(read: Callable[[str], Any], path: str, what: str):
+    """``read(path)``, with an unreadable file reported as a validation error."""
     try:
-        return ms.load_system(path)
+        return read(path)
     except OSError as exc:
-        raise ValidationError(f"cannot read system file {path!r}: {exc}") from exc
-
-
-def _read_input_checked(reader, path):
-    try:
-        return reader(path)
-    except OSError as exc:
-        raise ValidationError(f"cannot read input file {path!r}: {exc}") from exc
+        raise ValidationError(f"cannot read {what} file {path!r}: {exc}") from exc
 
 
 def finite_float(text: str) -> float:
@@ -105,23 +121,22 @@ def finite_float(text: str) -> float:
     return value
 
 
-# argparse and _coerce_config_value name the flag type by __name__:
+# argparse and _config_value name the flag type by __name__:
 # "invalid finite float value: 'nan'"
 finite_float.__name__ = "finite float"
 
 
-def _parse_floats(value, what: str) -> np.ndarray:
-    """The comma-separated (or, from a config, listed) values of --what."""
-    items = value if isinstance(value, list) else str(value).split(",")
+def _parse_floats(text: str, what: str) -> np.ndarray:
+    """The comma-separated values of --what."""
     try:
-        return np.array([finite_float(str(x)) for x in items if x != ""])
+        return np.array([finite_float(x) for x in text.split(",") if x != ""])
     except ValueError as exc:
-        raise ValidationError(f"cannot parse --{what} from {value!r}: {exc}") from exc
+        raise ValidationError(f"cannot parse --{what} from {text!r}: {exc}") from exc
 
 
 def _parse_indices(text: str, what: str) -> list[int]:
     out = []
-    for piece in str(text).split(","):
+    for piece in text.split(","):
         if not piece:
             continue
         try:
@@ -134,43 +149,44 @@ def _parse_indices(text: str, what: str) -> list[int]:
     return out
 
 
-def _write_chords(cfg: RunConfig, name: str, chords: list[Chord]) -> Path:
-    if cfg.fmt == "json":
-        path = cfg.out_dir / f"{name}.json"
-        with open(path, "w") as fh:
-            fh.write(chords_to_json(chords))
-            fh.write("\n")
-    else:
-        path = cfg.out_dir / f"{name}.csv"
-        chords_to_csv(chords, str(path))
-    return path
+def _window(lo: float, hi: float, n: int, name: str) -> np.ndarray:
+    """np.linspace(lo, hi, n) over the window of --{name}-lo/--{name}-hi."""
+    if not math.isfinite(hi - lo):
+        window = f"--{name}-lo/--{name}-hi window [{lo!r}, {hi!r}]"
+        raise FloatingPointError(f"the {window} is beyond double precision")
+    return np.linspace(lo, hi, n)
 
 
-def _write_table(cfg: RunConfig, name: str, header: list[str], rows) -> Path:
-    path = cfg.out_dir / f"{name}.csv"
-    write_csv(path, header, rows)
-    return path
+def _chords(cfg: RunConfig, name: str, chords: list[Chord]) -> dict[str, str]:
+    if cfg.opt("format", "csv") == "json":
+        return {f"{name}.json": chords_to_json(chords) + "\n"}
+    return {f"{name}.csv": _csv(chords_to_csv, chords)}
 
 
-def _write_front_pair(
-    cfg: RunConfig, fig: str, front: FrontFunction, qs: np.ndarray, qstar: float
-) -> list[Path]:
+@np.errstate(over="ignore", invalid="ignore")
+def _front_pair(fig: str, front: FrontFunction, qs: np.ndarray, qstar: float) -> dict[str, str]:
     """fig3/fig4: the difference front and the zero section over qs, and the
     vertical chord segment at qstar."""
-    return [
-        _write_table(cfg, f"{fig}_{name}", ["q", "z"], rows)
-        for name, rows in (
-            ("difference_front", np.column_stack([qs, front.value(qs)])),
-            ("zero_section", np.column_stack([qs, np.zeros_like(qs)])),
-            ("chord", [(qstar, 0.0), (qstar, front.value(qstar))]),
+    zs, zstar = front.value(qs), front.value(qstar)
+    if not (np.all(np.isfinite(zs)) and math.isfinite(zstar)):
+        raise FloatingPointError(
+            f"the {front.label} is beyond double precision on the figure window "
+            f"or at the chord q={float(qstar)!r}"
         )
-    ]
+    return {
+        f"{fig}_{name}.csv": _table(["q", "z"], rows)
+        for name, rows in (
+            ("difference_front", np.column_stack([qs, zs])),
+            ("zero_section", np.column_stack([qs, np.zeros_like(qs)])),
+            ("chord", [(qstar, 0.0), (qstar, zstar)]),
+        )
+    }
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_chord(cfg: RunConfig) -> int:
+def _cmd_chord(cfg: RunConfig) -> Outcome:
     """Closed-form chord, the finder cross-check and the figure data.
 
     gas: fig1 (the two equilibrium curves and the chord marker) and fig3;
@@ -191,24 +207,24 @@ def _cmd_chord(cfg: RunConfig) -> int:
         lo = 10.0 * closed.q - 1.0
         zero = constant_front(0.0, (-math.inf, 0.0))
         found = find_chords(zero, f1, lo, closed.q / 10.0, grid_n)
-        qs = np.linspace(cfg.opt("q_lo", -6.0), cfg.opt("q_hi", min(-0.05, c - 0.05)), grid)
+        qs = _window(cfg.opt("q_lo", -6.0), cfg.opt("q_hi", min(-0.05, c - 0.05)), grid, "q")
         cold, hot = IdealGasParams(T=t0, P_back=0.0), IdealGasParams(T=t1, P_back=c)
         marker = [(closed.q, closed.p, closed.z_start, closed.z_end)]
-        files = [
-            _write_table(cfg, "fig1_family_cold", ["q", "p", "z"], sample_gas_legendrian(cold, qs)),
-            _write_table(cfg, "fig1_family_hot", ["q", "p", "z"], sample_gas_legendrian(hot, qs)),
-            _write_table(cfg, "fig1_chord", ["q", "p", "z_start", "z_end"], marker),
-        ]
-        qs = np.linspace(cfg.opt("q_lo", lo), cfg.opt("q_hi", min(0.0, c) - 1e-3), grid)
-        files += _write_front_pair(cfg, "fig3", f1, qs, closed.q)
-        files.append(_write_chords(cfg, "chords_gas", [closed]))
+        files = {
+            "fig1_family_cold.csv": _table(["q", "p", "z"], sample_gas_legendrian(cold, qs)),
+            "fig1_family_hot.csv": _table(["q", "p", "z"], sample_gas_legendrian(hot, qs)),
+            "fig1_chord.csv": _table(["q", "p", "z_start", "z_end"], marker),
+        }
+        qs = _window(cfg.opt("q_lo", lo), cfg.opt("q_hi", min(0.0, c) - 1e-3), grid, "q")
+        files |= _front_pair("fig3", f1, qs, closed.q)
+        files |= _chords(cfg, "chords_gas", [closed])
         check = abs(found[0].q - closed.q) if found else math.inf
-        print(
+        return Outcome(
+            files,
             f"chord gas: P0={-closed.q:.12g} v={closed.p:.12g} "
             f"length={closed.length:.12g} direction={closed.direction:+d} "
-            f"finder|dq|={check:.3e} files={len(files)}"
+            f"finder|dq|={check:.3e} files={len(files)}",
         )
-        return 0
     if model == "cw":
         b = cfg.opt("b", 1.0)
         if not b > 0:
@@ -219,26 +235,26 @@ def _cmd_chord(cfg: RunConfig) -> int:
         span = max(10.0, 3.0 * abs(qstar))
         found = find_chords(constant_front(), f1, -span, span, grid_n)
         span = cfg.opt("span", span)
-        qs = np.linspace(cfg.opt("q_lo", -span), cfg.opt("q_hi", span), grid)
-        files = _write_front_pair(cfg, "fig4", f1, qs, qstar)
+        qs = _window(cfg.opt("q_lo", -span), cfg.opt("q_hi", span), grid, "q")
+        files = _front_pair("fig4", f1, qs, qstar)
         sample = sample_cw_legendrian(
             CurieWeissParams(T=t0, H_back=0.0, b=b),
-            np.linspace(cfg.opt("p_lo", -0.99), cfg.opt("p_hi", 0.99), grid),
+            _window(cfg.opt("p_lo", -0.99), cfg.opt("p_hi", 0.99), grid, "p"),
         )
-        files.append(_write_table(cfg, "cw_legendrian", ["q", "p", "z", "S"], sample))
-        files.append(_write_chords(cfg, "chords_cw", [closed]))
+        files["cw_legendrian.csv"] = _table(["q", "p", "z", "S"], sample)
+        files |= _chords(cfg, "chords_cw", [closed])
         check = abs(found[0].q - qstar) if found else math.inf
-        print(
+        return Outcome(
+            files,
             f"chord cw: Q*={qstar:.12g} p={closed.p:.12g} q={closed.q:.12g} "
             f"length={closed.length:.12g} direction={closed.direction:+d} "
-            f"finder|dQ|={check:.3e} files={len(files)}"
+            f"finder|dQ|={check:.3e} files={len(files)}",
         )
-        return 0
     raise ValidationError(f"unknown model {model!r}, expected 'gas' or 'cw'")
 
 
-def _cmd_gibbs(cfg: RunConfig) -> int:
-    sp, h = _load_system_checked(cfg.require("system"))
+def _cmd_gibbs(cfg: RunConfig) -> Outcome:
+    sp, h = _read_checked(ms.load_system, cfg.require("system"), "system")
     T = cfg.require("T")
     if not T > 0:
         raise ValidationError("need --T > 0")
@@ -247,20 +263,18 @@ def _cmd_gibbs(cfg: RunConfig) -> int:
         raise ValidationError(f"q has length {q.size}, the system expects {h.n}")
     res = ms.gibbs(sp, h, T, q)
     z, S, p = ms.lift_to_extended(sp, h, T, q, res.rho_g)
-    ms.densities_to_csv([res.rho_g], str(cfg.out_dir / "gibbs_density.csv"))
-    _write_json(
-        cfg.out_dir / "gibbs_point.json",
-        {"log_z": res.log_z, "z": z, "S": S, "T": T, "p": p.tolist(), "q": q.tolist()},
+    point = {"log_z": res.log_z, "z": z, "S": S, "T": T, "p": p.tolist(), "q": q.tolist()}
+    return Outcome(
+        {
+            "gibbs_density.csv": _csv(ms.densities_to_csv, [res.rho_g]),
+            "gibbs_point.json": _json(point),
+        },
+        f"gibbs: m={sp.m} n={h.n} T={T:g} log_z={res.log_z:.12g} G={-z:.12g} S={S:.12g}",
     )
-    print(
-        f"gibbs: m={sp.m} n={h.n} T={T:g} log_z={res.log_z:.12g} "
-        f"G={-z:.12g} S={S:.12g}"
-    )
-    return 0
 
 
-def _cmd_relax(cfg: RunConfig) -> int:
-    sp, h = _load_system_checked(cfg.require("system"))
+def _cmd_relax(cfg: RunConfig) -> Outcome:
+    sp, h = _read_checked(ms.load_system, cfg.require("system"), "system")
     q = _parse_floats(cfg.require("q"), "q")
     if q.size != h.n:
         raise ValidationError(f"q has length {q.size}, the system expects {h.n}")
@@ -270,40 +284,30 @@ def _cmd_relax(cfg: RunConfig) -> int:
     t_end = cfg.opt("t_end", 20.0)
     dt0 = cfg.opt("dt0", 0.01)
     if not (T0 > 0 and T1 >= T0 and ramp >= 0 and t_end > 0 and dt0 > 0):
-        raise ValidationError(
-            "need --T0 > 0, --T1 >= --T0, --ramp >= 0, --t-end > 0, --dt0 > 0"
-        )
+        raise ValidationError("need --T0 > 0, --T1 >= --T0, --ramp >= 0, --t-end > 0, --dt0 > 0")
     rho_src = cfg.opt("rho0", "uniform")
     if rho_src == "uniform":
         rho0 = ms.uniform_density(sp)
     else:
-        densities = _read_input_checked(ms.densities_from_csv, rho_src)
+        densities = _read_checked(ms.densities_from_csv, rho_src, "input")
         if not len(densities):
             raise ValidationError(f"no density rows in {rho_src!r}")
         rho0 = ms.Density(densities[0])
         ms.check_density(sp, rho0)
 
-    if ramp > 0 and T1 > T0:
-
-        def T_of_t(t):
-            return T0 + (T1 - T0) * min(t, ramp) / ramp
-
-    else:
-        T_const = T1 if T1 > T0 else T0
-
-        def T_of_t(t):
-            return T_const
+    def T_of_t(t):
+        return T0 + (T1 - T0) * min(t, ramp) / ramp if ramp > 0 else T1
 
     trace = fokker_planck_relax(sp, h, q, T_of_t, rho0, dt0, t_end)
 
-    path_file = cfg.out_dir / "relax_path.csv"
-    path_to_csv(trace.reduced_path, str(path_file))
-    dens_file = cfg.out_dir / "relax_densities.csv"
-    ms.densities_to_csv(trace.rho, str(dens_file))
+    files = {
+        "relax_path.csv": _csv(path_to_csv, trace.reduced_path),
+        "relax_densities.csv": _csv(ms.densities_to_csv, trace.rho),
+    }
     terminal = ms.gibbs(sp, h, trace.temperatures[-1], q).rho_g
     tv = ms.total_variation(sp, trace.densities[-1], terminal)
     manifest = {
-        "files": [path_file.name, dens_file.name],
+        "files": list(files),
         "n_nodes": int(trace.t_grid.size),
         "t_end": float(trace.t_grid[-1]),
         "terminal_temperature": float(trace.temperatures[-1]),
@@ -313,16 +317,16 @@ def _cmd_relax(cfg: RunConfig) -> int:
         "G_end": float(trace.G_values[-1]),
         "spectral_gap_estimate": trace.spectral_gap_estimate(),
     }
-    _write_json(cfg.out_dir / "relax_manifest.json", manifest)
-    print(
+    files["relax_manifest.json"] = _json(manifest)
+    return Outcome(
+        files,
         f"relax: nodes={trace.t_grid.size} G: {manifest['G_start']:.6g} -> "
         f"{manifest['G_end']:.6g} terminal TV={tv:.3e} "
-        f"min form={manifest['min_form_value']:.3e}"
+        f"min form={manifest['min_form_value']:.3e}",
     )
-    return 0
 
 
-def _cmd_isotopy(cfg: RunConfig) -> int:
+def _cmd_isotopy(cfg: RunConfig) -> Outcome:
     model = cfg.require("model")
     T0, T1 = cfg.require("T0"), cfg.require("T1")
     bg0, bg1 = cfg.opt("bg0", 0.0), cfg.opt("bg1", 0.0)
@@ -334,20 +338,14 @@ def _cmd_isotopy(cfg: RunConfig) -> int:
     if not (x_lo <= x_hi and n_x >= 1):
         raise ValidationError("need --x-lo <= --x-hi and --n-x >= 1")
     sched = Schedule.linear(n_times, T0, T1, bg0, bg1)
-    x_grid = np.linspace(x_lo, x_hi, n_x)
-    trace = run_slow_isotopy(
-        model, sched, x_grid, b=cfg.opt("b"), slack=cfg.opt("slack", 1e-8)
-    )
-    entries = []
+    x_grid = _window(x_lo, x_hi, n_x, "x")
+    trace = run_slow_isotopy(model, sched, x_grid, b=cfg.opt("b"), slack=cfg.opt("slack", 1e-8))
+    files, entries = {}, []
     for i, (path, report) in enumerate(zip(trace.paths, trace.reports)):
         fname = f"isotopy_path_{i:03d}.csv"
-        path_to_csv(path, str(cfg.out_dir / fname))
+        files[fname] = _csv(path_to_csv, path)
         entries.append(
-            {
-                "x": float(x_grid[i]),
-                "file": fname,
-                "report": json.loads(report.to_json()),
-            }
+            {"x": float(x_grid[i]), "file": fname, "report": json.loads(report.to_json())}
         )
     manifest = {
         "model": model,
@@ -360,26 +358,26 @@ def _cmd_isotopy(cfg: RunConfig) -> int:
         "paths": entries,
         "legendrian_residual": trace.legendrian_residual(),
     }
-    _write_json(cfg.out_dir / "isotopy_manifest.json", manifest)
+    files["isotopy_manifest.json"] = _json(manifest)
     n_ok = sum(1 for e in entries if e["report"]["verdict"] == "nonnegative")
-    print(
+    return Outcome(
+        files,
         f"isotopy {model}: {len(entries)} paths, {n_ok} non-negative, "
-        f"family residual={manifest['legendrian_residual']:.3e}"
+        f"family residual={manifest['legendrian_residual']:.3e}",
     )
-    return 0
 
 
-def _cmd_stirling(cfg: RunConfig) -> int:
+def _cmd_stirling(cfg: RunConfig) -> Outcome:
     t_cold, t_hot = cfg.require("t_cold"), cfg.require("t_hot")
     v_min, v_max = cfg.require("v_min"), cfg.require("v_max")
     if not (0 < t_cold < t_hot and 0 < v_min < v_max):
         raise ValidationError("need --t-hot > --t-cold > 0 and --v-max > --v-min > 0")
     n_samples = int(cfg.opt("n_samples", 101))
     trace = stirling_cycle(t_cold, t_hot, v_min, v_max, n_samples)
-    segments = []
+    files, segments = {}, []
     for seg in trace.segments:
         fname = f"stirling_{seg.name}.csv"
-        path_to_csv(seg.path, str(cfg.out_dir / fname))
+        files[fname] = _csv(path_to_csv, seg.path)
         segments.append(
             {
                 "name": seg.name,
@@ -400,22 +398,21 @@ def _cmd_stirling(cfg: RunConfig) -> int:
         "closure_residual": trace.closure_residual,
         "total_delta_G": trace.total_delta_G,
     }
-    _write_json(cfg.out_dir / "stirling_manifest.json", manifest)
-    print(
+    files["stirling_manifest.json"] = _json(manifest)
+    return Outcome(
+        files,
         f"stirling: 4 segments, closure={trace.closure_residual:.3e} "
-        f"sum dG={trace.total_delta_G:.3e} files={len(segments) + 1}"
+        f"sum dG={trace.total_delta_G:.3e} files={len(files)}",
     )
-    return 0
 
 
-def _cmd_reduce(cfg: RunConfig) -> int:
-    src = cfg.require("input")
-    path = _read_input_checked(path_from_csv, src)
+def _cmd_reduce(cfg: RunConfig) -> Outcome:
+    path = _read_checked(path_from_csv, cfg.require("input"), "input")
     if path.kind != "extended":
         raise ValidationError("reduce expects an extended path CSV")
     k = int(cfg.require("k"))
     frozen: dict[int, float | None] = {}
-    for piece in str(cfg.opt("frozen", "")).split(","):
+    for piece in cfg.opt("frozen", "").split(","):
         if not piece:
             continue
         if "=" in piece:
@@ -430,47 +427,32 @@ def _cmd_reduce(cfg: RunConfig) -> int:
         else:
             frozen[_parse_indices(piece, "frozen")[0]] = None
     zeroed = tuple(_parse_indices(cfg.opt("zeroed", ""), "zeroed"))
-    spec = ReductionSpec(
-        k=k,
-        frozen_q=frozen,
-        zeroed_p=zeroed,
-        T0=cfg.opt("T0"),
-        tol=cfg.opt("tol", 1e-9),
-    )
+    spec = ReductionSpec(k, frozen, zeroed, T0=cfg.opt("T0"), tol=cfg.opt("tol", 1e-9))
     reduced = reduce(path, spec)
-    out_file = cfg.out_dir / "reduced_path.csv"
-    path_to_csv(reduced, str(out_file))
     report = check_path_nonnegative(reduced, slack=cfg.opt("slack", 1e-9))
-    with open(cfg.out_dir / "reduced_report.json", "w") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
-    print(
+    return Outcome(
+        {
+            "reduced_path.csv": _csv(path_to_csv, reduced),
+            "reduced_report.json": report.to_json() + "\n",
+        },
         f"reduce: {path.n_samples} samples, n={path.dimension} -> k={k}, "
-        f"verdict={report.verdict} min form={report.min_form_value:.3e}"
+        f"verdict={report.verdict} min form={report.min_form_value:.3e}",
     )
-    return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    selected = None
+def _cmd_verify(cfg: RunConfig) -> Outcome:
     raw = cfg.opt("criteria")
-    if raw:
-        if isinstance(raw, (list, tuple)):
-            selected = [int(x) for x in raw]
-        else:
-            selected = [int(x) for x in str(raw).split(",") if x]
-    results = run_all(selected)
-    for res in results:
-        print(res.line())
+    results = run_all([int(x) for x in raw.split(",") if x] if raw else None)
+    lines = [res.line() for res in results]
     failed = [res.index for res in results if not res.passed]
     if failed:
-        print(f"verify: {len(failed)} criteria failed: {failed}")
-        return 2
-    print(f"verify: all {len(results)} criteria passed")
-    return 0
+        lines.append(f"verify: {len(failed)} criteria failed: {failed}")
+    else:
+        lines.append(f"verify: all {len(results)} criteria passed")
+    return Outcome({}, "\n".join(lines), 2 if failed else 0)
 
 
-COMMANDS: dict[str, Callable[[RunConfig], int]] = {
+COMMANDS: dict[str, Callable[[RunConfig], Outcome]] = {
     "chord": _cmd_chord,
     "gibbs": _cmd_gibbs,
     "relax": _cmd_relax,
@@ -491,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON file with defaults for this subcommand")
         p.add_argument("--out-dir", dest="out_dir", help="output directory (default: $THERMO_OUT_DIR or .)")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
 
     p = sub.add_parser("chord", help="closed-form chords plus the generic-finder cross-check")
     p.add_argument("model", choices=("gas", "cw"))
@@ -506,6 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-lo", dest="p_lo", type=finite_float, help="cw Legendrian sample start")
     p.add_argument("--p-hi", dest="p_hi", type=finite_float, help="cw Legendrian sample end")
     p.add_argument("--span", type=finite_float, help="cw figure half-width")
+    p.add_argument("--format", dest="format", choices=("csv", "json"), help="chords file format")
     common(p)
 
     p = sub.add_parser("gibbs", help="equilibrium density and lifted phase-space point")
@@ -564,23 +546,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _coerce_config_value(key: str, value, kind: Callable[[str], Any]):
-    """Convert a config value the way its flag converts command-line text."""
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise ValidationError(f"config key {key!r}: invalid {kind.__name__} value {value!r}")
-    try:
-        return kind(str(value))
-    except (ValueError, OverflowError) as exc:
-        raise ValidationError(
-            f"config key {key!r}: invalid {kind.__name__} value {value!r}"
-        ) from exc
-
-
 # text flags whose config value may be a JSON number, read as its text
 _NUMBER_TEXT = ("q", "criteria", "frozen", "zeroed")
-# text flags whose config value may be a JSON list of numbers or strings
+# text flags whose config value may be a JSON list of numbers or strings,
+# read as the comma-separated text of its items
 _LIST_TEXT = ("q", "criteria")
 
 
@@ -589,11 +558,12 @@ def _is_number(x) -> bool:
 
 
 def _check_text_value(key: str, value):
-    """Pass a config value of a text flag as the flag's text would be read.
+    """The command-line text that a config value of a text flag stands for.
 
-    File keys take a string; ``q``, ``criteria``, ``frozen`` and
-    ``zeroed`` also take a number (its command-line text), and ``q`` and
-    ``criteria`` a list of numbers or strings.
+    File keys, ``out_dir`` and ``format`` take a string; ``q``,
+    ``criteria``, ``frozen`` and ``zeroed`` also take a number (its
+    command-line text), and ``q`` and ``criteria`` a list of numbers or
+    strings (``[0.3, "1"]`` is ``0.3,1``).
     """
     if value is None or isinstance(value, str):
         return value
@@ -602,7 +572,7 @@ def _check_text_value(key: str, value):
     if key in _LIST_TEXT and isinstance(value, list) and all(
         _is_number(x) or isinstance(x, str) for x in value
     ):
-        return value
+        return ",".join(str(x) for x in value)
     if key in _LIST_TEXT:
         want = "a string, a number or a list of numbers or strings"
     elif key in _NUMBER_TEXT:
@@ -612,19 +582,38 @@ def _check_text_value(key: str, value):
     raise ValidationError(f"config key {key!r} must be {want}, got {value!r}")
 
 
+def _config_value(key: str, value, flag: argparse.Action):
+    """Read a config value as ``flag`` reads its command-line text.
+
+    A typed flag converts the value's text with its ``type``, which rejects
+    ``true``, a list and, for an int flag, ``10.5``; a text flag takes what
+    :func:`_check_text_value` allows.  Then the flag's ``choices`` apply."""
+    if value is not None and flag.type is not None:
+        try:
+            return flag.type(str(value))
+        except ValueError as exc:
+            raise ValidationError(
+                f"config key {key!r}: invalid {flag.type.__name__} value {value!r}"
+            ) from exc
+    value = _check_text_value(key, value)
+    if flag.choices is not None and value not in (None, *flag.choices):
+        raise ValidationError(
+            f"config key {key!r}: invalid choice {value!r} (choose from {sorted(flag.choices)})"
+        )
+    return value
+
+
 def build_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
     """Merge ``args`` with its ``--config`` file into a RunConfig.
 
     The keys a config may set are the ``dest``s of the subcommand's flags
-    (not its positional arguments, which the command line always sets),
-    and each typed value goes through its flag's ``type``; both are read
-    from ``parser``.
+    other than ``config`` (not its positional arguments, which the command
+    line always sets).  Every value is read as its flag reads text, with
+    the flag's ``type`` and ``choices`` taken from ``parser``, and a flag
+    given on the command line wins over it.
     """
-    command = args.command
     options: dict[str, Any] = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "config", "out_dir", "fmt")
+        k: v for k, v in vars(args).items() if k not in ("command", "config")
     }
     if args.config:
         try:
@@ -635,36 +624,22 @@ def build_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> R
         if not isinstance(doc, dict):
             raise ValidationError("config must be a JSON object")
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        types = {a.dest: a.type for a in sub.choices[command]._actions if a.option_strings}
-        unknown = set(doc) - (set(types) & set(options)) - {"out_dir", "format"}
+        flags = {a.dest: a for a in sub.choices[args.command]._actions if a.option_strings}
+        unknown = set(doc) - (set(flags) & set(options))
         if unknown:
-            raise ValidationError(
-                f"unknown config keys for {command!r}: {sorted(unknown)}"
-            )
+            raise ValidationError(f"unknown config keys for {args.command!r}: {sorted(unknown)}")
         for key, value in doc.items():
-            if key == "out_dir":
-                if not isinstance(value, str):
-                    raise ValidationError(f"config key 'out_dir' must be a string, got {value!r}")
-                if getattr(args, "out_dir", None) is None:
-                    args.out_dir = value
-            elif key == "format":
-                if args.fmt is None:
-                    args.fmt = value
-            elif options.get(key) is None:
-                kind = types[key]
-                if kind is None:
-                    options[key] = _check_text_value(key, value)
-                else:
-                    options[key] = _coerce_config_value(key, value, kind)
-    out_dir = Path(args.out_dir or os.environ.get("THERMO_OUT_DIR", "."))
-    fmt = args.fmt or "csv"
-    if fmt not in ("csv", "json"):
-        raise ValidationError(f"unknown output format {fmt!r}")
-    return RunConfig(command=command, out_dir=out_dir, fmt=fmt, options=options)
+            value = _config_value(key, value, flags[key])
+            if options[key] is None:
+                options[key] = value
+    out_dir = options.pop("out_dir") or os.environ.get("THERMO_OUT_DIR", ".")
+    return RunConfig(command=args.command, out_dir=Path(out_dir), options=options)
 
 
 def dispatch(argv: list[str]) -> int:
-    """Parse argv, run the subcommand, return the exit status."""
+    """Parse argv, run the subcommand, write its files and print its stdout;
+    return the exit status.  No file is written before the subcommand has
+    returned, so a run that ends in an error or a failure writes none."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -673,13 +648,17 @@ def dispatch(argv: list[str]) -> int:
     try:
         cfg = build_config(args, parser)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](cfg)
+        outcome = COMMANDS[args.command](cfg)
+        for name, text in outcome.files.items():
+            (cfg.out_dir / name).write_text(text, newline="")
     except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RuntimeError, ArithmeticError, OSError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 2
+    print(outcome.stdout)
+    return outcome.status
 
 
 def main() -> None:

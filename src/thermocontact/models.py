@@ -171,14 +171,24 @@ class CWBranchPoint:
     piece: int
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _gas_zp(q, T, P_back):
     """z = phi_T(q - P_back) and p = phi_T'(q - P_back) on the gas front.
 
     Takes scalars (returns floats) or columns (returns arrays), as _cw_z
-    does; T and P_back may be columns too, one value per sample.
+    does; T and P_back may be columns too, one value per sample.  Raises
+    FloatingPointError, naming T and q - P_back, where z or p overflows.
     """
     x = np.asarray(q, dtype=float) - P_back
-    return _floats(gas_phi(T, x), gas_dphi(T, x))
+    z, p = gas_phi(T, x), gas_dphi(T, x)
+    bad = ~(np.isfinite(z) & np.isfinite(p))
+    if np.any(bad):
+        T_bad, x_bad = (np.broadcast_to(v, bad.shape)[bad][0] for v in (T, x))
+        raise FloatingPointError(
+            f"the gas front at T={float(T_bad)!r}, q - P_back={float(x_bad)!r} "
+            "is beyond double precision"
+        )
+    return _floats(z, p)
 
 
 def gas_front(par: IdealGasParams) -> FrontFunction:
@@ -257,19 +267,26 @@ def cw_magnetization_roots(
     of ``SCAN_NODES`` nodes over [y_lo, y_hi], built as np.linspace builds
     it, so the result does not depend on the piece ends.  A root whose cell
     has no sign change (two roots of a near-fold pair sharing one cell)
-    keeps its piece solution.
+    keeps its piece solution.  Raises FloatingPointError, naming T, b and
+    q + H_back, when doubles cannot hold the y range or resolve its grid.
     A root is unstable iff 1 - (b/T)(1 - p^2) < 0; among the stable ones
     the largest z (smallest free energy) is the global minimum, ties
     resolved to the non-negative branch.
     """
-    T, b = par.T, par.b
-    target = q + par.H_back
+    # Python floats: an overflowing ratio is inf here, not a numpy warning
+    T, b = float(par.T), float(par.b)
+    target = float(q + par.H_back)
 
     def resid(y: float) -> float:
         return T * y - b * math.tanh(y) - target
 
     y_lo = (target - b) / T - 1.0
     y_hi = (target + b) / T + 1.0
+    if not (math.isfinite(y_lo) and math.isfinite(y_hi) and y_lo < y_hi):
+        raise FloatingPointError(
+            f"magnetization roots at T={T!r}, b={b!r}, q + H_back={target!r} are "
+            f"beyond double precision (y range [{y_lo!r}, {y_hi!r}])"
+        )
     fold = cw_fold(T, b)
     cuts = [] if fold is None else [y for y in (-fold, fold) if y_lo < y < y_hi]
     edges = [y_lo, *cuts, y_hi]
@@ -360,7 +377,10 @@ def _cw_qz(p: float, par: CurieWeissParams) -> tuple[float, float]:
     q = -par.b * p + par.T * math.atanh(p) - par.H_back
     residual = abs(p - math.tanh((q + par.H_back + par.b * p) / par.T))
     if residual > SELF_CONSISTENCY_TOL:
-        raise RuntimeError(f"self-consistency residual {residual:.3e} too large")
+        raise RuntimeError(
+            f"self-consistency residual {residual:.3e} too large at T={par.T!r}, "
+            f"b={par.b!r}, H_back={par.H_back!r}, p={p!r}"
+        )
     return q, _cw_z(p, q, par.T, par.H_back, par.b)
 
 

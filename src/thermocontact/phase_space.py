@@ -249,16 +249,25 @@ def _extended_velocities(path: SampledPath, what: str) -> np.ndarray:
     return _velocity_matrix(path)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_path_nonnegative(path: SampledPath, slack: float = DEFAULT_SLACK) -> NonnegReport:
     """Certify that the contact form is >= -slack along a sampled path.
 
     One gradient of the coordinate matrix gives the velocities; the path's
     kind selects the form, which is evaluated on whole columns, and the
-    verdict reflects the minimum value.
+    verdict reflects the minimum value.  Raises FloatingPointError, naming
+    the sample, where the velocities or the form overflow doubles (the
+    gradient does so for coordinates near the largest double).
     """
     if slack < 0:
         raise ValueError("slack must be non-negative")
     values = _form_values(path, _velocity_matrix(path))
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise FloatingPointError(
+            f"the contact form along the path overflows doubles at sample {bad[0]} "
+            f"(t={float(path.times[bad[0]])!r})"
+        )
     values.flags.writeable = False
     violating = tuple(np.flatnonzero(values < -slack).tolist())
     min_value = float(values.min())

@@ -38,7 +38,8 @@ from .models import (
 )
 from .phase_space import NonnegReport, RowView, SampledPath, check_path_nonnegative
 
-# fokker_planck_relax rejects a dt0 that needs more steps than this
+# fokker_planck_relax rejects a dt0 that needs more steps than this, and
+# ends a run that takes more accepted steps than this
 MAX_RELAX_STEPS = 100_000
 # fokker_planck_relax: positivity floor and Lyapunov slack of a step
 RHO_FLOOR = 1e-14
@@ -88,7 +89,14 @@ class Schedule:
         bg_start: float = 0.0,
         bg_end: float = 0.0,
     ) -> "Schedule":
-        """``n_nodes`` equal steps over times [0, 1]; T and background linear."""
+        """``n_nodes`` equal steps over times [0, 1]; T and background linear.
+
+        Raises FloatingPointError when a ramp's width overflows doubles."""
+        for what, lo, hi in (("temperature", T_start, T_end), ("background", bg_start, bg_end)):
+            if not math.isfinite(hi - lo):
+                raise FloatingPointError(
+                    f"the {what} ramp from {lo!r} to {hi!r} is beyond double precision"
+                )
         t = np.linspace(0.0, 1.0, n_nodes)
         return cls(
             t,
@@ -175,10 +183,11 @@ def run_slow_isotopy(
     else:
         if b is None or not b > 0:
             raise ValueError("the magnet model needs a positive spin interaction b")
+        outside = x_grid[~(np.abs(x_grid) < 1.0)]
+        if outside.size:
+            raise ValueError(f"magnet chart value p={outside[0]} must lie in (-1, 1)")
         splits = (temps < b).tolist()
         for x in x_grid:
-            if not -1.0 < x < 1.0:
-                raise ValueError(f"magnet chart value p={x} must lie in (-1, 1)")
             y0 = math.atanh(x)
             q = -b * x + temps[0] * y0 - bgs[0]
             z, p = np.empty(times.size), np.empty(times.size)
@@ -291,6 +300,9 @@ class RelaxTrace:
         return float(-slope / 2.0)
 
 
+# Overflow is checked, not warned about: G and the mean of its gradient at
+# each step and G at each node must be finite.
+@np.errstate(over="ignore", invalid="ignore")
 def fokker_planck_relax(
     sp: ms.MicrostateSpace,
     h: ms.AffineHamiltonian,
@@ -308,11 +320,14 @@ def fokker_planck_relax(
     fixed temperature.  Explicit Euler steps are halved whenever an entry
     would drop to ``RHO_FLOOR`` or G would rise (beyond ``LYAPUNOV_TOL``)
     at the step temperature; a step below 1e-15 aborts the run.  Steps
-    never exceed dt0, so a dt0 below t_end / MAX_RELAX_STEPS is rejected.  The
+    never exceed dt0, so a dt0 below t_end / MAX_RELAX_STEPS is rejected,
+    and a run whose halved steps need more than MAX_RELAX_STEPS accepted
+    steps to reach t_end raises IntegrationError.  The
     temperature schedule must be positive and non-decreasing; the intensive
     variables q stay fixed.  The trace carries the reduced (z, p, q) path,
     per-step contact-form estimates (z difference quotients, q being
-    constant) and the free-energy values.
+    constant) and the free-energy values.  Raises FloatingPointError,
+    naming T and q, when doubles cannot hold G or its gradient.
     """
     q = np.asarray(q, dtype=float).reshape(-1)
     if not dt0 > 0:
@@ -346,6 +361,11 @@ def fokker_planck_relax(
     last_T = T
     dt = min(dt0, t_end)
     while t < t_end - 1e-12 * t_end:
+        if len(ts) > MAX_RELAX_STEPS:
+            raise IntegrationError(
+                f"more than {MAX_RELAX_STEPS} steps to reach t_end = {t_end!r}: "
+                f"at t={t:.6g} the step is dt={dt:.3e}"
+            )
         T = float(T_of_t(t))
         if not T > 0:
             raise ValueError(f"temperature schedule must be positive at t={t:.6g}")
@@ -355,8 +375,13 @@ def fokker_planck_relax(
             )
         last_T = T
         g = T * (1.0 + np.log(rho)) + energies
-        g = g - np.dot(w, g) / w_total
+        g_mean = float(np.dot(w, g)) / w_total
+        g = g - g_mean
         g_curr = G_of(T, rho)
+        if not (math.isfinite(g_curr) and math.isfinite(g_mean)):
+            raise ms._beyond_double(
+                "the free energy", T, q, f"G = {g_curr!r}, mean gradient {g_mean!r} at t={t:.6g}"
+            )
         dt = min(dt, t_end - t)
         while True:
             trial = rho - dt * g
@@ -380,6 +405,9 @@ def fokker_planck_relax(
     rho_rows = np.array(rhos)
     rho_rows.flags.writeable = False
     z, _, p = ms.lift_rows(sp, h, temperatures, q, rho_rows)
+    if not np.all(np.isfinite(z)):
+        j = int(np.argmin(np.isfinite(z)))
+        raise ms._beyond_double("the free energy", temperatures[j], q, f"node {j}")
     reduced_path = SampledPath(t_grid, z, p, np.broadcast_to(q, p.shape))
     form_values = np.diff(z) / np.diff(t_grid)
     return RelaxTrace(t_grid, rho_rows, temperatures, reduced_path, form_values, -z)
@@ -445,6 +473,12 @@ def stirling_cycle(
         raise ValueError("need v_max > v_min > 0")
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
+    # the largest |q| and |z| on the cycle (Python floats overflow to inf)
+    if not all(map(math.isfinite, (T_H / v_min, T_H * math.log(v_min), T_H * math.log(v_max)))):
+        raise FloatingPointError(
+            f"the Stirling cycle at T_C={T_C!r}, T_H={T_H!r}, v_min={v_min!r}, "
+            f"v_max={v_max!r} is beyond double precision"
+        )
 
     def isotherm(T: float, v_from: float, v_to: float, t0: float, name: str):
         vs = np.linspace(v_from, v_to, n_samples)

@@ -522,9 +522,7 @@ CRITERIA: tuple[Callable[[], CriterionResult], ...] = (
 def run_all(selected: list[int] | None = None) -> list[CriterionResult]:
     """Run the acceptance criteria (all, or a 1-based subset) in order."""
     indices = selected if selected is not None else list(range(1, len(CRITERIA) + 1))
-    results = []
     for i in indices:
         if not 1 <= i <= len(CRITERIA):
             raise ValueError(f"criterion index {i} out of range 1..{len(CRITERIA)}")
-        results.append(CRITERIA[i - 1]())
-    return results
+    return [CRITERIA[i - 1]() for i in indices]

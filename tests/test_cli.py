@@ -300,6 +300,54 @@ class TestConfigHandling:
         assert (tmp_path / "envout" / "chords_gas.csv").exists()
 
 
+class TestFailedRunsWriteNothing:
+    """Every file is written after the subcommand returns, so a run that
+    fails after computing part of its output leaves no file."""
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            # the fig4 tables come before the Legendrian sample fails
+            (["chord", "cw", "--t0", "2", "--t1", "3", "--c", "1", "--p-lo=-1"],
+             "error: magnetization must lie in (-1, 1), got -1.0"),
+            # the reduced path comes before the report rejects the slack
+            (["reduce", "--input", "{ext}", "--k", "1", "--zeroed", "2", "--slack=-1"],
+             "error: slack must be non-negative"),
+        ],
+    )
+    def test_partial_output_is_not_written(self, tmp_path, capsys, argv, error):
+        argv = [a.format(ext=_extended_csv(tmp_path)) for a in argv]
+        out = tmp_path / "out"
+        assert dispatch([*argv, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [error]
+        assert not any(out.iterdir())
+
+    def test_criteria_list_is_read_as_the_flag(self, tmp_path, capsys):
+        # [1.5] is --criteria 1.5, not criterion 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"criteria": [1.5]}))
+        assert dispatch(["verify", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: invalid literal for int() with base 10: '1.5'"]
+
+    def test_format_is_a_chord_flag_only(self, tmp_path, system_file, capsys):
+        argv = ["gibbs", "--system", str(system_file), "--T", "1", "--q", "0.3", "--format", "json"]
+        assert dispatch([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["xml", 5])
+    def test_format_config_value_is_checked_when_a_flag_overrides_it(self, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t0": 1, "t1": 5, "c": 2, "format": value}))
+        argv = ["chord", "gas", "--config", str(cfg), "--format", "csv"]
+        out = tmp_path / "out"
+        assert dispatch([*argv, "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config key 'format'")
+        assert not out.exists()
+
+
 class TestDeterminism:
     def test_identical_config_gives_identical_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -397,6 +445,77 @@ class TestFiniteFloats:
         assert proc.stderr.splitlines() == [
             "error: dt0 = 1e-320 needs more than 100000 steps to reach t_end = 20.0"
         ]
+
+
+class TestOverflow:
+    """Inputs whose results doubles cannot hold end in one line, without a
+    numpy warning (Tier-1 turns a RuntimeWarning into an error)."""
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["stirling", "--t-cold", "1e-12", "--t-hot", "0.5", "--v-min", "1e-320",
+              "--v-max", "1e-12", "--n-samples", "5"],
+             2, "failure: the Stirling cycle at T_C=1e-12, T_H=0.5, v_min=1e-320, v_max=1e-12"),
+            (["chord", "cw", "--t0", "5e-324", "--t1", "0.73", "--c=-3e-8", "--b", "3.9",
+              "--grid", "4"],
+             2, "failure: the cw difference front t0=4.94066e-324, t1=0.73, c=-3e-08 is beyond"),
+            (["relax", "--system", "{system}", "--q", "1e308", "--T0", "4.4", "--T1", "1e308",
+              "--ramp", "5", "--dt0", "0.01"],
+             2, "failure: the free energy at T=4.4, q=[1e+308] is beyond double precision"),
+            # the chart values reach past p = 1, which is checked before any root
+            (["isotopy", "cw", "--T0", "1e-320", "--T1", "1.76", "--bg0=-1", "--bg1", "4.1",
+              "--n-times", "5", "--x-lo", "1e-320", "--x-hi", "3.08", "--n-x", "16",
+              "--b", "4.69"],
+             1, "error: magnet chart value p=1.0266666666666666 must lie in (-1, 1)"),
+            (["isotopy", "cw", "--T0", "1e-320", "--T1", "1.76", "--bg0=-1", "--bg1", "4.1",
+              "--n-times", "5", "--x-lo", "1e-320", "--x-hi", "0.5", "--b", "4.69"],
+             2, "failure: magnetization roots at T=1e-320, b=4.69"),
+            (["isotopy", "cw", "--T0", "2", "--T1", "14.7", "--bg1", "1e300", "--n-times", "2",
+              "--x-lo", "1e-320", "--x-hi", "0.17", "--b", "1e-320"],
+             2, "failure: magnetization roots at T=14.7, b=1e-320, q + H_back=1e+300"),
+            (["chord", "cw", "--t0", "0.1", "--t1", "1", "--c", "1", "--q-lo=-1e308",
+              "--q-hi", "1e308"],
+             2, "failure: the --q-lo/--q-hi window [-1e+308, 1e+308] is beyond double precision"),
+        ],
+    )
+    def test_one_line_and_no_file(self, tmp_path, system_file, capsys, argv, code, message):
+        system = tmp_path / "s.json"
+        system.write_text(
+            '{"labels":["a","b","c"],"weights":[1,2,1],"v_int":[0,0.5,0.5],"v_bar":[[1,-1,1]]}'
+        )
+        out = tmp_path / "out"
+        argv = [a.format(system=system) for a in argv]
+        assert dispatch([*argv, "--out-dir", str(out)]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
+        assert not any(out.iterdir())
+
+    def test_gas_chord_with_overflowing_scan_products(self, tmp_path, capsys):
+        # the finder's slope products overflow; their signs still hold
+        argv = ["chord", "gas", "--t0", "0.5", "--t1", "700", "--c", "1e-300"]
+        assert dispatch([*argv, "--out-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "P0=7.14796283059e-304" in out and "finder|dq|=7.451e-13" in out
+
+    def test_relax_step_cap(self, tmp_path):
+        # steps halve toward 1e-9 as a density entry nears its ~1e-12 Gibbs
+        # value; the run ends at MAX_RELAX_STEPS accepted steps
+        system = tmp_path / "s.json"
+        system.write_text(
+            '{"labels":["a","b","c"],"weights":[1,2,1],"v_int":[0,0.5,0.5],"v_bar":[[1,-1,1]]}'
+        )
+        out = tmp_path / "out"
+        proc = _cli_process(["relax", "--system", str(system), "--q", "0.5", "--T0", "0.0365",
+                             "--t-end", "1", "--dt0", "0.1", "--out-dir", str(out)])
+        assert proc.returncode == 2
+        err = proc.stderr.splitlines()
+        assert len(err) == 1
+        assert re.fullmatch(
+            r"failure: more than 100000 steps to reach t_end = 1\.0: at t=\S+ the step is dt=\S+",
+            err[0],
+        )
+        assert not any(out.iterdir())
 
 
 class TestOtherCommands:
