@@ -5,7 +5,8 @@ common (p, q) point; it is non-trivial when its length is positive.  For two
 fronts f0, f1 over one chart, chords sit exactly at the critical points of
 the difference psi = f1 - f0: there the slopes agree and the z gap is
 psi(x).  Closed forms are provided for the gas and magnet family pairs and a
-generic scan-and-bisect finder handles arbitrary front pairs.  All
+generic scan-and-refine finder (Brent's method on each bracket) handles
+arbitrary front pairs.  All
 functions are pure and finder results are ordered by abscissa.
 
 The finder evaluates psi' on the grid one block of nodes at a time and
@@ -136,9 +137,9 @@ def find_chords(
     """All chords between the fronts f0 and f1 inside [scan_lo, scan_hi].
 
     Scans the slope difference psi' = f1' - f0' on a uniform grid, refines
-    every sign change by bracketing bisection to within ROOT_TOL in the
-    abscissa, and turns each root x into a chord (z from f0, f1; p from the
-    common slope).  The scan is a set of array masks over blocks of
+    every sign change by Brent's method (``_solve.brentq``) to within
+    ROOT_TOL in the abscissa, and turns each root x into a chord (z from
+    f0, f1; p from the common slope).  The scan is a set of array masks over blocks of
     SCAN_BLOCK nodes, so only the grid cells it flags reach brentq or the
     minimizer below.  Roots where |psi| <= TRIVIAL_LENGTH_TOL are
     intersections of the fronts, not chords, and are dropped.  Grid nodes

@@ -17,6 +17,7 @@ the default output directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -90,7 +91,11 @@ class Outcome:
 
 
 def _json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Strict JSON: a document that holds nan or inf is a numerical failure."""
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise FloatingPointError(f"cannot write JSON: {exc}") from exc
 
 
 def _csv(write: Callable[..., None], *args) -> str:
@@ -157,6 +162,16 @@ def _window(lo: float, hi: float, n: int, name: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _finder_check(found: list[Chord], q: float, pair: str, lo: float, hi: float) -> float:
+    """|q - q*| of the finder's first chord; a finder that finds none fails
+    the run."""
+    if not found:
+        raise RuntimeError(
+            f"the finder found no {pair} chord in its scan window [{lo!r}, {hi!r}]"
+        )
+    return abs(found[0].q - q)
+
+
 def _chords(cfg: RunConfig, name: str, chords: list[Chord]) -> dict[str, str]:
     if cfg.opt("format", "csv") == "json":
         return {f"{name}.json": chords_to_json(chords) + "\n"}
@@ -218,7 +233,7 @@ def _cmd_chord(cfg: RunConfig) -> Outcome:
         qs = _window(cfg.opt("q_lo", lo), cfg.opt("q_hi", min(0.0, c) - 1e-3), grid, "q")
         files |= _front_pair("fig3", f1, qs, closed.q)
         files |= _chords(cfg, "chords_gas", [closed])
-        check = abs(found[0].q - closed.q) if found else math.inf
+        check = _finder_check(found, closed.q, "gas", lo, closed.q / 10.0)
         return Outcome(
             files,
             f"chord gas: P0={-closed.q:.12g} v={closed.p:.12g} "
@@ -233,7 +248,8 @@ def _cmd_chord(cfg: RunConfig) -> Outcome:
         qstar = closed.q + b * closed.p
         f1 = difference_front("cw", t0, t1, c)
         span = max(10.0, 3.0 * abs(qstar))
-        found = find_chords(constant_front(), f1, -span, span, grid_n)
+        scan = -span, span
+        found = find_chords(constant_front(), f1, *scan, grid_n)
         span = cfg.opt("span", span)
         qs = _window(cfg.opt("q_lo", -span), cfg.opt("q_hi", span), grid, "q")
         files = _front_pair("fig4", f1, qs, qstar)
@@ -243,7 +259,7 @@ def _cmd_chord(cfg: RunConfig) -> Outcome:
         )
         files["cw_legendrian.csv"] = _table(["q", "p", "z", "S"], sample)
         files |= _chords(cfg, "chords_cw", [closed])
-        check = abs(found[0].q - qstar) if found else math.inf
+        check = _finder_check(found, qstar, "cw", *scan)
         return Outcome(
             files,
             f"chord cw: Q*={qstar:.12g} p={closed.p:.12g} q={closed.q:.12g} "
@@ -306,6 +322,7 @@ def _cmd_relax(cfg: RunConfig) -> Outcome:
     }
     terminal = ms.gibbs(sp, h, trace.temperatures[-1], q).rho_g
     tv = ms.total_variation(sp, trace.densities[-1], terminal)
+    gap = trace.spectral_gap_estimate()
     manifest = {
         "files": list(files),
         "n_nodes": int(trace.t_grid.size),
@@ -315,7 +332,7 @@ def _cmd_relax(cfg: RunConfig) -> Outcome:
         "min_form_value": float(trace.form_values.min()),
         "G_start": float(trace.G_values[0]),
         "G_end": float(trace.G_values[-1]),
-        "spectral_gap_estimate": trace.spectral_gap_estimate(),
+        "spectral_gap_estimate": gap if math.isfinite(gap) else None,
     }
     files["relax_manifest.json"] = _json(manifest)
     return Outcome(
@@ -462,6 +479,8 @@ COMMANDS: dict[str, Callable[[RunConfig], Outcome]] = {
     "verify": _cmd_verify,
 }
 
+# built once per process: parsing reads the parser and never changes it
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thermocontact",

@@ -345,18 +345,23 @@ def fokker_planck_relax(
     w = sp.weights
     w_total = sp.total_weight
     energies = h.energies(q)
+    w_energies = w * energies
 
-    def G_of(T: float, rho: np.ndarray) -> float:
-        return float(T * np.dot(w, rho * np.log(rho)) + np.dot(w * energies, rho))
+    def G_terms(rho: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """ln rho, and a and b of G(T, rho) = T * a + b."""
+        log_rho = np.log(rho)
+        return log_rho, float(np.dot(w, rho * log_rho)), float(np.dot(w_energies, rho))
 
     t = 0.0
-    rho = rho0.rho.copy()
+    # never written in place: each accepted step binds a fresh trial array
+    rho = rho0.rho
     T = float(T_of_t(0.0))
     if not T > 0:
         raise ValueError("temperature schedule must be positive")
+    log_rho, a, b = G_terms(rho)
 
     ts = [0.0]
-    rhos = [rho.copy()]
+    rhos = [rho]
     temps = [T]
     last_T = T
     dt = min(dt0, t_end)
@@ -366,7 +371,8 @@ def fokker_planck_relax(
                 f"more than {MAX_RELAX_STEPS} steps to reach t_end = {t_end!r}: "
                 f"at t={t:.6g} the step is dt={dt:.3e}"
             )
-        T = float(T_of_t(t))
+        # T_of_t(t), taken when t was reached
+        T = temps[-1]
         if not T > 0:
             raise ValueError(f"temperature schedule must be positive at t={t:.6g}")
         if T < last_T - 1e-12:
@@ -374,19 +380,22 @@ def fokker_planck_relax(
                 f"temperature schedule must be non-decreasing (drops at t={t:.6g})"
             )
         last_T = T
-        g = T * (1.0 + np.log(rho)) + energies
+        g = T * (1.0 + log_rho) + energies
         g_mean = float(np.dot(w, g)) / w_total
         g = g - g_mean
-        g_curr = G_of(T, rho)
+        g_curr = T * a + b
         if not (math.isfinite(g_curr) and math.isfinite(g_mean)):
             raise ms._beyond_double(
                 "the free energy", T, q, f"G = {g_curr!r}, mean gradient {g_mean!r} at t={t:.6g}"
             )
+        g_max = g_curr + LYAPUNOV_TOL
         dt = min(dt, t_end - t)
         while True:
             trial = rho - dt * g
-            if float(trial.min()) > RHO_FLOOR and G_of(T, trial) <= g_curr + LYAPUNOV_TOL:
-                break
+            if float(trial.min()) > RHO_FLOOR:
+                log_trial, a_trial, b_trial = G_terms(trial)
+                if T * a_trial + b_trial <= g_max:
+                    break
             dt *= 0.5
             if dt < 1e-15:
                 raise IntegrationError(
@@ -394,9 +403,9 @@ def fokker_planck_relax(
                     "the flow cannot keep the density positive"
                 )
         t += dt
-        rho = trial
+        rho, log_rho, a, b = trial, log_trial, a_trial, b_trial
         ts.append(t)
-        rhos.append(rho.copy())
+        rhos.append(rho)
         temps.append(float(T_of_t(t)))
         dt = min(dt * 2.0, dt0)
 

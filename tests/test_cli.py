@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -821,3 +822,90 @@ def test_one_parser_and_one_computation_per_run(tmp_path, monkeypatch, argv, com
     argv = [a.replace("{cfg}", str(cfg)) for a in argv]
     assert dispatch([*argv, "--out-dir", str(tmp_path / "out")]) == 0
     assert calls == collections.Counter(["build_parser", *computed])
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+_CONFIG = {"t0": 1, "t1": 5, "c": 2, "grid": 5, "format": "json", "q_lo": -3}
+
+
+@pytest.mark.parametrize(
+    "runs",
+    [
+        # a usage error, then a valid run
+        [["chord", "gas", "--t0", "x"], ["chord", "gas", "--t0", "1", "--t1", "5", "--c", "2"]],
+        # help, then a run
+        [["--help"], ["stirling", "--t-cold", "1", "--t-hot", "5", "--v-min", "1.5",
+                      "--v-max", "2", "--n-samples", "5"]],
+        # a config run, then the same subcommand without one: no value leaks
+        [["chord", "gas", "--config", "{cfg}"],
+         ["chord", "gas", "--t0", "1", "--t1", "5", "--c", "2"]],
+        # two subcommands back to back
+        [["chord", "cw", "--t0", "2", "--t1", "3", "--c", "1", "--grid", "7"],
+         ["stirling", "--t-cold", "1", "--t-hot", "5", "--v-min", "1.5", "--v-max", "2",
+          "--n-samples", "5"]],
+    ],
+)
+def test_dispatch_in_a_row_matches_fresh_processes(tmp_path, monkeypatch, capsys, runs):
+    # the parser is built once per process; each run after the first in one
+    # process must give the exit status, stdout, stderr and files of a run
+    # in a fresh one
+    monkeypatch.setenv("COLUMNS", "80")  # help text width, in both
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_CONFIG))
+    out = tmp_path / "out"
+    argvs = [
+        [a.replace("{cfg}", str(cfg)) for a in argv] + [f"--out-dir={out / str(i)}"]
+        for i, argv in enumerate(runs)
+    ]
+    fresh = []
+    for argv in argvs:
+        proc = _cli_process(argv)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    fresh_files = _files(out)
+    shutil.rmtree(out)
+    in_row = []
+    for argv in argvs:
+        code = dispatch(argv)
+        captured = capsys.readouterr()
+        in_row.append((code, captured.out, captured.err))
+    assert in_row == fresh
+    assert _files(out) == fresh_files
+    assert build_parser() is build_parser()
+
+
+def test_relax_without_a_gap_estimate_writes_strict_json(tmp_path):
+    # a run of one step has no tail to fit: the estimate is null, not NaN
+    system = tmp_path / "s.json"
+    system.write_text('{"labels":["a","b"],"weights":[1,1],"v_int":[0,0.5],"v_bar":[[1,-1]]}')
+    argv = ["relax", "--system", str(system), "--q", "0", "--T0", "1", "--t-end", "1e-320"]
+    assert dispatch([*argv, "--out-dir", str(tmp_path / "out")]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    manifest = json.loads(
+        (tmp_path / "out" / "relax_manifest.json").read_text(), parse_constant=reject
+    )
+    assert manifest["spectral_gap_estimate"] is None
+
+
+def test_non_finite_json_is_a_numerical_failure():
+    with pytest.raises(FloatingPointError, match="cannot write JSON"):
+        cli._json({"x": math.nan})
+
+
+def test_gas_chord_without_a_finder_chord_fails(tmp_path, capsys):
+    # the scan window reaches subnormal q, where both gas slopes overflow
+    # and the finder brackets nothing
+    argv = ["chord", "gas", "--t0", "1", "--t1", "4.5", "--c", "2.2e-308"]
+    out = tmp_path / "out"
+    assert dispatch([*argv, "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("failure: the finder found no gas chord in its scan window [")
+    assert not any(out.iterdir())
