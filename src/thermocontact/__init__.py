@@ -17,7 +17,6 @@ from .chords import (
 )
 from .microstate import (
     AffineHamiltonian,
-    Density,
     GibbsResult,
     MicrostateSpace,
     densities_from_csv,

@@ -308,8 +308,7 @@ def _cmd_relax(cfg: RunConfig) -> Outcome:
         densities = _read_checked(ms.densities_from_csv, rho_src, "input")
         if not len(densities):
             raise ValidationError(f"no density rows in {rho_src!r}")
-        rho0 = ms.Density(densities[0])
-        ms.check_density(sp, rho0)
+        rho0 = densities[0]
 
     def T_of_t(t):
         return T0 + (T1 - T0) * min(t, ramp) / ramp if ramp > 0 else T1
@@ -318,7 +317,7 @@ def _cmd_relax(cfg: RunConfig) -> Outcome:
 
     files = {
         "relax_path.csv": _csv(path_to_csv, trace.reduced_path),
-        "relax_densities.csv": _csv(ms.densities_to_csv, trace.rho),
+        "relax_densities.csv": _csv(ms.densities_to_csv, trace.densities),
     }
     terminal = ms.gibbs(sp, h, trace.temperatures[-1], q).rho_g
     tv = ms.total_variation(sp, trace.densities[-1], terminal)

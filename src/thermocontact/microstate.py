@@ -5,7 +5,11 @@ w_i, together with an affine Hamiltonian
 
     H(q, m_i) = v_int[i] + sum_j q_j * v_bar[j, i].
 
-Probability densities are normalized against the weights, sum_i w_i rho_i = 1.
+A density is a float row rho of length m with finite, non-negative entries
+normalized against the weights, sum_i w_i rho_i = 1.  Every function that
+takes one accepts any array-like and checks it on entry with
+:func:`check_density`; every density returned (a Gibbs density, a row of a
+relaxation, a table read from CSV) is a read-only float array.
 Entropy, internal energy, generalized pressures and free energy are weighted
 sums over the states; the Gibbs density exp(-H/T)/Z minimizes the free energy
 and is evaluated through log-sum-exp so that small temperatures do not
@@ -22,8 +26,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
@@ -61,44 +66,27 @@ class MicrostateSpace:
         return float(self.weights.sum())
 
 
-@dataclass(frozen=True)
-class Density:
-    """A probability density rho >= 0 on a microstate space.
-
-    Normalization (sum_i w_i rho_i = 1) depends on the weights and is
-    checked against a space by :func:`check_density`.
-    """
-
-    rho: np.ndarray
-
-    def __post_init__(self):
-        r = np.array(self.rho, dtype=float, copy=True).reshape(-1)
-        r.flags.writeable = False
-        object.__setattr__(self, "rho", r)
-        if r.size < 1:
-            raise ValueError("density must have length >= 1")
-        if not np.all(np.isfinite(r)) or np.any(r < 0):
-            raise ValueError("density entries must be finite and non-negative")
-
-    @property
-    def m(self) -> int:
-        return self.rho.size
-
-
 # Row formulas shared by the one-density functions and lift_rows.  Each
 # takes an (N, m) array of densities and returns one value per row;
 # np.vecdot sums each row as np.dot sums one vector, and the stacked
 # np.matmul multiplies each row as ``@`` does, so a single row gives the
 # same bits as the one-vector form.
 
-def _check_masses(w: np.ndarray, R: np.ndarray) -> None:
-    """Raise for the first row whose mass sum_i w_i r_i is not 1."""
+def _check_rows(w: np.ndarray, R: np.ndarray) -> None:
+    """Raise for the first row r with a negative or non-finite entry, or
+    else for the first whose mass sum_i w_i r_i is not 1."""
+
+    def what(i) -> str:
+        return "density" if len(R) == 1 else f"density row {i}"
+
+    bad = np.flatnonzero(~np.all(np.isfinite(R) & (R >= 0), axis=1))
+    if bad.size:
+        raise ValueError(f"{what(bad[0])} has negative or non-finite entries")
     mass = np.vecdot(R, w)
     bad = np.flatnonzero(np.abs(mass - 1.0) > NORMALIZATION_TOL)
     if bad.size:
-        what = "density" if len(R) == 1 else f"density row {bad[0]}"
         raise ValueError(
-            f"{what} mass is {float(mass[bad[0]])!r}, not 1 within {NORMALIZATION_TOL}"
+            f"{what(bad[0])} mass is {float(mass[bad[0]])!r}, not 1 within {NORMALIZATION_TOL}"
         )
 
 
@@ -118,32 +106,37 @@ def _free_energy_rows(w, h: AffineHamiltonian, T, q, R, S) -> np.ndarray:
     return -T * S + np.vecdot(R, w * h.energies(q))
 
 
-def check_density(sp: MicrostateSpace, d: Density) -> None:
-    if d.m != sp.m:
-        raise ValueError(f"density has {d.m} entries for a space of {sp.m} states")
-    _check_masses(sp.weights, d.rho[None, :])
+def check_density(sp: MicrostateSpace, rho) -> np.ndarray:
+    """rho as a read-only float row, once it is checked to be a density on
+    sp: m entries, finite and non-negative, of mass 1.  Raises ValueError."""
+    r = np.array(rho, dtype=float).reshape(-1)
+    if r.size != sp.m:
+        raise ValueError(f"density has {r.size} entries for a space of {sp.m} states")
+    _check_rows(sp.weights, r[None, :])
+    r.flags.writeable = False
+    return r
 
 
-def uniform_density(sp: MicrostateSpace) -> Density:
-    return Density(np.full(sp.m, 1.0 / sp.total_weight))
+def uniform_density(sp: MicrostateSpace) -> np.ndarray:
+    return check_density(sp, np.full(sp.m, 1.0 / sp.total_weight))
 
 
-def normalized_density(sp: MicrostateSpace, values) -> Density:
+def normalized_density(sp: MicrostateSpace, values) -> np.ndarray:
     """Rescale non-negative values so that sum_i w_i rho_i = 1."""
     v = np.asarray(values, dtype=float).reshape(-1)
-    if np.any(v < 0):
-        raise ValueError("density values must be non-negative")
+    if not np.all(np.isfinite(v) & (v >= 0)):
+        raise ValueError("density values must be finite and non-negative")
     mass = float(np.dot(sp.weights, v))
     if mass <= 0:
         raise ValueError("density values must have positive total mass")
-    return Density(v / mass)
+    return check_density(sp, v / mass)
 
 
-def total_variation(sp: MicrostateSpace, a: Density, b: Density) -> float:
+def total_variation(sp: MicrostateSpace, a, b) -> float:
     """Total-variation distance (1/2) sum_i w_i |a_i - b_i|."""
-    check_density(sp, a)
-    check_density(sp, b)
-    return 0.5 * float(np.dot(sp.weights, np.abs(a.rho - b.rho)))
+    a = check_density(sp, a)
+    b = check_density(sp, b)
+    return 0.5 * float(np.dot(sp.weights, np.abs(a - b)))
 
 
 @dataclass(frozen=True)
@@ -189,46 +182,42 @@ class AffineHamiltonian:
 
 @dataclass(frozen=True)
 class GibbsResult:
-    rho_g: Density
+    rho_g: np.ndarray
     log_z: float
 
 
-def _check_dims(sp: MicrostateSpace, h: AffineHamiltonian | None, d: Density | None):
-    if h is not None and h.m != sp.m:
+def _check_dims(sp: MicrostateSpace, h: AffineHamiltonian):
+    if h.m != sp.m:
         raise ValueError(f"Hamiltonian has {h.m} states, space has {sp.m}")
-    if d is not None:
-        check_density(sp, d)
 
 
-def entropy(sp: MicrostateSpace, d: Density) -> float:
+def entropy(sp: MicrostateSpace, rho) -> float:
     """- sum_i w_i rho_i ln rho_i, with the 0 ln 0 := 0 convention."""
-    _check_dims(sp, None, d)
-    return float(_entropy_rows(sp.weights, d.rho[None, :])[0])
+    r = check_density(sp, rho)
+    return float(_entropy_rows(sp.weights, r[None, :])[0])
 
 
-def internal_energy(sp: MicrostateSpace, h: AffineHamiltonian, d: Density) -> float:
+def internal_energy(sp: MicrostateSpace, h: AffineHamiltonian, rho) -> float:
     """Mean of the internal-energy table: sum_i w_i v_int[i] rho_i."""
-    _check_dims(sp, h, d)
-    return float(np.dot(sp.weights * h.v_int, d.rho))
+    _check_dims(sp, h)
+    return float(np.dot(sp.weights * h.v_int, check_density(sp, rho)))
 
 
-def pressures(sp: MicrostateSpace, h: AffineHamiltonian, d: Density) -> np.ndarray:
+def pressures(sp: MicrostateSpace, h: AffineHamiltonian, rho) -> np.ndarray:
     """Generalized pressures p_j = - sum_i w_i v_bar[j, i] rho_i."""
-    _check_dims(sp, h, d)
-    return _pressure_rows(sp.weights, h.v_bar, d.rho[None, :])[0]
+    _check_dims(sp, h)
+    return _pressure_rows(sp.weights, h.v_bar, check_density(sp, rho)[None, :])[0]
 
 
-def free_energy(
-    sp: MicrostateSpace, h: AffineHamiltonian, T: float, q, d: Density
-) -> float:
+def free_energy(sp: MicrostateSpace, h: AffineHamiltonian, T: float, q, rho) -> float:
     """G(T, q, rho) = -T S(rho) + sum_i w_i H(q, m_i) rho_i.
 
     Equals U - T S - sum_j p_j q_j; the two routes agree to roundoff.
     """
     if not T > 0:
         raise ValueError("temperature must be positive")
-    _check_dims(sp, h, d)
-    R = d.rho[None, :]
+    _check_dims(sp, h)
+    R = check_density(sp, rho)[None, :]
     S = _entropy_rows(sp.weights, R)
     return float(_free_energy_rows(sp.weights, h, T, q, R, S)[0])
 
@@ -249,7 +238,7 @@ def gibbs(sp: MicrostateSpace, h: AffineHamiltonian, T: float, q) -> GibbsResult
     """
     if not T > 0:
         raise ValueError("temperature must be positive")
-    _check_dims(sp, h, None)
+    _check_dims(sp, h)
     with np.errstate(over="ignore", invalid="ignore"):
         a = -h.energies(q) / T
         log_z = logsumexp(a, sp.weights)
@@ -257,7 +246,8 @@ def gibbs(sp: MicrostateSpace, h: AffineHamiltonian, T: float, q) -> GibbsResult
     mass = float(np.vecdot(rho, sp.weights))
     if not (math.isfinite(log_z) and abs(mass - 1.0) <= NORMALIZATION_TOL):
         raise _beyond_double("the Gibbs density", T, q, f"log Z = {log_z!r}, mass {mass!r}")
-    return GibbsResult(Density(rho), log_z)
+    rho.flags.writeable = False
+    return GibbsResult(rho, log_z)
 
 
 def lift_rows(
@@ -273,7 +263,7 @@ def lift_rows(
     :func:`free_energy`, :func:`entropy` and :func:`pressures` give for it,
     since both go through the same row formulas.
     """
-    _check_dims(sp, h, None)
+    _check_dims(sp, h)
     R = np.asarray(rho, dtype=float)
     if R.ndim != 2 or R.shape[1] != sp.m:
         raise ValueError(f"densities must have shape (N, {sp.m}), got {R.shape}")
@@ -281,23 +271,20 @@ def lift_rows(
     if not np.all(T > 0):
         raise ValueError("temperature must be positive")
     w = sp.weights
-    bad = np.flatnonzero(~np.all(np.isfinite(R) & (R >= 0), axis=1))
-    if bad.size:
-        raise ValueError(f"density row {bad[0]} has negative or non-finite entries")
-    _check_masses(w, R)
+    _check_rows(w, R)
     S = _entropy_rows(w, R)
     G = _free_energy_rows(w, h, T, q, R, S)
     return -G, S, _pressure_rows(w, h.v_bar, R)
 
 
 def lift_to_extended(
-    sp: MicrostateSpace, h: AffineHamiltonian, T: float, q, d: Density
+    sp: MicrostateSpace, h: AffineHamiltonian, T: float, q, rho
 ) -> tuple[float, float, np.ndarray]:
     """(z, S, p) of one density at (T, q), z = -G: with T and q, its point
     of the extended phase space.  Raises FloatingPointError, naming T and
     q, when one of them overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        z, S, p = lift_rows(sp, h, T, q, d.rho[None, :])
+        z, S, p = lift_rows(sp, h, T, q, check_density(sp, rho)[None, :])
     if not np.all(np.isfinite([z[0], S[0], *p[0]])):
         raise _beyond_double("the lift", T, q, f"z = {float(z[0])!r}, p = {p[0].tolist()}")
     return float(z[0]), float(S[0]), p[0]
@@ -314,7 +301,7 @@ def load_system(source) -> tuple[MicrostateSpace, AffineHamiltonian]:
     """
     if isinstance(source, dict):
         doc = source
-    elif isinstance(source, str):
+    elif isinstance(source, (str, os.PathLike)):
         with open(source) as fh:
             doc = json.load(fh)
     else:
@@ -331,7 +318,7 @@ def load_system(source) -> tuple[MicrostateSpace, AffineHamiltonian]:
 
 
 def save_system(
-    sp: MicrostateSpace, h: AffineHamiltonian, dest: str | IO[str]
+    sp: MicrostateSpace, h: AffineHamiltonian, dest: str | os.PathLike | IO[str]
 ) -> None:
     doc = {
         "labels": list(sp.labels),
@@ -339,26 +326,22 @@ def save_system(
         "v_int": h.v_int.tolist(),
         "v_bar": h.v_bar.tolist(),
     }
-    if isinstance(dest, str):
+    if isinstance(dest, (str, os.PathLike)):
         with open(dest, "w") as fh:
             json.dump(doc, fh, sort_keys=True, indent=2)
     else:
         json.dump(doc, dest, sort_keys=True, indent=2)
 
 
-def densities_to_csv(densities: Sequence[Density] | np.ndarray, dest: str | IO[str]) -> None:
-    """One density per row, columns rho_1..rho_m.
-
-    ``densities`` is a sequence of :class:`Density` or an (N, m) array.
-    """
-    if len(densities) == 0:
-        raise ValueError("nothing to write")
-    rows = densities if isinstance(densities, np.ndarray) else [d.rho for d in densities]
-    rows = np.asarray(rows, dtype=float)
+def densities_to_csv(densities, dest: str | os.PathLike | IO[str]) -> None:
+    """One density per row of the (N, m) array-like, columns rho_1..rho_m."""
+    rows = np.asarray(densities, dtype=float)
+    if rows.ndim != 2 or rows.size == 0:
+        raise ValueError(f"need a non-empty (N, m) table of densities, got shape {rows.shape}")
     write_csv(dest, [f"rho_{i + 1}" for i in range(rows.shape[1])], rows)
 
 
-def densities_from_csv(src: str | IO[str]) -> np.ndarray:
+def densities_from_csv(src: str | os.PathLike | IO[str]) -> np.ndarray:
     """Read densities written by :func:`densities_to_csv` as one table.
 
     Returns a read-only (N, m) array, one density per row.  The header

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import json
-import operator
 import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -76,31 +75,6 @@ class ReductionSpec:
                 f"kept/frozen/zeroed indices must partition 0..{n - 1}, got "
                 f"kept={sorted(kept)}, frozen={sorted(frozen)}, zeroed={sorted(zeroed)}"
             )
-
-
-class RowView(Sequence):
-    """A read-only sequence whose item i is built from row i on access.
-
-    Columnar containers hand this out where callers index single samples,
-    so a value object is made only for the rows actually read.
-    """
-
-    def __init__(self, n: int, build: Callable[[int], object]):
-        self._n = n
-        self._build = build
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._build(j) for j in range(*i.indices(self._n))]
-        i = operator.index(i)
-        if i < 0:
-            i += self._n
-        if not 0 <= i < self._n:
-            raise IndexError(f"row index out of range for {self._n} rows")
-        return self._build(i)
 
 
 def _first(mask: np.ndarray) -> int | None:
@@ -368,7 +342,7 @@ def _path_header(n: int, extended: bool) -> list[str]:
     return head + [f"p_{j + 1}" for j in range(n)] + [f"q_{j + 1}" for j in range(n)]
 
 
-def path_to_csv(path: SampledPath, dest: str | IO[str]) -> None:
+def path_to_csv(path: SampledPath, dest: str | os.PathLike | IO[str]) -> None:
     """Write a path as CSV.
 
     Extended header: t,z,S,T,p_1..p_n,q_1..q_n; reduced: t,z,p_1..p_k,q_1..q_k.
@@ -379,7 +353,7 @@ def path_to_csv(path: SampledPath, dest: str | IO[str]) -> None:
 
 
 def read_csv(
-    src: str | IO[str], what: str, header_error: Callable[[list[str]], str | None]
+    src: str | os.PathLike | IO[str], what: str, header_error: Callable[[list[str]], str | None]
 ) -> tuple[list[str], np.ndarray, list[int]]:
     """Read a header line and rows of numbers, as :func:`write_csv` writes them.
 
@@ -423,13 +397,13 @@ def read_csv(
             raise
         return header, table, lines
 
-    if isinstance(src, str):
+    if isinstance(src, (str, os.PathLike)):
         with open(src, newline="") as fh:
             return read(fh)
     return read(src)
 
 
-def path_from_csv(src: str | IO[str]) -> SampledPath:
+def path_from_csv(src: str | os.PathLike | IO[str]) -> SampledPath:
     """Read a path written by :func:`path_to_csv`.
 
     The header must be exactly t,z,S,T,p_1..p_n,q_1..q_n (extended) or

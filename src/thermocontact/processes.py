@@ -36,7 +36,7 @@ from .models import (
     _gas_zp,
     cw_magnetization_roots,
 )
-from .phase_space import NonnegReport, RowView, SampledPath, check_path_nonnegative
+from .phase_space import NonnegReport, SampledPath, check_path_nonnegative
 
 # fokker_planck_relax rejects a dt0 that needs more steps than this, and
 # ends a run that takes more accepted steps than this
@@ -266,23 +266,17 @@ def ultrafast_jump(
 class RelaxTrace:
     """Nodes of a simplex gradient-flow relaxation.
 
-    ``rho`` holds the density of node j in row j, read-only;
-    ``densities[j]`` gives that row as a :class:`~thermocontact.microstate.Density`.
+    ``densities`` holds the density of node j in row j, read-only.
     ``temperatures[j]`` is the coefficient used over the step leaving node
     j, so the per-step Lyapunov contract compares G at that temperature.
     """
 
     t_grid: np.ndarray
-    rho: np.ndarray
+    densities: np.ndarray
     temperatures: np.ndarray
     reduced_path: SampledPath
     form_values: np.ndarray
     G_values: np.ndarray
-
-    @property
-    def densities(self) -> RowView:
-        """The node densities, each built when it is indexed."""
-        return RowView(self.rho.shape[0], lambda j: ms.Density(self.rho[j]))
 
     def spectral_gap_estimate(self) -> float:
         """Decay-rate estimate fitted to the free-energy tail.
@@ -308,7 +302,7 @@ def fokker_planck_relax(
     h: ms.AffineHamiltonian,
     q,
     T_of_t: Callable[[float], float],
-    rho0: ms.Density,
+    rho0,
     dt0: float,
     t_end: float,
 ) -> RelaxTrace:
@@ -338,8 +332,8 @@ def fokker_planck_relax(
         raise ValueError(
             f"dt0 = {dt0!r} needs more than {MAX_RELAX_STEPS} steps to reach t_end = {t_end!r}"
         )
-    ms.check_density(sp, rho0)
-    if float(rho0.rho.min()) <= RHO_FLOOR:
+    rho0 = ms.check_density(sp, rho0)
+    if float(rho0.min()) <= RHO_FLOOR:
         raise ValueError("initial density must be strictly positive (above the floor)")
 
     w = sp.weights
@@ -354,7 +348,7 @@ def fokker_planck_relax(
 
     t = 0.0
     # never written in place: each accepted step binds a fresh trial array
-    rho = rho0.rho
+    rho = rho0
     T = float(T_of_t(0.0))
     if not T > 0:
         raise ValueError("temperature schedule must be positive")

@@ -164,7 +164,7 @@ def criterion_4() -> CriterionResult:
         rhos = raw / (raw @ w)[:, None]
         g_rand = T * np.sum(w * rhos * np.log(rhos), axis=1) + rhos @ (w * energies)
         worst_gap = max(worst_gap, float(g_min - g_rand.min()))
-        grad = T * (1.0 + np.log(res.rho_g.rho)) + energies
+        grad = T * (1.0 + np.log(res.rho_g)) + energies
         worst_spread = max(worst_spread, float(grad.max() - grad.min()))
     ok = worst_gap <= 1e-12 and worst_spread < 1e-9
     return CriterionResult(
@@ -272,7 +272,7 @@ def criterion_6() -> CriterionResult:
     worst_mass = worst_lyap = worst_form = worst_tv = 0.0
     for sp, h, q, trace in criterion_6_runs():
         w = sp.weights
-        R = trace.rho
+        R = trace.densities
         worst_mass = max(worst_mass, float(np.abs(np.vecdot(R, w) - 1.0).max()))
         # G of every node at the temperature of the step leaving the node
         # before it (np.vecdot sums each row as np.dot does)
@@ -522,6 +522,8 @@ CRITERIA: tuple[Callable[[], CriterionResult], ...] = (
 def run_all(selected: list[int] | None = None) -> list[CriterionResult]:
     """Run the acceptance criteria (all, or a 1-based subset) in order."""
     indices = selected if selected is not None else list(range(1, len(CRITERIA) + 1))
+    if not indices:
+        raise ValueError("no criteria selected")
     for i in indices:
         if not 1 <= i <= len(CRITERIA):
             raise ValueError(f"criterion index {i} out of range 1..{len(CRITERIA)}")

@@ -133,7 +133,7 @@ def loop_free_energy(w, h, T: float, q, r) -> float:
 
 def loop_lift(sp, h, T: float, q, rho) -> ExtendedRow:
     """One node of the relaxation lift, from one-vector np.dot and ``@`` sums."""
-    r = ms.Density(rho).rho
+    r = ms.check_density(sp, rho)
     w = sp.weights
     z = -loop_free_energy(w, h, T, q, r)
     return ExtendedRow(z, loop_entropy(w, r), T, loop_pressures(w, h.v_bar, r), q)

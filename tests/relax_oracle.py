@@ -35,7 +35,7 @@ def loop_fokker_planck_relax(
     h: ms.AffineHamiltonian,
     q,
     T_of_t: Callable[[float], float],
-    rho0: ms.Density,
+    rho0,
     dt0: float,
     t_end: float,
 ) -> RelaxTrace:
@@ -49,8 +49,8 @@ def loop_fokker_planck_relax(
         raise ValueError(
             f"dt0 = {dt0!r} needs more than {MAX_RELAX_STEPS} steps to reach t_end = {t_end!r}"
         )
-    ms.check_density(sp, rho0)
-    if float(rho0.rho.min()) <= RHO_FLOOR:
+    rho0 = ms.check_density(sp, rho0)
+    if float(rho0.min()) <= RHO_FLOOR:
         raise ValueError("initial density must be strictly positive (above the floor)")
 
     w = sp.weights
@@ -61,7 +61,7 @@ def loop_fokker_planck_relax(
         return float(T * np.dot(w, rho * np.log(rho)) + np.dot(w * energies, rho))
 
     t = 0.0
-    rho = rho0.rho.copy()
+    rho = rho0.copy()
     T = float(T_of_t(0.0))
     if not T > 0:
         raise ValueError("temperature schedule must be positive")

@@ -332,6 +332,13 @@ class TestFailedRunsWriteNothing:
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: invalid literal for int() with base 10: '1.5'"]
 
+    @pytest.mark.parametrize("argv", [["--criteria", ","], ["--criteria=,,"]])
+    def test_empty_criteria_selection_is_an_error(self, tmp_path, capsys, argv):
+        assert dispatch(["verify", *argv, "--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: no criteria selected"]
+
     def test_format_is_a_chord_flag_only(self, tmp_path, system_file, capsys):
         argv = ["gibbs", "--system", str(system_file), "--T", "1", "--q", "0.3", "--format", "json"]
         assert dispatch([*argv, "--out-dir", str(tmp_path / "out")]) == 1
@@ -594,10 +601,10 @@ class TestOtherCommands:
         assert path.kind == "reduced"
 
     def test_relax_with_density_file(self, tmp_path, system_file):
-        from thermocontact import Density, densities_to_csv
+        from thermocontact import densities_to_csv
 
         rho_file = tmp_path / "rho0.csv"
-        densities_to_csv([Density([0.6, 0.3, 0.1])], str(rho_file))
+        densities_to_csv([[0.6, 0.3, 0.1]], str(rho_file))
         code = dispatch(
             [
                 "relax",

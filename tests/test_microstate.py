@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 
 from thermocontact import (
     AffineHamiltonian,
-    Density,
     MicrostateSpace,
     densities_from_csv,
     densities_to_csv,
@@ -22,9 +21,11 @@ from thermocontact import (
     normalized_density,
     pressures,
     save_system,
+    total_variation,
     uniform_density,
 )
 from thermocontact.microstate import check_density
+from thermocontact.processes import fokker_planck_relax
 
 
 def unit_space(m):
@@ -53,17 +54,83 @@ class TestValidation:
             MicrostateSpace(("a",), [1.0, 1.0])
 
     def test_density_nonnegative(self):
-        with pytest.raises(ValueError):
-            Density([-0.1, 1.1])
+        with pytest.raises(ValueError, match="negative or non-finite"):
+            check_density(unit_space(2), [-0.1, 1.1])
 
     def test_density_normalization_checked(self):
         sp = unit_space(2)
         with pytest.raises(ValueError):
-            check_density(sp, Density([0.5, 0.6]))
+            check_density(sp, [0.5, 0.6])
 
     def test_vbar_shape(self):
         with pytest.raises(ValueError):
             AffineHamiltonian([0.0, 1.0], [[0.0, 1.0, 2.0]])
+
+
+# every function that takes a density, given rho on a 3-state space
+DENSITY_ENTRY_POINTS = {
+    "check_density": lambda sp, h, rho: check_density(sp, rho),
+    "entropy": lambda sp, h, rho: entropy(sp, rho),
+    "internal_energy": lambda sp, h, rho: internal_energy(sp, h, rho),
+    "pressures": lambda sp, h, rho: pressures(sp, h, rho),
+    "free_energy": lambda sp, h, rho: free_energy(sp, h, 1.0, [0.0], rho),
+    "lift_to_extended": lambda sp, h, rho: lift_to_extended(sp, h, 1.0, [0.0], rho),
+    "total_variation_a": lambda sp, h, rho: total_variation(sp, rho, uniform_density(sp)),
+    "total_variation_b": lambda sp, h, rho: total_variation(sp, uniform_density(sp), rho),
+    "fokker_planck_relax": lambda sp, h, rho: fokker_planck_relax(
+        sp, h, [0.0], lambda t: 1.0, rho, 0.1, 0.5
+    ),
+}
+BAD_DENSITIES = {
+    "length": ([0.5, 0.5], "2 entries for a space of 3"),
+    "negative": ([-0.1, 0.6, 0.5], "negative or non-finite"),
+    "nan": ([math.nan, 0.5, 0.5], "negative or non-finite"),
+    "inf": ([math.inf, 0.5, 0.5], "negative or non-finite"),
+    "mass": ([0.5, 0.3, 0.3], "mass is 1.1"),
+}
+
+
+class TestDensityContract:
+    @pytest.fixture
+    def system(self):
+        return unit_space(3), AffineHamiltonian([0.0, 0.5, 1.0], [[1.0, 0.0, -1.0]])
+
+    @pytest.mark.parametrize("bad", BAD_DENSITIES)
+    @pytest.mark.parametrize("entry", DENSITY_ENTRY_POINTS)
+    def test_every_entry_point_rejects_a_bad_density(self, system, entry, bad):
+        rho, message = BAD_DENSITIES[bad]
+        with pytest.raises(ValueError, match=message):
+            DENSITY_ENTRY_POINTS[entry](*system, rho)
+
+    @pytest.mark.parametrize("entry", DENSITY_ENTRY_POINTS)
+    def test_every_entry_point_takes_a_plain_row(self, system, entry):
+        rho = [0.2, 0.3, 0.5]
+        DENSITY_ENTRY_POINTS[entry](*system, rho)
+        DENSITY_ENTRY_POINTS[entry](*system, np.array(rho))
+
+    def test_check_returns_a_read_only_copy(self):
+        rho = np.array([0.2, 0.3, 0.5])
+        r = check_density(unit_space(3), rho)
+        assert r is not rho and rho.flags.writeable and np.array_equal(r, rho)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_normalized_density_rejects_non_finite_values(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            normalized_density(unit_space(3), [value, 1.0, 1.0])
+
+    def test_returned_densities_are_read_only_float_rows(self, system):
+        sp, h = system
+        trace = fokker_planck_relax(sp, h, [0.0], lambda t: 1.0, [0.2, 0.3, 0.5], 0.1, 0.5)
+        assert trace.densities.shape == (trace.t_grid.size, 3)
+        rows = [
+            gibbs(sp, h, 1.0, [0.2]).rho_g,
+            uniform_density(sp),
+            normalized_density(sp, [1, 2, 3]),
+            *trace.densities,
+        ]
+        for r in rows:
+            assert r.dtype == np.float64 and r.shape == (3,)
+            assert not r.flags.writeable
 
 
 class TestEntropy:
@@ -73,11 +140,11 @@ class TestEntropy:
 
     def test_point_mass_zero(self):
         sp = unit_space(4)
-        assert entropy(sp, Density([1.0, 0.0, 0.0, 0.0])) == 0.0
+        assert entropy(sp, [1.0, 0.0, 0.0, 0.0]) == 0.0
 
     def test_two_state_value(self):
         sp = unit_space(2)
-        assert abs(entropy(sp, Density([0.25, 0.75])) - 0.5623351446188083) < 1e-12
+        assert abs(entropy(sp, [0.25, 0.75]) - 0.5623351446188083) < 1e-12
 
     def test_bounds_for_unit_weights(self):
         rng = np.random.default_rng(5)
@@ -103,7 +170,7 @@ class TestEnergetics:
     def test_point_mass_picks_one_state(self):
         sp = unit_space(3)
         h = AffineHamiltonian([0.5, 1.5, -2.0], np.zeros((1, 3)))
-        assert internal_energy(sp, h, Density([0.0, 1.0, 0.0])) == 1.5
+        assert internal_energy(sp, h, [0.0, 1.0, 0.0]) == 1.5
 
     def test_uniform_two_state_mean(self):
         sp = unit_space(2)
@@ -119,13 +186,13 @@ class TestEnergetics:
         sp = unit_space(3)
         vb = np.array([[1.0, 2.0, 3.0], [0.0, -1.0, 5.0]])
         h = AffineHamiltonian(np.zeros(3), vb)
-        p = pressures(sp, h, Density([0.0, 1.0, 0.0]))
+        p = pressures(sp, h, [0.0, 1.0, 0.0])
         assert np.allclose(p, [-2.0, 1.0], atol=0)
 
     def test_pressures_two_state_mixture(self):
         sp = unit_space(2)
         h = AffineHamiltonian(np.zeros(2), [[1.0, -1.0]])
-        p = pressures(sp, h, Density([0.25, 0.75]))
+        p = pressures(sp, h, [0.25, 0.75])
         assert abs(p[0] - 0.5) < 1e-15
 
 
@@ -141,13 +208,13 @@ class TestFreeEnergy:
     def test_point_mass_at_zero_field(self):
         sp = unit_space(2)
         h = AffineHamiltonian([0.7, -0.2], [[1.0, 2.0]])
-        g = free_energy(sp, h, 1.0, [0.0], Density([0.0, 1.0]))
+        g = free_energy(sp, h, 1.0, [0.0], [0.0, 1.0])
         assert abs(g + 0.2) < 1e-15
 
     def test_two_state_value(self):
         sp = unit_space(2)
         h = AffineHamiltonian([0.0, 1.0], np.zeros((1, 2)))
-        g = free_energy(sp, h, 1.0, [0.0], Density([0.5, 0.5]))
+        g = free_energy(sp, h, 1.0, [0.0], [0.5, 0.5])
         assert abs(g - (0.5 - math.log(2))) < 1e-14
 
     def test_two_route_equality(self):
@@ -172,7 +239,7 @@ class TestGibbs:
         h = AffineHamiltonian(np.zeros(5), np.zeros((1, 5)))
         res = gibbs(sp, h, 1.3, [0.0])
         assert abs(res.log_z - math.log(5)) < 1e-14
-        assert np.allclose(res.rho_g.rho, 0.2, atol=1e-15)
+        assert np.allclose(res.rho_g, 0.2, atol=1e-15)
 
     def test_two_state_closed_form(self):
         sp = unit_space(2)
@@ -181,20 +248,20 @@ class TestGibbs:
                 h = AffineHamiltonian([0.0, E], np.zeros((1, 2)))
                 res = gibbs(sp, h, T, [0.0])
                 expect = 1.0 / (1.0 + math.exp(-E / T))
-                assert abs(res.rho_g.rho[0] - expect) < 1e-14
+                assert abs(res.rho_g[0] - expect) < 1e-14
 
     def test_high_temperature_limit(self):
         sp = unit_space(2)
         h = AffineHamiltonian([0.0, 1.0], np.zeros((1, 2)))
         res = gibbs(sp, h, 1e6, [0.0])
-        assert np.abs(res.rho_g.rho - 0.5).max() < 1e-6
+        assert np.abs(res.rho_g - 0.5).max() < 1e-6
 
     def test_small_temperature_does_not_overflow(self):
         sp = unit_space(3)
         h = AffineHamiltonian([0.0, 500.0, 1000.0], np.zeros((1, 3)))
         res = gibbs(sp, h, 1e-2, [0.0])
         assert math.isfinite(res.log_z)
-        assert abs(res.rho_g.rho[0] - 1.0) < 1e-12
+        assert abs(res.rho_g[0] - 1.0) < 1e-12
 
     def test_minimality_over_random_densities(self):
         rng = np.random.default_rng(19)
@@ -237,7 +304,7 @@ class TestGibbs:
             sp, h = random_system(rng, int(rng.integers(2, 30)), 2)
             T = float(rng.uniform(0.4, 2.5))
             q = rng.normal(size=2)
-            rho = gibbs(sp, h, T, q).rho_g.rho
+            rho = gibbs(sp, h, T, q).rho_g
             grad = T * (1.0 + np.log(rho)) + h.energies(q)
             assert grad.max() - grad.min() < 1e-9
 
@@ -245,7 +312,7 @@ class TestGibbs:
         rng = np.random.default_rng(22)
         sp, h = random_system(rng, 40, 3)
         res = gibbs(sp, h, 0.7, rng.normal(size=3))
-        assert abs(float(np.dot(sp.weights, res.rho_g.rho)) - 1.0) < 1e-12
+        assert abs(float(np.dot(sp.weights, res.rho_g)) - 1.0) < 1e-12
 
 
 class TestLift:
@@ -283,7 +350,7 @@ class TestLift:
     def test_non_gibbs_density_lifts_off_graph(self):
         sp = unit_space(2)
         h = AffineHamiltonian([0.0, 1.0], [[1.0, -1.0]])
-        d = Density([0.9, 0.1])
+        d = [0.9, 0.1]
         z, _, _ = lift_to_extended(sp, h, 1.0, [0.2], d)
         res = gibbs(sp, h, 1.0, [0.2])
         z_on_graph, _, _ = lift_to_extended(sp, h, 1.0, [0.2], res.rho_g)
@@ -311,7 +378,7 @@ class TestSerialization:
 
     def test_densities_csv_roundtrip(self):
         sp = unit_space(3)
-        rows = [uniform_density(sp), Density([0.5, 0.25, 0.25])]
+        rows = [uniform_density(sp), [0.5, 0.25, 0.25]]
         buf = io.StringIO()
         densities_to_csv(rows, buf)
         text = buf.getvalue()
@@ -319,7 +386,19 @@ class TestSerialization:
         back = densities_from_csv(io.StringIO(text))
         assert back.shape == (2, 3) and not back.flags.writeable
         for a, b in zip(rows, back):
-            assert np.array_equal(a.rho, b)
+            assert np.array_equal(a, b)
+
+    def test_system_json_roundtrip_through_a_path(self, tmp_path):
+        sp = MicrostateSpace(("u", "v"), [1.0, 2.0])
+        h = AffineHamiltonian([0.0, 1.5], [[0.5, -0.5]])
+        save_system(sp, h, tmp_path / "system.json")
+        sp2, h2 = load_system(tmp_path / "system.json")
+        assert sp2.labels == sp.labels and np.array_equal(h2.v_bar, h.v_bar)
+
+    def test_densities_csv_roundtrip_through_a_path(self, tmp_path):
+        rows = np.array([[0.5, 0.25, 0.25], [0.1, 0.2, 0.7]])
+        densities_to_csv(rows, tmp_path / "rho.csv")
+        assert np.array_equal(densities_from_csv(tmp_path / "rho.csv"), rows)
 
     def test_system_state_count_mismatch(self):
         doc = {"labels": ["a", "b"], "weights": [1, 1], "v_int": [0.0], "v_bar": [[1.0]]}

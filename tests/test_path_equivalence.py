@@ -78,14 +78,13 @@ def test_criterion_7_draws_match_loops():
 def test_criterion_6_relaxations_match_loop():
     for sp, h, q, trace in itertools.islice(criterion_6_runs(), 4):
         points, G_values, form_values = loop_relax_lift(
-            sp, h, q, trace.t_grid, trace.temperatures, trace.rho
+            sp, h, q, trace.t_grid, trace.temperatures, trace.densities
         )
         _assert_columns_equal(trace.reduced_path, points)
         assert np.array_equal(trace.reduced_path.times, trace.t_grid)
         assert np.array_equal(trace.G_values, G_values)
         assert np.array_equal(trace.form_values, form_values)
         assert len(trace.densities) == trace.t_grid.size
-        assert np.array_equal(trace.densities[-1].rho, trace.rho[-1])
 
 
 def _finite(lo, hi):
@@ -131,7 +130,7 @@ def systems_with_densities(draw):
 @given(systems_with_densities())
 def test_one_density_functions_match_loops(drawn):
     sp, h, T, q, d = drawn
-    w, r = sp.weights, d.rho
+    w, r = sp.weights, d
     S = loop_entropy(w, r)
     p = loop_pressures(w, h.v_bar, r)
     G = loop_free_energy(w, h, T, q, r)

@@ -371,6 +371,14 @@ class TestSerialization:
         for name in ("times", "z", "S", "T", "p", "q"):
             assert np.array_equal(getattr(back, name), getattr(path, name))
 
+    def test_roundtrip_through_a_path(self, tmp_path):
+        t = np.array([0.0, 0.5])
+        path = SampledPath(t, np.full(2, 1.0 / 7), np.full(2, 2.0), t)
+        path_to_csv(path, tmp_path / "path.csv")
+        back = path_from_csv(tmp_path / "path.csv")
+        for name in ("times", "z", "p", "q"):
+            assert np.array_equal(getattr(back, name), getattr(path, name))
+
     def test_reduced_roundtrip_header(self):
         t = np.array([0.0, 0.5])
         buf = io.StringIO()

@@ -12,7 +12,7 @@ from thermocontact import microstate as ms
 from thermocontact import processes, verify
 from thermocontact.processes import IntegrationError, fokker_planck_relax
 
-FIELDS = ("t_grid", "rho", "temperatures", "G_values", "form_values")
+FIELDS = ("t_grid", "densities", "temperatures", "G_values", "form_values")
 
 
 def assert_same_run(*args):
