@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -258,7 +259,7 @@ def chords_to_json(chords: Sequence[Chord]) -> str:
     return json.dumps([_chord_dict(ch) for ch in chords], sort_keys=True)
 
 
-def chords_to_csv(chords: Sequence[Chord], dest: str | IO[str]) -> None:
+def chords_to_csv(chords: Sequence[Chord], dest: str | os.PathLike | IO[str]) -> None:
     header = ["q", "p", "z_start", "z_end", "length", "direction", "tangential"]
     rows = [
         (ch.q, ch.p, ch.z_start, ch.z_end, ch.length, ch.direction, int(ch.tangential))

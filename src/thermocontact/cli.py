@@ -65,23 +65,6 @@ class ValidationError(ValueError):
 
 
 @dataclass
-class RunConfig:
-    command: str
-    out_dir: Path
-    options: dict[str, Any]
-
-    def opt(self, key: str, default=None):
-        value = self.options.get(key)
-        return default if value is None else value
-
-    def require(self, key: str):
-        value = self.options.get(key)
-        if value is None:
-            raise ValidationError(f"missing required option --{key.replace('_', '-')}")
-        return value
-
-
-@dataclass
 class Outcome:
     """A subcommand's output files (name to text), stdout and exit status."""
 
@@ -108,6 +91,19 @@ def _csv(write: Callable[..., None], *args) -> str:
 
 def _table(header: list[str], rows) -> str:
     return _csv(lambda out: write_csv(out, header, rows))
+
+
+def _require(args: argparse.Namespace, key: str):
+    """The value of --key, which a flag or a config must have given."""
+    value = getattr(args, key)
+    if value is None:
+        raise ValidationError(f"missing required option --{key.replace('_', '-')}")
+    return value
+
+
+def _or(value, fallback):
+    """value, or the computed fallback where no flag or config gave one."""
+    return fallback if value is None else value
 
 
 def _read_checked(read: Callable[[str], Any], path: str, what: str):
@@ -172,8 +168,8 @@ def _finder_check(found: list[Chord], q: float, pair: str, lo: float, hi: float)
     return abs(found[0].q - q)
 
 
-def _chords(cfg: RunConfig, name: str, chords: list[Chord]) -> dict[str, str]:
-    if cfg.opt("format", "csv") == "json":
+def _chords(args: argparse.Namespace, name: str, chords: list[Chord]) -> dict[str, str]:
+    if args.format == "json":
         return {f"{name}.json": chords_to_json(chords) + "\n"}
     return {f"{name}.csv": _csv(chords_to_csv, chords)}
 
@@ -201,28 +197,25 @@ def _front_pair(fig: str, front: FrontFunction, qs: np.ndarray, qstar: float) ->
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_chord(cfg: RunConfig) -> Outcome:
+def _cmd_chord(args: argparse.Namespace) -> Outcome:
     """Closed-form chord, the finder cross-check and the figure data.
 
     gas: fig1 (the two equilibrium curves and the chord marker) and fig3;
     cw: fig4 and the magnet Legendrian sample.  fig3/fig4 are the flattened
     front pair with the chord segment (docs/formats.md).
     """
-    model = cfg.require("model")
-    t0, t1, c = cfg.require("t0"), cfg.require("t1"), cfg.require("c")
+    t0, t1, c = _require(args, "t0"), _require(args, "t1"), _require(args, "c")
     if not 0 < t0 < t1:
         raise ValidationError("need --t1 > --t0 > 0")
-    grid_n = int(cfg.opt("grid_n", 20001))
-    grid = int(cfg.opt("grid", 400))
-    if model == "gas":
+    if args.model == "gas":
         if not c > 0:
             raise ValidationError("the gas jump needs --c > 0")
         closed = gas_chord(t0, t1, c)
         f1 = difference_front("gas", t0, t1, c)
         lo = 10.0 * closed.q - 1.0
         zero = constant_front(0.0, (-math.inf, 0.0))
-        found = find_chords(zero, f1, lo, closed.q / 10.0, grid_n)
-        qs = _window(cfg.opt("q_lo", -6.0), cfg.opt("q_hi", min(-0.05, c - 0.05)), grid, "q")
+        found = find_chords(zero, f1, lo, closed.q / 10.0, args.grid_n)
+        qs = _window(_or(args.q_lo, -6.0), _or(args.q_hi, min(-0.05, c - 0.05)), args.grid, "q")
         cold, hot = IdealGasParams(T=t0, P_back=0.0), IdealGasParams(T=t1, P_back=c)
         marker = [(closed.q, closed.p, closed.z_start, closed.z_end)]
         files = {
@@ -230,9 +223,9 @@ def _cmd_chord(cfg: RunConfig) -> Outcome:
             "fig1_family_hot.csv": _table(["q", "p", "z"], sample_gas_legendrian(hot, qs)),
             "fig1_chord.csv": _table(["q", "p", "z_start", "z_end"], marker),
         }
-        qs = _window(cfg.opt("q_lo", lo), cfg.opt("q_hi", min(0.0, c) - 1e-3), grid, "q")
+        qs = _window(_or(args.q_lo, lo), _or(args.q_hi, min(0.0, c) - 1e-3), args.grid, "q")
         files |= _front_pair("fig3", f1, qs, closed.q)
-        files |= _chords(cfg, "chords_gas", [closed])
+        files |= _chords(args, "chords_gas", [closed])
         check = _finder_check(found, closed.q, "gas", lo, closed.q / 10.0)
         return Outcome(
             files,
@@ -240,41 +233,38 @@ def _cmd_chord(cfg: RunConfig) -> Outcome:
             f"length={closed.length:.12g} direction={closed.direction:+d} "
             f"finder|dq|={check:.3e} files={len(files)}",
         )
-    if model == "cw":
-        b = cfg.opt("b", 1.0)
-        if not b > 0:
-            raise ValidationError("the magnet chord needs --b > 0")
-        closed = cw_chord(t0, t1, c, b)
-        qstar = closed.q + b * closed.p
-        f1 = difference_front("cw", t0, t1, c)
-        span = max(10.0, 3.0 * abs(qstar))
-        scan = -span, span
-        found = find_chords(constant_front(), f1, *scan, grid_n)
-        span = cfg.opt("span", span)
-        qs = _window(cfg.opt("q_lo", -span), cfg.opt("q_hi", span), grid, "q")
-        files = _front_pair("fig4", f1, qs, qstar)
-        sample = sample_cw_legendrian(
-            CurieWeissParams(T=t0, H_back=0.0, b=b),
-            _window(cfg.opt("p_lo", -0.99), cfg.opt("p_hi", 0.99), grid, "p"),
-        )
-        files["cw_legendrian.csv"] = _table(["q", "p", "z", "S"], sample)
-        files |= _chords(cfg, "chords_cw", [closed])
-        check = _finder_check(found, qstar, "cw", *scan)
-        return Outcome(
-            files,
-            f"chord cw: Q*={qstar:.12g} p={closed.p:.12g} q={closed.q:.12g} "
-            f"length={closed.length:.12g} direction={closed.direction:+d} "
-            f"finder|dQ|={check:.3e} files={len(files)}",
-        )
-    raise ValidationError(f"unknown model {model!r}, expected 'gas' or 'cw'")
+    b = args.b
+    if not b > 0:
+        raise ValidationError("the magnet chord needs --b > 0")
+    closed = cw_chord(t0, t1, c, b)
+    qstar = closed.q + b * closed.p
+    f1 = difference_front("cw", t0, t1, c)
+    span = max(10.0, 3.0 * abs(qstar))
+    scan = -span, span
+    found = find_chords(constant_front(), f1, *scan, args.grid_n)
+    span = _or(args.span, span)
+    qs = _window(_or(args.q_lo, -span), _or(args.q_hi, span), args.grid, "q")
+    files = _front_pair("fig4", f1, qs, qstar)
+    sample = sample_cw_legendrian(
+        CurieWeissParams(T=t0, H_back=0.0, b=b), _window(args.p_lo, args.p_hi, args.grid, "p")
+    )
+    files["cw_legendrian.csv"] = _table(["q", "p", "z", "S"], sample)
+    files |= _chords(args, "chords_cw", [closed])
+    check = _finder_check(found, qstar, "cw", *scan)
+    return Outcome(
+        files,
+        f"chord cw: Q*={qstar:.12g} p={closed.p:.12g} q={closed.q:.12g} "
+        f"length={closed.length:.12g} direction={closed.direction:+d} "
+        f"finder|dQ|={check:.3e} files={len(files)}",
+    )
 
 
-def _cmd_gibbs(cfg: RunConfig) -> Outcome:
-    sp, h = _read_checked(ms.load_system, cfg.require("system"), "system")
-    T = cfg.require("T")
+def _cmd_gibbs(args: argparse.Namespace) -> Outcome:
+    sp, h = _read_checked(ms.load_system, _require(args, "system"), "system")
+    T = _require(args, "T")
     if not T > 0:
         raise ValidationError("need --T > 0")
-    q = _parse_floats(cfg.require("q"), "q")
+    q = _parse_floats(_require(args, "q"), "q")
     if q.size != h.n:
         raise ValidationError(f"q has length {q.size}, the system expects {h.n}")
     res = ms.gibbs(sp, h, T, q)
@@ -289,31 +279,27 @@ def _cmd_gibbs(cfg: RunConfig) -> Outcome:
     )
 
 
-def _cmd_relax(cfg: RunConfig) -> Outcome:
-    sp, h = _read_checked(ms.load_system, cfg.require("system"), "system")
-    q = _parse_floats(cfg.require("q"), "q")
+def _cmd_relax(args: argparse.Namespace) -> Outcome:
+    sp, h = _read_checked(ms.load_system, _require(args, "system"), "system")
+    q = _parse_floats(_require(args, "q"), "q")
     if q.size != h.n:
         raise ValidationError(f"q has length {q.size}, the system expects {h.n}")
-    T0 = cfg.require("T0")
-    T1 = cfg.opt("T1", T0)
-    ramp = cfg.opt("ramp", 0.0)
-    t_end = cfg.opt("t_end", 20.0)
-    dt0 = cfg.opt("dt0", 0.01)
-    if not (T0 > 0 and T1 >= T0 and ramp >= 0 and t_end > 0 and dt0 > 0):
+    T0 = _require(args, "T0")
+    T1, ramp = _or(args.T1, T0), args.ramp
+    if not (T0 > 0 and T1 >= T0 and ramp >= 0 and args.t_end > 0 and args.dt0 > 0):
         raise ValidationError("need --T0 > 0, --T1 >= --T0, --ramp >= 0, --t-end > 0, --dt0 > 0")
-    rho_src = cfg.opt("rho0", "uniform")
-    if rho_src == "uniform":
+    if args.rho0 == "uniform":
         rho0 = ms.uniform_density(sp)
     else:
-        densities = _read_checked(ms.densities_from_csv, rho_src, "input")
+        densities = _read_checked(ms.densities_from_csv, args.rho0, "input")
         if not len(densities):
-            raise ValidationError(f"no density rows in {rho_src!r}")
+            raise ValidationError(f"no density rows in {args.rho0!r}")
         rho0 = densities[0]
 
     def T_of_t(t):
         return T0 + (T1 - T0) * min(t, ramp) / ramp if ramp > 0 else T1
 
-    trace = fokker_planck_relax(sp, h, q, T_of_t, rho0, dt0, t_end)
+    trace = fokker_planck_relax(sp, h, q, T_of_t, rho0, args.dt0, args.t_end)
 
     files = {
         "relax_path.csv": _csv(path_to_csv, trace.reduced_path),
@@ -342,20 +328,16 @@ def _cmd_relax(cfg: RunConfig) -> Outcome:
     )
 
 
-def _cmd_isotopy(cfg: RunConfig) -> Outcome:
-    model = cfg.require("model")
-    T0, T1 = cfg.require("T0"), cfg.require("T1")
-    bg0, bg1 = cfg.opt("bg0", 0.0), cfg.opt("bg1", 0.0)
-    n_times = int(cfg.opt("n_times", 101))
-    if not (T0 > 0 and T1 > 0 and n_times >= 2):
+def _cmd_isotopy(args: argparse.Namespace) -> Outcome:
+    T0, T1 = _require(args, "T0"), _require(args, "T1")
+    if not (T0 > 0 and T1 > 0 and args.n_times >= 2):
         raise ValidationError("need positive temperatures and --n-times >= 2")
-    x_lo, x_hi = cfg.require("x_lo"), cfg.require("x_hi")
-    n_x = int(cfg.opt("n_x", 9))
-    if not (x_lo <= x_hi and n_x >= 1):
+    x_lo, x_hi = _require(args, "x_lo"), _require(args, "x_hi")
+    if not (x_lo <= x_hi and args.n_x >= 1):
         raise ValidationError("need --x-lo <= --x-hi and --n-x >= 1")
-    sched = Schedule.linear(n_times, T0, T1, bg0, bg1)
-    x_grid = _window(x_lo, x_hi, n_x, "x")
-    trace = run_slow_isotopy(model, sched, x_grid, b=cfg.opt("b"), slack=cfg.opt("slack", 1e-8))
+    sched = Schedule.linear(args.n_times, T0, T1, args.bg0, args.bg1)
+    x_grid = _window(x_lo, x_hi, args.n_x, "x")
+    trace = run_slow_isotopy(args.model, sched, x_grid, b=args.b, slack=args.slack)
     files, entries = {}, []
     for i, (path, report) in enumerate(zip(trace.paths, trace.reports)):
         fname = f"isotopy_path_{i:03d}.csv"
@@ -364,8 +346,8 @@ def _cmd_isotopy(cfg: RunConfig) -> Outcome:
             {"x": float(x_grid[i]), "file": fname, "report": json.loads(report.to_json())}
         )
     manifest = {
-        "model": model,
-        "b": cfg.opt("b"),
+        "model": args.model,
+        "b": args.b,
         "schedule": {
             "times": sched.times.tolist(),
             "temperatures": sched.temperatures.tolist(),
@@ -378,18 +360,17 @@ def _cmd_isotopy(cfg: RunConfig) -> Outcome:
     n_ok = sum(1 for e in entries if e["report"]["verdict"] == "nonnegative")
     return Outcome(
         files,
-        f"isotopy {model}: {len(entries)} paths, {n_ok} non-negative, "
+        f"isotopy {args.model}: {len(entries)} paths, {n_ok} non-negative, "
         f"family residual={manifest['legendrian_residual']:.3e}",
     )
 
 
-def _cmd_stirling(cfg: RunConfig) -> Outcome:
-    t_cold, t_hot = cfg.require("t_cold"), cfg.require("t_hot")
-    v_min, v_max = cfg.require("v_min"), cfg.require("v_max")
+def _cmd_stirling(args: argparse.Namespace) -> Outcome:
+    t_cold, t_hot = _require(args, "t_cold"), _require(args, "t_hot")
+    v_min, v_max = _require(args, "v_min"), _require(args, "v_max")
     if not (0 < t_cold < t_hot and 0 < v_min < v_max):
         raise ValidationError("need --t-hot > --t-cold > 0 and --v-max > --v-min > 0")
-    n_samples = int(cfg.opt("n_samples", 101))
-    trace = stirling_cycle(t_cold, t_hot, v_min, v_max, n_samples)
+    trace = stirling_cycle(t_cold, t_hot, v_min, v_max, args.n_samples)
     files, segments = {}, []
     for seg in trace.segments:
         fname = f"stirling_{seg.name}.csv"
@@ -422,13 +403,13 @@ def _cmd_stirling(cfg: RunConfig) -> Outcome:
     )
 
 
-def _cmd_reduce(cfg: RunConfig) -> Outcome:
-    path = _read_checked(path_from_csv, cfg.require("input"), "input")
+def _cmd_reduce(args: argparse.Namespace) -> Outcome:
+    path = _read_checked(path_from_csv, _require(args, "input"), "input")
     if path.kind != "extended":
         raise ValidationError("reduce expects an extended path CSV")
-    k = int(cfg.require("k"))
+    k = _require(args, "k")
     frozen: dict[int, float | None] = {}
-    for piece in cfg.opt("frozen", "").split(","):
+    for piece in args.frozen.split(","):
         if not piece:
             continue
         if "=" in piece:
@@ -442,10 +423,9 @@ def _cmd_reduce(cfg: RunConfig) -> Outcome:
                 raise ValidationError(f"cannot parse --frozen pin {piece!r}: {exc}") from exc
         else:
             frozen[_parse_indices(piece, "frozen")[0]] = None
-    zeroed = tuple(_parse_indices(cfg.opt("zeroed", ""), "zeroed"))
-    spec = ReductionSpec(k, frozen, zeroed, T0=cfg.opt("T0"), tol=cfg.opt("tol", 1e-9))
-    reduced = reduce(path, spec)
-    report = check_path_nonnegative(reduced, slack=cfg.opt("slack", 1e-9))
+    zeroed = tuple(_parse_indices(args.zeroed, "zeroed"))
+    reduced = reduce(path, ReductionSpec(k, frozen, zeroed, T0=args.T0, tol=args.tol))
+    report = check_path_nonnegative(reduced, slack=args.slack)
     return Outcome(
         {
             "reduced_path.csv": _csv(path_to_csv, reduced),
@@ -456,8 +436,8 @@ def _cmd_reduce(cfg: RunConfig) -> Outcome:
     )
 
 
-def _cmd_verify(cfg: RunConfig) -> Outcome:
-    raw = cfg.opt("criteria")
+def _cmd_verify(args: argparse.Namespace) -> Outcome:
+    raw = args.criteria
     results = run_all([int(x) for x in raw.split(",") if x] if raw else None)
     lines = [res.line() for res in results]
     failed = [res.index for res in results if not res.passed]
@@ -467,16 +447,6 @@ def _cmd_verify(cfg: RunConfig) -> Outcome:
         lines.append(f"verify: all {len(results)} criteria passed")
     return Outcome({}, "\n".join(lines), 2 if failed else 0)
 
-
-COMMANDS: dict[str, Callable[[RunConfig], Outcome]] = {
-    "chord": _cmd_chord,
-    "gibbs": _cmd_gibbs,
-    "relax": _cmd_relax,
-    "isotopy": _cmd_isotopy,
-    "stirling": _cmd_stirling,
-    "reduce": _cmd_reduce,
-    "verify": _cmd_verify,
-}
 
 # built once per process: parsing reads the parser and never changes it
 @functools.cache
@@ -488,78 +458,81 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, run: Callable[[argparse.Namespace], Outcome]) -> None:
         p.add_argument("--config", help="JSON file with defaults for this subcommand")
-        p.add_argument("--out-dir", dest="out_dir", help="output directory (default: $THERMO_OUT_DIR or .)")
+        p.add_argument("--out-dir", help="output directory (default: $THERMO_OUT_DIR or .)")
+        p.set_defaults(run=run)
 
     p = sub.add_parser("chord", help="closed-form chords plus the generic-finder cross-check")
     p.add_argument("model", choices=("gas", "cw"))
     p.add_argument("--t0", type=finite_float)
     p.add_argument("--t1", type=finite_float)
     p.add_argument("--c", type=finite_float)
-    p.add_argument("--b", type=finite_float)
-    p.add_argument("--grid-n", dest="grid_n", type=int)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--q-lo", dest="q_lo", type=finite_float, help="figure window start")
-    p.add_argument("--q-hi", dest="q_hi", type=finite_float, help="figure window end")
-    p.add_argument("--p-lo", dest="p_lo", type=finite_float, help="cw Legendrian sample start")
-    p.add_argument("--p-hi", dest="p_hi", type=finite_float, help="cw Legendrian sample end")
+    p.add_argument("--b", type=finite_float, default=1.0)
+    p.add_argument("--grid-n", type=int, default=20001)
+    p.add_argument("--grid", type=int, default=400)
+    p.add_argument("--q-lo", type=finite_float, help="figure window start")
+    p.add_argument("--q-hi", type=finite_float, help="figure window end")
+    p.add_argument("--p-lo", type=finite_float, default=-0.99, help="cw Legendrian sample start")
+    p.add_argument("--p-hi", type=finite_float, default=0.99, help="cw Legendrian sample end")
     p.add_argument("--span", type=finite_float, help="cw figure half-width")
-    p.add_argument("--format", dest="format", choices=("csv", "json"), help="chords file format")
-    common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv", help="chords file format")
+    common(p, _cmd_chord)
 
     p = sub.add_parser("gibbs", help="equilibrium density and lifted phase-space point")
     p.add_argument("--system", help="system JSON file")
     p.add_argument("--T", type=finite_float)
     p.add_argument("--q", help="comma-separated intensive values")
-    common(p)
+    common(p, _cmd_gibbs)
 
     p = sub.add_parser("relax", help="gradient-flow relaxation of a density")
     p.add_argument("--system")
     p.add_argument("--q")
     p.add_argument("--T0", type=finite_float)
     p.add_argument("--T1", type=finite_float)
-    p.add_argument("--ramp", type=finite_float, help="duration of the linear T ramp")
-    p.add_argument("--t-end", dest="t_end", type=finite_float)
-    p.add_argument("--dt0", type=finite_float)
-    p.add_argument("--rho0", help="'uniform' or a density CSV (first row used)")
-    common(p)
+    p.add_argument("--ramp", type=finite_float, default=0.0, help="duration of the linear T ramp")
+    p.add_argument("--t-end", type=finite_float, default=20.0)
+    p.add_argument("--dt0", type=finite_float, default=0.01)
+    p.add_argument("--rho0", default="uniform", help="'uniform' or a density CSV (first row used)")
+    common(p, _cmd_relax)
 
     p = sub.add_parser("isotopy", help="trace the scheduled equilibrium family")
     p.add_argument("model", choices=("gas", "cw"))
     p.add_argument("--T0", type=finite_float)
     p.add_argument("--T1", type=finite_float)
-    p.add_argument("--bg0", type=finite_float)
-    p.add_argument("--bg1", type=finite_float)
-    p.add_argument("--n-times", dest="n_times", type=int)
-    p.add_argument("--x-lo", dest="x_lo", type=finite_float)
-    p.add_argument("--x-hi", dest="x_hi", type=finite_float)
-    p.add_argument("--n-x", dest="n_x", type=int)
+    p.add_argument("--bg0", type=finite_float, default=0.0)
+    p.add_argument("--bg1", type=finite_float, default=0.0)
+    p.add_argument("--n-times", type=int, default=101)
+    p.add_argument("--x-lo", type=finite_float)
+    p.add_argument("--x-hi", type=finite_float)
+    p.add_argument("--n-x", type=int, default=9)
     p.add_argument("--b", type=finite_float)
-    p.add_argument("--slack", type=finite_float)
-    common(p)
+    p.add_argument("--slack", type=finite_float, default=1e-8)
+    common(p, _cmd_isotopy)
 
     p = sub.add_parser("stirling", help="four-segment engine cycle of the gas")
-    p.add_argument("--t-cold", dest="t_cold", type=finite_float)
-    p.add_argument("--t-hot", dest="t_hot", type=finite_float)
-    p.add_argument("--v-min", dest="v_min", type=finite_float)
-    p.add_argument("--v-max", dest="v_max", type=finite_float)
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-    common(p)
+    p.add_argument("--t-cold", type=finite_float)
+    p.add_argument("--t-hot", type=finite_float)
+    p.add_argument("--v-min", type=finite_float)
+    p.add_argument("--v-max", type=finite_float)
+    p.add_argument("--n-samples", type=int, default=101)
+    common(p, _cmd_stirling)
 
     p = sub.add_parser("reduce", help="project an extended path CSV")
     p.add_argument("--input", help="extended path CSV")
     p.add_argument("--k", type=int)
     p.add_argument("--T0", type=finite_float)
-    p.add_argument("--frozen", help="1-based 'i=value' pins or bare indices, comma-separated")
-    p.add_argument("--zeroed", help="1-based indices, comma-separated")
-    p.add_argument("--tol", type=finite_float)
-    p.add_argument("--slack", type=finite_float)
-    common(p)
+    p.add_argument(
+        "--frozen", default="", help="1-based 'i=value' pins or bare indices, comma-separated"
+    )
+    p.add_argument("--zeroed", default="", help="1-based indices, comma-separated")
+    p.add_argument("--tol", type=finite_float, default=1e-9)
+    p.add_argument("--slack", type=finite_float, default=1e-9)
+    common(p, _cmd_reduce)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--criteria", help="comma-separated 1-based subset to run")
-    common(p)
+    common(p, _cmd_verify)
 
     return parser
 
@@ -583,7 +556,7 @@ def _check_text_value(key: str, value):
     command-line text), and ``q`` and ``criteria`` a list of numbers or
     strings (``[0.3, "1"]`` is ``0.3,1``).
     """
-    if value is None or isinstance(value, str):
+    if isinstance(value, str):
         return value
     if key in _NUMBER_TEXT and _is_number(value):
         return str(value)
@@ -606,7 +579,7 @@ def _config_value(key: str, value, flag: argparse.Action):
     A typed flag converts the value's text with its ``type``, which rejects
     ``true``, a list and, for an int flag, ``10.5``; a text flag takes what
     :func:`_check_text_value` allows.  Then the flag's ``choices`` apply."""
-    if value is not None and flag.type is not None:
+    if flag.type is not None:
         try:
             return flag.type(str(value))
         except ValueError as exc:
@@ -614,44 +587,43 @@ def _config_value(key: str, value, flag: argparse.Action):
                 f"config key {key!r}: invalid {flag.type.__name__} value {value!r}"
             ) from exc
     value = _check_text_value(key, value)
-    if flag.choices is not None and value not in (None, *flag.choices):
+    if flag.choices is not None and value not in flag.choices:
         raise ValidationError(
             f"config key {key!r}: invalid choice {value!r} (choose from {sorted(flag.choices)})"
         )
     return value
 
 
-def build_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    """Merge ``args`` with its ``--config`` file into a RunConfig.
+def _with_config(
+    args: argparse.Namespace, argv: list[str], parser: argparse.ArgumentParser
+) -> argparse.Namespace:
+    """``args``, parsed from ``argv`` by ``parser``, parsed again over the
+    values of its ``--config`` file.
 
-    The keys a config may set are the ``dest``s of the subcommand's flags
-    other than ``config`` (not its positional arguments, which the command
-    line always sets).  Every value is read as its flag reads text, with
-    the flag's ``type`` and ``choices`` taken from ``parser``, and a flag
-    given on the command line wins over it.
+    A config may set the ``dest`` of each flag of the subcommand but
+    ``config`` (not its positionals, which the command line always sets).
+    Every value is read as its flag reads text.  The non-null ones seed the
+    namespace that the subcommand's parser reads argv into, where argparse
+    sets no default over a value: a given flag wins over its config value,
+    which wins over the flag's default.
     """
-    options: dict[str, Any] = {
-        k: v for k, v in vars(args).items() if k not in ("command", "config")
-    }
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"cannot read config {args.config!r}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ValidationError("config must be a JSON object")
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        flags = {a.dest: a for a in sub.choices[args.command]._actions if a.option_strings}
-        unknown = set(doc) - (set(flags) & set(options))
-        if unknown:
-            raise ValidationError(f"unknown config keys for {args.command!r}: {sorted(unknown)}")
-        for key, value in doc.items():
-            value = _config_value(key, value, flags[key])
-            if options[key] is None:
-                options[key] = value
-    out_dir = options.pop("out_dir") or os.environ.get("THERMO_OUT_DIR", ".")
-    return RunConfig(command=args.command, out_dir=Path(out_dir), options=options)
+    try:
+        with open(args.config) as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"cannot read config {args.config!r}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError("config must be a JSON object")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = sub.choices[args.command]
+    flags = {a.dest: a for a in command._actions if a.option_strings}
+    unknown = set(doc) - (set(flags) - {"help", "config"})
+    if unknown:
+        raise ValidationError(f"unknown config keys for {args.command!r}: {sorted(unknown)}")
+    given = {key: value for key, value in doc.items() if value is not None}
+    given = {key: _config_value(key, value, flags[key]) for key, value in given.items()}
+    # the first parse accepted argv, so argv[0] is the command
+    return command.parse_args(argv[1:], argparse.Namespace(command=args.command, **given))
 
 
 def dispatch(argv: list[str]) -> int:
@@ -661,15 +633,18 @@ def dispatch(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else 1
-    try:
-        cfg = build_config(args, parser)
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        outcome = COMMANDS[args.command](cfg)
+        if args.config:
+            args = _with_config(args, argv, parser)
+        # the parser is built once, so the environment is read on each run
+        out_dir = Path(args.out_dir or os.environ.get("THERMO_OUT_DIR", "."))
+        out_dir.mkdir(parents=True, exist_ok=True)
+        outcome = args.run(args)
         for name, text in outcome.files.items():
-            (cfg.out_dir / name).write_text(text, newline="")
-    except (ValidationError, ValueError) as exc:
+            (out_dir / name).write_text(text, newline="")
+    except SystemExit as exc:
+        # argparse exits after --help (0) and after printing a usage error
+        return 0 if exc.code == 0 else 1
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RuntimeError, ArithmeticError, OSError) as exc:

@@ -33,7 +33,7 @@ from typing import IO
 import numpy as np
 
 from ._solve import logsumexp
-from .phase_space import read_csv, write_csv
+from .phase_space import _opened, read_csv, write_csv
 
 NORMALIZATION_TOL = 1e-12
 
@@ -72,6 +72,12 @@ class MicrostateSpace:
 # np.matmul multiplies each row as ``@`` does, so a single row gives the
 # same bits as the one-vector form.
 
+def _first_bad_row(R: np.ndarray) -> int | None:
+    """The index of the first row with a negative or non-finite entry."""
+    bad = np.flatnonzero(~np.all(np.isfinite(R) & (R >= 0), axis=1))
+    return int(bad[0]) if bad.size else None
+
+
 def _check_rows(w: np.ndarray, R: np.ndarray) -> None:
     """Raise for the first row r with a negative or non-finite entry, or
     else for the first whose mass sum_i w_i r_i is not 1."""
@@ -79,9 +85,9 @@ def _check_rows(w: np.ndarray, R: np.ndarray) -> None:
     def what(i) -> str:
         return "density" if len(R) == 1 else f"density row {i}"
 
-    bad = np.flatnonzero(~np.all(np.isfinite(R) & (R >= 0), axis=1))
-    if bad.size:
-        raise ValueError(f"{what(bad[0])} has negative or non-finite entries")
+    bad = _first_bad_row(R)
+    if bad is not None:
+        raise ValueError(f"{what(bad)} has negative or non-finite entries")
     mass = np.vecdot(R, w)
     bad = np.flatnonzero(np.abs(mass - 1.0) > NORMALIZATION_TOL)
     if bad.size:
@@ -250,6 +256,19 @@ def gibbs(sp: MicrostateSpace, h: AffineHamiltonian, T: float, q) -> GibbsResult
     return GibbsResult(rho, log_z)
 
 
+def _lift(sp: MicrostateSpace, h: AffineHamiltonian, T, q, R: np.ndarray):
+    """(z, S, p) of each row of R, densities on sp already checked, with
+    z = -G at (T, q); T is one temperature per row or one for all."""
+    _check_dims(sp, h)
+    T = np.broadcast_to(np.asarray(T, dtype=float), R.shape[:1])
+    if not np.all(T > 0):
+        raise ValueError("temperature must be positive")
+    w = sp.weights
+    S = _entropy_rows(w, R)
+    G = _free_energy_rows(w, h, T, q, R, S)
+    return -G, S, _pressure_rows(w, h.v_bar, R)
+
+
 def lift_rows(
     sp: MicrostateSpace, h: AffineHamiltonian, T, q, rho
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -263,18 +282,11 @@ def lift_rows(
     :func:`free_energy`, :func:`entropy` and :func:`pressures` give for it,
     since both go through the same row formulas.
     """
-    _check_dims(sp, h)
     R = np.asarray(rho, dtype=float)
     if R.ndim != 2 or R.shape[1] != sp.m:
         raise ValueError(f"densities must have shape (N, {sp.m}), got {R.shape}")
-    T = np.broadcast_to(np.asarray(T, dtype=float), R.shape[:1])
-    if not np.all(T > 0):
-        raise ValueError("temperature must be positive")
-    w = sp.weights
-    _check_rows(w, R)
-    S = _entropy_rows(w, R)
-    G = _free_energy_rows(w, h, T, q, R, S)
-    return -G, S, _pressure_rows(w, h.v_bar, R)
+    _check_rows(sp.weights, R)
+    return _lift(sp, h, T, q, R)
 
 
 def lift_to_extended(
@@ -284,7 +296,7 @@ def lift_to_extended(
     of the extended phase space.  Raises FloatingPointError, naming T and
     q, when one of them overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        z, S, p = lift_rows(sp, h, T, q, check_density(sp, rho)[None, :])
+        z, S, p = _lift(sp, h, T, q, check_density(sp, rho)[None, :])
     if not np.all(np.isfinite([z[0], S[0], *p[0]])):
         raise _beyond_double("the lift", T, q, f"z = {float(z[0])!r}, p = {p[0].tolist()}")
     return float(z[0]), float(S[0]), p[0]
@@ -301,11 +313,9 @@ def load_system(source) -> tuple[MicrostateSpace, AffineHamiltonian]:
     """
     if isinstance(source, dict):
         doc = source
-    elif isinstance(source, (str, os.PathLike)):
-        with open(source) as fh:
-            doc = json.load(fh)
     else:
-        doc = json.load(source)
+        with _opened(source) as fh:
+            doc = json.load(fh)
     required = {"labels", "weights", "v_int", "v_bar"}
     missing = required - set(doc)
     if missing:
@@ -326,11 +336,8 @@ def save_system(
         "v_int": h.v_int.tolist(),
         "v_bar": h.v_bar.tolist(),
     }
-    if isinstance(dest, (str, os.PathLike)):
-        with open(dest, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-    else:
-        json.dump(doc, dest, sort_keys=True, indent=2)
+    with _opened(dest, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
 
 
 def densities_to_csv(densities, dest: str | os.PathLike | IO[str]) -> None:
@@ -357,10 +364,10 @@ def densities_from_csv(src: str | os.PathLike | IO[str]) -> np.ndarray:
         return None
 
     _, table, lines = read_csv(src, "density", header_error)
-    bad = np.flatnonzero(~np.all(np.isfinite(table) & (table >= 0), axis=1))
-    if bad.size:
+    bad = _first_bad_row(table)
+    if bad is not None:
         raise ValueError(
-            f"density CSV line {lines[bad[0]]}: density entries must be finite and non-negative"
+            f"density CSV line {lines[bad]}: density entries must be finite and non-negative"
         )
     table.flags.writeable = False
     return table

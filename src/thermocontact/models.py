@@ -252,6 +252,18 @@ def cw_fold(T: float, b: float) -> float | None:
     return math.acosh(math.sqrt(b / T)) if b > T else None
 
 
+def _check_self_consistency(p: float, q: float, par: CurieWeissParams) -> None:
+    """Raise RuntimeError where p misses p = tanh((q + H_back + b p)/T) by
+    more than SELF_CONSISTENCY_TOL (in Python floats, which do not warn)."""
+    T, b = float(par.T), float(par.b)
+    residual = abs(p - math.tanh((q + par.H_back + b * p) / T))
+    if residual > SELF_CONSISTENCY_TOL:
+        raise RuntimeError(
+            f"self-consistency residual {residual:.3e} too large at T={T!r}, "
+            f"b={b!r}, H_back={par.H_back!r}, p={p!r}"
+        )
+
+
 def cw_magnetization_roots(
     q: float,
     par: CurieWeissParams,
@@ -331,12 +343,7 @@ def cw_magnetization_roots(
     points = []
     for y, piece in deduped:
         p = math.tanh(y)
-        residual = abs(p - math.tanh((q + par.H_back + b * p) / T))
-        if residual > SELF_CONSISTENCY_TOL:
-            raise RuntimeError(
-                f"self-consistency residual {residual:.3e} exceeds "
-                f"{SELF_CONSISTENCY_TOL} at p={p!r}"
-            )
+        _check_self_consistency(p, q, par)
         unstable = 1.0 - (b / T) * (1.0 - p * p) < 0.0
         points.append([p, _cw_z(p, q, T, par.H_back, b), unstable, y, piece])
 
@@ -375,12 +382,7 @@ def _cw_qz(p: float, par: CurieWeissParams) -> tuple[float, float]:
     if not -1.0 < p < 1.0:
         raise ValueError(f"magnetization must lie in (-1, 1), got {p}")
     q = -par.b * p + par.T * math.atanh(p) - par.H_back
-    residual = abs(p - math.tanh((q + par.H_back + par.b * p) / par.T))
-    if residual > SELF_CONSISTENCY_TOL:
-        raise RuntimeError(
-            f"self-consistency residual {residual:.3e} too large at T={par.T!r}, "
-            f"b={par.b!r}, H_back={par.H_back!r}, p={p!r}"
-        )
+    _check_self_consistency(p, q, par)
     return q, _cw_z(p, q, par.T, par.H_back, par.b)
 
 

@@ -21,12 +21,13 @@ unrestricted concurrent use.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import IO, Mapping
+from typing import IO, ContextManager, Mapping
 
 import numpy as np
 
@@ -315,6 +316,14 @@ def irreversible_entropy_rate(path: SampledPath) -> np.ndarray:
 _FMT = "%.17g"
 
 
+def _opened(target: str | os.PathLike | IO[str], mode: str = "r", **kwargs) -> ContextManager:
+    """The file that ``target`` names, opened with ``mode`` and ``kwargs``
+    to be closed on exit, or an open text stream ``target``, left open."""
+    if isinstance(target, (str, os.PathLike)):
+        return open(target, mode, **kwargs)
+    return contextlib.nullcontext(target)
+
+
 def write_csv(dest: str | os.PathLike | IO[str], header: Sequence[str], rows) -> None:
     """Write a header line and rows of numbers as CSV, every value as %.17g.
 
@@ -330,11 +339,8 @@ def write_csv(dest: str | os.PathLike | IO[str], header: Sequence[str], rows) ->
         raise ValueError(f"rows of shape {table.shape} do not fit a {len(header)}-column header")
     line = ",".join([_FMT] * len(header)) + "\n"
     text = ",".join(header) + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
-    if isinstance(dest, (str, os.PathLike)):
-        with open(dest, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        dest.write(text)
+    with _opened(dest, "w", newline="") as fh:
+        fh.write(text)
 
 
 def _path_header(n: int, extended: bool) -> list[str]:
@@ -364,8 +370,7 @@ def read_csv(
     on a row whose width differs from the header's and on a cell that is
     not a number.
     """
-
-    def read(fh: IO[str]):
+    with _opened(src, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header:
@@ -395,12 +400,7 @@ def read_csv(
                 except ValueError as exc:
                     raise ValueError(f"{what} CSV line {line}: {exc}") from None
             raise
-        return header, table, lines
-
-    if isinstance(src, (str, os.PathLike)):
-        with open(src, newline="") as fh:
-            return read(fh)
-    return read(src)
+    return header, table, lines
 
 
 def path_from_csv(src: str | os.PathLike | IO[str]) -> SampledPath:

@@ -166,6 +166,42 @@ class TestFindChords:
         ]
         assert all(found[i].q < found[i + 1].q for i in range(len(found) - 1))
 
+    @pytest.mark.parametrize(
+        "grid_n, lo, hi, message",
+        [
+            (2, -1.0, 1.0, "grid_n must be at least 3"),
+            (401, 1.0, 1.0, "need scan_lo < scan_hi"),
+            (401, 1.0, -1.0, "need scan_lo < scan_hi"),
+        ],
+    )
+    def test_scan_arguments_checked(self, grid_n, lo, hi, message):
+        f1 = FrontFunction(
+            f=lambda x: 1.0 - np.asarray(x) ** 2,
+            fprime=lambda x: -2.0 * np.asarray(x),
+            domain=(-math.inf, math.inf),
+        )
+        with pytest.raises(ValueError, match=message):
+            find_chords(constant_front(), f1, lo, hi, grid_n=grid_n)
+
+    @pytest.mark.parametrize("grid_n, qs", [(11, [0.199]), (100_001, [0.199, 0.201])])
+    def test_roots_closer_than_half_a_cell_collapse(self, grid_n, qs):
+        # psi' = (x - a)(x - b) changes sign at a and b, 0.002 apart: one
+        # chord, at a, on a grid of cell 0.2; two on a grid of cell 2e-5
+        a, b = 0.2 - 1e-3, 0.2 + 1e-3
+
+        def psi(x):
+            x = np.asarray(x)
+            return x**3 / 3 - (a + b) * x**2 / 2 + a * b * x + 1.0
+
+        def dpsi(x):
+            x = np.asarray(x)
+            return (x - a) * (x - b)
+
+        f1 = FrontFunction(f=psi, fprime=dpsi, domain=(-math.inf, math.inf))
+        found = find_chords(constant_front(), f1, -1.0, 1.0, grid_n=grid_n)
+        assert [ch.q for ch in found] == pytest.approx(qs, abs=1e-12)
+        assert not any(ch.tangential for ch in found)
+
     def test_scan_window_must_sit_in_domains(self):
         f1 = difference_front("gas", 1.0, 5.0, 2.0)
         with pytest.raises(ValueError):

@@ -120,6 +120,26 @@ class TestConfigHandling:
         assert code == 0
         assert "v=2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "doc, flags, same_as",
+        [
+            # a config value wins over the flag's default
+            ({"grid": 7, "format": "json"}, [], ["--grid", "7", "--format", "json"]),
+            # a given flag wins over its config value
+            ({"grid": 7, "format": "json"}, ["--grid", "9"], ["--grid", "9", "--format", "json"]),
+            # a null config value leaves the flag's default
+            ({"grid": None, "format": None}, [], []),
+        ],
+    )
+    def test_flag_over_config_over_default(self, tmp_path, doc, flags, same_as):
+        argv = ["chord", "cw", "--t0", "2", "--t1", "3", "--c", "1"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        by_config, by_flags = tmp_path / "config", tmp_path / "flags"
+        assert dispatch([*argv, "--config", str(cfg), *flags, "--out-dir", str(by_config)]) == 0
+        assert dispatch([*argv, *same_as, "--out-dir", str(by_flags)]) == 0
+        assert _files(by_config) == _files(by_flags)
+
     def test_unknown_keys_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"t0": 1.0, "bogus": 1}))
@@ -268,10 +288,8 @@ class TestConfigHandling:
 
     def test_config_key_table_matches_the_parser(self):
         text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
-        documented = {
-            m[1]: set(re.findall(r"`(\w+)`", m[2]))
-            for m in re.finditer(r"^\| `(\w+)` \| (.*) \|$", text, re.M)
-        }
+        rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \| ([^|]*) \|$", text, re.M)
+        documented = {command: set(re.findall(r"`(\w+)`", keys)) for command, keys, _ in rows}
         parser = build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         dests = {
@@ -280,6 +298,20 @@ class TestConfigHandling:
             for command, p in sub.choices.items()
         }
         assert documented == dests
+        # the defaults column holds each constant default as `key=<JSON value>`
+        documented_defaults = {
+            command: {k: json.loads(v) for k, v in re.findall(r"`(\w+)=([^`]*)`", column)}
+            for command, _, column in rows
+        }
+        defaults = {
+            command: {
+                a.dest: a.default
+                for a in p._actions
+                if a.option_strings and a.default not in (None, argparse.SUPPRESS)
+            }
+            for command, p in sub.choices.items()
+        }
+        assert documented_defaults == defaults
 
     def test_config_must_be_object(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -652,6 +684,19 @@ class TestOtherCommands:
         )
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [error]
+
+    def test_relax_rejects_density_file_without_rows(self, tmp_path, system_file, capsys):
+        rho_file = tmp_path / "rho0.csv"
+        rho_file.write_text("rho_1,rho_2,rho_3\n")
+        out = tmp_path / "out"
+        code = dispatch(
+            ["relax", "--system", str(system_file), "--q", "0", "--T0", "1",
+             "--rho0", str(rho_file), "--out-dir", str(out)]
+        )
+        assert code == 1
+        error = f"error: no density rows in {str(rho_file)!r}"
+        assert capsys.readouterr().err.splitlines() == [error]
+        assert not any(out.iterdir())
 
     def test_isotopy(self, tmp_path, capsys):
         code = dispatch(

@@ -118,6 +118,10 @@ class TestDensityContract:
         with pytest.raises(ValueError, match="finite"):
             normalized_density(unit_space(3), [value, 1.0, 1.0])
 
+    def test_normalized_density_rejects_zero_mass(self):
+        with pytest.raises(ValueError, match="positive total mass"):
+            normalized_density(unit_space(3), [0.0, 0.0, 0.0])
+
     def test_returned_densities_are_read_only_float_rows(self, system):
         sp, h = system
         trace = fokker_planck_relax(sp, h, [0.0], lambda t: 1.0, [0.2, 0.3, 0.5], 0.1, 0.5)

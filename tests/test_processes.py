@@ -354,6 +354,25 @@ class TestFokkerPlanck:
                 sp, h, [0.0], lambda t: 1.0, [2.0, 0.0], 0.05, 5.0
             )
 
+    @pytest.mark.parametrize(
+        "dt0, t_end, rho0, T, message",
+        [
+            (0.0, 5.0, [0.5, 0.5], 1.0, "dt0 must be positive"),
+            (-0.05, 5.0, [0.5, 0.5], 1.0, "dt0 must be positive"),
+            (0.05, 0.0, [0.5, 0.5], 1.0, "t_end must be positive"),
+            (0.05, -1.0, [0.5, 0.5], 1.0, "t_end must be positive"),
+            # a valid density with an entry at the positivity floor
+            (0.05, 5.0, [1.0, 0.0], 1.0, "strictly positive"),
+            (0.05, 5.0, [0.5, 0.5], 0.0, "temperature schedule must be positive"),
+            (0.05, 5.0, [0.5, 0.5], -1.0, "temperature schedule must be positive"),
+        ],
+    )
+    def test_run_rejected_before_any_step(self, dt0, t_end, rho0, T, message):
+        sp = unit_space(2)
+        h = AffineHamiltonian([0.0, 1.0], np.zeros((1, 2)))
+        with pytest.raises(ValueError, match=message):
+            fokker_planck_relax(sp, h, [0.0], lambda t: T, rho0, dt0, t_end)
+
     def test_gap_estimate_for_flat_system(self):
         # flat four-state system linearizes to a rate of T * m
         sp = unit_space(4)
