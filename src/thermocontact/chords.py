@@ -15,7 +15,10 @@ finds its brackets with boolean masks over shifted views of each block
 neighbours, isolated exact zeros and touching minima.  Python only iterates
 over the blocks and the flagged cells, so the scan costs a few array
 operations per block, and the per-bracket refinement is the only scalar
-work.
+work.  The scan window is checked against both fronts' domains once; the
+scan and the refinement then call each front's derivative ``fprime``
+directly (on arrays of nodes and on floats), not through
+``FrontFunction.slope``, whose domain check would repeat on every call.
 """
 
 from __future__ import annotations
@@ -142,7 +145,10 @@ def find_chords(
     ROOT_TOL in the abscissa, and turns each root x into a chord (z from
     f0, f1; p from the common slope).  The scan is a set of array masks over blocks of
     SCAN_BLOCK nodes, so only the grid cells it flags reach brentq or the
-    minimizer below.  Roots where |psi| <= TRIVIAL_LENGTH_TOL are
+    minimizer below.  The window is checked against both domains once, and
+    the scan, brentq and the minimizer then call ``f0.fprime`` and
+    ``f1.fprime`` directly, so each ``fprime`` must accept a float as well
+    as an array of nodes.  Roots where |psi| <= TRIVIAL_LENGTH_TOL are
     intersections of the fronts, not chords, and are dropped.  Grid nodes
     where psi' dips below ROOT_TOL without changing sign are polished by a
     bounded scalar minimization and flagged tangential (they mark
@@ -166,6 +172,13 @@ def find_chords(
     # computes them.
     lo, hi = float(scan_lo), float(scan_hi)
     step = (hi - lo) / (grid_n - 1)
+    if not math.isfinite(step):
+        raise ValueError(f"scan window [{scan_lo}, {scan_hi}] is wider than a double holds")
+    # From here on the derivatives are called directly, without the domain
+    # check of FrontFunction.slope: each domain is an open interval holding
+    # lo and hi, so it holds all of [lo, hi], and with a finite step every
+    # node lies in [lo, hi], as does every iterate of brentq and of the
+    # minimizer, which stay inside the grid cell they were given.
     flat = True
     crossings: list[tuple[float, float]] = []  # cells holding a sign change
     zeros: list[tuple[float, bool]] = []  # (node, tangential)
@@ -179,14 +192,20 @@ def find_chords(
         xs = np.arange(k0, k1, dtype=float) * step + lo
         if k1 == grid_n:
             xs[-1] = hi
-        dpsi = np.asarray(f1.slope(xs) - f0.slope(xs), dtype=float)
+        dpsi = np.asarray(f1.fprime(xs) - f0.fprime(xs), dtype=float)
         mag = np.abs(dpsi)
-        flat = flat and bool(np.all(mag < 1e-15))
+        flat = flat and bool((mag < 1e-15).all())
 
         # A sign change between nodes i and i + 1 brackets a root.
         own = start - k0
-        for i in np.flatnonzero(dpsi[own:-1] * dpsi[own + 1:] < 0.0).tolist():
+        for i in (dpsi[own:-1] * dpsi[own + 1:] < 0.0).nonzero()[0].tolist():
             crossings.append((float(xs[own + i]), float(xs[own + i + 1])))
+
+        # Both masks below need |psi'| < ROOT_TOL at the middle node, so a
+        # block without such a node has neither exact zeros nor dips.
+        abs_mid = mag[1:-1]
+        if not (abs_mid < ROOT_TOL).any():
+            continue
 
         # Position k of these views is node k, k + 1, k + 2, so position k
         # of an interior mask is node k + 1.
@@ -198,15 +217,14 @@ def find_chords(
         # skipped.  Node 0 and the last node have one neighbour only and
         # never count.
         flank = left * right
-        for k in np.flatnonzero((mid == 0.0) & (left != 0.0) & (right != 0.0)).tolist():
+        for k in ((mid == 0.0) & (left != 0.0) & (right != 0.0)).nonzero()[0].tolist():
             zeros.append((float(xs[k + 1]), bool(flank[k] > 0.0)))
 
         # Touching roots: strict local minima of |psi'| under ROOT_TOL without a
         # sign change.
-        abs_mid = mag[1:-1]
         flank_min = np.minimum(mag[:-2], mag[2:])
         touching = (mid != 0.0) & (abs_mid < ROOT_TOL) & (flank > 0.0) & (abs_mid < flank_min)
-        for k in np.flatnonzero(touching).tolist():
+        for k in touching.nonzero()[0].tolist():
             dips.append((float(xs[k]), float(xs[k + 2]), float(flank_min[k])))
 
     if flat:
@@ -216,7 +234,7 @@ def find_chords(
         )
 
     def slope_gap(x: float) -> float:
-        return float(f1.slope(x) - f0.slope(x))
+        return float(f1.fprime(x) - f0.fprime(x))
 
     roots = [(brentq(slope_gap, a, b, xtol=ROOT_TOL), False) for a, b in crossings] + zeros
     # The refined minimum of a dip must sit well below the flank values,

@@ -60,6 +60,13 @@ from .processes import Schedule, fokker_planck_relax, run_slow_isotopy, stirling
 from .verify import run_all
 
 
+# The chord cross-check's bound on |q - q*| / max(1, |q*|).  Over 6000
+# drawn gas and magnet pairs with t1 - t0 >= 1e-6 t0 (t0 from 0.01 to 100,
+# grid_n 20001) that ratio stayed below 1.6e-10; where t1 - t0 is far
+# smaller the front difference flattens and the error passes 1e-6.
+FINDER_TOL = 1e-8
+
+
 class ValidationError(ValueError):
     """Bad configuration: reported on stderr with exit status 1."""
 
@@ -158,14 +165,27 @@ def _window(lo: float, hi: float, n: int, name: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _figure_window(lo: float, hi: float, n: int, name: str) -> np.ndarray:
+    """:func:`_window` for a chord figure table, whose window must run up."""
+    if not lo < hi:
+        raise ValidationError(f"need --{name}-lo < --{name}-hi, got the window [{lo!r}, {hi!r}]")
+    return _window(lo, hi, n, name)
+
+
 def _finder_check(found: list[Chord], q: float, pair: str, lo: float, hi: float) -> float:
-    """|q - q*| of the finder's first chord; a finder that finds none fails
-    the run."""
+    """|q - q*| of the finder's first chord; a finder that finds none, or
+    one farther than FINDER_TOL * max(1, |q*|) from q*, fails the run."""
     if not found:
         raise RuntimeError(
             f"the finder found no {pair} chord in its scan window [{lo!r}, {hi!r}]"
         )
-    return abs(found[0].q - q)
+    error = abs(found[0].q - q)
+    if not error <= FINDER_TOL * max(1.0, abs(q)):
+        raise RuntimeError(
+            f"the finder's {pair} chord at {found[0].q!r} is {error:.3e} from the closed "
+            f"form {q!r}, beyond the cross-check tolerance {FINDER_TOL:g} * max(1, |q*|)"
+        )
+    return error
 
 
 def _chords(args: argparse.Namespace, name: str, chords: list[Chord]) -> dict[str, str]:
@@ -207,6 +227,10 @@ def _cmd_chord(args: argparse.Namespace) -> Outcome:
     t0, t1, c = _require(args, "t0"), _require(args, "t1"), _require(args, "c")
     if not 0 < t0 < t1:
         raise ValidationError("need --t1 > --t0 > 0")
+    if args.grid_n < 3:
+        raise ValidationError(f"need --grid-n >= 3, got {args.grid_n}")
+    if args.grid < 2:
+        raise ValidationError(f"need --grid >= 2, got {args.grid}")
     if args.model == "gas":
         if not c > 0:
             raise ValidationError("the gas jump needs --c > 0")
@@ -215,7 +239,9 @@ def _cmd_chord(args: argparse.Namespace) -> Outcome:
         lo = 10.0 * closed.q - 1.0
         zero = constant_front(0.0, (-math.inf, 0.0))
         found = find_chords(zero, f1, lo, closed.q / 10.0, args.grid_n)
-        qs = _window(_or(args.q_lo, -6.0), _or(args.q_hi, min(-0.05, c - 0.05)), args.grid, "q")
+        qs = _figure_window(
+            _or(args.q_lo, -6.0), _or(args.q_hi, min(-0.05, c - 0.05)), args.grid, "q"
+        )
         cold, hot = IdealGasParams(T=t0, P_back=0.0), IdealGasParams(T=t1, P_back=c)
         marker = [(closed.q, closed.p, closed.z_start, closed.z_end)]
         files = {
@@ -223,7 +249,7 @@ def _cmd_chord(args: argparse.Namespace) -> Outcome:
             "fig1_family_hot.csv": _table(["q", "p", "z"], sample_gas_legendrian(hot, qs)),
             "fig1_chord.csv": _table(["q", "p", "z_start", "z_end"], marker),
         }
-        qs = _window(_or(args.q_lo, lo), _or(args.q_hi, min(0.0, c) - 1e-3), args.grid, "q")
+        qs = _figure_window(_or(args.q_lo, lo), _or(args.q_hi, min(0.0, c) - 1e-3), args.grid, "q")
         files |= _front_pair("fig3", f1, qs, closed.q)
         files |= _chords(args, "chords_gas", [closed])
         check = _finder_check(found, closed.q, "gas", lo, closed.q / 10.0)
@@ -236,6 +262,8 @@ def _cmd_chord(args: argparse.Namespace) -> Outcome:
     b = args.b
     if not b > 0:
         raise ValidationError("the magnet chord needs --b > 0")
+    if args.span is not None and not args.span > 0:
+        raise ValidationError(f"need --span > 0, got {args.span!r}")
     closed = cw_chord(t0, t1, c, b)
     qstar = closed.q + b * closed.p
     f1 = difference_front("cw", t0, t1, c)
@@ -243,10 +271,11 @@ def _cmd_chord(args: argparse.Namespace) -> Outcome:
     scan = -span, span
     found = find_chords(constant_front(), f1, *scan, args.grid_n)
     span = _or(args.span, span)
-    qs = _window(_or(args.q_lo, -span), _or(args.q_hi, span), args.grid, "q")
+    qs = _figure_window(_or(args.q_lo, -span), _or(args.q_hi, span), args.grid, "q")
     files = _front_pair("fig4", f1, qs, qstar)
     sample = sample_cw_legendrian(
-        CurieWeissParams(T=t0, H_back=0.0, b=b), _window(args.p_lo, args.p_hi, args.grid, "p")
+        CurieWeissParams(T=t0, H_back=0.0, b=b),
+        _figure_window(args.p_lo, args.p_hi, args.grid, "p"),
     )
     files["cw_legendrian.csv"] = _table(["q", "p", "z", "S"], sample)
     files |= _chords(args, "chords_cw", [closed])

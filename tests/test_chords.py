@@ -172,6 +172,9 @@ class TestFindChords:
             (2, -1.0, 1.0, "grid_n must be at least 3"),
             (401, 1.0, 1.0, "need scan_lo < scan_hi"),
             (401, 1.0, -1.0, "need scan_lo < scan_hi"),
+            # the node step overflows, so nodes past the first would not be
+            # in the domain that holds both ends
+            (5, -1.2e308, 1.2e308, "is wider than a double holds"),
         ],
     )
     def test_scan_arguments_checked(self, grid_n, lo, hi, message):
@@ -182,6 +185,24 @@ class TestFindChords:
         )
         with pytest.raises(ValueError, match=message):
             find_chords(constant_front(), f1, lo, hi, grid_n=grid_n)
+
+    @pytest.mark.parametrize("lo, hi", [(-2.0, 0.5), (0.5, 1.0), (-2.0, 0.0)])
+    def test_window_leaving_a_domain_is_rejected(self, lo, hi):
+        f1 = difference_front("gas", 1.0, 5.0, 2.0)  # domain q < 0
+        with pytest.raises(ValueError, match="leaves the domain of front 'gas difference"):
+            find_chords(constant_front(), f1, lo, hi, grid_n=401)
+
+    def test_scan_and_refinement_skip_the_checked_slope(self, monkeypatch):
+        # the window is checked once; FrontFunction.slope then runs only for
+        # the p of each chord found
+        calls = []
+        slope = FrontFunction.slope
+        monkeypatch.setattr(
+            FrontFunction, "slope", lambda self, x: calls.append(x) or slope(self, x)
+        )
+        f1 = difference_front("cw", 2.0, 10.0 / 3.0, 1.0)
+        found = find_chords(constant_front(), f1, -40.0, 40.0, grid_n=40001)
+        assert len(found) == 1 and calls == [found[0].q]
 
     @pytest.mark.parametrize("grid_n, qs", [(11, [0.199]), (100_001, [0.199, 0.201])])
     def test_roots_closer_than_half_a_cell_collapse(self, grid_n, qs):

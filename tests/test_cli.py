@@ -1,5 +1,7 @@
 import argparse
 import collections
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,8 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thermocontact import SampledPath, path_from_csv, path_to_csv, save_system
+from thermocontact import SampledPath, cw_chord, gas_chord, path_from_csv, path_to_csv, save_system
 from thermocontact import AffineHamiltonian, MicrostateSpace
 import thermocontact
 from thermocontact import cli
@@ -102,6 +106,119 @@ class TestChordCommand:
         assert code == 0
         doc = json.loads((tmp_path / "chords_gas.json").read_text())
         assert doc[0]["direction"] == 1
+
+
+class TestChordFlagChecks:
+    """Figure and scan flags that would give empty, reversed or numpy-worded
+    output end in one error line that names the flag."""
+
+    @pytest.mark.parametrize(
+        "model, flags, error",
+        [
+            ("gas", {"grid": 0}, "error: need --grid >= 2, got 0"),
+            ("gas", {"grid": 1}, "error: need --grid >= 2, got 1"),
+            ("cw", {"grid": -3}, "error: need --grid >= 2, got -3"),
+            ("gas", {"grid_n": 1}, "error: need --grid-n >= 3, got 1"),
+            ("cw", {"grid_n": 2}, "error: need --grid-n >= 3, got 2"),
+            ("gas", {"q_lo": 1.0, "q_hi": -1.0},
+             "error: need --q-lo < --q-hi, got the window [1.0, -1.0]"),
+            ("cw", {"q_lo": 1.0, "q_hi": 1.0},
+             "error: need --q-lo < --q-hi, got the window [1.0, 1.0]"),
+            # against the computed default q_hi = min(-0.05, c - 0.05) of fig1
+            ("gas", {"q_lo": -0.01},
+             "error: need --q-lo < --q-hi, got the window [-0.01, -0.05]"),
+            ("cw", {"span": -1.0}, "error: need --span > 0, got -1.0"),
+            ("cw", {"span": 0.0}, "error: need --span > 0, got 0.0"),
+            ("cw", {"p_lo": 0.5, "p_hi": -0.5},
+             "error: need --p-lo < --p-hi, got the window [0.5, -0.5]"),
+        ],
+    )
+    @pytest.mark.parametrize("way", ["flags", "config"])
+    def test_bad_window_or_grid_exits_1(self, tmp_path, capsys, model, flags, error, way):
+        argv = ["chord", model, "--t0", "1", "--t1", "5", "--c", "2"]
+        if way == "flags":
+            argv += [f"--{key.replace('_', '-')}={value}" for key, value in flags.items()]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(flags))
+            argv += ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert dispatch([*argv, "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [error]
+        assert not any(out.iterdir())
+
+    def test_finder_beyond_the_tolerance_fails(self, tmp_path, capsys):
+        # t1 - t0 = 1e-10 flattens the magnet front difference: the finder
+        # lands 1.9e-6 from Q* = 10
+        argv = ["chord", "cw", "--t0", "1", "--t1", "1.0000000001", "--c", "1e-9", "--b", "1"]
+        out = tmp_path / "out"
+        assert dispatch([*argv, "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "failure: the finder's cw chord at 9.999997247559453 is 1.925e-06 from the closed "
+            "form 9.999999172596361, beyond the cross-check tolerance 1e-08 * max(1, |q*|)"
+        ]
+        assert not any(out.iterdir())
+
+    def test_scan_window_wider_than_a_double_exits_1(self, tmp_path, capsys):
+        # span = 3 |Q*| = 1.2e308, so the scan's node step overflows
+        argv = ["chord", "cw", "--t0", "1", "--t1", "2", "--c", "4e307", "--b", "1"]
+        out = tmp_path / "out"
+        assert dispatch([*argv, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: scan window [-1.2e+308, 1.2e+308] is wider than a double holds"
+        ]
+        assert not any(out.iterdir())
+
+
+@st.composite
+def _chord_runs(draw):
+    """A chord model and its flags; half of the temperature gaps lie below
+    1e-6 t0, where the finder drifts from the closed form."""
+    model = draw(st.sampled_from(["gas", "cw"]))
+    t0 = draw(st.floats(0.01, 100.0))
+    t1 = t0 + t0 * 10.0 ** draw(st.one_of(st.floats(-12.0, -6.0), st.floats(-6.0, 1.5)))
+    if model == "gas":
+        # away from c = t1 - t0, where the gas chord has zero length
+        c = (t1 - t0) * 10.0 ** draw(st.one_of(st.floats(-3.0, -0.01), st.floats(0.01, 3.0)))
+    else:
+        c = (t1 - t0) * draw(st.floats(-12.0, 12.0))
+    b = draw(st.floats(0.05, 5.0))
+    grid_n = draw(st.sampled_from([3, 16, 401, 20001]))
+    return model, t0, t1, c, b, grid_n
+
+
+@settings(
+    max_examples=120,
+    derandomize=True,
+    database=None,
+    deadline=None,
+)
+@given(run=_chord_runs())
+def test_every_chord_run_that_exits_0_has_the_finder_within_tolerance(tmp_path_factory, run):
+    model, t0, t1, c, b, grid_n = run
+    out = tmp_path_factory.mktemp("chord")
+    argv = ["chord", model, f"--t0={t0!r}", f"--t1={t1!r}", f"--c={c!r}", f"--b={b!r}",
+            f"--grid-n={grid_n}", "--grid=2", f"--out-dir={out}"]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = dispatch(argv)
+    if code:
+        assert len(stderr.getvalue().splitlines()) == 1, argv
+        assert not any(out.iterdir()), argv
+        return
+    if model == "gas":
+        qstar = gas_chord(t0, t1, c).q
+    else:
+        closed = cw_chord(t0, t1, c, b)
+        qstar = closed.q + b * closed.p
+    printed = float(re.search(r"finder\|d[qQ]\|=(\S+)", stdout.getvalue()).group(1))
+    # the error is printed to 4 digits, which rounding keeps on its side of
+    # the bound rounded the same way
+    bound = cli.FINDER_TOL * max(1.0, abs(qstar))
+    assert printed <= float(f"{bound:.3e}"), argv
 
 
 class TestConfigHandling:

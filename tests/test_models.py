@@ -26,7 +26,7 @@ from thermocontact import (
     sample_gas_legendrian,
     select_equilibrium,
 )
-from thermocontact.models import cw_phi, gas_phi
+from thermocontact.models import _tanh_gap, cw_phi, gas_phi
 
 
 def assert_front_consistent(front, lo, hi, rng, n=100, tol=1e-6):
@@ -204,6 +204,8 @@ class TestDifferenceFront:
         front = difference_front("gas", 1.0, 5.0, 2.0)
         with pytest.raises(DomainError):
             front.value(0.5)
+        with pytest.raises(DomainError):
+            front.slope(np.array([-0.5, 0.5]))
         front.value(-0.5)  # inside
 
     def test_unknown_model(self):
@@ -214,6 +216,36 @@ class TestDifferenceFront:
         rng = np.random.default_rng(41)
         assert_front_consistent(difference_front("cw", 1.3, 2.1, 0.6), -8, 8, rng)
         assert_front_consistent(difference_front("gas", 1.0, 5.0, 2.0), -6, -0.3, rng)
+
+
+# _tanh_gap clips with np.minimum(np.maximum(...)); these are the edges
+# where that could part from np.clip: the clip bounds and their neighbours,
+# infinities, nan, signed zeros, subnormals and the largest doubles
+_CLIP_EDGES = [
+    350.0, -350.0, math.nextafter(350.0, math.inf), math.nextafter(-350.0, -math.inf),
+    math.nextafter(350.0, 0.0), math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324,
+    1e-310, -1e-310, 1e308, -1e308, 1.0, -17.5,
+]
+
+
+def _tanh_gap_with_clip(u, v):
+    u = np.clip(u, -350.0, 350.0)
+    v = np.clip(v, -350.0, 350.0)
+    return np.sinh(u - v) / (np.cosh(u) * np.cosh(v))
+
+
+class TestTanhGap:
+    def test_arrays_give_the_clip_bits(self):
+        u, v = (a.ravel() for a in np.meshgrid(_CLIP_EDGES, _CLIP_EDGES))
+        got, want = _tanh_gap(u, v), _tanh_gap_with_clip(u, v)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("u", _CLIP_EDGES)
+    def test_floats_give_the_clip_bits(self, u):
+        for v in _CLIP_EDGES:
+            got, want = _tanh_gap(u, v), _tanh_gap_with_clip(u, v)
+            assert type(got) is type(want)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestBarredMaps:

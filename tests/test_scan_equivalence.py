@@ -182,3 +182,44 @@ def test_roots_closer_than_a_scan_cell(q, T, labels):
     for r in roots:
         assert abs(r.p - math.tanh((q + r.p) / T)) < 1e-15
     assert len(loop_cw_magnetization_roots(q, par)) == 1
+
+
+# slope magnitudes that the gated scan must treat as the loop does, each
+# placed from a drawn node on with the background's sign or the opposite
+# one: an exact zero, a run of zeros, a dip under ROOT_TOL, a dip between
+# flanks under ROOT_TOL, a shallow stair of equal values and a plateau of
+# ones (a sign change when flipped)
+_TINY = st.floats(1e-15, 9e-13)
+_FEATURES = st.one_of(
+    st.just([0.0]),
+    st.just([0.0, 0.0]),
+    _TINY.map(lambda v: [v]),
+    st.tuples(_TINY, _TINY).map(lambda vs: [2.0 * max(vs), min(vs), 2.0 * max(vs)]),
+    _TINY.map(lambda v: [v, v, v]),
+    st.integers(1, 3).map(lambda k: [1.0] * k),
+)
+
+
+@st.composite
+def _gated_scan_values(draw):
+    """Node values over more than one scan block, with features at drawn
+    nodes, among them the first and last nodes of a block."""
+    B = SCAN_BLOCK
+    n = draw(st.integers(B + 2, 2 * B + 40))
+    base = draw(st.sampled_from([1.0, -1.0, 0.25, -0.25]))
+    values = np.full(n, base)
+    where = st.one_of(st.sampled_from([0, 1, B - 2, B - 1, B, B + 1, n - 2, n - 1]),
+                      st.integers(0, n - 1))
+    features = st.tuples(where, _FEATURES, st.booleans())
+    for at, mags, flip in draw(st.lists(features, min_size=1, max_size=12)):
+        piece = np.copysign(mags, -base if flip else base)[: n - at]
+        values[at : at + len(piece)] = piece
+    return values
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_gated_scan_values())
+def test_gated_scan_matches_loop_on_drawn_node_values(values):
+    n = len(values)
+    args = (constant_front(0.0, (-1.0, float(n))), _node_front(values), 0.0, n - 1.0, n)
+    assert _outcome(find_chords, *args) == _outcome(loop_find_chords, *args)
