@@ -165,10 +165,15 @@ def _window(lo: float, hi: float, n: int, name: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _figure_window(lo: float, hi: float, n: int, name: str) -> np.ndarray:
-    """:func:`_window` for a chord figure table, whose window must run up."""
+def _check_rising(lo: float, hi: float, name: str) -> None:
+    """A chord figure window must run up."""
     if not lo < hi:
         raise ValidationError(f"need --{name}-lo < --{name}-hi, got the window [{lo!r}, {hi!r}]")
+
+
+def _figure_window(lo: float, hi: float, n: int, name: str) -> np.ndarray:
+    """:func:`_window` for a chord figure table, checked to run up."""
+    _check_rising(lo, hi, name)
     return _window(lo, hi, n, name)
 
 
@@ -231,6 +236,12 @@ def _cmd_chord(args: argparse.Namespace) -> Outcome:
         raise ValidationError(f"need --grid-n >= 3, got {args.grid_n}")
     if args.grid < 2:
         raise ValidationError(f"need --grid >= 2, got {args.grid}")
+    # the magnet-only flags are checked whatever the model
+    if not args.b > 0:
+        raise ValidationError(f"need --b > 0, got {args.b!r}")
+    if args.span is not None and not args.span > 0:
+        raise ValidationError(f"need --span > 0, got {args.span!r}")
+    _check_rising(args.p_lo, args.p_hi, "p")
     if args.model == "gas":
         if not c > 0:
             raise ValidationError("the gas jump needs --c > 0")
@@ -260,10 +271,6 @@ def _cmd_chord(args: argparse.Namespace) -> Outcome:
             f"finder|dq|={check:.3e} files={len(files)}",
         )
     b = args.b
-    if not b > 0:
-        raise ValidationError("the magnet chord needs --b > 0")
-    if args.span is not None and not args.span > 0:
-        raise ValidationError(f"need --span > 0, got {args.span!r}")
     closed = cw_chord(t0, t1, c, b)
     qstar = closed.q + b * closed.p
     f1 = difference_front("cw", t0, t1, c)
@@ -275,7 +282,7 @@ def _cmd_chord(args: argparse.Namespace) -> Outcome:
     files = _front_pair("fig4", f1, qs, qstar)
     sample = sample_cw_legendrian(
         CurieWeissParams(T=t0, H_back=0.0, b=b),
-        _figure_window(args.p_lo, args.p_hi, args.grid, "p"),
+        _window(args.p_lo, args.p_hi, args.grid, "p"),
     )
     files["cw_legendrian.csv"] = _table(["q", "p", "z", "S"], sample)
     files |= _chords(args, "chords_cw", [closed])

@@ -22,7 +22,6 @@ unrestricted concurrent use.
 from __future__ import annotations
 
 import contextlib
-import csv
 import json
 import os
 from collections.abc import Callable, Sequence
@@ -330,7 +329,8 @@ def write_csv(dest: str | os.PathLike | IO[str], header: Sequence[str], rows) ->
     ``rows`` is a 2-D array or an iterable of equal-length number rows;
     whole numbers print without a decimal point.  ``dest`` is a file name
     or an open text stream.  Lines end in ``\\n`` and nothing is quoted, as
-    no header name or formatted number holds a comma or a quote.
+    no header name or formatted number holds a comma or a quote, so
+    :func:`read_csv`, which splits at every comma, reads it back.
     """
     table = np.asarray(rows, dtype=float)
     if table.size == 0:
@@ -363,6 +363,9 @@ def read_csv(
 ) -> tuple[list[str], np.ndarray, list[int]]:
     """Read a header line and rows of numbers, as :func:`write_csv` writes them.
 
+    Lines end in ``\\n`` or ``\\r\\n`` and fields are split at every comma;
+    nothing is unquoted, so a quoted cell such as ``"1.5"`` is not a
+    number, and a file whose lines end in a lone ``\\r`` is one line.
     Returns the header, the rows as one (N, width) float array and the
     line number of each row; blank lines are skipped.  Raises ValueError,
     naming the line (``"<what> CSV line 4: ..."``), on a file without a
@@ -371,36 +374,37 @@ def read_csv(
     not a number.
     """
     with _opened(src, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header:
-            raise ValueError(f"{what} CSV has no header row")
-        problem = header_error(header)
-        if problem is not None:
-            raise ValueError(f"{what} CSV line 1: {problem}")
-        width = len(header)
-        rows, lines = [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != width:
-                raise ValueError(
-                    f"{what} CSV line {reader.line_num}: {len(row)} fields, "
-                    f"the header has {width}"
-                )
-            rows.append(row)
-            lines.append(reader.line_num)
-        try:
-            table = np.array(rows, dtype=float).reshape(-1, width)
-        except ValueError:
-            # only now look for the first row with a non-number
-            for row, line in zip(rows, lines):
-                try:
-                    np.array(row, dtype=float)
-                except ValueError as exc:
-                    raise ValueError(f"{what} CSV line {line}: {exc}") from None
-            raise
-    return header, table, lines
+        text = fh.read()
+    lines = text.split("\n")
+    if "\r" in text:
+        lines = [line.removesuffix("\r") for line in lines]
+    if not lines[0]:
+        raise ValueError(f"{what} CSV has no header row")
+    header = lines[0].split(",")
+    problem = header_error(header)
+    if problem is not None:
+        raise ValueError(f"{what} CSV line 1: {problem}")
+    width = len(header)
+    rows, line_nos = [], []
+    for no, line in enumerate(lines[1:], 2):
+        if not line:
+            continue
+        row = line.split(",")
+        if len(row) != width:
+            raise ValueError(f"{what} CSV line {no}: {len(row)} fields, the header has {width}")
+        rows.append(row)
+        line_nos.append(no)
+    try:
+        table = np.array(rows, dtype=float).reshape(-1, width)
+    except ValueError:
+        # only now look for the first row with a non-number
+        for row, no in zip(rows, line_nos):
+            try:
+                np.array(row, dtype=float)
+            except ValueError as exc:
+                raise ValueError(f"{what} CSV line {no}: {exc}") from None
+        raise
+    return header, table, line_nos
 
 
 def path_from_csv(src: str | os.PathLike | IO[str]) -> SampledPath:

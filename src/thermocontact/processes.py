@@ -340,11 +340,7 @@ def fokker_planck_relax(
     w_total = sp.total_weight
     energies = h.energies(q)
     w_energies = w * energies
-
-    def G_terms(rho: np.ndarray) -> tuple[np.ndarray, float, float]:
-        """ln rho, and a and b of G(T, rho) = T * a + b."""
-        log_rho = np.log(rho)
-        return log_rho, float(np.dot(w, rho * log_rho)), float(np.dot(w_energies, rho))
+    log, dot = np.log, np.dot
 
     t = 0.0
     # never written in place: each accepted step binds a fresh trial array
@@ -352,7 +348,9 @@ def fokker_planck_relax(
     T = float(T_of_t(0.0))
     if not T > 0:
         raise ValueError("temperature schedule must be positive")
-    log_rho, a, b = G_terms(rho)
+    # ln rho, and a and b of G(T, rho) = T * a + b
+    log_rho = log(rho)
+    a, b = float(dot(w, rho * log_rho)), float(dot(w_energies, rho))
 
     ts = [0.0]
     rhos = [rho]
@@ -375,7 +373,7 @@ def fokker_planck_relax(
             )
         last_T = T
         g = T * (1.0 + log_rho) + energies
-        g_mean = float(np.dot(w, g)) / w_total
+        g_mean = float(dot(w, g)) / w_total
         g = g - g_mean
         g_curr = T * a + b
         if not (math.isfinite(g_curr) and math.isfinite(g_mean)):
@@ -384,10 +382,17 @@ def fokker_planck_relax(
             )
         g_max = g_curr + LYAPUNOV_TOL
         dt = min(dt, t_end - t)
+        # No trial entry is nan, so the builtin min of the list equals
+        # trial.min().  g_mean is finite and the weights are positive, so g
+        # is a finite row minus g_mean: finite or +-inf.  rho is finite, since
+        # an infinite trial entry makes its G inf or nan and fails the test
+        # below.  So rho - dt * g is finite or +-inf.
         while True:
             trial = rho - dt * g
-            if float(trial.min()) > RHO_FLOOR:
-                log_trial, a_trial, b_trial = G_terms(trial)
+            if min(trial.tolist()) > RHO_FLOOR:
+                log_trial = log(trial)
+                a_trial = float(dot(w, trial * log_trial))
+                b_trial = float(dot(w_energies, trial))
                 if T * a_trial + b_trial <= g_max:
                     break
             dt *= 0.5

@@ -131,6 +131,17 @@ class TestChordFlagChecks:
             ("cw", {"span": 0.0}, "error: need --span > 0, got 0.0"),
             ("cw", {"p_lo": 0.5, "p_hi": -0.5},
              "error: need --p-lo < --p-hi, got the window [0.5, -0.5]"),
+            ("cw", {"b": 0.0}, "error: need --b > 0, got 0.0"),
+            # the magnet-only flags are checked for gas too
+            ("gas", {"b": -3.0}, "error: need --b > 0, got -3.0"),
+            ("gas", {"span": -1.0}, "error: need --span > 0, got -1.0"),
+            ("gas", {"span": 0.0}, "error: need --span > 0, got 0.0"),
+            ("gas", {"p_lo": 0.5, "p_hi": -0.5},
+             "error: need --p-lo < --p-hi, got the window [0.5, -0.5]"),
+            ("gas", {"p_lo": 0.99},
+             "error: need --p-lo < --p-hi, got the window [0.99, 0.99]"),
+            ("gas", {"span": -1.0, "p_lo": 0.5, "p_hi": -0.5, "b": -3.0},
+             "error: need --b > 0, got -3.0"),
         ],
     )
     @pytest.mark.parametrize("way", ["flags", "config"])
@@ -801,6 +812,28 @@ class TestOtherCommands:
         )
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [error]
+
+    @pytest.mark.parametrize("command", ["reduce", "relax"])
+    def test_oversized_cell_reads_as_infinite(self, tmp_path, system_file, capsys, command):
+        # a cell beyond the csv module's 131072-character field limit
+        big = "1" * 200_000
+        src = tmp_path / "in.csv"
+        out = tmp_path / "out"
+        if command == "reduce":
+            src.write_text(f"t,z,S,T,p_1,q_1\n{big},0,0.5,1,0.5,0\n1,4,0.75,1.5,0.25,0.1\n")
+            argv = ["reduce", "--input", str(src), "--k", "1"]
+            error = ("error: times must be finite, got ", " at sample 0")
+        else:
+            src.write_text(f"rho_1,rho_2,rho_3\n{big},0.3,0.1\n")
+            argv = ["relax", "--system", str(system_file), "--q", "0", "--T0", "1",
+                    "--rho0", str(src)]
+            error = ("error: density CSV line 2: density entries must be finite and "
+                     "non-negative", "")
+        assert dispatch([*argv, "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith(error[0]) and line.endswith(error[1])
+        assert captured.out == "" and not any(out.iterdir())
 
     def test_relax_rejects_density_file_without_rows(self, tmp_path, system_file, capsys):
         rho_file = tmp_path / "rho0.csv"
