@@ -47,7 +47,6 @@ from .models import (
     cw_entropy_y,
     cw_from_barred,
     cw_magnetization_roots,
-    cw_point_from_p,
     cw_to_barred,
     difference_front,
     gas_from_barred,

@@ -35,8 +35,19 @@ from ._solve import brentq, minimize_scalar_bounded
 from .models import FrontFunction, _cw_z
 from .phase_space import write_csv
 
-# find_chords' abscissa tolerance, and the |psi'| under which a dip touches
-ROOT_TOL = 1e-12
+# find_chords: brentq's tolerance on a chord's abscissa (absolute, in q)
+CHORD_XTOL = 1e-12
+# find_chords: |psi'| under which a node or a polished dip touches zero (absolute, in psi')
+TOUCH_SLOPE_TOL = 1e-12
+# find_chords: |psi'| under which every node means a degenerate family (absolute, in psi')
+FLAT_SLOPE_TOL = 1e-15
+# find_chords: the dip minimizer's tolerance on the abscissa (absolute, in q)
+DIP_XATOL = 1e-10
+# find_chords: a dip counts when this times its |psi'| is below both flanks' (a ratio)
+DIP_FLANK_RATIO = 10.0
+# find_chords: roots closer than this are one chord (per grid cell)
+COLLAPSE_CELLS = 0.5
+# find_chords: a root with |psi| at most this is an intersection, not a chord (absolute, in z)
 TRIVIAL_LENGTH_TOL = 1e-10
 # find_chords scans its grid in blocks of this many nodes, so that its
 # temporaries take under 0.4 MB whatever grid_n is.  A 40001-node grid
@@ -120,7 +131,8 @@ def cw_chord(t0: float, t1: float, c: float, b: float) -> Chord:
     for T, H in ((t0, 0.0), (t1, c)):
         if not math.isfinite(2.0 * ((q + H + b * p) / T)):
             raise FloatingPointError(
-                f"the magnet chord at t0={t0!r}, t1={t1!r}, c={c!r}, b={b!r} "
+                f"the magnet chord at t0={float(t0)!r}, t1={float(t1)!r}, "
+                f"c={float(c)!r}, b={float(b)!r} "
                 "is beyond double precision"
             )
     return Chord(q=q, p=p, z_start=_cw_z(p, q, t0, 0.0, b), z_end=_cw_z(p, q, t1, c, b))
@@ -142,7 +154,7 @@ def find_chords(
 
     Scans the slope difference psi' = f1' - f0' on a uniform grid, refines
     every sign change by Brent's method (``_solve.brentq``) to within
-    ROOT_TOL in the abscissa, and turns each root x into a chord (z from
+    CHORD_XTOL in the abscissa, and turns each root x into a chord (z from
     f0, f1; p from the common slope).  The scan is a set of array masks over blocks of
     SCAN_BLOCK nodes, so only the grid cells it flags reach brentq or the
     minimizer below.  The window is checked against both domains once, and
@@ -150,12 +162,14 @@ def find_chords(
     ``f1.fprime`` directly, so each ``fprime`` must accept a float as well
     as an array of nodes.  Roots where |psi| <= TRIVIAL_LENGTH_TOL are
     intersections of the fronts, not chords, and are dropped.  Grid nodes
-    where psi' dips below ROOT_TOL without changing sign are polished by a
-    bounded scalar minimization and flagged tangential (they mark
-    bifurcations of the chord count).  An
-    identically vanishing psi' is reported as a degenerate family.  An empty
-    result is a valid outcome.  Roots closer than half a grid cell collapse
-    to one; pick grid_n accordingly.
+    where |psi'| dips below TOUCH_SLOPE_TOL without changing sign are
+    polished by a bounded scalar minimization (to DIP_XATOL) and flagged
+    tangential (they mark bifurcations of the chord count); a polished dip
+    counts only where its |psi'| is below TOUCH_SLOPE_TOL and DIP_FLANK_RATIO
+    times it is below both flanks.  A psi' under FLAT_SLOPE_TOL at every
+    node is reported as a degenerate family.  An empty result is a valid
+    outcome.  Roots closer than COLLAPSE_CELLS grid cells collapse to one;
+    pick grid_n accordingly.
     """
     if grid_n < 3:
         raise ValueError("grid_n must be at least 3")
@@ -194,17 +208,17 @@ def find_chords(
             xs[-1] = hi
         dpsi = np.asarray(f1.fprime(xs) - f0.fprime(xs), dtype=float)
         mag = np.abs(dpsi)
-        flat = flat and bool((mag < 1e-15).all())
+        flat = flat and bool((mag < FLAT_SLOPE_TOL).all())
 
         # A sign change between nodes i and i + 1 brackets a root.
         own = start - k0
         for i in (dpsi[own:-1] * dpsi[own + 1:] < 0.0).nonzero()[0].tolist():
             crossings.append((float(xs[own + i]), float(xs[own + i + 1])))
 
-        # Both masks below need |psi'| < ROOT_TOL at the middle node, so a
-        # block without such a node has neither exact zeros nor dips.
+        # Both masks below need |psi'| < TOUCH_SLOPE_TOL at the middle node,
+        # so a block without such a node has neither exact zeros nor dips.
         abs_mid = mag[1:-1]
-        if not (abs_mid < ROOT_TOL).any():
+        if not (abs_mid < TOUCH_SLOPE_TOL).any():
             continue
 
         # Position k of these views is node k, k + 1, k + 2, so position k
@@ -220,10 +234,12 @@ def find_chords(
         for k in ((mid == 0.0) & (left != 0.0) & (right != 0.0)).nonzero()[0].tolist():
             zeros.append((float(xs[k + 1]), bool(flank[k] > 0.0)))
 
-        # Touching roots: strict local minima of |psi'| under ROOT_TOL without a
-        # sign change.
+        # Touching roots: strict local minima of |psi'| under TOUCH_SLOPE_TOL
+        # without a sign change.
         flank_min = np.minimum(mag[:-2], mag[2:])
-        touching = (mid != 0.0) & (abs_mid < ROOT_TOL) & (flank > 0.0) & (abs_mid < flank_min)
+        touching = (
+            (mid != 0.0) & (abs_mid < TOUCH_SLOPE_TOL) & (flank > 0.0) & (abs_mid < flank_min)
+        )
         for k in touching.nonzero()[0].tolist():
             dips.append((float(xs[k]), float(xs[k + 2]), float(flank_min[k])))
 
@@ -236,18 +252,19 @@ def find_chords(
     def slope_gap(x: float) -> float:
         return float(f1.fprime(x) - f0.fprime(x))
 
-    roots = [(brentq(slope_gap, a, b, xtol=ROOT_TOL), False) for a, b in crossings] + zeros
+    roots = [(brentq(slope_gap, a, b, xtol=CHORD_XTOL), False) for a, b in crossings] + zeros
     # The refined minimum of a dip must sit well below the flank values,
     # which rejects float-quantization stairs in nearly flat tails.
     for a, b, flank_min_k in dips:
-        x, fx = minimize_scalar_bounded(lambda x: abs(slope_gap(x)), a, b, xatol=1e-10)
-        if fx < ROOT_TOL and 10.0 * fx < flank_min_k:
+        x, fx = minimize_scalar_bounded(lambda x: abs(slope_gap(x)), a, b, xatol=DIP_XATOL)
+        if fx < TOUCH_SLOPE_TOL and DIP_FLANK_RATIO * fx < flank_min_k:
             roots.append((x, True))
 
     out: list[Chord] = []
     seen: list[float] = []
+    min_gap = COLLAPSE_CELLS * step
     for x, tangential in sorted(roots):
-        if seen and abs(x - seen[-1]) < 0.5 * step:
+        if seen and abs(x - seen[-1]) < min_gap:
             continue
         seen.append(x)
         z0 = f0.value(x)

@@ -49,6 +49,8 @@ from .models import (
     sample_gas_legendrian,
 )
 from .phase_space import (
+    DEFAULT_REDUCTION_TOL,
+    DEFAULT_SLACK,
     ReductionSpec,
     check_path_nonnegative,
     path_from_csv,
@@ -56,7 +58,13 @@ from .phase_space import (
     reduce,
     write_csv,
 )
-from .processes import Schedule, fokker_planck_relax, run_slow_isotopy, stirling_cycle
+from .processes import (
+    ISOTOPY_SLACK,
+    Schedule,
+    fokker_planck_relax,
+    run_slow_isotopy,
+    stirling_cycle,
+)
 from .verify import run_all
 
 
@@ -543,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-hi", type=finite_float)
     p.add_argument("--n-x", type=int, default=9)
     p.add_argument("--b", type=finite_float)
-    p.add_argument("--slack", type=finite_float, default=1e-8)
+    p.add_argument("--slack", type=finite_float, default=ISOTOPY_SLACK)
     common(p, _cmd_isotopy)
 
     p = sub.add_parser("stirling", help="four-segment engine cycle of the gas")
@@ -562,8 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--frozen", default="", help="1-based 'i=value' pins or bare indices, comma-separated"
     )
     p.add_argument("--zeroed", default="", help="1-based indices, comma-separated")
-    p.add_argument("--tol", type=finite_float, default=1e-9)
-    p.add_argument("--slack", type=finite_float, default=1e-9)
+    p.add_argument("--tol", type=finite_float, default=DEFAULT_REDUCTION_TOL)
+    p.add_argument("--slack", type=finite_float, default=DEFAULT_SLACK)
     common(p, _cmd_reduce)
 
     p = sub.add_parser("verify", help="run the acceptance suite")

@@ -35,6 +35,7 @@ import numpy as np
 from ._solve import logsumexp
 from .phase_space import _opened, read_csv, write_csv
 
+# largest |sum_i w_i rho_i - 1| of a density (absolute, in mass)
 NORMALIZATION_TOL = 1e-12
 
 

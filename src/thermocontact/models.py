@@ -32,10 +32,15 @@ import numpy as np
 
 from ._solve import brentq
 
+# largest |p - tanh((q + H_back + b p)/T)| of a magnet root or point (absolute, in p)
 SELF_CONSISTENCY_TOL = 1e-10
-# y tolerance of cw_magnetization_roots; roots within 10 * ROOT_TOL are one
-ROOT_TOL = 1e-12
-# nodes of the grid on whose cells cw_magnetization_roots refines each root
+# cw_magnetization_roots: brentq's tolerance on y = atanh(p) (absolute, in y)
+MAGNET_YTOL = 1e-12
+# cw_magnetization_roots: roots closer than this are one (absolute, in y)
+MAGNET_MERGE_YTOL = 10 * MAGNET_YTOL
+# cw_magnetization_roots: a z this close to the largest ties (relative, to max(1, |z_max|))
+MAGNET_Z_TIE_RTOL = 1e-12
+# cw_magnetization_roots: nodes of the grid on whose cells each root is refined (a count)
 SCAN_NODES = 10_000
 
 
@@ -262,7 +267,7 @@ def _check_self_consistency(p: float, q: float, par: CurieWeissParams) -> None:
     if residual > SELF_CONSISTENCY_TOL:
         raise RuntimeError(
             f"self-consistency residual {residual:.3e} too large at T={T!r}, "
-            f"b={b!r}, H_back={par.H_back!r}, p={p!r}"
+            f"b={b!r}, H_back={float(par.H_back)!r}, p={float(p)!r}"
         )
 
 
@@ -276,16 +281,21 @@ def cw_magnetization_roots(
     g(y) = T y - b tanh(y) - q - H_back = 0, which keeps near-saturated
     roots resolvable.  g is monotone on each piece cut at the folds +-y* of
     :func:`cw_fold`, so each piece whose ends differ in sign holds exactly
-    one root, found there to ``ROOT_TOL`` and labelled with that ``piece``.
-    Each root is then refined again on the cell that brackets it in a grid
-    of ``SCAN_NODES`` nodes over [y_lo, y_hi], built as np.linspace builds
-    it, so the result does not depend on the piece ends.  A root whose cell
+    one root, found there to ``MAGNET_YTOL`` in y and labelled with that
+    ``piece``.  Each root is then refined again on the cell that brackets
+    it in a grid of ``SCAN_NODES`` nodes over [y_lo, y_hi], built as
+    np.linspace builds it, so the result does not depend on the piece ends.  A root whose cell
     has no sign change (two roots of a near-fold pair sharing one cell)
-    keeps its piece solution.  Raises FloatingPointError, naming T, b and
-    q + H_back, when doubles cannot hold the y range or resolve its grid.
-    A root is unstable iff 1 - (b/T)(1 - p^2) < 0; among the stable ones
-    the largest z (smallest free energy) is the global minimum, ties
-    resolved to the non-negative branch.
+    keeps its piece solution.  Roots closer than ``MAGNET_MERGE_YTOL`` in y
+    are one.  A root is unstable iff 1 - (b/T)(1 - p^2) < 0; among the
+    stable ones the largest z (smallest free energy) is the global minimum,
+    where z within ``MAGNET_Z_TIE_RTOL * max(1, |z_max|)`` of the largest
+    is a tie, resolved to the non-negative branch.
+
+    Raises FloatingPointError, naming T, b and q + H_back, when doubles
+    cannot hold the y range or resolve its grid, and RuntimeError, naming
+    T, b, H_back and p, when a root misses the self-consistency equation by
+    more than ``SELF_CONSISTENCY_TOL`` in p.
     """
     # Python floats: an overflowing ratio is inf here, not a numpy warning
     T, b = float(par.T), float(par.b)
@@ -313,7 +323,7 @@ def cw_magnetization_roots(
                 piece = int(target > 0.0) - int(target < 0.0)
             else:
                 piece = int(a >= fold) - int(c <= -fold)
-            pieces.append((brentq(resid, a, c, xtol=ROOT_TOL), a, c, piece))
+            pieces.append((brentq(resid, a, c, xtol=MAGNET_YTOL), a, c, piece))
 
     # Nodes i - 1 .. i + 2 around the cell i holding each root, all in one
     # numpy call: node k is k * step + y_lo and the last node is y_hi, as
@@ -332,14 +342,14 @@ def cw_magnetization_roots(
         brackets += [(nodes[k], nodes[k + 1]) for k in range(3) if g[k] * g[k + 1] < 0.0]
         if brackets:
             lo, hi = min(brackets, key=lambda br: max(br[0] - y, y - br[1], 0.0))
-            cell_y = lo if lo == hi else brentq(resid, lo, hi, xtol=ROOT_TOL)
+            cell_y = lo if lo == hi else brentq(resid, lo, hi, xtol=MAGNET_YTOL)
             if a <= cell_y <= c:
                 y = cell_y
         roots_y.append((y, piece))
 
     deduped: list[tuple[float, int]] = []
     for y, piece in sorted(roots_y):
-        if not deduped or abs(y - deduped[-1][0]) > 10 * ROOT_TOL:
+        if not deduped or abs(y - deduped[-1][0]) > MAGNET_MERGE_YTOL:
             deduped.append((y, piece))
 
     points = []
@@ -353,7 +363,8 @@ def cw_magnetization_roots(
     best = None
     if stable:
         z_max = max(pt[1] for pt in stable)
-        candidates = [pt for pt in stable if pt[1] >= z_max - 1e-12 * max(1.0, abs(z_max))]
+        tie = z_max - MAGNET_Z_TIE_RTOL * max(1.0, abs(z_max))
+        candidates = [pt for pt in stable if pt[1] >= tie]
         best = max(candidates, key=lambda pt: pt[0] >= 0)
 
     out = []
@@ -386,14 +397,6 @@ def _cw_qz(p: float, par: CurieWeissParams) -> tuple[float, float]:
     q = -par.b * p + par.T * math.atanh(p) - par.H_back
     _check_self_consistency(p, q, par)
     return q, _cw_z(p, q, par.T, par.H_back, par.b)
-
-
-def cw_point_from_p(p: float, par: CurieWeissParams) -> CWBranchPoint:
-    """Equilibrium point over magnetization p, labelled by the root solve at its q."""
-    q, z = _cw_qz(p, par)
-    roots = cw_magnetization_roots(q, par)
-    nearest = min(roots, key=lambda r: abs(r.p - p))
-    return CWBranchPoint(p, q, z, nearest.stability, math.atanh(p), nearest.piece)
 
 
 def difference_front(model: str, t0: float, t1: float, c: float) -> FrontFunction:

@@ -30,7 +30,9 @@ from typing import IO, ContextManager, Mapping
 
 import numpy as np
 
+# check_path_nonnegative: default slack of the form below zero (absolute, in form value)
 DEFAULT_SLACK = 1e-9
+# ReductionSpec: default tolerance of a pinned T, q or zeroed p (absolute, in that coordinate)
 DEFAULT_REDUCTION_TOL = 1e-9
 
 
@@ -96,7 +98,7 @@ def _column(values, name: str, n_rows: int, matrix: bool = False) -> np.ndarray:
         raise ValueError(f"{name} must have shape {want}, got {arr.shape}")
     bad = _first(~np.isfinite(arr))
     if bad is not None:
-        raise ValueError(f"{name} must be finite, got {arr[bad]!r} at sample {bad}")
+        raise ValueError(f"{name} must be finite, got {arr[bad].tolist()!r} at sample {bad}")
     arr.flags.writeable = False
     return arr
 

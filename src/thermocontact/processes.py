@@ -38,14 +38,28 @@ from .models import (
 )
 from .phase_space import NonnegReport, SampledPath, check_path_nonnegative
 
-# fokker_planck_relax rejects a dt0 that needs more steps than this, and
-# ends a run that takes more accepted steps than this
+# fokker_planck_relax: largest t_end / dt0, and most accepted steps of a run (a count)
 MAX_RELAX_STEPS = 100_000
-# fokker_planck_relax: positivity floor and Lyapunov slack of a step
+# fokker_planck_relax: a step must keep every density entry above this (absolute)
 RHO_FLOOR = 1e-14
+# fokker_planck_relax: largest rise of G over one step (absolute, per step)
 LYAPUNOV_TOL = 1e-12
-# ultrafast_jump: largest total variation to the post-jump minimizer
+# fokker_planck_relax: a step halved below this aborts the run (absolute, in t)
+MIN_RELAX_DT = 1e-15
+# fokker_planck_relax: the run ends once t is this close to t_end (relative, to t_end)
+T_END_RTOL = 1e-12
+# fokker_planck_relax: largest drop of the temperature schedule (absolute, in T, per step)
+SCHEDULE_DROP_TOL = 1e-12
+# spectral_gap_estimate fits only nodes whose G - G_end exceeds this (absolute, in G)
+GAP_FIT_ATOL = 1e-13
+# ... and exceeds this times |G_start - G_end| (relative, to the drop of G)
+GAP_FIT_RTOL = 1e-10
+# ultrafast_jump: largest total variation to the post-jump minimizer (absolute)
 COINCIDENCE_TOL = 1e-8
+# run_slow_isotopy: default slack of each path's non-negativity check (absolute, in form)
+ISOTOPY_SLACK = 1e-8
+# stirling_cycle: a corner whose form increment is at most this is 'zero' (absolute, in form)
+CORNER_SIGN_TOL = 1e-12
 
 
 class BranchLossError(RuntimeError):
@@ -95,7 +109,8 @@ class Schedule:
         for what, lo, hi in (("temperature", T_start, T_end), ("background", bg_start, bg_end)):
             if not math.isfinite(hi - lo):
                 raise FloatingPointError(
-                    f"the {what} ramp from {lo!r} to {hi!r} is beyond double precision"
+                    f"the {what} ramp from {float(lo)!r} to {float(hi)!r} is beyond "
+                    "double precision"
                 )
         t = np.linspace(0.0, 1.0, n_nodes)
         return cls(
@@ -103,10 +118,6 @@ class Schedule:
             np.linspace(T_start, T_end, n_nodes),
             np.linspace(bg_start, bg_end, n_nodes),
         )
-
-    @property
-    def temperature_nondecreasing(self) -> bool:
-        return bool(np.all(np.diff(self.temperatures) >= 0))
 
 
 @dataclass(frozen=True)
@@ -144,7 +155,7 @@ def run_slow_isotopy(
     sched: Schedule,
     x_grid,
     b: float | None = None,
-    slack: float = 1e-8,
+    slack: float = ISOTOPY_SLACK,
 ) -> IsotopyTrace:
     """Trace the scheduled equilibrium family point by point.
 
@@ -281,11 +292,14 @@ class RelaxTrace:
     def spectral_gap_estimate(self) -> float:
         """Decay-rate estimate fitted to the free-energy tail.
 
-        G - G_end decays like exp(-2 gap t) on the linear regime; returns
-        the fitted gap, or nan when the trace has no usable tail.
+        G - G_end decays like exp(-2 gap t) on the linear regime; the fit
+        takes the nodes where G - G_end exceeds GAP_FIT_ATOL and
+        GAP_FIT_RTOL * |G_start - G_end|.  Returns the fitted gap, or nan
+        when fewer than three nodes are left.
         """
         g_rel = self.G_values - self.G_values[-1]
-        mask = g_rel > max(1e-13, 1e-10 * abs(self.G_values[0] - self.G_values[-1]))
+        drop = abs(self.G_values[0] - self.G_values[-1])
+        mask = g_rel > max(GAP_FIT_ATOL, GAP_FIT_RTOL * drop)
         if mask.sum() < 3:
             return float("nan")
         t = self.t_grid[mask]
@@ -313,11 +327,13 @@ def fokker_planck_relax(
     mass is conserved exactly and the free energy is a Lyapunov function at
     fixed temperature.  Explicit Euler steps are halved whenever an entry
     would drop to ``RHO_FLOOR`` or G would rise (beyond ``LYAPUNOV_TOL``)
-    at the step temperature; a step below 1e-15 aborts the run.  Steps
-    never exceed dt0, so a dt0 below t_end / MAX_RELAX_STEPS is rejected,
-    and a run whose halved steps need more than MAX_RELAX_STEPS accepted
-    steps to reach t_end raises IntegrationError.  The
-    temperature schedule must be positive and non-decreasing; the intensive
+    at the step temperature; a step below ``MIN_RELAX_DT`` aborts the run.
+    Steps never exceed dt0, so a dt0 below t_end / MAX_RELAX_STEPS is
+    rejected, and a run whose halved steps need more than MAX_RELAX_STEPS
+    accepted steps to reach t_end raises IntegrationError.  The run ends
+    once t is within ``T_END_RTOL * t_end`` of t_end.  The temperature
+    schedule must be positive and non-decreasing (a drop of at most
+    ``SCHEDULE_DROP_TOL`` between steps is let pass); the intensive
     variables q stay fixed.  The trace carries the reduced (z, p, q) path,
     per-step contact-form estimates (z difference quotients, q being
     constant) and the free-energy values.  Raises FloatingPointError,
@@ -328,12 +344,16 @@ def fokker_planck_relax(
         raise ValueError("dt0 must be positive")
     if not t_end > 0:
         raise ValueError("t_end must be positive")
-    if t_end > MAX_RELAX_STEPS * dt0:
+    # the limits, bound once: the step loop reads them as locals
+    max_steps, floor, rise_tol = MAX_RELAX_STEPS, RHO_FLOOR, LYAPUNOV_TOL
+    min_dt, drop_tol = MIN_RELAX_DT, SCHEDULE_DROP_TOL
+    if t_end > max_steps * dt0:
         raise ValueError(
-            f"dt0 = {dt0!r} needs more than {MAX_RELAX_STEPS} steps to reach t_end = {t_end!r}"
+            f"dt0 = {float(dt0)!r} needs more than {max_steps} steps to reach "
+            f"t_end = {float(t_end)!r}"
         )
     rho0 = ms.check_density(sp, rho0)
-    if float(rho0.min()) <= RHO_FLOOR:
+    if float(rho0.min()) <= floor:
         raise ValueError("initial density must be strictly positive (above the floor)")
 
     w = sp.weights
@@ -357,17 +377,18 @@ def fokker_planck_relax(
     temps = [T]
     last_T = T
     dt = min(dt0, t_end)
-    while t < t_end - 1e-12 * t_end:
-        if len(ts) > MAX_RELAX_STEPS:
+    t_stop = t_end - T_END_RTOL * t_end
+    while t < t_stop:
+        if len(ts) > max_steps:
             raise IntegrationError(
-                f"more than {MAX_RELAX_STEPS} steps to reach t_end = {t_end!r}: "
+                f"more than {max_steps} steps to reach t_end = {float(t_end)!r}: "
                 f"at t={t:.6g} the step is dt={dt:.3e}"
             )
         # T_of_t(t), taken when t was reached
         T = temps[-1]
         if not T > 0:
             raise ValueError(f"temperature schedule must be positive at t={t:.6g}")
-        if T < last_T - 1e-12:
+        if T < last_T - drop_tol:
             raise ValueError(
                 f"temperature schedule must be non-decreasing (drops at t={t:.6g})"
             )
@@ -380,7 +401,7 @@ def fokker_planck_relax(
             raise ms._beyond_double(
                 "the free energy", T, q, f"G = {g_curr!r}, mean gradient {g_mean!r} at t={t:.6g}"
             )
-        g_max = g_curr + LYAPUNOV_TOL
+        g_max = g_curr + rise_tol
         dt = min(dt, t_end - t)
         # No trial entry is nan, so the builtin min of the list equals
         # trial.min().  g_mean is finite and the weights are positive, so g
@@ -389,14 +410,14 @@ def fokker_planck_relax(
         # below.  So rho - dt * g is finite or +-inf.
         while True:
             trial = rho - dt * g
-            if min(trial.tolist()) > RHO_FLOOR:
+            if min(trial.tolist()) > floor:
                 log_trial = log(trial)
                 a_trial = float(dot(w, trial * log_trial))
                 b_trial = float(dot(w_energies, trial))
                 if T * a_trial + b_trial <= g_max:
                     break
             dt *= 0.5
-            if dt < 1e-15:
+            if dt < min_dt:
                 raise IntegrationError(
                     f"step size underflow at t={t:.6g} (dt={dt:.3e}); "
                     "the flow cannot keep the density positive"
@@ -484,8 +505,8 @@ def stirling_cycle(
     # the largest |q| and |z| on the cycle (Python floats overflow to inf)
     if not all(map(math.isfinite, (T_H / v_min, T_H * math.log(v_min), T_H * math.log(v_max)))):
         raise FloatingPointError(
-            f"the Stirling cycle at T_C={T_C!r}, T_H={T_H!r}, v_min={v_min!r}, "
-            f"v_max={v_max!r} is beyond double precision"
+            f"the Stirling cycle at T_C={float(T_C)!r}, T_H={float(T_H)!r}, "
+            f"v_min={float(v_min)!r}, v_max={float(v_max)!r} is beyond double precision"
         )
 
     def isotherm(T: float, v_from: float, v_to: float, t0: float, name: str):
@@ -504,7 +525,7 @@ def stirling_cycle(
         delta_G = -(z[1] - z[0])
         # form increment dz - p dq along the straight corner segment
         increment = (z[1] - z[0]) - v * (q[1] - q[0])
-        if abs(increment) <= 1e-12:
+        if abs(increment) <= CORNER_SIGN_TOL:
             sign = "zero"
         else:
             sign = "positive" if increment > 0 else "negative"

@@ -157,4 +157,6 @@ def test_every_run_ends_in_its_result_or_one_line(inputs, run):
             lines = stderr.getvalue().splitlines()
             ends = [s for s in lines if "error:" in s or s.startswith("failure:")]
             assert len(ends) == 1, (argv, lines)
+            # values show as Python floats, not as numpy scalar reprs
+            assert "np." not in ends[0], (argv, ends)
             assert not out.exists() or not any(out.iterdir()), argv

@@ -16,7 +16,6 @@ from thermocontact import (
     cw_entropy_y,
     cw_from_barred,
     cw_magnetization_roots,
-    cw_point_from_p,
     cw_to_barred,
     difference_front,
     gas_from_barred,
@@ -26,7 +25,7 @@ from thermocontact import (
     sample_gas_legendrian,
     select_equilibrium,
 )
-from thermocontact.models import _tanh_gap, cw_phi, gas_phi
+from thermocontact.models import _check_self_consistency, _tanh_gap, cw_phi, gas_phi
 
 
 def assert_front_consistent(front, lo, hi, rng, n=100, tol=1e-6):
@@ -70,27 +69,33 @@ class TestGasFront:
         assert_front_consistent(front, -6.0, -0.2, rng)
 
 
+def cw_point(p: float, par: CurieWeissParams) -> tuple[float, float, float]:
+    """(q, p, z) of the magnet family over the magnetization p."""
+    q, p, z, _ = sample_cw_legendrian(par, [p])[0]
+    return q, p, z
+
+
 class TestCurieWeissPoints:
     def test_symmetric_point(self):
         for T in (0.5, 1.0, 2.0):
-            pt = cw_point_from_p(0.0, CurieWeissParams(T=T, H_back=0.0, b=1.0))
-            assert pt.q == 0.0
-            assert abs(pt.z - T * math.log(2)) < 1e-14
+            q, _, z = cw_point(0.0, CurieWeissParams(T=T, H_back=0.0, b=1.0))
+            assert q == 0.0
+            assert abs(z - T * math.log(2)) < 1e-14
 
     def test_worked_value(self):
-        pt = cw_point_from_p(0.5, CurieWeissParams(T=2.0, H_back=0.0, b=1.0))
-        assert abs(pt.q - 0.5986122886681098) < 1e-12
+        q, _, _ = cw_point(0.5, CurieWeissParams(T=2.0, H_back=0.0, b=1.0))
+        assert abs(q - 0.5986122886681098) < 1e-12
 
     def test_background_field_shift(self):
-        base = cw_point_from_p(0.3, CurieWeissParams(T=1.5, H_back=0.0, b=0.8))
-        shifted = cw_point_from_p(0.3, CurieWeissParams(T=1.5, H_back=0.4, b=0.8))
-        assert abs((base.q - shifted.q) - 0.4) < 1e-14
+        base, _, _ = cw_point(0.3, CurieWeissParams(T=1.5, H_back=0.0, b=0.8))
+        shifted, _, _ = cw_point(0.3, CurieWeissParams(T=1.5, H_back=0.4, b=0.8))
+        assert abs((base - shifted) - 0.4) < 1e-14
 
     def test_saturation_divergence(self):
         par = CurieWeissParams(T=1.0, H_back=0.0, b=1.0)
-        assert cw_point_from_p(0.999999, par).q > 5.0
+        assert cw_point(0.999999, par)[0] > 5.0
         with pytest.raises(ValueError):
-            cw_point_from_p(1.0, par)
+            cw_point(1.0, par)
 
     def test_self_consistency_residuals(self):
         rng = np.random.default_rng(37)
@@ -100,14 +105,18 @@ class TestCurieWeissPoints:
                 H_back=float(rng.uniform(-1, 1)),
                 b=float(rng.uniform(0.2, 2.0)),
             )
-            p = float(rng.uniform(-0.99, 0.99))
-            pt = cw_point_from_p(p, par)
-            resid = abs(pt.p - math.tanh((pt.q + par.H_back + par.b * pt.p) / par.T))
+            q, p, z = cw_point(float(rng.uniform(-0.99, 0.99)), par)
+            resid = abs(p - math.tanh((q + par.H_back + par.b * p) / par.T))
             assert resid < 1e-10
-            z_expect = float(
-                cw_phi(par.T, pt.q + par.H_back + par.b * pt.p)
-            ) - par.b * pt.p**2 / 2
-            assert abs(pt.z - z_expect) < 1e-10
+            z_expect = float(cw_phi(par.T, q + par.H_back + par.b * p)) - par.b * p**2 / 2
+            assert abs(z - z_expect) < 1e-10
+
+    def test_self_consistency_error_names_floats(self):
+        # the isotopy passes each background as a numpy scalar
+        par = CurieWeissParams(T=1.0, H_back=np.float64(0.0), b=1.0)
+        with pytest.raises(RuntimeError) as info:
+            _check_self_consistency(np.float64(0.5), 0.0, par)
+        assert str(info.value).endswith("T=1.0, b=1.0, H_back=0.0, p=0.5")
 
 
 class TestMagnetizationRoots:
@@ -259,9 +268,8 @@ class TestBarredMaps:
 
     def test_cw_reference_family_flattens(self):
         par = CurieWeissParams(T=1.3, H_back=0.0, b=0.8)
-        for p in np.linspace(-0.95, 0.95, 50):
-            bp = cw_point_from_p(float(p), par)
-            Z, P, _ = cw_to_barred(bp.z, bp.p, bp.q, par.T, par.b)
+        for q, p, z, _ in sample_cw_legendrian(par, np.linspace(-0.95, 0.95, 50)):
+            Z, P, _ = cw_to_barred(z, p, q, par.T, par.b)
             assert abs(Z) < 1e-10
             assert abs(P) < 1e-10
 

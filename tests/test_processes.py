@@ -37,7 +37,6 @@ class TestSchedule:
     def test_linear_builder(self):
         s = Schedule.linear(5, 1.0, 2.0, 0.0, 1.0)
         assert s.times[0] == 0.0 and s.times[-1] == 1.0
-        assert s.temperature_nondecreasing
 
     def test_validation(self):
         with pytest.raises(ValueError):
