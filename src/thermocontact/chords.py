@@ -19,6 +19,8 @@ work.  The scan window is checked against both fronts' domains once; the
 scan and the refinement then call each front's derivative ``fprime``
 directly (on arrays of nodes and on floats), not through
 ``FrontFunction.slope``, whose domain check would repeat on every call.
+Where f0 is a ``constant_front``, whose slope is zero, psi' is f1's slope
+alone and f0's is not evaluated.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from ._solve import brentq, minimize_scalar_bounded
-from .models import FrontFunction, _cw_z
+from .models import FrontFunction, _cw_z, _zero_slope
 from .phase_space import write_csv
 
 # find_chords: brentq's tolerance on a chord's abscissa (absolute, in q)
@@ -50,12 +52,18 @@ COLLAPSE_CELLS = 0.5
 # find_chords: a root with |psi| at most this is an intersection, not a chord (absolute, in z)
 TRIVIAL_LENGTH_TOL = 1e-10
 # find_chords scans its grid in blocks of this many nodes, so that its
-# temporaries take under 0.4 MB whatever grid_n is.  A 40001-node grid
+# temporaries take under 0.8 MB whatever grid_n is.  A 40001-node grid
 # scanned in one piece took 2.2 MB per call: glibc's malloc returned that
 # memory to the system after each call and page-faulted it back in on the
 # next, which cost about a third of the call's time, more or less from one
-# process to the next, depending on where the heap's free space lay.
-SCAN_BLOCK = 4096
+# process to the next, depending on where the heap's free space lay.  The
+# block is the largest that stayed clear of that: measured with getrusage
+# over 500 benchmark operations (a 20001- and a 40001-node scan each) in
+# three checkouts of different path lengths, blocks of 8192 and 9216 nodes
+# took under 0.1 minor faults an operation, 10240 took 0.6, and 11264 to
+# 20480 took 77 to 252.  9216 scans those grids in the same 3 and 5 blocks
+# as 8192, so the smaller is kept.
+SCAN_BLOCK = 8192
 
 
 class DegenerateChordError(RuntimeError):
@@ -160,8 +168,11 @@ def find_chords(
     minimizer below.  The window is checked against both domains once, and
     the scan, brentq and the minimizer then call ``f0.fprime`` and
     ``f1.fprime`` directly, so each ``fprime`` must accept a float as well
-    as an array of nodes.  Roots where |psi| <= TRIVIAL_LENGTH_TOL are
-    intersections of the fronts, not chords, and are dropped.  Grid nodes
+    as an array of nodes.  Where f0 is a ``constant_front``, its zero slope
+    is not evaluated or subtracted: psi' is ``f1.fprime`` alone, which has
+    the same bits (v - 0.0 is v for every double).  Roots where
+    |psi| <= TRIVIAL_LENGTH_TOL are intersections of the fronts, not
+    chords, and are dropped.  Grid nodes
     where |psi'| dips below TOUCH_SLOPE_TOL without changing sign are
     polished by a bounded scalar minimization (to DIP_XATOL) and flagged
     tangential (they mark bifurcations of the chord count); a polished dip
@@ -193,6 +204,12 @@ def find_chords(
     # lo and hi, so it holds all of [lo, hi], and with a finite step every
     # node lies in [lo, hi], as does every iterate of brentq and of the
     # minimizer, which stay inside the grid cell they were given.
+    if f0.fprime is _zero_slope:
+        gap = f1.fprime
+    else:
+        def gap(x):
+            return f1.fprime(x) - f0.fprime(x)
+
     flat = True
     crossings: list[tuple[float, float]] = []  # cells holding a sign change
     zeros: list[tuple[float, bool]] = []  # (node, tangential)
@@ -206,7 +223,10 @@ def find_chords(
         xs = np.arange(k0, k1, dtype=float) * step + lo
         if k1 == grid_n:
             xs[-1] = hi
-        dpsi = np.asarray(f1.fprime(xs) - f0.fprime(xs), dtype=float)
+        dpsi = np.asarray(gap(xs), dtype=float)
+        if dpsi.shape != xs.shape:
+            # an fprime that returned a scalar: as subtracting zeros would
+            dpsi = np.broadcast_to(dpsi, xs.shape)
         mag = np.abs(dpsi)
         flat = flat and bool((mag < FLAT_SLOPE_TOL).all())
 
@@ -250,7 +270,7 @@ def find_chords(
         )
 
     def slope_gap(x: float) -> float:
-        return float(f1.fprime(x) - f0.fprime(x))
+        return float(gap(x))
 
     roots = [(brentq(slope_gap, a, b, xtol=CHORD_XTOL), False) for a, b in crossings] + zeros
     # The refined minimum of a dip must sit well below the flank values,

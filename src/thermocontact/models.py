@@ -32,7 +32,8 @@ import numpy as np
 
 from ._solve import brentq
 
-# largest |p - tanh((q + H_back + b p)/T)| of a magnet root or point (absolute, in p)
+# largest |g(y)| = |T y - b tanh y - q - H_back| of a magnet root or point, y = atanh(p)
+# (relative, to max(T, |T y|, b, |q + H_back|))
 SELF_CONSISTENCY_TOL = 1e-10
 # cw_magnetization_roots: brentq's tolerance on y = atanh(p) (absolute, in y)
 MAGNET_YTOL = 1e-12
@@ -65,7 +66,7 @@ class FrontFunction:
     def contains(self, x) -> bool:
         lo, hi = self.domain
         x = np.asarray(x, dtype=float)
-        return bool(np.all((x > lo) & (x < hi)))
+        return bool(((x > lo) & (x < hi)).all())
 
     def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -84,13 +85,23 @@ class FrontFunction:
         return float(out) if np.ndim(x) == 0 else np.asarray(out, dtype=float)
 
 
+def _zero_slope(x):
+    """The slope of every constant front: zeros shaped like x.
+
+    ``constant_front`` gives each front this one function, so a caller can
+    tell a constant front by ``front.fprime is _zero_slope`` and skip
+    subtracting its slope (v - 0.0 is v, bit for bit, for every double).
+    """
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
 def constant_front(
     value: float = 0.0, domain: tuple[float, float] = (-math.inf, math.inf)
 ) -> FrontFunction:
     c = float(value)
     return FrontFunction(
         f=lambda x: np.full_like(np.asarray(x, dtype=float), c),
-        fprime=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        fprime=_zero_slope,
         domain=domain,
         label=f"constant {c}",
     )
@@ -129,10 +140,27 @@ def _tanh_gap(u, v):
     nor the product of the cosh values can overflow.  The clip is spelt
     np.minimum(np.maximum(...)), which gives np.clip's bits without the
     cost of its Python wrapper, on blocks of nodes and on floats alike.
+    Arrays of one shape and dtype are written in place: after the two
+    np.maximum copies and the difference u - v, every step writes with
+    ``out=`` into one of those three, with the same operations in the same
+    operand order as the float path, so a block of nodes allocates three
+    arrays instead of ten.
     """
-    u = np.minimum(np.maximum(u, -350.0), 350.0)
-    v = np.minimum(np.maximum(v, -350.0), 350.0)
-    return np.sinh(u - v) / (np.cosh(u) * np.cosh(v))
+    u = np.maximum(u, -350.0)
+    v = np.maximum(v, -350.0)
+    arrays = isinstance(u, np.ndarray) and isinstance(v, np.ndarray)
+    if not (arrays and u.shape == v.shape and u.dtype == v.dtype):
+        u = np.minimum(u, 350.0)
+        v = np.minimum(v, 350.0)
+        return np.sinh(u - v) / (np.cosh(u) * np.cosh(v))
+    np.minimum(u, 350.0, out=u)
+    np.minimum(v, 350.0, out=v)
+    gap = np.subtract(u, v)
+    np.sinh(gap, out=gap)
+    np.cosh(u, out=u)
+    np.cosh(v, out=v)
+    np.multiply(u, v, out=u)
+    return np.divide(gap, u, out=gap)
 
 
 @dataclass(frozen=True)
@@ -259,15 +287,24 @@ def cw_fold(T: float, b: float) -> float | None:
     return math.acosh(math.sqrt(b / T)) if b > T else None
 
 
-def _check_self_consistency(p: float, q: float, par: CurieWeissParams) -> None:
-    """Raise RuntimeError where p misses p = tanh((q + H_back + b p)/T) by
-    more than SELF_CONSISTENCY_TOL (in Python floats, which do not warn)."""
+def _check_self_consistency(y: float, q: float, par: CurieWeissParams) -> None:
+    """Raise RuntimeError where y = atanh(p) misses the magnet equation in
+    the variable it is solved in, g(y) = T y - b tanh(y) - q - H_back = 0,
+    by more than SELF_CONSISTENCY_TOL * max(T, |T y|, b, |q + H_back|), the
+    size of its terms (in Python floats, which do not warn).
+
+    The bound scales with the problem: a residual in p would multiply p's
+    rounding by b/T and reject accurate roots at small T/b.  T is in the
+    max because y is solved to an absolute tolerance, so g may be off by
+    about T * MAGNET_YTOL even where its terms are far smaller than T.
+    """
     T, b = float(par.T), float(par.b)
-    residual = abs(p - math.tanh((q + par.H_back + b * p) / T))
-    if residual > SELF_CONSISTENCY_TOL:
+    target = float(q + par.H_back)
+    residual = abs(T * y - b * math.tanh(y) - target)
+    if residual > SELF_CONSISTENCY_TOL * max(T, abs(T * y), b, abs(target)):
         raise RuntimeError(
             f"self-consistency residual {residual:.3e} too large at T={T!r}, "
-            f"b={b!r}, H_back={float(par.H_back)!r}, p={float(p)!r}"
+            f"b={b!r}, H_back={float(par.H_back)!r}, p={math.tanh(y)!r}"
         )
 
 
@@ -294,8 +331,8 @@ def cw_magnetization_roots(
 
     Raises FloatingPointError, naming T, b and q + H_back, when doubles
     cannot hold the y range or resolve its grid, and RuntimeError, naming
-    T, b, H_back and p, when a root misses the self-consistency equation by
-    more than ``SELF_CONSISTENCY_TOL`` in p.
+    T, b, H_back and p, when a root y misses g(y) = 0 by more than
+    ``SELF_CONSISTENCY_TOL * max(T, |T y|, b, |q + H_back|)``.
     """
     # Python floats: an overflowing ratio is inf here, not a numpy warning
     T, b = float(par.T), float(par.b)
@@ -355,7 +392,7 @@ def cw_magnetization_roots(
     points = []
     for y, piece in deduped:
         p = math.tanh(y)
-        _check_self_consistency(p, q, par)
+        _check_self_consistency(y, q, par)
         unstable = 1.0 - (b / T) * (1.0 - p * p) < 0.0
         points.append([p, _cw_z(p, q, T, par.H_back, b), unstable, y, piece])
 
@@ -394,8 +431,9 @@ def _cw_qz(p: float, par: CurieWeissParams) -> tuple[float, float]:
     against the self-consistency equation."""
     if not -1.0 < p < 1.0:
         raise ValueError(f"magnetization must lie in (-1, 1), got {p}")
-    q = -par.b * p + par.T * math.atanh(p) - par.H_back
-    _check_self_consistency(p, q, par)
+    y = math.atanh(p)
+    q = -par.b * p + par.T * y - par.H_back
+    _check_self_consistency(y, q, par)
     return q, _cw_z(p, q, par.T, par.H_back, par.b)
 
 

@@ -908,6 +908,19 @@ class TestOtherCommands:
         middle = path_from_csv(str(tmp_path / manifest["paths"][4]["file"]))
         assert np.all(np.abs(middle.p[:, 0]) < 1e-11)
 
+    def test_isotopy_at_low_T_over_b(self, tmp_path):
+        # T/b = 2e-4: a residual in p, which multiplies p's rounding by
+        # b/T, rejected the accurate middle roots here (1.1e-10 > 1e-10)
+        code = dispatch(
+            [
+                "isotopy", "cw",
+                "--T0", "0.0002", "--T1", "0.00021", "--b", "1",
+                "--x-lo", "-0.9", "--x-hi", "0.9", "--n-x", "41", "--n-times", "11",
+                "--out-dir", str(tmp_path),
+            ]
+        )
+        assert code == 0
+
     def test_stirling(self, tmp_path, capsys):
         code = dispatch(
             [

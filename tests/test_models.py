@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from thermocontact import (
     CurieWeissParams,
     DomainError,
+    FrontFunction,
     IdealGasParams,
     constant_front,
     cw_coupling_derivatives,
@@ -35,6 +36,56 @@ def assert_front_consistent(front, lo, hi, rng, n=100, tol=1e-6):
         h = 1e-6 * max(1.0, abs(x))
         fd = (front.value(x + h) - front.value(x - h)) / (2 * h)
         assert abs(front.slope(x) - fd) <= tol * max(1.0, abs(front.slope(x)))
+
+
+_BOUNDED = (-1.0, 2.0)
+_UPPER = (-math.inf, 0.5)
+_LINE = (-math.inf, math.inf)
+
+# (domain, x, contains(x)) on a bounded domain, a half line and the line:
+# floats, ints, 0-d and 1-d arrays, both open ends, nan and +-inf
+_CONTAINS_CASES = [
+    (_BOUNDED, 0.5, True),
+    (_BOUNDED, 1, True),
+    (_BOUNDED, -1.0, False),
+    (_BOUNDED, 2, False),
+    (_BOUNDED, math.nextafter(-1.0, 0.0), True),
+    (_BOUNDED, math.nextafter(2.0, 3.0), False),
+    (_BOUNDED, np.float64(1.5), True),
+    (_BOUNDED, np.array(0.0), True),
+    (_BOUNDED, np.array(2.0), False),
+    (_BOUNDED, np.array([-0.5, 0.0, 1.9]), True),
+    (_BOUNDED, np.array([-0.5, 2.0]), False),
+    (_BOUNDED, np.array([], dtype=float), True),
+    (_BOUNDED, [0, 1], True),
+    (_BOUNDED, math.nan, False),
+    (_BOUNDED, np.array([0.0, math.nan]), False),
+    (_BOUNDED, math.inf, False),
+    (_BOUNDED, -math.inf, False),
+    (_UPPER, -1e308, True),
+    (_UPPER, 0.5, False),
+    (_UPPER, -math.inf, False),
+    (_UPPER, math.nan, False),
+    (_UPPER, np.array([-3.0, 0.25]), True),
+    (_UPPER, np.array([-math.inf, 0.25]), False),
+    (_LINE, 0, True),
+    (_LINE, 1e308, True),
+    (_LINE, math.inf, False),
+    (_LINE, -math.inf, False),
+    (_LINE, math.nan, False),
+    (_LINE, np.array(-0.0), True),
+    (_LINE, np.array([-1e308, 1e308]), True),
+    (_LINE, np.array([1.0, math.inf]), False),
+]
+
+
+@pytest.mark.parametrize("domain, x, expected", _CONTAINS_CASES)
+def test_contains_is_the_open_domain_test(domain, x, expected):
+    front = FrontFunction(f=np.asarray, fprime=np.asarray, domain=domain)
+    lo, hi = domain
+    xs = np.asarray(x, dtype=float)
+    assert bool(np.all((xs > lo) & (xs < hi))) is expected
+    assert front.contains(x) is expected
 
 
 class TestGasFront:
@@ -115,8 +166,8 @@ class TestCurieWeissPoints:
         # the isotopy passes each background as a numpy scalar
         par = CurieWeissParams(T=1.0, H_back=np.float64(0.0), b=1.0)
         with pytest.raises(RuntimeError) as info:
-            _check_self_consistency(np.float64(0.5), 0.0, par)
-        assert str(info.value).endswith("T=1.0, b=1.0, H_back=0.0, p=0.5")
+            _check_self_consistency(np.float64(0.5), 0.0, par)  # y = 0.5 is no root
+        assert str(info.value).endswith(f"T=1.0, b=1.0, H_back=0.0, p={math.tanh(0.5)!r}")
 
 
 class TestMagnetizationRoots:
@@ -161,6 +212,24 @@ class TestMagnetizationRoots:
         for r in roots:
             assert math.isfinite(r.y) and r.p == math.tanh(r.y)
             assert cw_entropy_y(r.y) > 0.0
+
+    def test_accurate_roots_pass_at_low_T_over_b(self):
+        # T/b = 2.5e-4: the middle root misses p = tanh((q + b p)/T) by
+        # 4.1e-10 because b/T multiplies p's rounding, yet it solves the
+        # equation in y, g(y) = T y - b tanh y - q, to 1e-13 of its terms
+        q, T, b = 14.991232372200589, 0.06647684522000208, 262.34576055844354
+        roots = cw_magnetization_roots(q, CurieWeissParams(T=T, b=b))
+        assert [r.stability for r in roots] == ["local_min", "unstable", "global_min"]
+        assert [r.piece for r in roots] == [-1, 0, 1]
+        middle = roots[1]
+        assert abs(middle.p - math.tanh((q + b * middle.p) / T)) > 1e-10
+
+        def g(y):
+            return T * y - b * math.tanh(y) - q
+
+        for r in roots:
+            assert abs(g(r.y)) < 1e-12 * max(T, abs(T * r.y), b, abs(q))
+            assert g(r.y - 3e-12) * g(r.y + 3e-12) < 0.0
 
     def test_asymmetric_global_minimum(self):
         # a positive field tilts the double well toward positive p
@@ -244,6 +313,21 @@ def _tanh_gap_with_clip(u, v):
 
 
 class TestTanhGap:
+    def test_arrays_leave_their_arguments_alone(self):
+        u = np.array(_CLIP_EDGES)
+        v = u[::-1].copy()
+        u0, v0 = u.copy(), v.copy()
+        _tanh_gap(u, v)
+        assert u.tobytes() == u0.tobytes() and v.tobytes() == v0.tobytes()
+
+    def test_mixed_arguments_give_the_clip_bits(self):
+        # an array with a float, and arrays of two dtypes or shapes
+        u = np.array(_CLIP_EDGES)
+        f32 = np.linspace(-40.0, 40.0, len(_CLIP_EDGES), dtype=np.float32)
+        for v in (0.75, f32, np.array([[2.0]])):
+            got, want = _tanh_gap(u, v), _tanh_gap_with_clip(u, v)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_arrays_give_the_clip_bits(self):
         u, v = (a.ravel() for a in np.meshgrid(_CLIP_EDGES, _CLIP_EDGES))
         got, want = _tanh_gap(u, v), _tanh_gap_with_clip(u, v)

@@ -223,3 +223,49 @@ def test_gated_scan_matches_loop_on_drawn_node_values(values):
     n = len(values)
     args = (constant_front(0.0, (-1.0, float(n))), _node_front(values), 0.0, n - 1.0, n)
     assert _outcome(find_chords, *args) == _outcome(loop_find_chords, *args)
+
+
+def _unmarked(front):
+    """The same front with a zero slope that find_chords cannot tell from
+    any other, so it takes the path that subtracts f0's slope."""
+    return FrontFunction(
+        f=front.f,
+        fprime=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        domain=front.domain,
+        label=front.label,
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(0.2, 3.0),  # gas t0
+    st.floats(0.1, 3.0),  # gas t1 - t0
+    st.floats(0.05, 0.95),  # gas c / (t1 - t0)
+    st.floats(-2.0, 2.0),  # magnet c
+    st.floats(0.3, 3.0),  # magnet t0
+    st.floats(0.2, 3.0),  # magnet t1 - t0
+)
+def test_constant_front_scan_matches_subtracted_zero_slope(t0, dT, frac, c_cw, t0c, dTc):
+    # the criterion-10 ranges: a constant f0's slope is skipped, an
+    # unmarked zero slope is evaluated and subtracted, with the same chords
+    c = frac * dT
+    qstar = -c * t0 / dT
+    cases = [
+        (constant_front(0.0, (-math.inf, 0.0)), difference_front("gas", t0, t0 + dT, c),
+         10 * qstar - 1.0, qstar / 10.0, 20001),
+        (constant_front(), difference_front("cw", t0c, t0c + dTc, c_cw), -40.0, 40.0, 40001),
+    ]
+    for f0, *rest in cases:
+        found = find_chords(f0, *rest)
+        assert len(found) == 1
+        assert found == find_chords(_unmarked(f0), *rest)
+
+
+@pytest.mark.parametrize("slope", [0.0, -0.0, 1.0, -2.5])
+def test_scalar_slope_matches_subtracted_zero_slope(slope):
+    # an fprime that returns one float for a block of nodes
+    f0 = constant_front()
+    f1 = FrontFunction(f=lambda x: slope * np.asarray(x, dtype=float), fprime=lambda x: slope,
+                       domain=(-math.inf, math.inf))
+    args = (f1, -1.0, 2.0, SCAN_BLOCK + 7)
+    assert _outcome(find_chords, f0, *args) == _outcome(find_chords, _unmarked(f0), *args)
