@@ -7,11 +7,12 @@ the subcommand has returned, so a run that exits non-zero writes no file.
 Identical configurations produce byte-identical output files (full double
 precision, deterministic ordering).
 
-Exit status: 0 on success, 1 on validation errors (including usage), 2 on
-numerical failures.  A JSON file passed through ``--config`` supplies
-defaults for the subcommand's flags; explicit flags win, unknown keys are
-rejected and every value passes its flag's check.  ``THERMO_OUT_DIR`` sets
-the default output directory.
+Exit status: 0 on success, 1 on validation errors (a usage error too: one
+``error:`` line, no usage block), 2 on numerical and allocation failures.
+A JSON file passed through ``--config`` supplies defaults for the
+subcommand's flags; explicit flags win, unknown keys are rejected and every
+value passes its flag's check.  ``THERMO_OUT_DIR`` sets the default output
+directory.
 """
 
 from __future__ import annotations
@@ -75,10 +76,6 @@ from .verify import run_all
 FINDER_TOL = 1e-8
 
 
-class ValidationError(ValueError):
-    """Bad configuration: reported on stderr with exit status 1."""
-
-
 @dataclass
 class Outcome:
     """A subcommand's output files (name to text), stdout and exit status."""
@@ -112,7 +109,7 @@ def _require(args: argparse.Namespace, key: str):
     """The value of --key, which a flag or a config must have given."""
     value = getattr(args, key)
     if value is None:
-        raise ValidationError(f"missing required option --{key.replace('_', '-')}")
+        raise ValueError(f"missing required option --{key.replace('_', '-')}")
     return value
 
 
@@ -122,11 +119,11 @@ def _or(value, fallback):
 
 
 def _read_checked(read: Callable[[str], Any], path: str, what: str):
-    """``read(path)``, with an unreadable file reported as a validation error."""
+    """``read(path)``; a file it cannot open or parse as JSON is an error naming it."""
     try:
         return read(path)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {what} file {path!r}: {exc}") from exc
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValueError(f"cannot read {what} {path!r}: {exc}") from exc
 
 
 def finite_float(text: str) -> float:
@@ -147,7 +144,7 @@ def _parse_floats(text: str, what: str) -> np.ndarray:
     try:
         return np.array([finite_float(x) for x in text.split(",") if x != ""])
     except ValueError as exc:
-        raise ValidationError(f"cannot parse --{what} from {text!r}: {exc}") from exc
+        raise ValueError(f"cannot parse --{what} from {text!r}: {exc}") from exc
 
 
 def _parse_indices(text: str, what: str) -> list[int]:
@@ -158,9 +155,9 @@ def _parse_indices(text: str, what: str) -> list[int]:
         try:
             idx = int(piece)
         except ValueError as exc:
-            raise ValidationError(f"cannot parse {what} from {text!r}") from exc
+            raise ValueError(f"cannot parse {what} from {text!r}") from exc
         if idx < 1:
-            raise ValidationError(f"{what} indices are 1-based, got {idx}")
+            raise ValueError(f"{what} indices are 1-based, got {idx}")
         out.append(idx - 1)
     return out
 
@@ -176,7 +173,7 @@ def _window(lo: float, hi: float, n: int, name: str) -> np.ndarray:
 def _check_rising(lo: float, hi: float, name: str) -> None:
     """A chord figure window must run up."""
     if not lo < hi:
-        raise ValidationError(f"need --{name}-lo < --{name}-hi, got the window [{lo!r}, {hi!r}]")
+        raise ValueError(f"need --{name}-lo < --{name}-hi, got the window [{lo!r}, {hi!r}]")
 
 
 def _figure_window(lo: float, hi: float, n: int, name: str) -> np.ndarray:
@@ -239,20 +236,20 @@ def _cmd_chord(args: argparse.Namespace) -> Outcome:
     """
     t0, t1, c = _require(args, "t0"), _require(args, "t1"), _require(args, "c")
     if not 0 < t0 < t1:
-        raise ValidationError("need --t1 > --t0 > 0")
+        raise ValueError("need --t1 > --t0 > 0")
     if args.grid_n < 3:
-        raise ValidationError(f"need --grid-n >= 3, got {args.grid_n}")
+        raise ValueError(f"need --grid-n >= 3, got {args.grid_n}")
     if args.grid < 2:
-        raise ValidationError(f"need --grid >= 2, got {args.grid}")
+        raise ValueError(f"need --grid >= 2, got {args.grid}")
     # the magnet-only flags are checked whatever the model
     if not args.b > 0:
-        raise ValidationError(f"need --b > 0, got {args.b!r}")
+        raise ValueError(f"need --b > 0, got {args.b!r}")
     if args.span is not None and not args.span > 0:
-        raise ValidationError(f"need --span > 0, got {args.span!r}")
+        raise ValueError(f"need --span > 0, got {args.span!r}")
     _check_rising(args.p_lo, args.p_hi, "p")
     if args.model == "gas":
         if not c > 0:
-            raise ValidationError("the gas jump needs --c > 0")
+            raise ValueError("the gas jump needs --c > 0")
         closed = gas_chord(t0, t1, c)
         f1 = difference_front("gas", t0, t1, c)
         lo = 10.0 * closed.q - 1.0
@@ -304,13 +301,13 @@ def _cmd_chord(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_gibbs(args: argparse.Namespace) -> Outcome:
-    sp, h = _read_checked(ms.load_system, _require(args, "system"), "system")
+    sp, h = _read_checked(ms.load_system, _require(args, "system"), "system file")
     T = _require(args, "T")
     if not T > 0:
-        raise ValidationError("need --T > 0")
+        raise ValueError("need --T > 0")
     q = _parse_floats(_require(args, "q"), "q")
     if q.size != h.n:
-        raise ValidationError(f"q has length {q.size}, the system expects {h.n}")
+        raise ValueError(f"q has length {q.size}, the system expects {h.n}")
     res = ms.gibbs(sp, h, T, q)
     z, S, p = ms.lift_to_extended(sp, h, T, q, res.rho_g)
     point = {"log_z": res.log_z, "z": z, "S": S, "T": T, "p": p.tolist(), "q": q.tolist()}
@@ -324,20 +321,20 @@ def _cmd_gibbs(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_relax(args: argparse.Namespace) -> Outcome:
-    sp, h = _read_checked(ms.load_system, _require(args, "system"), "system")
+    sp, h = _read_checked(ms.load_system, _require(args, "system"), "system file")
     q = _parse_floats(_require(args, "q"), "q")
     if q.size != h.n:
-        raise ValidationError(f"q has length {q.size}, the system expects {h.n}")
+        raise ValueError(f"q has length {q.size}, the system expects {h.n}")
     T0 = _require(args, "T0")
     T1, ramp = _or(args.T1, T0), args.ramp
     if not (T0 > 0 and T1 >= T0 and ramp >= 0 and args.t_end > 0 and args.dt0 > 0):
-        raise ValidationError("need --T0 > 0, --T1 >= --T0, --ramp >= 0, --t-end > 0, --dt0 > 0")
+        raise ValueError("need --T0 > 0, --T1 >= --T0, --ramp >= 0, --t-end > 0, --dt0 > 0")
     if args.rho0 == "uniform":
         rho0 = ms.uniform_density(sp)
     else:
-        densities = _read_checked(ms.densities_from_csv, args.rho0, "input")
+        densities = _read_checked(ms.densities_from_csv, args.rho0, "input file")
         if not len(densities):
-            raise ValidationError(f"no density rows in {args.rho0!r}")
+            raise ValueError(f"no density rows in {args.rho0!r}")
         rho0 = densities[0]
 
     def T_of_t(t):
@@ -375,10 +372,10 @@ def _cmd_relax(args: argparse.Namespace) -> Outcome:
 def _cmd_isotopy(args: argparse.Namespace) -> Outcome:
     T0, T1 = _require(args, "T0"), _require(args, "T1")
     if not (T0 > 0 and T1 > 0 and args.n_times >= 2):
-        raise ValidationError("need positive temperatures and --n-times >= 2")
+        raise ValueError("need positive temperatures and --n-times >= 2")
     x_lo, x_hi = _require(args, "x_lo"), _require(args, "x_hi")
     if not (x_lo <= x_hi and args.n_x >= 1):
-        raise ValidationError("need --x-lo <= --x-hi and --n-x >= 1")
+        raise ValueError("need --x-lo <= --x-hi and --n-x >= 1")
     sched = Schedule.linear(args.n_times, T0, T1, args.bg0, args.bg1)
     x_grid = _window(x_lo, x_hi, args.n_x, "x")
     trace = run_slow_isotopy(args.model, sched, x_grid, b=args.b, slack=args.slack)
@@ -413,7 +410,7 @@ def _cmd_stirling(args: argparse.Namespace) -> Outcome:
     t_cold, t_hot = _require(args, "t_cold"), _require(args, "t_hot")
     v_min, v_max = _require(args, "v_min"), _require(args, "v_max")
     if not (0 < t_cold < t_hot and 0 < v_min < v_max):
-        raise ValidationError("need --t-hot > --t-cold > 0 and --v-max > --v-min > 0")
+        raise ValueError("need --t-hot > --t-cold > 0 and --v-max > --v-min > 0")
     trace = stirling_cycle(t_cold, t_hot, v_min, v_max, args.n_samples)
     files, segments = {}, []
     for seg in trace.segments:
@@ -448,9 +445,9 @@ def _cmd_stirling(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> Outcome:
-    path = _read_checked(path_from_csv, _require(args, "input"), "input")
+    path = _read_checked(path_from_csv, _require(args, "input"), "input file")
     if path.kind != "extended":
-        raise ValidationError("reduce expects an extended path CSV")
+        raise ValueError("reduce expects an extended path CSV")
     k = _require(args, "k")
     frozen: dict[int, float | None] = {}
     for piece in args.frozen.split(","):
@@ -459,12 +456,12 @@ def _cmd_reduce(args: argparse.Namespace) -> Outcome:
         if "=" in piece:
             idx, _, val = piece.partition("=")
             if not idx:
-                raise ValidationError(f"--frozen pin {piece!r} has no index")
+                raise ValueError(f"--frozen pin {piece!r} has no index")
             i = _parse_indices(idx, "frozen")[0]
             try:
                 frozen[i] = finite_float(val)
             except ValueError as exc:
-                raise ValidationError(f"cannot parse --frozen pin {piece!r}: {exc}") from exc
+                raise ValueError(f"cannot parse --frozen pin {piece!r}: {exc}") from exc
         else:
             frozen[_parse_indices(piece, "frozen")[0]] = None
     zeroed = tuple(_parse_indices(args.zeroed, "zeroed"))
@@ -492,10 +489,16 @@ def _cmd_verify(args: argparse.Namespace) -> Outcome:
     return Outcome({}, "\n".join(lines), 2 if failed else 0)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """A usage error leaves through dispatch as one ``error:`` line."""
+        raise ValueError(message)
+
+
 # built once per process: parsing reads the parser and never changes it
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="thermocontact",
         description="Equilibrium fronts, path admissibility, Reeb chords and "
         "relaxation flows of finite thermodynamic systems.",
@@ -614,7 +617,7 @@ def _check_text_value(key: str, value):
         want = "a string or a number"
     else:
         want = "a string"
-    raise ValidationError(f"config key {key!r} must be {want}, got {value!r}")
+    raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
 
 
 def _config_value(key: str, value, flag: argparse.Action):
@@ -627,12 +630,12 @@ def _config_value(key: str, value, flag: argparse.Action):
         try:
             return flag.type(str(value))
         except ValueError as exc:
-            raise ValidationError(
+            raise ValueError(
                 f"config key {key!r}: invalid {flag.type.__name__} value {value!r}"
             ) from exc
     value = _check_text_value(key, value)
     if flag.choices is not None and value not in flag.choices:
-        raise ValidationError(
+        raise ValueError(
             f"config key {key!r}: invalid choice {value!r} (choose from {sorted(flag.choices)})"
         )
     return value
@@ -651,19 +654,15 @@ def _with_config(
     sets no default over a value: a given flag wins over its config value,
     which wins over the flag's default.
     """
-    try:
-        with open(args.config) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read config {args.config!r}: {exc}") from exc
+    doc = _read_checked(lambda path: json.loads(Path(path).read_text()), args.config, "config")
     if not isinstance(doc, dict):
-        raise ValidationError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     command = sub.choices[args.command]
     flags = {a.dest: a for a in command._actions if a.option_strings}
     unknown = set(doc) - (set(flags) - {"help", "config"})
     if unknown:
-        raise ValidationError(f"unknown config keys for {args.command!r}: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys for {args.command!r}: {sorted(unknown)}")
     given = {key: value for key, value in doc.items() if value is not None}
     given = {key: _config_value(key, value, flags[key]) for key, value in given.items()}
     # the first parse accepted argv, so argv[0] is the command
@@ -685,13 +684,13 @@ def dispatch(argv: list[str]) -> int:
         outcome = args.run(args)
         for name, text in outcome.files.items():
             (out_dir / name).write_text(text, newline="")
-    except SystemExit as exc:
-        # argparse exits after --help (0) and after printing a usage error
-        return 0 if exc.code == 0 else 1
+    except SystemExit:
+        # argparse exits with 0 after printing --help
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RuntimeError, ArithmeticError, OSError) as exc:
+    except (RuntimeError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 2
     print(outcome.stdout)

@@ -333,11 +333,12 @@ def fokker_planck_relax(
     accepted steps to reach t_end raises IntegrationError.  The run ends
     once t is within ``T_END_RTOL * t_end`` of t_end.  The temperature
     schedule must be positive and non-decreasing (a drop of at most
-    ``SCHEDULE_DROP_TOL`` between steps is let pass); the intensive
-    variables q stay fixed.  The trace carries the reduced (z, p, q) path,
-    per-step contact-form estimates (z difference quotients, q being
-    constant) and the free-energy values.  Raises FloatingPointError,
-    naming T and q, when doubles cannot hold G or its gradient.
+    ``SCHEDULE_DROP_TOL`` between steps is let pass), checked at every
+    node, the last one included; the intensive variables q stay fixed.  The
+    trace carries the reduced (z, p, q) path, per-step contact-form
+    estimates (z difference quotients, q being constant) and the free-energy
+    values.  Raises FloatingPointError, naming T and q, when doubles cannot
+    hold G or its gradient.
     """
     q = np.asarray(q, dtype=float).reshape(-1)
     if not dt0 > 0:
@@ -365,26 +366,18 @@ def fokker_planck_relax(
     t = 0.0
     # never written in place: each accepted step binds a fresh trial array
     rho = rho0
-    T = float(T_of_t(0.0))
-    if not T > 0:
-        raise ValueError("temperature schedule must be positive")
     # ln rho, and a and b of G(T, rho) = T * a + b
     log_rho = log(rho)
     a, b = float(dot(w, rho * log_rho)), float(dot(w_energies, rho))
 
     ts = [0.0]
     rhos = [rho]
-    temps = [T]
-    last_T = T
+    temps = [float(T_of_t(0.0))]
+    last_T = temps[0]
     dt = min(dt0, t_end)
     t_stop = t_end - T_END_RTOL * t_end
-    while t < t_stop:
-        if len(ts) > max_steps:
-            raise IntegrationError(
-                f"more than {max_steps} steps to reach t_end = {float(t_end)!r}: "
-                f"at t={t:.6g} the step is dt={dt:.3e}"
-            )
-        # T_of_t(t), taken when t was reached
+    while True:
+        # T_of_t(t), taken when t was reached; the last node is checked too
         T = temps[-1]
         if not T > 0:
             raise ValueError(f"temperature schedule must be positive at t={t:.6g}")
@@ -393,6 +386,13 @@ def fokker_planck_relax(
                 f"temperature schedule must be non-decreasing (drops at t={t:.6g})"
             )
         last_T = T
+        if t >= t_stop:
+            break
+        if len(ts) > max_steps:
+            raise IntegrationError(
+                f"more than {max_steps} steps to reach t_end = {float(t_end)!r}: "
+                f"at t={t:.6g} the step is dt={dt:.3e}"
+            )
         g = T * (1.0 + log_rho) + energies
         g_mean = float(dot(w, g)) / w_total
         g = g - g_mean

@@ -370,3 +370,8 @@ class TestSerialization:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "q,p,z_start,z_end,length,direction,tangential"
         assert len(lines) == 3
+
+    def test_csv_of_no_chords_is_the_header(self):
+        buf = io.StringIO()
+        chords_to_csv([], buf)
+        assert buf.getvalue() == "q,p,z_start,z_end,length,direction,tangential\n"

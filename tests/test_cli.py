@@ -686,6 +686,85 @@ class TestOverflow:
         assert not any(out.iterdir())
 
 
+# 10^15 doubles: 7.11 PiB, more than any address space, so nothing is allocated
+_HUGE = "1000000000000000"
+_ISOTOPY = ["isotopy", "gas", "--T0", "1", "--T1", "5", "--x-lo", "-2.5", "--x-hi", "-0.5"]
+
+
+class TestOneExitPath:
+    """Every failing run leaves through ``dispatch``: one ``error:`` or
+    ``failure:`` line on stderr, nothing on stdout, no file, no usage block
+    and no traceback."""
+
+    def _one_line(self, tmp_path, capsys, argv, code) -> str:
+        out = tmp_path / "out"
+        assert dispatch([*argv, "--out-dir", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert not out.exists() or not any(out.iterdir())
+        err = captured.err.splitlines()
+        assert len(err) == 1, err
+        return err[0]
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            # usage errors
+            (["chord", "gas", "--t0", "nan"],
+             "error: argument --t0: invalid finite float value: 'nan'"),
+            (["chord"], "error: the following arguments are required: model"),
+            (["gibbs", "--bogus", "1"], "error: unrecognized arguments: --bogus 1"),
+            # checks of the subcommands and of --config
+            (["reduce", "--input", "{ext}", "--k", "1", "--zeroed", "0"],
+             "error: zeroed indices are 1-based, got 0"),
+            (["reduce", "--input", "{ext}", "--k", "1", "--zeroed", "x"],
+             "error: cannot parse zeroed from 'x'"),
+            (["reduce", "--input", "{ext}", "--k", "1", "--frozen", "0=1"],
+             "error: frozen indices are 1-based, got 0"),
+            (["chord", "gas", "--t0", "1", "--t1", "5", "--c", "0"],
+             "error: the gas jump needs --c > 0"),
+            (["relax", "--system", "{system}", "--q", "0.3,0.4", "--T0", "1"],
+             "error: q has length 2, the system expects 1"),
+            (["relax", "--system", "{system}", "--q", "0.3", "--T0", "1", "--ramp", "-1"],
+             "error: need --T0 > 0, --T1 >= --T0, --ramp >= 0, --t-end > 0, --dt0 > 0"),
+            ([*_ISOTOPY[:6], "--x-lo", "-0.5", "--x-hi", "-2.5"],
+             "error: need --x-lo <= --x-hi and --n-x >= 1"),
+            (["relax", "--system", "{empty}", "--q", "0.3", "--T0", "1"],
+             "error: cannot read system file '{empty}': Expecting value: line 1 column 1 (char 0)"),
+            (["relax", "--config", "{missing}"],
+             "error: cannot read config '{missing}': "
+             "[Errno 2] No such file or directory: '{missing}'"),
+            (["relax", "--config", "{dir}"],
+             "error: cannot read config '{dir}': [Errno 21] Is a directory: '{dir}'"),
+        ],
+    )
+    def test_rejected_run_prints_its_line(self, tmp_path, system_file, capsys, argv, line):
+        (tmp_path / "empty.json").write_text("")
+        names = {
+            "ext": _extended_csv(tmp_path),
+            "system": system_file,
+            "empty": tmp_path / "empty.json",
+            "missing": tmp_path / "missing.json",
+            "dir": tmp_path,
+        }
+        argv = [a.format(**names) for a in argv]
+        assert self._one_line(tmp_path, capsys, argv, 1) == line.format(**names)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chord", "cw", "--t0", "2", "--t1", "3", "--c", "1", "--grid", _HUGE],
+            [*_ISOTOPY, "--n-x", _HUGE],
+            [*_ISOTOPY, "--n-times", _HUGE],
+            ["stirling", "--t-cold", "1", "--t-hot", "5", "--v-min", "1.5", "--v-max", "2",
+             "--n-samples", _HUGE],
+        ],
+    )
+    def test_allocation_failure_exits_2(self, tmp_path, capsys, argv):
+        line = self._one_line(tmp_path, capsys, argv, 2)
+        assert line.startswith("failure: Unable to allocate ")
+
+
 class TestOtherCommands:
     def test_gibbs(self, tmp_path, system_file, capsys):
         code = dispatch(

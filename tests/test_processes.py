@@ -345,6 +345,17 @@ class TestFokkerPlanck:
                 sp, h, [0.0], lambda t: 2.0 - t, uniform_density(sp), 0.05, 5.0
             )
 
+    def test_drop_at_the_last_node_rejected(self):
+        # the run ends at t = 1, where the schedule has dropped to 0.5
+        sp = unit_space(2)
+        h = AffineHamiltonian([0.0, 1.0], np.zeros((1, 2)))
+
+        def T_of_t(t):
+            return 1.0 if t < 0.999 else 0.5
+
+        with pytest.raises(ValueError, match=r"non-decreasing \(drops at t=1\)"):
+            fokker_planck_relax(sp, h, [0.2], T_of_t, uniform_density(sp), 0.01, 1.0)
+
     def test_initial_density_must_be_positive(self):
         sp = unit_space(2)
         h = AffineHamiltonian([0.0, 1.0], np.zeros((1, 2)))
@@ -407,6 +418,13 @@ class TestStirlingCycle:
         assert cooling.chord is not None
         assert abs(cooling.chord.length - 4 * math.log(1.5)) < 1e-12
         assert cooling.form_sign == "negative"
+
+    def test_cooling_corner_at_one_over_e_has_no_sign(self):
+        # the corner's form increment (T_C - T_H)(ln v + 1) vanishes at v = 1/e
+        trace = stirling_cycle(1.0, 5.0, math.exp(-1.0), 2.0)
+        cooling = trace.segments[1]
+        assert cooling.name == "cooling_corner"
+        assert cooling.form_sign == "zero"
 
     def test_cycle_closes_and_free_energy_balances(self):
         for args in ((1.0, 5.0, 1.5, 2.0), (0.7, 2.9, 1.2, 6.0)):
