@@ -3,7 +3,8 @@
 Subcommands: gibbs, chord, relax, isotopy, stirling, reduce, verify.
 Each subcommand computes everything first and returns an :class:`Outcome`
 holding the text of its files; :func:`dispatch` alone writes them, after
-the subcommand has returned, so a run that exits non-zero writes no file.
+the subcommand has returned, all of them or none, so a run that exits
+non-zero creates no directory and leaves no file, even when a write fails.
 Identical configurations produce byte-identical output files (full double
 precision, deterministic ordering).
 
@@ -18,6 +19,8 @@ directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import functools
 import io
 import json
@@ -119,10 +122,11 @@ def _or(value, fallback):
 
 
 def _read_checked(read: Callable[[str], Any], path: str, what: str):
-    """``read(path)``; a file it cannot open or parse as JSON is an error naming it."""
+    """``read(path)``; a file it cannot open, decode as UTF-8 or parse as JSON
+    is an error naming it."""
     try:
         return read(path)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read {what} {path!r}: {exc}") from exc
 
 
@@ -669,10 +673,41 @@ def _with_config(
     return command.parse_args(argv[1:], argparse.Namespace(command=args.command, **given))
 
 
+def _write(out_dir: Path, files: dict[str, str]) -> None:
+    """Write every file into out_dir, making it as needed, or leave nothing.
+
+    Each text is written to a temporary name in out_dir, and the files are
+    renamed into place once all of them are written.  On any failure the
+    temporary files and the directories made here are removed."""
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    staged: dict[Path, Path] = {}
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            tmp = out_dir / f".{name}.{os.getpid()}.tmp"
+            staged[tmp] = out_dir / name
+            tmp.write_text(text, newline="")
+        for final in staged.values():
+            # a rename onto a directory fails; find it before any rename
+            if final.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(final))
+        for tmp, final in staged.items():
+            tmp.replace(final)
+    except BaseException:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
+        for d in made:
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
+
+
 def dispatch(argv: list[str]) -> int:
     """Parse argv, run the subcommand, write its files and print its stdout;
-    return the exit status.  No file is written before the subcommand has
-    returned, so a run that ends in an error or a failure writes none."""
+    return the exit status.  The output directory and files are made only
+    after the subcommand has returned, and all of them or none, so a run
+    that ends in an error or a failure makes no directory and leaves no
+    file."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -680,10 +715,9 @@ def dispatch(argv: list[str]) -> int:
             args = _with_config(args, argv, parser)
         # the parser is built once, so the environment is read on each run
         out_dir = Path(args.out_dir or os.environ.get("THERMO_OUT_DIR", "."))
-        out_dir.mkdir(parents=True, exist_ok=True)
         outcome = args.run(args)
-        for name, text in outcome.files.items():
-            (out_dir / name).write_text(text, newline="")
+        if outcome.status == 0:
+            _write(out_dir, outcome.files)
     except SystemExit:
         # argparse exits with 0 after printing --help
         return 0

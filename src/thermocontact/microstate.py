@@ -311,16 +311,23 @@ def load_system(source) -> tuple[MicrostateSpace, AffineHamiltonian]:
 
     Accepts a dict, a path, or an open file.  Schema:
     {"labels": [...], "weights": [...], "v_int": [...], "v_bar": [[...]]}.
+    Raises ValueError for a document that is not an object, lacks a key or
+    holds a key whose value is not a list.
     """
     if isinstance(source, dict):
         doc = source
     else:
         with _opened(source) as fh:
             doc = json.load(fh)
-    required = {"labels", "weights", "v_int", "v_bar"}
-    missing = required - set(doc)
+    if not isinstance(doc, dict):
+        raise ValueError("a system document must be a JSON object")
+    required = ("labels", "weights", "v_int", "v_bar")
+    missing = set(required) - set(doc)
     if missing:
         raise ValueError(f"system document is missing keys: {sorted(missing)}")
+    for key in required:
+        if not isinstance(doc[key], list):
+            raise ValueError(f"system key {key!r} must be a JSON list")
     sp = MicrostateSpace(tuple(doc["labels"]), doc["weights"])
     h = AffineHamiltonian(doc["v_int"], doc["v_bar"])
     if h.m != sp.m:

@@ -4,10 +4,16 @@ Each criterion is a deterministic self-check of one analytic contract of
 the toolkit, computed at pinned tolerances; ``run_all`` executes them in
 order and reports one result per criterion.  The CLI ``verify`` subcommand
 and the test suite both run this module.
+
+A criterion returns ``(passed, detail)`` and is registered under its name
+by the :func:`criterion` decorator, which appends to ``CRITERIA``, in the
+order of definition, a callable that returns the one :class:`CriterionResult`
+numbered by its 1-based place there.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -15,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import microstate as ms
-from .chords import cw_chord, find_chords, gas_chord
+from .chords import Chord, cw_chord, find_chords, gas_chord
 from .models import (
     CurieWeissParams,
     constant_front,
@@ -34,12 +40,13 @@ from .models import (
     select_equilibrium,
 )
 from .phase_space import (
+    DEFAULT_SLACK,
     ReductionSpec,
     SampledPath,
     check_path_nonnegative,
     reduce,
 )
-from .processes import Schedule, fokker_planck_relax, run_slow_isotopy
+from .processes import LYAPUNOV_TOL, Schedule, fokker_planck_relax, run_slow_isotopy
 
 LN2 = math.log(2.0)
 
@@ -56,6 +63,34 @@ class CriterionResult:
         return f"{tag} criterion {self.index:2d} [{self.name}]: {self.detail}"
 
 
+CRITERIA: list[Callable[[], CriterionResult]] = []
+
+
+def criterion(name: str):
+    """Register the decorated ``() -> (passed, detail)`` check as the next
+    criterion, reported as ``name``."""
+
+    def register(check: Callable[[], tuple[bool, str]]) -> Callable[[], CriterionResult]:
+        index = len(CRITERIA) + 1
+
+        @functools.wraps(check)
+        def run() -> CriterionResult:
+            return CriterionResult(index, name, *check())
+
+        CRITERIA.append(run)
+        return run
+
+    return register
+
+
+def _finder_errors(found: list[Chord], q: float, length: float) -> tuple[float, float]:
+    """|dq| and |dlength| of the finder's chord from the closed form's q and
+    length; both are inf unless the finder found exactly one chord."""
+    if len(found) != 1:
+        return math.inf, math.inf
+    return abs(found[0].q - q), abs(found[0].length - length)
+
+
 def _random_system(rng, m_max=64, n_max=3, weight_lo=0.5, weight_hi=2.0, scale=1.0):
     m = int(rng.integers(2, m_max + 1))
     n = int(rng.integers(1, n_max + 1))
@@ -68,7 +103,8 @@ def _random_system(rng, m_max=64, n_max=3, weight_lo=0.5, weight_hi=2.0, scale=1
     return sp, h
 
 
-def criterion_1() -> CriterionResult:
+@criterion("gas chord")
+def criterion_1() -> tuple[bool, str]:
     """Gas chord closed form and generic-finder agreement."""
     ch = gas_chord(1.0, 5.0, 2.0)
     exact = ch.p == 2.0 and -ch.q == 0.5
@@ -76,19 +112,16 @@ def criterion_1() -> CriterionResult:
     f0 = constant_front(0.0, (-math.inf, 0.0))
     f1 = difference_front("gas", 1.0, 5.0, 2.0)
     found = find_chords(f0, f1, -6.0, -0.01, grid_n=20001)
-    pos_err = abs(found[0].q + 0.5) if len(found) == 1 else math.inf
-    finder_len_err = abs(found[0].length - 4 * LN2) if len(found) == 1 else math.inf
+    pos_err, finder_len_err = _finder_errors(found, -0.5, 4 * LN2)
     ok = exact and len_err <= 1e-12 and pos_err <= 1e-8 and finder_len_err <= 1e-12
-    return CriterionResult(
-        1,
-        "gas chord",
-        ok,
+    return ok, (
         f"P0={-ch.q:g} v={ch.p:g} |len-4ln2|={len_err:.2e} "
-        f"finder |q+0.5|={pos_err:.2e} |len-4ln2|={finder_len_err:.2e}",
+        f"finder |q+0.5|={pos_err:.2e} |len-4ln2|={finder_len_err:.2e}"
     )
 
 
-def criterion_2() -> CriterionResult:
+@criterion("magnet chord")
+def criterion_2() -> tuple[bool, str]:
     """Magnet chord closed form, finder maximum and front asymptotes."""
     t0, t1, c, b = 2.0, 10.0 / 3.0, 1.0, 1.0
     ch = cw_chord(t0, t1, c, b)
@@ -96,8 +129,7 @@ def criterion_2() -> CriterionResult:
     qstar_err = abs((ch.q + b * ch.p) - 1.5)
     f1 = difference_front("cw", t0, t1, c)
     found = find_chords(constant_front(), f1, -30.0, 30.0, grid_n=20001)
-    finder_pos_err = abs(found[0].q - 1.5) if len(found) == 1 else math.inf
-    finder_len_err = abs(found[0].length - ch.length) if len(found) == 1 else math.inf
+    finder_pos_err, finder_len_err = _finder_errors(found, 1.5, ch.length)
     asym = max(abs(f1.value(50.0) - c), abs(f1.value(-50.0) + c))
     ok = (
         p_err <= 1e-8
@@ -106,16 +138,14 @@ def criterion_2() -> CriterionResult:
         and finder_len_err <= 1e-8
         and asym <= 1e-6
     )
-    return CriterionResult(
-        2,
-        "magnet chord",
-        ok,
+    return ok, (
         f"|p-tanh(3/4)|={p_err:.2e} |Q*-1.5|={qstar_err:.2e} "
-        f"finder dq={finder_pos_err:.2e} dlen={finder_len_err:.2e} asym={asym:.2e}",
+        f"finder dq={finder_pos_err:.2e} dlen={finder_len_err:.2e} asym={asym:.2e}"
     )
 
 
-def criterion_3() -> CriterionResult:
+@criterion("thermodynamic identities")
+def criterion_3() -> tuple[bool, str]:
     """Entropy and pressures as minus the T/q derivatives of minimized G."""
     rng = np.random.default_rng(301)
     step = 1e-5
@@ -139,15 +169,11 @@ def criterion_3() -> CriterionResult:
             dGdq = (g_star(T, q + e) - g_star(T, q - e)) / (2 * step)
             worst_p = max(worst_p, abs(p_val[j] + dGdq))
     ok = worst_s < 1e-6 and worst_p < 1e-6
-    return CriterionResult(
-        3,
-        "thermodynamic identities",
-        ok,
-        f"max|S+dG/dT|={worst_s:.2e} max|p+dG/dq|={worst_p:.2e} over 100 systems",
-    )
+    return ok, f"max|S+dG/dT|={worst_s:.2e} max|p+dG/dq|={worst_p:.2e} over 100 systems"
 
 
-def criterion_4() -> CriterionResult:
+@criterion("Gibbs minimality")
+def criterion_4() -> tuple[bool, str]:
     """Gibbs density minimizes G; its variational derivative is flat."""
     rng = np.random.default_rng(401)
     worst_gap = -math.inf
@@ -167,12 +193,9 @@ def criterion_4() -> CriterionResult:
         grad = T * (1.0 + np.log(res.rho_g)) + energies
         worst_spread = max(worst_spread, float(grad.max() - grad.min()))
     ok = worst_gap <= 1e-12 and worst_spread < 1e-9
-    return CriterionResult(
-        4,
-        "Gibbs minimality",
-        ok,
+    return ok, (
         f"max(G_min-G_rand)={worst_gap:.2e} grad spread={worst_spread:.2e} "
-        "(10 systems x 1000 densities)",
+        "(10 systems x 1000 densities)"
     )
 
 
@@ -196,7 +219,8 @@ def _smooth_eval(cf, t):
     )
 
 
-def criterion_5() -> CriterionResult:
+@criterion("barred form preservation")
+def criterion_5() -> tuple[bool, str]:
     """Barred maps preserve the reduced form and flatten the reference family."""
     rng = np.random.default_rng(501)
     t = np.linspace(0.0, 1.0, 50001)
@@ -241,12 +265,9 @@ def criterion_5() -> CriterionResult:
         float(np.abs(np.subtract(back, gas)).max()), float(np.abs(np.subtract(back2, cw)).max())
     )
     ok = worst_form < 1e-8 and worst_zero < 1e-10 and worst_rt < 1e-12
-    return CriterionResult(
-        5,
-        "barred form preservation",
-        ok,
+    return ok, (
         f"form residual={worst_form:.2e} zero-section={worst_zero:.2e} "
-        f"round-trip={worst_rt:.2e}",
+        f"round-trip={worst_rt:.2e}"
     )
 
 
@@ -267,7 +288,8 @@ def criterion_6_runs():
         yield sp, h, q, fokker_planck_relax(sp, h, q, T_of_t, rho0, 0.01, 12.0)
 
 
-def criterion_6() -> CriterionResult:
+@criterion("relaxation contract")
+def criterion_6() -> tuple[bool, str]:
     """Relaxation contract: mass, Lyapunov, form sign, terminal Gibbs."""
     worst_mass = worst_lyap = worst_form = worst_tv = 0.0
     for sp, h, q, trace in criterion_6_runs():
@@ -287,16 +309,13 @@ def criterion_6() -> CriterionResult:
         worst_tv = max(worst_tv, ms.total_variation(sp, trace.densities[-1], terminal))
     ok = (
         worst_mass <= 1e-10
-        and worst_lyap <= 1e-12
+        and worst_lyap <= LYAPUNOV_TOL
         and worst_form <= 1e-8
         and worst_tv < 1e-6
     )
-    return CriterionResult(
-        6,
-        "relaxation contract",
-        ok,
+    return ok, (
         f"mass={worst_mass:.2e} lyapunov={worst_lyap:.2e} "
-        f"-min(form)={worst_form:.2e} terminal TV={worst_tv:.2e} (50 runs)",
+        f"-min(form)={worst_form:.2e} terminal TV={worst_tv:.2e} (50 runs)"
     )
 
 
@@ -365,23 +384,20 @@ def criterion_7_draws():
         yield SampledPath(t, z, p.T, q.T, S, T), spec
 
 
-def criterion_7() -> CriterionResult:
+@criterion("reduction soundness")
+def criterion_7() -> tuple[bool, str]:
     """Admissible extended paths project to non-negative reduced paths."""
     worst = math.inf
     all_ok = True
     for path, spec in criterion_7_draws():
-        rep = check_path_nonnegative(reduce(path, spec), slack=1e-9)
+        rep = check_path_nonnegative(reduce(path, spec), slack=DEFAULT_SLACK)
         worst = min(worst, rep.min_form_value)
         all_ok = all_ok and rep.verdict == "nonnegative"
-    return CriterionResult(
-        7,
-        "reduction soundness",
-        all_ok,
-        f"min reduced form value={worst:.3e} over 1000 admissible paths",
-    )
+    return all_ok, f"min reduced form value={worst:.3e} over 1000 admissible paths"
 
 
-def criterion_8() -> CriterionResult:
+@criterion("slow-process fixed point")
+def criterion_8() -> tuple[bool, str]:
     """The scheduled gas family funnels through the chord point."""
     sched = Schedule.linear(101, 1.0, 5.0, 0.0, 2.0)
     x_grid = np.linspace(-2.5, -0.5, 9)
@@ -398,16 +414,14 @@ def criterion_8() -> CriterionResult:
     )
     z_err = float(np.abs(chord_path.z - (1.0 + 4.0 * sched.times) * LN2).max())
     ok = slice_err <= 1e-9 and pq_err <= 1e-9 and z_err <= 1e-10
-    return CriterionResult(
-        8,
-        "slow-process fixed point",
-        ok,
+    return ok, (
         f"slice residual={slice_err:.2e} chord-path (p,q) err={pq_err:.2e} "
-        f"z(t)-(1+4t)ln2={z_err:.2e}",
+        f"z(t)-(1+4t)ln2={z_err:.2e}"
     )
 
 
-def criterion_9() -> CriterionResult:
+@criterion("monotonicity")
+def criterion_9() -> tuple[bool, str]:
     """Monotonicity: dz/dT > 0 matches finite differences; dz/db = p^2/2."""
     A_grid = np.linspace(-30.0, 30.0, 100)
     T_grid = np.linspace(0.2, 5.0, 100)
@@ -442,81 +456,48 @@ def criterion_9() -> CriterionResult:
             dz_db, db_dp = cw_coupling_derivatives(float(p), 1.0, q)
             min_deriv = min(min_deriv, dz_db, db_dp)
     ok = min_val > 0 and worst_fd < 1e-6 and worst_db < 1e-5 and min_deriv > 0
-    return CriterionResult(
-        9,
-        "monotonicity",
-        ok,
+    return ok, (
         f"min dz/dT={min_val:.2e} FD mismatch={worst_fd:.2e} "
-        f"|dz/db - p^2/2|={worst_db:.2e} min coupling deriv={min_deriv:.2e}",
+        f"|dz/db - p^2/2|={worst_db:.2e} min coupling deriv={min_deriv:.2e}"
     )
 
 
-def criterion_10() -> CriterionResult:
-    """Temperature-raising pairs always expose an upward chord."""
+def criterion_10_draws():
+    """The 200 pairs of criterion 10, a gas then a magnet pair per draw:
+    yields (model, t0, t1, c, the closed-form chord's Q* and length, and the
+    find_chords arguments)."""
     rng = np.random.default_rng(1001)
-    all_ok = True
-    detail = ""
     for _ in range(100):
         t0 = float(rng.uniform(0.2, 3.0))
         dT = float(rng.uniform(0.1, 3.0))
         t1 = t0 + dT
         c = float(rng.uniform(0.05, 0.95)) * dT
-        f1 = difference_front("gas", t0, t1, c)
-        qstar = -c * t0 / dT
-        found = find_chords(
-            constant_front(0.0, (-math.inf, 0.0)),
-            f1,
-            10 * qstar - 1.0,
-            qstar / 10.0,
-            grid_n=20001,
-        )
         closed = gas_chord(t0, t1, c)
-        ok = (
-            len(found) == 1
-            and found[0].direction == 1
-            and abs(found[0].q - closed.q) <= 1e-8
-            and abs(found[0].length - closed.length) <= 1e-8
-        )
-        if not ok and not detail:
-            detail = f"gas draw failed at t0={t0:.3g}, t1={t1:.3g}, c={c:.3g}"
-        all_ok = all_ok and ok
+        qstar = -c * t0 / dT
+        scan = (constant_front(0.0, (-math.inf, 0.0)), difference_front("gas", t0, t1, c),
+                10 * qstar - 1.0, qstar / 10.0, 20001)
+        yield "gas", t0, t1, c, closed.q, closed.length, scan
 
         b = float(rng.uniform(0.2, 3.0))
-        c_cw = float(rng.uniform(-2.0, 2.0))
-        t0c = float(rng.uniform(0.3, 3.0))
-        t1c = t0c + float(rng.uniform(0.2, 3.0))
-        f1c = difference_front("cw", t0c, t1c, c_cw)
-        foundc = find_chords(constant_front(), f1c, -40.0, 40.0, grid_n=40001)
-        closedc = cw_chord(t0c, t1c, c_cw, b)
-        okc = (
-            len(foundc) == 1
-            and foundc[0].direction == 1
-            and abs(foundc[0].q - (closedc.q + b * closedc.p)) <= 1e-8
-            and abs(foundc[0].length - closedc.length) <= 1e-8
-        )
-        if not okc and not detail:
-            detail = f"cw draw failed at t0={t0c:.3g}, t1={t1c:.3g}, c={c_cw:.3g}"
-        all_ok = all_ok and okc
-    return CriterionResult(
-        10,
-        "upward chord existence",
-        all_ok,
-        detail or "100 random draws per model: unique chord, direction +1",
-    )
+        c = float(rng.uniform(-2.0, 2.0))
+        t0 = float(rng.uniform(0.3, 3.0))
+        t1 = t0 + float(rng.uniform(0.2, 3.0))
+        closed = cw_chord(t0, t1, c, b)
+        scan = constant_front(), difference_front("cw", t0, t1, c), -40.0, 40.0, 40001
+        yield "cw", t0, t1, c, closed.q + b * closed.p, closed.length, scan
 
 
-CRITERIA: tuple[Callable[[], CriterionResult], ...] = (
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-)
+@criterion("upward chord existence")
+def criterion_10() -> tuple[bool, str]:
+    """Temperature-raising pairs always expose an upward chord."""
+    detail = ""
+    for model, t0, t1, c, qstar, length, scan in criterion_10_draws():
+        found = find_chords(*scan)
+        dq, dlen = _finder_errors(found, qstar, length)
+        ok = dq <= 1e-8 and dlen <= 1e-8 and found[0].direction == 1
+        if not ok and not detail:
+            detail = f"{model} draw failed at t0={t0:.3g}, t1={t1:.3g}, c={c:.3g}"
+    return not detail, detail or "100 random draws per model: unique chord, direction +1"
 
 
 def run_all(selected: list[int] | None = None) -> list[CriterionResult]:

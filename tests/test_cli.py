@@ -1,6 +1,7 @@
 import argparse
 import collections
 import contextlib
+import errno
 import io
 import json
 import math
@@ -157,7 +158,7 @@ class TestChordFlagChecks:
         assert dispatch([*argv, "--out-dir", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.splitlines() == [error]
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_finder_beyond_the_tolerance_fails(self, tmp_path, capsys):
         # t1 - t0 = 1e-10 flattens the magnet front difference: the finder
@@ -171,7 +172,7 @@ class TestChordFlagChecks:
             "failure: the finder's cw chord at 9.999997247559453 is 1.925e-06 from the closed "
             "form 9.999999172596361, beyond the cross-check tolerance 1e-08 * max(1, |q*|)"
         ]
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_scan_window_wider_than_a_double_exits_1(self, tmp_path, capsys):
         # span = 3 |Q*| = 1.2e308, so the scan's node step overflows
@@ -181,7 +182,7 @@ class TestChordFlagChecks:
         assert capsys.readouterr().err.splitlines() == [
             "error: scan window [-1.2e+308, 1.2e+308] is wider than a double holds"
         ]
-        assert not any(out.iterdir())
+        assert not out.exists()
 
 
 @st.composite
@@ -447,12 +448,12 @@ class TestConfigHandling:
         assert dispatch(["chord", "gas", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
 
     def test_no_output_on_validation_failure(self, tmp_path):
-        out = tmp_path / "fresh"
+        out = tmp_path / "fresh" / "sub"
         code = dispatch(
             ["chord", "gas", "--t0", "5", "--t1", "1", "--c", "2", "--out-dir", str(out)]
         )
         assert code == 1
-        assert not any(out.glob("*.csv"))
+        assert not out.parent.exists()
 
     def test_env_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("THERMO_OUT_DIR", str(tmp_path / "envout"))
@@ -481,7 +482,34 @@ class TestFailedRunsWriteNothing:
         out = tmp_path / "out"
         assert dispatch([*argv, "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [error]
-        assert not any(out.iterdir())
+        assert not out.exists()
+
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys):
+        # a directory stands where the last fig1 table goes
+        (tmp_path / "fig1_chord.csv").mkdir()
+        argv = ["chord", "gas", "--t0", "1", "--t1", "5", "--c", "2"]
+        assert dispatch([*argv, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"failure: [Errno 21] Is a directory: {str(tmp_path / 'fig1_chord.csv')!r}"
+        ]
+        assert [p.name for p in tmp_path.iterdir()] == ["fig1_chord.csv"]
+        assert list((tmp_path / "fig1_chord.csv").iterdir()) == []
+
+    def test_failed_write_removes_the_directories_it_made(self, tmp_path, capsys, monkeypatch):
+        write_text = Path.write_text
+
+        def full_disk(path, text, **kwargs):
+            if path.name.startswith(".fig1_family_hot.csv."):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write_text(path, text, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        argv = ["chord", "gas", "--t0", "1", "--t1", "5", "--c", "2"]
+        assert dispatch([*argv, "--out-dir", str(tmp_path / "new" / "sub")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "failure: [Errno 28] No space left on device"
+        ]
+        assert list(tmp_path.iterdir()) == []
 
     def test_criteria_list_is_read_as_the_flag(self, tmp_path, capsys):
         # [1.5] is --criteria 1.5, not criterion 1
@@ -572,7 +600,7 @@ class TestFiniteFloats:
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert code == 1
         assert len(errors) == 1 and flag in errors[0]
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", ["nan", "-inf", "abc"])
     def test_flag_error_names_the_rule(self, tmp_path, capsys, text):
@@ -657,7 +685,7 @@ class TestOverflow:
         assert dispatch([*argv, "--out-dir", str(out)]) == code
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(message)
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_gas_chord_with_overflowing_scan_products(self, tmp_path, capsys):
         # the finder's slope products overflow; their signs still hold
@@ -683,7 +711,7 @@ class TestOverflow:
             r"failure: more than 100000 steps to reach t_end = 1\.0: at t=\S+ the step is dt=\S+",
             err[0],
         )
-        assert not any(out.iterdir())
+        assert not out.exists()
 
 
 # 10^15 doubles: 7.11 PiB, more than any address space, so nothing is allocated
@@ -701,7 +729,7 @@ class TestOneExitPath:
         assert dispatch([*argv, "--out-dir", str(out)]) == code
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
         err = captured.err.splitlines()
         assert len(err) == 1, err
         return err[0]
@@ -749,6 +777,44 @@ class TestOneExitPath:
         }
         argv = [a.format(**names) for a in argv]
         assert self._one_line(tmp_path, capsys, argv, 1) == line.format(**names)
+
+    @pytest.mark.parametrize(
+        "doc, line",
+        [
+            ("5", "error: a system document must be a JSON object"),
+            ("null", "error: a system document must be a JSON object"),
+            ('{"labels": 5, "weights": [1], "v_int": [1], "v_bar": [[1]]}',
+             "error: system key 'labels' must be a JSON list"),
+            ('{"labels": ["a"], "weights": [1], "v_int": {"a": 1}, "v_bar": [[1]]}',
+             "error: system key 'v_int' must be a JSON list"),
+            ('{"labels": "ab", "weights": [1, 1], "v_int": [0, 1], "v_bar": [[1, 1]]}',
+             "error: system key 'labels' must be a JSON list"),
+        ],
+    )
+    def test_system_file_of_another_shape_prints_its_line(self, tmp_path, capsys, doc, line):
+        system = tmp_path / "system.json"
+        system.write_text(doc)
+        argv = ["gibbs", "--system", str(system), "--T", "1", "--q", "0.3"]
+        assert self._one_line(tmp_path, capsys, argv, 1) == line
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["gibbs", "--system", "{bad}", "--T", "1", "--q", "0.3"], "system file"),
+            (["relax", "--config", "{bad}"], "config"),
+            (["reduce", "--input", "{bad}", "--k", "1"], "input file"),
+            (["relax", "--system", "{system}", "--q", "0.3", "--T0", "1", "--rho0", "{bad}"],
+             "input file"),
+        ],
+    )
+    def test_file_that_is_not_utf8_is_named(self, tmp_path, system_file, capsys, argv, what):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff\xfe")
+        argv = [a.format(bad=bad, system=system_file) for a in argv]
+        assert self._one_line(tmp_path, capsys, argv, 1) == (
+            f"error: cannot read {what} {str(bad)!r}: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte"
+        )
 
     @pytest.mark.parametrize(
         "argv",
@@ -799,7 +865,7 @@ class TestOtherCommands:
         if code:
             assert len(err) == 1 and err[0].startswith("failure: ")
             assert f"T={float(T)!r}, q=[{float(q)!r}]" in err[0]
-            assert not any(out.iterdir())
+            assert not out.exists()
         else:
             assert err == []
             assert (out / "gibbs_density.csv").read_text() == density
@@ -912,7 +978,7 @@ class TestOtherCommands:
         captured = capsys.readouterr()
         [line] = captured.err.splitlines()
         assert line.startswith(error[0]) and line.endswith(error[1])
-        assert captured.out == "" and not any(out.iterdir())
+        assert captured.out == "" and not out.exists()
 
     def test_relax_rejects_density_file_without_rows(self, tmp_path, system_file, capsys):
         rho_file = tmp_path / "rho0.csv"
@@ -925,7 +991,7 @@ class TestOtherCommands:
         assert code == 1
         error = f"error: no density rows in {str(rho_file)!r}"
         assert capsys.readouterr().err.splitlines() == [error]
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_isotopy(self, tmp_path, capsys):
         code = dispatch(
@@ -1202,4 +1268,4 @@ def test_gas_chord_without_a_finder_chord_fails(tmp_path, capsys):
     err = captured.err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("failure: the finder found no gas chord in its scan window [")
-    assert not any(out.iterdir())
+    assert not out.exists()

@@ -18,6 +18,7 @@ from thermocontact import (
 )
 from thermocontact.chords import SCAN_BLOCK
 from thermocontact.models import FrontFunction
+from thermocontact.verify import criterion_10_draws
 
 
 def _outcome(fn, *args):
@@ -28,31 +29,9 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def _criterion_10_draws():
-    """The find_chords arguments of acceptance criterion 10, in its order."""
-    rng = np.random.default_rng(1001)
-    for _ in range(100):
-        t0 = float(rng.uniform(0.2, 3.0))
-        dT = float(rng.uniform(0.1, 3.0))
-        c = float(rng.uniform(0.05, 0.95)) * dT
-        qstar = -c * t0 / dT
-        yield (
-            constant_front(0.0, (-math.inf, 0.0)),
-            difference_front("gas", t0, t0 + dT, c),
-            10 * qstar - 1.0,
-            qstar / 10.0,
-            20001,
-        )
-        rng.uniform(0.2, 3.0)  # the magnet's b, which the barred front ignores
-        c_cw = float(rng.uniform(-2.0, 2.0))
-        t0c = float(rng.uniform(0.3, 3.0))
-        t1c = t0c + float(rng.uniform(0.2, 3.0))
-        yield constant_front(), difference_front("cw", t0c, t1c, c_cw), -40.0, 40.0, 40001
-
-
 def test_find_chords_matches_loop_on_criterion_10_draws():
     n_chords = 0
-    for args in _criterion_10_draws():
+    for *_, args in criterion_10_draws():
         found = find_chords(*args)
         assert found == loop_find_chords(*args)
         n_chords += len(found)
