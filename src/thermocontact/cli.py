@@ -483,7 +483,7 @@ def _cmd_reduce(args: argparse.Namespace) -> Outcome:
 
 def _cmd_verify(args: argparse.Namespace) -> Outcome:
     raw = args.criteria
-    results = run_all([int(x) for x in raw.split(",") if x] if raw else None)
+    results = run_all([i + 1 for i in _parse_indices(raw, "criteria")] if raw else None)
     lines = [res.line() for res in results]
     failed = [res.index for res in results if not res.passed]
     if failed:
@@ -588,11 +588,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# text flags whose config value may be a JSON number, read as its text
-_NUMBER_TEXT = ("q", "criteria", "frozen", "zeroed")
-# text flags whose config value may be a JSON list of numbers or strings,
-# read as the comma-separated text of its items
-_LIST_TEXT = ("q", "criteria")
+# the comma-list flags, whose config value may also be a number or a list
+_LISTS = ("q", "criteria", "frozen", "zeroed")
 
 
 def _is_number(x) -> bool:
@@ -602,25 +599,19 @@ def _is_number(x) -> bool:
 def _check_text_value(key: str, value):
     """The command-line text that a config value of a text flag stands for.
 
-    File keys, ``out_dir`` and ``format`` take a string; ``q``,
-    ``criteria``, ``frozen`` and ``zeroed`` also take a number (its
-    command-line text), and ``q`` and ``criteria`` a list of numbers or
-    strings (``[0.3, "1"]`` is ``0.3,1``).
+    File keys, ``out_dir`` and ``format`` take a string; the comma-list
+    flags ``q``, ``criteria``, ``frozen`` and ``zeroed`` also take a number
+    (its command-line text) and a list of numbers or strings
+    (``[0.3, "1"]`` is ``0.3,1``).
     """
     if isinstance(value, str):
         return value
-    if key in _NUMBER_TEXT and _is_number(value):
-        return str(value)
-    if key in _LIST_TEXT and isinstance(value, list) and all(
-        _is_number(x) or isinstance(x, str) for x in value
+    items = [value] if _is_number(value) else value
+    if key in _LISTS and isinstance(items, list) and all(
+        _is_number(x) or isinstance(x, str) for x in items
     ):
-        return ",".join(str(x) for x in value)
-    if key in _LIST_TEXT:
-        want = "a string, a number or a list of numbers or strings"
-    elif key in _NUMBER_TEXT:
-        want = "a string or a number"
-    else:
-        want = "a string"
+        return ",".join(str(x) for x in items)
+    want = "a string, a number or a list of numbers or strings" if key in _LISTS else "a string"
     raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
 
 
@@ -716,7 +707,8 @@ def dispatch(argv: list[str]) -> int:
         # the parser is built once, so the environment is read on each run
         out_dir = Path(args.out_dir or os.environ.get("THERMO_OUT_DIR", "."))
         outcome = args.run(args)
-        if outcome.status == 0:
+        # a run that writes no file (verify) makes no directory
+        if outcome.status == 0 and outcome.files:
             _write(out_dir, outcome.files)
     except SystemExit:
         # argparse exits with 0 after printing --help

@@ -33,7 +33,7 @@ from typing import IO
 import numpy as np
 
 from ._solve import logsumexp
-from .phase_space import _opened, read_csv, write_csv
+from .phase_space import _array, _opened, read_csv, write_csv
 
 # largest |sum_i w_i rho_i - 1| of a density (absolute, in mass)
 NORMALIZATION_TOL = 1e-12
@@ -48,9 +48,7 @@ class MicrostateSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
-        w = np.array(self.weights, dtype=float, copy=True).reshape(-1)
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", w := _array(self.weights, "weights"))
         if w.size < 1:
             raise ValueError("need at least one microstate")
         if len(self.labels) != w.size:
@@ -100,7 +98,8 @@ def _check_rows(w: np.ndarray, R: np.ndarray) -> None:
 def _entropy_rows(w: np.ndarray, R: np.ndarray) -> np.ndarray:
     """- sum_i w_i r_i ln r_i per row r, with the 0 ln 0 := 0 convention."""
     terms = np.where(R > 0, R * np.log(np.where(R > 0, R, 1.0)), 0.0)
-    return -np.vecdot(terms, w)
+    # 0.0 - x, not -x: a zero entropy is +0.0, and any other keeps its bits
+    return 0.0 - np.vecdot(terms, w)
 
 
 def _pressure_rows(w: np.ndarray, v_bar: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -116,11 +115,10 @@ def _free_energy_rows(w, h: AffineHamiltonian, T, q, R, S) -> np.ndarray:
 def check_density(sp: MicrostateSpace, rho) -> np.ndarray:
     """rho as a read-only float row, once it is checked to be a density on
     sp: m entries, finite and non-negative, of mass 1.  Raises ValueError."""
-    r = np.array(rho, dtype=float).reshape(-1)
+    r = _array(rho, "density")
     if r.size != sp.m:
         raise ValueError(f"density has {r.size} entries for a space of {sp.m} states")
     _check_rows(sp.weights, r[None, :])
-    r.flags.writeable = False
     return r
 
 
@@ -130,7 +128,7 @@ def uniform_density(sp: MicrostateSpace) -> np.ndarray:
 
 def normalized_density(sp: MicrostateSpace, values) -> np.ndarray:
     """Rescale non-negative values so that sum_i w_i rho_i = 1."""
-    v = np.asarray(values, dtype=float).reshape(-1)
+    v = _array(values, "density values")
     if not np.all(np.isfinite(v) & (v >= 0)):
         raise ValueError("density values must be finite and non-negative")
     mass = float(np.dot(sp.weights, v))
@@ -154,14 +152,8 @@ class AffineHamiltonian:
     v_bar: np.ndarray
 
     def __post_init__(self):
-        vi = np.array(self.v_int, dtype=float, copy=True).reshape(-1)
-        vb = np.array(self.v_bar, dtype=float, copy=True)
-        if vb.ndim != 2:
-            raise ValueError("v_bar must be an n x m matrix")
-        vi.flags.writeable = False
-        vb.flags.writeable = False
-        object.__setattr__(self, "v_int", vi)
-        object.__setattr__(self, "v_bar", vb)
+        object.__setattr__(self, "v_int", vi := _array(self.v_int, "v_int"))
+        object.__setattr__(self, "v_bar", vb := _array(self.v_bar, "v_bar", ndim=2))
         if vb.shape[1] != vi.size:
             raise ValueError(
                 f"v_bar has {vb.shape[1]} columns for {vi.size} states"
@@ -181,7 +173,7 @@ class AffineHamiltonian:
 
     def energies(self, q) -> np.ndarray:
         """Per-state energies H(q, m_i)."""
-        q = np.asarray(q, dtype=float).reshape(-1)
+        q = _array(q, "q")
         if q.size != self.n:
             raise ValueError(f"q has length {q.size}, expected {self.n}")
         return self.v_int + q @ self.v_bar
@@ -230,7 +222,7 @@ def free_energy(sp: MicrostateSpace, h: AffineHamiltonian, T: float, q, rho) -> 
 
 
 def _beyond_double(what: str, T, q, detail: str) -> FloatingPointError:
-    q = np.asarray(q, dtype=float).reshape(-1).tolist()
+    q = _array(q, "q").tolist()
     return FloatingPointError(
         f"{what} at T={float(T)!r}, q={q} is beyond double precision ({detail})"
     )

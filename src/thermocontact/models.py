@@ -194,8 +194,9 @@ class CWBranchPoint:
     to +-1, so quantities that depend on p should be evaluated in y.
     ``piece`` is -1, 0 or 1: the monotone piece y <= -y*, |y| < y* or
     y >= y* of :func:`cw_fold` that the root was solved on, and where the
-    family does not fold the sign of y (read from the sign of q + H_back,
-    which it equals exactly), so y = 0 sits on the middle piece either way.
+    family does not fold the sign of q + H_back, that of the exact root (at
+    q + H_back = 0 the solved y may be up to ``MAGNET_YTOL`` off 0 either
+    way), so y = 0 sits on the middle piece either way.
     """
 
     p: float

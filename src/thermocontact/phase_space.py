@@ -87,6 +87,19 @@ def _first(mask: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
+def _array(values, name: str, ndim: int = 1) -> np.ndarray:
+    """An array argument as a read-only float copy with exactly ``ndim`` dimensions,
+    never flattened (a number is a vector of one); else a ValueError naming it."""
+    try:
+        arr = np.array(values, dtype=float, ndmin=1)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be an array of numbers: {exc}") from exc
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must have {ndim} dimension(s), got shape {arr.shape}")
+    arr.flags.writeable = False
+    return arr
+
+
 def _column(values, name: str, n_rows: int, matrix: bool = False) -> np.ndarray:
     """A read-only float copy of shape (n_rows,) or (n_rows, n), all finite."""
     arr = np.array(values, dtype=float)

@@ -36,7 +36,7 @@ from .models import (
     _gas_zp,
     cw_magnetization_roots,
 )
-from .phase_space import NonnegReport, SampledPath, check_path_nonnegative
+from .phase_space import NonnegReport, SampledPath, _array, _first, check_path_nonnegative
 
 # fokker_planck_relax: largest t_end / dt0, and most accepted steps of a run (a count)
 MAX_RELAX_STEPS = 100_000
@@ -72,21 +72,21 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Schedule:
-    """A time grid with a temperature and a background value per node."""
+    """A time grid with a finite temperature and background value per node."""
 
     times: np.ndarray
     temperatures: np.ndarray
     backgrounds: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.times, dtype=float, copy=True).reshape(-1)
-        T = np.array(self.temperatures, dtype=float, copy=True).reshape(-1)
-        bg = np.array(self.backgrounds, dtype=float, copy=True).reshape(-1)
-        for arr in (t, T, bg):
-            arr.flags.writeable = False
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "temperatures", T)
-        object.__setattr__(self, "backgrounds", bg)
+        for name in ("times", "temperatures", "backgrounds"):
+            object.__setattr__(self, name, arr := _array(getattr(self, name), name))
+            bad = _first(~np.isfinite(arr))
+            if bad is not None:
+                raise ValueError(
+                    f"schedule {name} must be finite, got {float(arr[bad])!r} at node {bad}"
+                )
+        t, T, bg = self.times, self.temperatures, self.backgrounds
         if not (t.size == T.size == bg.size and t.size >= 2):
             raise ValueError("schedule needs >= 2 nodes of equal length")
         if not np.all(np.diff(t) > 0):
@@ -175,7 +175,7 @@ def run_slow_isotopy(
     """
     if model not in ("gas", "cw"):
         raise ValueError(f"unknown model {model!r}, expected 'gas' or 'cw'")
-    x_grid = np.asarray(x_grid, dtype=float).reshape(-1)
+    x_grid = _array(x_grid, "x_grid")
     if x_grid.size == 0:
         raise ValueError("x_grid must not be empty")
     times = sched.times
@@ -257,8 +257,8 @@ def ultrafast_jump(
     against ``COINCIDENCE_TOL``; otherwise stage 2 is a relaxation
     (:func:`fokker_planck_relax`).
     """
-    q = np.array(q, dtype=float).reshape(-1)
-    c = np.asarray(background_jump, dtype=float).reshape(-1)
+    q = _array(q, "q")
+    c = _array(background_jump, "background_jump")
     if q.size != c.size:
         raise ValueError("background jump must match the dimension of q")
     rho0 = ms.gibbs(sp, h, T0, q).rho_g
@@ -266,7 +266,7 @@ def ultrafast_jump(
     z0 = -ms.free_energy(sp, h, T0, q, rho0)
     z1 = -ms.free_energy(sp, h, T1, q + c, rho0)
     residual = ms.total_variation(sp, rho0, ms.gibbs(sp, h, T1, q + c).rho_g)
-    p0.flags.writeable = q.flags.writeable = False
+    p0.flags.writeable = False
     return JumpRecord(z0, z1, p0, q, residual <= COINCIDENCE_TOL, residual)
 
 
@@ -340,7 +340,7 @@ def fokker_planck_relax(
     values.  Raises FloatingPointError, naming T and q, when doubles cannot
     hold G or its gradient.
     """
-    q = np.asarray(q, dtype=float).reshape(-1)
+    q = _array(q, "q")
     if not dt0 > 0:
         raise ValueError("dt0 must be positive")
     if not t_end > 0:

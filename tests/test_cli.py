@@ -345,7 +345,7 @@ class TestConfigHandling:
             (["gibbs", "--system", "s.json", "--T", "1"], {"q": [None]}),
             (["relax", "--system", "s.json", "--q", "0", "--T0", "1"], {"rho0": 5}),
             (["reduce", "--k", "1"], {"input": 5}),
-            (["reduce", "--input", "p.csv", "--k", "1"], {"frozen": [2]}),
+            (["reduce", "--input", "p.csv", "--k", "1"], {"frozen": [[2]]}),
             (["reduce", "--input", "p.csv", "--k", "1"], {"zeroed": True}),
             (["verify"], {"criteria": [None]}),
             (["verify"], {"criteria": {"1": 1}}),
@@ -373,18 +373,20 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("key", ["frozen", "zeroed"])
     def test_index_config_values_may_be_numbers(self, tmp_path, key):
+        # and lists, as for every comma-list flag: 2, [2] and ["2"] are --key 2
         t = np.linspace(0.0, 1.0, 5)
         p, q = np.tile([0.5, 0.0], (5, 1)), np.tile([0.0, 1.0], (5, 1))
         src = tmp_path / "ext.csv"
         path_to_csv(SampledPath(t, t, p, q, np.ones(5), 1.0 + t), str(src))
-        flag_dir, cfg_dir = tmp_path / "flag", tmp_path / "cfg"
+        flag_dir = tmp_path / "flag"
         argv = ["reduce", "--input", str(src), "--k", "1"]
         assert dispatch([*argv, f"--{key}", "2", "--out-dir", str(flag_dir)]) == 0
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: 2}))
-        assert dispatch([*argv, "--config", str(cfg), "--out-dir", str(cfg_dir)]) == 0
-        for name in ("reduced_path.csv", "reduced_report.json"):
-            assert (cfg_dir / name).read_bytes() == (flag_dir / name).read_bytes()
+        for i, value in enumerate([2, [2], ["2"]]):
+            cfg, cfg_dir = tmp_path / f"cfg{i}.json", tmp_path / f"cfg{i}"
+            cfg.write_text(json.dumps({key: value}))
+            assert dispatch([*argv, "--config", str(cfg), "--out-dir", str(cfg_dir)]) == 0
+            for name in ("reduced_path.csv", "reduced_report.json"):
+                assert (cfg_dir / name).read_bytes() == (flag_dir / name).read_bytes()
 
     @pytest.mark.parametrize("criteria", [1, [1], ["1"], "1"])
     def test_criteria_config_values_read_as_the_flag(self, tmp_path, capsys, criteria):
@@ -518,7 +520,7 @@ class TestFailedRunsWriteNothing:
         assert dispatch(["verify", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == ["error: invalid literal for int() with base 10: '1.5'"]
+        assert captured.err.splitlines() == ["error: cannot parse criteria from '1.5'"]
 
     @pytest.mark.parametrize("argv", [["--criteria", ","], ["--criteria=,,"]])
     def test_empty_criteria_selection_is_an_error(self, tmp_path, capsys, argv):
@@ -764,6 +766,8 @@ class TestOneExitPath:
              "[Errno 2] No such file or directory: '{missing}'"),
             (["relax", "--config", "{dir}"],
              "error: cannot read config '{dir}': [Errno 21] Is a directory: '{dir}'"),
+            (["verify", "--criteria", "1.5"], "error: cannot parse criteria from '1.5'"),
+            (["verify", "--criteria", "2,0"], "error: criteria indices are 1-based, got 0"),
         ],
     )
     def test_rejected_run_prints_its_line(self, tmp_path, system_file, capsys, argv, line):
@@ -789,6 +793,16 @@ class TestOneExitPath:
              "error: system key 'v_int' must be a JSON list"),
             ('{"labels": "ab", "weights": [1, 1], "v_int": [0, 1], "v_bar": [[1, 1]]}',
              "error: system key 'labels' must be a JSON list"),
+            # nested lists are read as they nest, never flattened
+            ('{"labels": ["a"], "weights": [[1]], "v_int": [1], "v_bar": [[1]]}',
+             "error: weights must have 1 dimension(s), got shape (1, 1)"),
+            ('{"labels": ["a", "b"], "weights": [1, 1], "v_int": [[0, 1]], "v_bar": [[1, 1]]}',
+             "error: v_int must have 1 dimension(s), got shape (1, 2)"),
+            ('{"labels": ["a"], "weights": [1], "v_int": [1], "v_bar": [1]}',
+             "error: v_bar must have 2 dimension(s), got shape (1,)"),
+            ('{"labels": ["a"], "weights": [{}], "v_int": [1], "v_bar": [[1]]}',
+             "error: weights must be an array of numbers: "
+             "float() argument must be a string or a real number, not 'dict'"),
         ],
     )
     def test_system_file_of_another_shape_prints_its_line(self, tmp_path, capsys, doc, line):
@@ -1143,6 +1157,23 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "PASS criterion  1" in out
+
+    def test_verify_makes_no_directory(self, tmp_path, capsys):
+        # verify writes no file, so it makes no --out-dir either
+        argv = ["verify", "--criteria", "1", "--out-dir", str(tmp_path / "new" / "sub")]
+        assert dispatch(argv) == 0
+        assert "PASS criterion  1" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_state_system_has_a_positive_zero_entropy(self, tmp_path, capsys):
+        system = tmp_path / "one.json"
+        system.write_text('{"labels": ["a"], "weights": [1], "v_int": [1], "v_bar": [[1]]}')
+        out = tmp_path / "out"
+        argv = ["gibbs", "--system", str(system), "--T", "1", "--q", "0.3"]
+        assert dispatch([*argv, "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().out.split()[-1] == "S=0"
+        assert json.loads((out / "gibbs_point.json").read_text())["S"] == 0.0
+        assert '"S": 0.0,' in (out / "gibbs_point.json").read_text()
 
     def test_unknown_subcommand(self, capsys):
         assert dispatch(["frobnicate"]) == 1

@@ -66,6 +66,36 @@ class TestValidation:
         with pytest.raises(ValueError):
             AffineHamiltonian([0.0, 1.0], [[0.0, 1.0, 2.0]])
 
+    @pytest.mark.parametrize(
+        "fn, args, name, shape",
+        [
+            (MicrostateSpace, (("a",), [[1.0]]), "weights", (1, 1)),
+            (AffineHamiltonian, ([[0.0, 1.0]], [[1.0, 1.0]]), "v_int", (1, 2)),
+            (AffineHamiltonian, ([0.0], [1.0]), "v_bar", (1,)),
+            (AffineHamiltonian, ([0.0], [[[1.0]]]), "v_bar", (1, 1, 1)),
+            (AffineHamiltonian([0.0], [[1.0]]).energies, ([[0.3]],), "q", (1, 1)),
+            (gibbs, (unit_space(1), AffineHamiltonian([0.0], [[1.0]]), 1.0, [[0.3]]), "q", (1, 1)),
+            (normalized_density, (unit_space(2), [[1.0], [1.0]]), "density values", (2, 1)),
+        ],
+    )
+    def test_nested_arrays_are_rejected_by_name(self, fn, args, name, shape):
+        ndim = 2 if name == "v_bar" else 1
+        with pytest.raises(ValueError) as info:
+            fn(*args)
+        assert str(info.value) == f"{name} must have {ndim} dimension(s), got shape {shape}"
+
+    def test_entries_that_are_not_numbers_are_named(self):
+        with pytest.raises(ValueError, match="^weights must be an array of numbers: "):
+            MicrostateSpace(("a",), [{}])
+        with pytest.raises(ValueError, match="^v_bar must be an array of numbers: "):
+            AffineHamiltonian([0.0, 1.0], [[1.0], [1.0, 2.0]])
+
+    def test_a_number_is_a_vector_of_one(self):
+        sp, h = unit_space(2), AffineHamiltonian([0.0, 1.0], [[1.0, -1.0]])
+        assert np.array_equal(h.energies(0.3), h.energies([0.3]))
+        assert np.array_equal(gibbs(sp, h, 1.0, 0.3).rho_g, gibbs(sp, h, 1.0, [0.3]).rho_g)
+        assert np.array_equal(MicrostateSpace(("a",), 2.0).weights, [2.0])
+
 
 # every function that takes a density, given rho on a 3-state space
 DENSITY_ENTRY_POINTS = {
@@ -87,6 +117,7 @@ BAD_DENSITIES = {
     "nan": ([math.nan, 0.5, 0.5], "negative or non-finite"),
     "inf": ([math.inf, 0.5, 0.5], "negative or non-finite"),
     "mass": ([0.5, 0.3, 0.3], "mass is 1.1"),
+    "nested": ([[0.2, 0.3, 0.5]], r"density must have 1 dimension\(s\), got shape \(1, 3\)"),
 }
 
 
@@ -145,6 +176,14 @@ class TestEntropy:
     def test_point_mass_zero(self):
         sp = unit_space(4)
         assert entropy(sp, [1.0, 0.0, 0.0, 0.0]) == 0.0
+
+    def test_zero_entropy_is_positive_zero(self):
+        # -(0.0) would be -0.0, which prints as "-0"
+        for sp, rho in ((unit_space(1), [1.0]), (unit_space(3), [0.0, 1.0, 0.0])):
+            assert math.copysign(1.0, entropy(sp, rho)) == 1.0
+        h = AffineHamiltonian([1.0], [[1.0]])
+        _, S, _ = lift_to_extended(unit_space(1), h, 1.0, [0.3], [1.0])
+        assert math.copysign(1.0, S) == 1.0
 
     def test_two_state_value(self):
         sp = unit_space(2)

@@ -26,7 +26,15 @@ from thermocontact import (
     sample_gas_legendrian,
     select_equilibrium,
 )
-from thermocontact.models import _check_self_consistency, _tanh_gap, cw_phi, gas_phi
+from thermocontact.models import (
+    MAGNET_YTOL,
+    SELF_CONSISTENCY_TOL,
+    _check_self_consistency,
+    _tanh_gap,
+    cw_fold,
+    cw_phi,
+    gas_phi,
+)
 
 
 def assert_front_consistent(front, lo, hi, rng, n=100, tol=1e-6):
@@ -241,6 +249,73 @@ class TestMagnetizationRoots:
     def test_select_from_empty_raises(self):
         with pytest.raises(ValueError):
             select_equilibrium([])
+
+
+@st.composite
+def _magnet_problems(draw):
+    """(q, T, H_back, b): b from 1e-3 to 1e3 and T/b from 1e-4 to 10, both
+    log-uniform, with q + H_back near +- a fold value (where T < b), near 0
+    or far out in saturation."""
+    b = 10.0 ** draw(st.floats(-3.0, 3.0))
+    T = b * 10.0 ** draw(st.floats(-4.0, 1.0))
+    fold = cw_fold(T, b)
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    near = draw(st.sampled_from(["fold", "zero", "far"]))
+    if near == "fold" and fold is not None:
+        # g(y) = T y - b tanh y has its turning values +-(b tanh y* - T y*)
+        offset = draw(st.just(0.0) | st.floats(-16.0, -2.0).map(lambda e: 10.0**e))
+        offset *= draw(st.sampled_from([-1.0, 1.0]))
+        target = sign * (b * math.tanh(fold) - T * fold) * (1.0 + offset)
+    elif near == "far":
+        target = sign * b * 10.0 ** draw(st.floats(0.3, 3.0))
+    else:
+        target = draw(st.just(0.0) | st.floats(-16.0, -1.0).map(lambda e: sign * b * 10.0**e))
+    H_back = draw(st.just(0.0) | st.floats(-1.0, 1.0).map(lambda u: u * b))
+    return target - H_back, T, H_back, b
+
+
+class TestMagnetFamilyProperty:
+    @settings(max_examples=800, deadline=None, derandomize=True, database=None)
+    @given(problem=_magnet_problems())
+    def test_roots_are_counted_ordered_labelled_and_bracketed(self, problem):
+        q, T, H_back, b = problem
+        roots = cw_magnetization_roots(q, CurieWeissParams(T=T, H_back=H_back, b=b))
+        target = float(q + H_back)
+        fold = cw_fold(T, b)
+        assert len(roots) == 1 if T >= b else 1 <= len(roots) <= 3
+        assert [r.p for r in roots] == sorted(r.p for r in roots)
+        assert [r.stability for r in roots].count("global_min") == 1
+        # each monotone piece holds one root at most
+        assert [r.piece for r in roots] == sorted({r.piece for r in roots})
+
+        def g(y):
+            return T * y - b * math.tanh(y) - target
+
+        for r in roots:
+            y = r.y
+            scale = max(T, abs(T * y), b, abs(target))
+            # |g'(y)| = |T - b sech^2 y|, without overflowing cosh
+            e = math.exp(-2.0 * abs(y))
+            slope = abs(T - b * 4.0 * e / (1.0 + e) ** 2)
+            # the window holds the exact root, y's brentq tolerance away,
+            # plus four times the width in which g's rounding (8 eps of its
+            # terms) can hide its sign
+            rounding = 8.0 * math.ulp(1.0) * scale
+            window = 2.0 * (MAGNET_YTOL + 4.0 * math.ulp(1.0) * abs(y))
+            window += 4.0 * rounding / slope if slope > 0.0 else math.inf
+            if fold is None:
+                assert r.piece == (target > 0.0) - (target < 0.0)
+                assert (y > 0.0) - (y < 0.0) == r.piece or abs(y) <= window
+            else:
+                assert {-1: y <= -fold, 0: -fold <= y <= fold, 1: y >= fold}[r.piece]
+            # g changes sign across a window that holds no other root and no
+            # fold; at a (near-)double root it need not, and |g| is bounded
+            near = [abs(y - o.y) for o in roots if o is not r]
+            near += [] if fold is None else [abs(y - fold), abs(y + fold)]
+            if 2.0 * window < min(near, default=math.inf):
+                assert g(y - window) * g(y + window) < 0.0, (y, window)
+            else:
+                assert abs(g(y)) <= SELF_CONSISTENCY_TOL * scale
 
 
 class TestCWEntropy:

@@ -27,6 +27,7 @@ from thermocontact import (
 from thermocontact.phase_space import SampledPath
 
 LN2 = math.log(2.0)
+NAN, INF = math.nan, math.inf
 
 
 def unit_space(m):
@@ -43,6 +44,22 @@ class TestSchedule:
             Schedule(np.array([0.0, 0.0]), np.array([1.0, 1.0]), np.zeros(2))
         with pytest.raises(ValueError):
             Schedule(np.array([0.0, 1.0]), np.array([1.0, -1.0]), np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "times, temps, bgs, message",
+        [
+            ([0, 1], [1, 2], [NAN, 0], "schedule backgrounds must be finite, got nan at node 0"),
+            ([0, 1], [1, INF], [0, 0], "schedule temperatures must be finite, got inf at node 1"),
+            ([0, -INF], [1, 2], [0, 0], "schedule times must be finite, got -inf at node 1"),
+            ([[0, 1]], [1, 2], [0, 0], "times must have 1 dimension(s), got shape (1, 2)"),
+            ([0, 1], [[1], [2]], [0, 0], "temperatures must have 1 dimension(s), got shape (2, 1)"),
+        ],
+    )
+    def test_every_node_is_a_finite_number(self, times, temps, bgs, message):
+        # a nan background used to pass, and the isotopy then blamed the front domain
+        with pytest.raises(ValueError) as info:
+            Schedule(times, temps, bgs)
+        assert str(info.value) == message
 
 
 class TestSlowIsotopyGas:
@@ -92,6 +109,10 @@ class TestSlowIsotopyGas:
     def test_domain_violation_rejected(self):
         with pytest.raises(ValueError):
             run_slow_isotopy("gas", self.example_schedule(), [1.5])
+
+    def test_nested_x_grid_rejected(self):
+        with pytest.raises(ValueError, match=r"^x_grid must have 1 dimension\(s\), got shape"):
+            run_slow_isotopy("gas", self.example_schedule(), [[-2.0, -1.0]])
 
     def test_slices_stay_on_family(self):
         trace = run_slow_isotopy("gas", self.example_schedule(), [-2.0, -1.0, -0.5])
@@ -251,6 +272,14 @@ class TestUltrafastJump:
         with pytest.raises(ValueError):
             ultrafast_jump(sp, h, 1.0, 1.5, [0.5], [1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "q, jump, name", [([[0.5]], [1.0], "q"), ([0.5], [[1.0]], "background_jump")]
+    )
+    def test_nested_arguments_are_rejected_by_name(self, q, jump, name):
+        sp, h = self.system()
+        with pytest.raises(ValueError, match=rf"^{name} must have 1 dimension\(s\)"):
+            ultrafast_jump(sp, h, 1.0, 1.5, q, jump)
+
 
 class TestFokkerPlanck:
     def test_gibbs_state_is_stationary(self):
@@ -355,6 +384,11 @@ class TestFokkerPlanck:
 
         with pytest.raises(ValueError, match=r"non-decreasing \(drops at t=1\)"):
             fokker_planck_relax(sp, h, [0.2], T_of_t, uniform_density(sp), 0.01, 1.0)
+
+    def test_nested_q_rejected(self):
+        h = AffineHamiltonian([0.0, 1.0], np.zeros((1, 2)))
+        with pytest.raises(ValueError, match=r"^q must have 1 dimension\(s\), got shape \(1, 1\)$"):
+            fokker_planck_relax(unit_space(2), h, [[0.0]], lambda t: 1.0, [0.5, 0.5], 0.05, 5.0)
 
     def test_initial_density_must_be_positive(self):
         sp = unit_space(2)
