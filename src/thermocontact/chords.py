@@ -35,7 +35,7 @@ import numpy as np
 
 from ._solve import brentq, minimize_scalar_bounded
 from .models import FrontFunction, _cw_z, _zero_slope
-from .phase_space import write_csv
+from .phase_space import _scalar, write_csv
 
 # find_chords: brentq's tolerance on a chord's abscissa (absolute, in q)
 CHORD_XTOL = 1e-12
@@ -64,6 +64,9 @@ TRIVIAL_LENGTH_TOL = 1e-10
 # 20480 took 77 to 252.  9216 scans those grids in the same 3 and 5 blocks
 # as 8192, so the smaller is kept.
 SCAN_BLOCK = 8192
+# find_chords: most nodes of a scan grid (a count).  The magnet pair scans
+# ~80 M nodes/s on a 2-vCPU x86-64 VM, so the largest grid takes ~1.2 s.
+MAX_GRID_NODES = 100_000_000
 
 
 class DegenerateChordError(RuntimeError):
@@ -109,10 +112,9 @@ def gas_chord(t0: float, t1: float, c: float) -> Chord:
     the chord points up exactly when p > 1 (c below the temperature gap).
     Degenerate at c = t1 - t0 where the families touch.
     """
-    if not 0 < t0 < t1:
+    if not _scalar(t0, "t0", positive=True) < _scalar(t1, "t1"):
         raise ValueError("need t1 > t0 > 0")
-    if not c > 0:
-        raise ValueError("pressure jump c must be positive")
+    _scalar(c, "pressure jump c", positive=True)
     v = (t1 - t0) / c
     if v == 1.0:
         raise DegenerateChordError(
@@ -129,11 +131,10 @@ def cw_chord(t0: float, t1: float, c: float, b: float) -> Chord:
     the endpoints follow the magnet z-formula at background fields 0 and c.
     The chord always points up for t1 > t0 (z grows with T at fixed (p, q)).
     """
-    if not 0 < t0 < t1:
+    if not _scalar(t0, "t0", positive=True) < _scalar(t1, "t1"):
         raise ValueError("need t1 > t0 > 0")
-    if not b > 0:
-        raise ValueError("spin interaction b must be positive")
-    p = math.tanh(c / (t1 - t0))
+    _scalar(b, "spin interaction b", positive=True)
+    p = math.tanh(_scalar(c, "c") / (t1 - t0))
     q = c * t0 / (t1 - t0) - b * p
     # models.cw_phi takes x / T and doubles it, at each end of the chord
     for T, H in ((t0, 0.0), (t1, c)):
@@ -180,14 +181,14 @@ def find_chords(
     times it is below both flanks.  A psi' under FLAT_SLOPE_TOL at every
     node is reported as a degenerate family.  An empty result is a valid
     outcome.  Roots closer than COLLAPSE_CELLS grid cells collapse to one;
-    pick grid_n accordingly.
+    pick grid_n accordingly, from 3 to MAX_GRID_NODES.
     """
-    if grid_n < 3:
-        raise ValueError("grid_n must be at least 3")
-    if not scan_lo < scan_hi:
+    grid_n = _scalar(grid_n, "grid_n", count=True, at_least=3, at_most=MAX_GRID_NODES)
+    lo, hi = _scalar(scan_lo, "scan_lo"), _scalar(scan_hi, "scan_hi")
+    if not lo < hi:
         raise ValueError("need scan_lo < scan_hi")
     for front in (f0, f1):
-        if not (front.contains(scan_lo) and front.contains(scan_hi)):
+        if not (front.contains(lo) and front.contains(hi)):
             raise ValueError(
                 f"scan window [{scan_lo}, {scan_hi}] leaves the domain of "
                 f"front {front.label!r}"
@@ -195,7 +196,6 @@ def find_chords(
 
     # Node k is k * step + lo and the last node is hi, as np.linspace
     # computes them.
-    lo, hi = float(scan_lo), float(scan_hi)
     step = (hi - lo) / (grid_n - 1)
     if not math.isfinite(step):
         raise ValueError(f"scan window [{scan_lo}, {scan_hi}] is wider than a double holds")

@@ -33,7 +33,7 @@ from typing import IO
 import numpy as np
 
 from ._solve import logsumexp
-from .phase_space import _array, _opened, read_csv, write_csv
+from .phase_space import _array, _opened, _scalar, read_csv, write_csv
 
 # largest |sum_i w_i rho_i - 1| of a density (absolute, in mass)
 NORMALIZATION_TOL = 1e-12
@@ -213,8 +213,7 @@ def free_energy(sp: MicrostateSpace, h: AffineHamiltonian, T: float, q, rho) -> 
 
     Equals U - T S - sum_j p_j q_j; the two routes agree to roundoff.
     """
-    if not T > 0:
-        raise ValueError("temperature must be positive")
+    _scalar(T, "temperature", positive=True)
     _check_dims(sp, h)
     R = check_density(sp, rho)[None, :]
     S = _entropy_rows(sp.weights, R)
@@ -235,8 +234,7 @@ def gibbs(sp: MicrostateSpace, h: AffineHamiltonian, T: float, q) -> GibbsResult
     result: log Z is not finite (H/T overflows), or it is so large that the
     weights are lost in it and the density's mass is not 1.
     """
-    if not T > 0:
-        raise ValueError("temperature must be positive")
+    _scalar(T, "temperature", positive=True)
     _check_dims(sp, h)
     with np.errstate(over="ignore", invalid="ignore"):
         a = -h.energies(q) / T
@@ -254,8 +252,8 @@ def _lift(sp: MicrostateSpace, h: AffineHamiltonian, T, q, R: np.ndarray):
     z = -G at (T, q); T is one temperature per row or one for all."""
     _check_dims(sp, h)
     T = np.broadcast_to(np.asarray(T, dtype=float), R.shape[:1])
-    if not np.all(T > 0):
-        raise ValueError("temperature must be positive")
+    if not np.all((T > 0) & (T < math.inf)):
+        raise ValueError("temperatures must be positive and finite")
     w = sp.weights
     S = _entropy_rows(w, R)
     G = _free_energy_rows(w, h, T, q, R, S)
@@ -288,6 +286,7 @@ def lift_to_extended(
     """(z, S, p) of one density at (T, q), z = -G: with T and q, its point
     of the extended phase space.  Raises FloatingPointError, naming T and
     q, when one of them overflows."""
+    _scalar(T, "temperature", positive=True)
     with np.errstate(over="ignore", invalid="ignore"):
         z, S, p = _lift(sp, h, T, q, check_density(sp, rho)[None, :])
     if not np.all(np.isfinite([z[0], S[0], *p[0]])):

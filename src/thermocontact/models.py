@@ -31,6 +31,7 @@ from typing import Callable
 import numpy as np
 
 from ._solve import brentq
+from .phase_space import _scalar
 
 # largest |g(y)| = |T y - b tanh y - q - H_back| of a magnet root or point, y = atanh(p)
 # (relative, to max(T, |T y|, b, |q + H_back|))
@@ -98,7 +99,7 @@ def _zero_slope(x):
 def constant_front(
     value: float = 0.0, domain: tuple[float, float] = (-math.inf, math.inf)
 ) -> FrontFunction:
-    c = float(value)
+    c = _scalar(value, "value")
     return FrontFunction(
         f=lambda x: np.full_like(np.asarray(x, dtype=float), c),
         fprime=_zero_slope,
@@ -169,8 +170,8 @@ class IdealGasParams:
     P_back: float = 0.0
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError("temperature must be positive")
+        _scalar(self.T, "temperature", positive=True)
+        _scalar(self.P_back, "P_back")
 
 
 @dataclass(frozen=True)
@@ -180,10 +181,9 @@ class CurieWeissParams:
     b: float = 1.0
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError("temperature must be positive")
-        if not self.b > 0:
-            raise ValueError("spin interaction b must be positive")
+        _scalar(self.T, "temperature", positive=True)
+        _scalar(self.H_back, "H_back")
+        _scalar(self.b, "spin interaction b", positive=True)
 
 
 @dataclass(frozen=True)
@@ -194,9 +194,10 @@ class CWBranchPoint:
     to +-1, so quantities that depend on p should be evaluated in y.
     ``piece`` is -1, 0 or 1: the monotone piece y <= -y*, |y| < y* or
     y >= y* of :func:`cw_fold` that the root was solved on, and where the
-    family does not fold the sign of q + H_back, that of the exact root (at
-    q + H_back = 0 the solved y may be up to ``MAGNET_YTOL`` off 0 either
-    way), so y = 0 sits on the middle piece either way.
+    family does not fold the sign of q + H_back, that of the exact root.
+    At q + H_back = 0 the middle piece's root is y = 0.0 exactly.  Elsewhere
+    y is solved to ``MAGNET_YTOL``, so its sign can differ from that of the
+    exact root only where |y| is within that tolerance of 0.
     """
 
     p: float
@@ -244,8 +245,7 @@ def gas_front(par: IdealGasParams) -> FrontFunction:
 
 def cw_entropy(p: float) -> float:
     """Mixing entropy of a magnetization p in (-1, 1); value in (0, ln 2]."""
-    if not -1.0 < p < 1.0:
-        raise ValueError(f"magnetization must lie in (-1, 1), got {p}")
+    _scalar(p, "magnetization", inside=(-1, 1))
     lo, hi = (1.0 - p) / 2.0, (1.0 + p) / 2.0
     out = 0.0
     if lo > 0:
@@ -262,7 +262,7 @@ def cw_entropy_y(y: float) -> float:
     s = |y| and w = exp(-2s), which keeps the exponentially small tail
     representable where tanh(y) rounds to +-1 and cw_entropy cannot take p.
     """
-    s = abs(y)
+    s = abs(_scalar(y, "y"))
     w = math.exp(-2.0 * s)
     return 2.0 * s * w / (1.0 + w) + math.log1p(w)
 
@@ -320,9 +320,11 @@ def cw_magnetization_roots(
     roots resolvable.  g is monotone on each piece cut at the folds +-y* of
     :func:`cw_fold`, so each piece whose ends differ in sign holds exactly
     one root, found there to ``MAGNET_YTOL`` in y and labelled with that
-    ``piece``.  Each root is then refined again on the cell that brackets
-    it in a grid of ``SCAN_NODES`` nodes over [y_lo, y_hi], built as
-    np.linspace builds it, so the result does not depend on the piece ends.  A root whose cell
+    ``piece``.  At q + H_back = 0, where g(0) = 0 exactly, the middle
+    piece's root is y = 0.0 (so p = 0.0), taken as it is.  Each other root
+    is then refined again on the cell that brackets it in a grid of
+    ``SCAN_NODES`` nodes over [y_lo, y_hi], built as np.linspace builds it,
+    so the result does not depend on the piece ends.  A root whose cell
     has no sign change (two roots of a near-fold pair sharing one cell)
     keeps its piece solution.  Roots closer than ``MAGNET_MERGE_YTOL`` in y
     are one.  A root is unstable iff 1 - (b/T)(1 - p^2) < 0; among the
@@ -337,7 +339,7 @@ def cw_magnetization_roots(
     """
     # Python floats: an overflowing ratio is inf here, not a numpy warning
     T, b = float(par.T), float(par.b)
-    target = float(q + par.H_back)
+    target = _scalar(q, "q") + float(par.H_back)
 
     def resid(y: float) -> float:
         return T * y - b * math.tanh(y) - target
@@ -353,7 +355,8 @@ def cw_magnetization_roots(
     cuts = [] if fold is None else [y for y in (-fold, fold) if y_lo < y < y_hi]
     edges = [y_lo, *cuts, y_hi]
     g_edges = [resid(y) for y in edges]
-    pieces = []  # (root on the piece, piece ends, piece)
+    roots_y = []  # (root, piece)
+    pieces = []  # (root on the piece, piece ends, piece), to be refined
     for a, c, ga, gc in zip(edges, edges[1:], g_edges, g_edges[1:]):
         if min(ga, gc) <= 0.0 <= max(ga, gc):
             if fold is None:
@@ -361,7 +364,11 @@ def cw_magnetization_roots(
                 piece = int(target > 0.0) - int(target < 0.0)
             else:
                 piece = int(a >= fold) - int(c <= -fold)
-            pieces.append((brentq(resid, a, c, xtol=MAGNET_YTOL), a, c, piece))
+            if target == 0.0 and piece == 0:
+                # g(0) = 0 exactly, so the middle piece's root is y = 0
+                roots_y.append((0.0, 0))
+            else:
+                pieces.append((brentq(resid, a, c, xtol=MAGNET_YTOL), a, c, piece))
 
     # Nodes i - 1 .. i + 2 around the cell i holding each root, all in one
     # numpy call: node k is k * step + y_lo and the last node is y_hi, as
@@ -373,7 +380,6 @@ def cw_magnetization_roots(
     ys[index == SCAN_NODES - 1] = y_hi
     vals = T * ys - b * np.tanh(ys) - target
 
-    roots_y = []
     for (y, a, c, piece), nodes, g in zip(pieces, ys.tolist(), vals.tolist()):
         # exact zeros on a node are roots; a sign change brackets one
         brackets = [(nodes[k], nodes[k]) for k in range(4) if g[k] == 0.0]
@@ -430,8 +436,7 @@ def select_equilibrium(points: list[CWBranchPoint]) -> CWBranchPoint:
 def _cw_qz(p: float, par: CurieWeissParams) -> tuple[float, float]:
     """q = -b p + T atanh(p) - H_back and z over magnetization p, checked
     against the self-consistency equation."""
-    if not -1.0 < p < 1.0:
-        raise ValueError(f"magnetization must lie in (-1, 1), got {p}")
+    _scalar(p, "magnetization", inside=(-1, 1))
     y = math.atanh(p)
     q = -par.b * p + par.T * y - par.H_back
     _check_self_consistency(y, q, par)
@@ -446,8 +451,9 @@ def difference_front(model: str, t0: float, t1: float, c: float) -> FrontFunctio
     Phi_T(x) = T ln(2 cosh(x/T)).  The magnet's spin interaction cancels in
     the barred picture, so it does not enter here.
     """
-    if not 0 < t0 < t1:
+    if not _scalar(t0, "t0", positive=True) < _scalar(t1, "t1"):
         raise ValueError("need t1 > t0 > 0")
+    c = _scalar(c, "c")
     if model == "gas":
         return FrontFunction(
             f=lambda x: gas_phi(t1, np.asarray(x, dtype=float) - c) - gas_phi(t0, x),
@@ -481,7 +487,8 @@ def _floats(*cols) -> tuple:
     return tuple(float(c) if np.ndim(c) == 0 else c for c in cols)
 
 
-def _gas_columns(z, p, q) -> list[np.ndarray]:
+def _gas_columns(z, p, q, t0) -> list[np.ndarray]:
+    _scalar(t0, "t0", positive=True)
     z, p, q = _columns(z, p, q)
     if not np.all(q < 0):
         raise DomainError(f"gas barred map needs q < 0, got max q={float(np.max(q))}")
@@ -490,19 +497,21 @@ def _gas_columns(z, p, q) -> list[np.ndarray]:
 
 def gas_to_barred(z, p, q, t0: float) -> tuple:
     """(z, p, q) -> (z - phi_{t0}(q), p - phi'_{t0}(q), q); needs every q < 0."""
-    z, p, q = _gas_columns(z, p, q)
+    z, p, q = _gas_columns(z, p, q, t0)
     return _floats(z - gas_phi(t0, q), p - gas_dphi(t0, q), q)
 
 
 def gas_from_barred(z, p, q, t0: float) -> tuple:
     """Inverse of :func:`gas_to_barred`; needs every q < 0."""
-    z, p, q = _gas_columns(z, p, q)
+    z, p, q = _gas_columns(z, p, q, t0)
     return _floats(z + gas_phi(t0, q), p + gas_dphi(t0, q), q)
 
 
 def cw_to_barred(z, p, q, t0: float, b: float) -> tuple:
     """(z, p, q) -> (Z, P, Q) with Q = q + b p, P = p - Phi'_{t0}(Q),
     Z = z - Phi_{t0}(Q) + b p^2/2.  Preserves dz - p dq."""
+    _scalar(t0, "t0", positive=True)
+    _scalar(b, "spin interaction b", positive=True)
     z, p, q = _columns(z, p, q)
     Q = q + b * p
     return _floats(z - cw_phi(t0, Q) + b * p * p / 2.0, p - cw_dphi(t0, Q), Q)
@@ -510,6 +519,8 @@ def cw_to_barred(z, p, q, t0: float, b: float) -> tuple:
 
 def cw_from_barred(Z, P, Q, t0: float, b: float) -> tuple:
     """Inverse of :func:`cw_to_barred`."""
+    _scalar(t0, "t0", positive=True)
+    _scalar(b, "spin interaction b", positive=True)
     Z, P, Q = _columns(Z, P, Q)
     p = P + cw_dphi(t0, Q)
     return _floats(Z + cw_phi(t0, Q) - b * p * p / 2.0, p, Q - b * p)
@@ -528,10 +539,9 @@ def cw_coupling_derivatives(p: float, T: float, q: float) -> tuple[float, float]
 
     Both are positive for p in (0, 1) and q >= 0.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"magnetization must lie in (0, 1), got {p}")
-    if not T > 0:
-        raise ValueError("temperature must be positive")
+    _scalar(p, "magnetization", inside=(0, 1))
+    _scalar(T, "temperature", positive=True)
+    _scalar(q, "q")
     u = math.atanh(p)
     du = 1.0 / (1.0 - p * p)
     dz_db = p * p / 2.0
@@ -549,10 +559,10 @@ def cw_dz_dT(p: float, q: float, T: float, b: float) -> float:
     exponentially small tail representable instead of being absorbed by the
     large cosh term.
     """
-    if not -1.0 < p < 1.0:
-        raise ValueError(f"magnetization must lie in (-1, 1), got {p}")
-    if not T > 0:
-        raise ValueError("temperature must be positive")
+    _scalar(p, "magnetization", inside=(-1, 1))
+    _scalar(T, "temperature", positive=True)
+    _scalar(q, "q")
+    _scalar(b, "spin interaction b", positive=True)
     return cw_entropy_y((q + b * p) / T)
 
 

@@ -36,7 +36,7 @@ from .models import (
     _gas_zp,
     cw_magnetization_roots,
 )
-from .phase_space import NonnegReport, SampledPath, _array, _first, check_path_nonnegative
+from .phase_space import NonnegReport, SampledPath, _array, _first, _scalar, check_path_nonnegative
 
 # fokker_planck_relax: largest t_end / dt0, and most accepted steps of a run (a count)
 MAX_RELAX_STEPS = 100_000
@@ -106,6 +106,9 @@ class Schedule:
         """``n_nodes`` equal steps over times [0, 1]; T and background linear.
 
         Raises FloatingPointError when a ramp's width overflows doubles."""
+        n_nodes = _scalar(n_nodes, "n_nodes", count=True, at_least=2)
+        ends = {"T_start": T_start, "T_end": T_end, "bg_start": bg_start, "bg_end": bg_end}
+        T_start, T_end, bg_start, bg_end = (_scalar(value, name) for name, value in ends.items())
         for what, lo, hi in (("temperature", T_start, T_end), ("background", bg_start, bg_end)):
             if not math.isfinite(hi - lo):
                 raise FloatingPointError(
@@ -192,8 +195,9 @@ def run_slow_isotopy(
             z, p = _gas_zp(x, temps, bgs)
             paths.append(SampledPath(times, z, p, np.full(times.size, x)))
     else:
-        if b is None or not b > 0:
+        if b is None:
             raise ValueError("the magnet model needs a positive spin interaction b")
+        _scalar(b, "spin interaction b", positive=True)
         outside = x_grid[~(np.abs(x_grid) < 1.0)]
         if outside.size:
             raise ValueError(f"magnet chart value p={outside[0]} must lie in (-1, 1)")
@@ -257,6 +261,8 @@ def ultrafast_jump(
     against ``COINCIDENCE_TOL``; otherwise stage 2 is a relaxation
     (:func:`fokker_planck_relax`).
     """
+    _scalar(T0, "T0", positive=True)
+    _scalar(T1, "T1", positive=True)
     q = _array(q, "q")
     c = _array(background_jump, "background_jump")
     if q.size != c.size:
@@ -341,10 +347,8 @@ def fokker_planck_relax(
     hold G or its gradient.
     """
     q = _array(q, "q")
-    if not dt0 > 0:
-        raise ValueError("dt0 must be positive")
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
+    _scalar(dt0, "dt0", positive=True)
+    _scalar(t_end, "t_end", positive=True)
     # the limits, bound once: the step loop reads them as locals
     max_steps, floor, rise_tol = MAX_RELAX_STEPS, RHO_FLOOR, LYAPUNOV_TOL
     min_dt, drop_tol = MIN_RELAX_DT, SCHEDULE_DROP_TOL
@@ -496,12 +500,11 @@ def stirling_cycle(
     admissibility convention for reduced processes.  Corners at volume 1 are
     degenerate (the chord shrinks to a point) and carry no chord record.
     """
-    if not 0 < T_C < T_H:
+    if not _scalar(T_C, "T_C", positive=True) < _scalar(T_H, "T_H"):
         raise ValueError("need T_H > T_C > 0")
-    if not 0 < v_min < v_max:
+    if not _scalar(v_min, "v_min", positive=True) < _scalar(v_max, "v_max"):
         raise ValueError("need v_max > v_min > 0")
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
+    _scalar(n_samples, "n_samples", count=True, at_least=2)
     # the largest |q| and |z| on the cycle (Python floats overflow to inf)
     if not all(map(math.isfinite, (T_H / v_min, T_H * math.log(v_min), T_H * math.log(v_max)))):
         raise FloatingPointError(

@@ -135,6 +135,9 @@ def loop_cw_magnetization_roots(
             piece = int(target > 0.0) - int(target < 0.0)
         else:
             piece = int(y >= fold) - int(y <= -fold)
+        if target == 0.0 and piece == 0:
+            # at zero field g(0) = 0 exactly: the middle piece's root is y = 0
+            y = 0.0
         p = math.tanh(y)
         residual = abs(p - math.tanh((q + par.H_back + b * p) / T))
         if residual > SELF_CONSISTENCY_TOL:

@@ -170,6 +170,9 @@ class TestFindChords:
         "grid_n, lo, hi, message",
         [
             (2, -1.0, 1.0, "grid_n must be at least 3"),
+            (3.5, -1.0, 1.0, "grid_n must be an integer, got 3.5"),
+            # a grid of 10^12 nodes would take hours to scan
+            (10**12, -1.0, 1.0, "grid_n must be at most 100000000, got 1000000000000"),
             (401, 1.0, 1.0, "need scan_lo < scan_hi"),
             (401, 1.0, -1.0, "need scan_lo < scan_hi"),
             # the node step overflows, so nodes past the first would not be

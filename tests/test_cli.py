@@ -121,6 +121,8 @@ class TestChordFlagChecks:
             ("cw", {"grid": -3}, "error: need --grid >= 2, got -3"),
             ("gas", {"grid_n": 1}, "error: need --grid-n >= 3, got 1"),
             ("cw", {"grid_n": 2}, "error: need --grid-n >= 3, got 2"),
+            ("gas", {"grid_n": 10**12},
+             "error: grid_n must be at most 100000000, got 1000000000000"),
             ("gas", {"q_lo": 1.0, "q_hi": -1.0},
              "error: need --q-lo < --q-hi, got the window [1.0, -1.0]"),
             ("cw", {"q_lo": 1.0, "q_hi": 1.0},

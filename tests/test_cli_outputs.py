@@ -103,7 +103,8 @@ DIGESTS: dict[str, dict[str, str]] = {
         "<stdout>": "3bc23aacc22a390c8b24210daece1a912a0251509aad4123eb7a354b6b56d4e0",
         "isotopy_manifest.json": "c52e23b22811c1c527af69cb6e4d44222d3342ce411072bab7d4a9648d4cb447",
         "isotopy_path_000.csv": "00f815fc0791d61793f87de72aed8039e749744b338aa4cd1d9412536daa515a",
-        "isotopy_path_001.csv": "4c5277ec3ecf1b13a33b6b1f370c126e6304e9c78cff9fb11d417e338808acb1",
+        # its x = 0 path sits at zero field, where p is exactly 0
+        "isotopy_path_001.csv": "381f2a9980a40f675bba7c13c354c620f4a03ea82ab767e51c19af34999b2052",
         "isotopy_path_002.csv": "0e05d8d7bc184c5f05c585b89e7adb651e9eaa379984bce8a6ae36a3cbd2f6e2",
     },
     "isotopy_gas": {

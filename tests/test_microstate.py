@@ -24,7 +24,7 @@ from thermocontact import (
     total_variation,
     uniform_density,
 )
-from thermocontact.microstate import check_density
+from thermocontact.microstate import check_density, lift_rows
 from thermocontact.processes import fokker_planck_relax
 
 
@@ -398,6 +398,13 @@ class TestLift:
         res = gibbs(sp, h, 1.0, [0.2])
         z_on_graph, _, _ = lift_to_extended(sp, h, 1.0, [0.2], res.rho_g)
         assert z < z_on_graph  # strictly higher free energy off equilibrium
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf, [1.0, math.inf]])
+    def test_rows_need_positive_finite_temperatures(self, T):
+        sp = unit_space(2)
+        h = AffineHamiltonian([0.0, 1.0], [[1.0, -1.0]])
+        with pytest.raises(ValueError, match="^temperatures must be positive and finite$"):
+            lift_rows(sp, h, T, [0.0], [[0.5, 0.5], [0.9, 0.1]])
 
 
 class TestSerialization:

@@ -287,6 +287,10 @@ class TestMagnetFamilyProperty:
         assert [r.stability for r in roots].count("global_min") == 1
         # each monotone piece holds one root at most
         assert [r.piece for r in roots] == sorted({r.piece for r in roots})
+        if target == 0.0:
+            # g(0) = 0 exactly: the middle piece holds the root y = +0.0
+            middle = [r.y for r in roots if r.piece == 0]
+            assert middle == [0.0] and math.copysign(1.0, middle[0]) == 1.0
 
         def g(y):
             return T * y - b * math.tanh(y) - target

@@ -403,6 +403,8 @@ class TestFokkerPlanck:
         [
             (0.0, 5.0, [0.5, 0.5], 1.0, "dt0 must be positive"),
             (-0.05, 5.0, [0.5, 0.5], 1.0, "dt0 must be positive"),
+            # a step of inf would end the run at once
+            (INF, 5.0, [0.5, 0.5], 1.0, "dt0 must be finite, got inf"),
             (0.05, 0.0, [0.5, 0.5], 1.0, "t_end must be positive"),
             (0.05, -1.0, [0.5, 0.5], 1.0, "t_end must be positive"),
             # a valid density with an entry at the positivity floor

@@ -1,0 +1,271 @@
+"""Every public function and constructor reads its scalar arguments by one rule.
+
+A scalar argument (a temperature, a tolerance, a slack, a count, an end of
+a window) must be a real number that is not a bool, finite, an integer
+where it counts something, and inside its bound.  Any other value raises a
+ValueError that names the argument.  The property below also lets a
+FloatingPointError pass, the library's error for numbers beyond double
+precision, but never a result or another exception type.
+"""
+
+import inspect
+import math
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import thermocontact
+from thermocontact import (
+    AffineHamiltonian,
+    CurieWeissParams,
+    IdealGasParams,
+    MicrostateSpace,
+    ReductionSpec,
+    SampledPath,
+    Schedule,
+    check_path_nonnegative,
+    constant_front,
+    cw_chord,
+    cw_coupling_derivatives,
+    cw_dz_dT,
+    cw_entropy,
+    cw_entropy_y,
+    cw_from_barred,
+    cw_magnetization_roots,
+    cw_to_barred,
+    difference_front,
+    find_chords,
+    fokker_planck_relax,
+    free_energy,
+    gas_chord,
+    gas_from_barred,
+    gas_to_barred,
+    gibbs,
+    lift_to_extended,
+    run_slow_isotopy,
+    stirling_cycle,
+    ultrafast_jump,
+)
+from thermocontact.chords import MAX_GRID_NODES
+
+SP = MicrostateSpace(("s0", "s1"), [1.0, 1.0])
+H = AffineHamiltonian([0.0, 1.0], [[1.0, -1.0]])
+RHO = [0.5, 0.5]
+T_GRID = np.linspace(0.0, 1.0, 5)
+PATH = SampledPath(T_GRID, 1.0 + T_GRID, np.full(5, 2.0), np.full(5, -0.5))
+CW_FRONT = difference_front("cw", 2.0, 3.0, 1.0)
+SCHEDULE = Schedule.linear(3, 2.0, 2.5)
+
+# Strategies of forbidden values.  NO_SCALAR: what no scalar argument
+# takes.  REAL: what a real argument does not take, an int beyond doubles too.
+NO_SCALAR = st.sampled_from([math.nan, math.inf, -math.inf]).flatmap(
+    lambda x: st.sampled_from([x, np.float64(x)])
+) | st.sampled_from([True, False, np.True_, np.False_, "1.0"])
+REAL = NO_SCALAR | st.just(10**400)
+FINITE = {"allow_nan": False, "allow_infinity": False}
+POSITIVE = REAL | st.floats(max_value=0.0, **FINITE)
+NON_NEGATIVE = REAL | st.floats(max_value=0.0, exclude_max=True, **FINITE)
+
+
+def inside(lo: float, hi: float):
+    """Values outside the open interval (lo, hi)."""
+    return REAL | st.floats(max_value=lo, **FINITE) | st.floats(min_value=hi, **FINITE)
+
+
+def count(at_least: int, at_most: int | None = None):
+    """Values that are not a count from at_least to at_most: every float
+    (a count is an int), and the ints past either end."""
+    bad = NO_SCALAR | st.floats() | st.integers(max_value=at_least - 1)
+    return bad if at_most is None else bad | st.integers(min_value=at_most + 1)
+
+
+# Each public function or constructor with scalar arguments: a call that
+# takes those scalars as keywords, and for each scalar a valid value and a
+# strategy of values its rule forbids.
+CALLS = {
+    "CurieWeissParams": (
+        CurieWeissParams, {"T": (1.0, POSITIVE), "H_back": (0.0, REAL), "b": (1.0, POSITIVE)}
+    ),
+    "IdealGasParams": (IdealGasParams, {"T": (1.0, POSITIVE), "P_back": (0.0, REAL)}),
+    "ReductionSpec": (
+        lambda k, tol, T0, pin: ReductionSpec(k, {1: pin}, (), T0=T0, tol=tol),
+        {"k": (1, count(1)), "tol": (1e-9, NON_NEGATIVE), "T0": (1.0, REAL), "pin": (0.5, REAL)},
+    ),
+    "Schedule": (
+        Schedule.linear,
+        {
+            "n_nodes": (3, count(2)),
+            "T_start": (1.0, POSITIVE),
+            "T_end": (2.0, POSITIVE),
+            "bg_start": (0.0, REAL),
+            "bg_end": (1.0, REAL),
+        },
+    ),
+    "check_path_nonnegative": (
+        lambda slack: check_path_nonnegative(PATH, slack), {"slack": (1e-9, NON_NEGATIVE)}
+    ),
+    "constant_front": (constant_front, {"value": (0.0, REAL)}),
+    "cw_chord": (
+        cw_chord,
+        {"t0": (2.0, POSITIVE), "t1": (3.0, REAL), "c": (1.0, REAL), "b": (1.0, POSITIVE)},
+    ),
+    "cw_coupling_derivatives": (
+        cw_coupling_derivatives,
+        {"p": (0.5, inside(0.0, 1.0)), "T": (1.0, POSITIVE), "q": (0.1, REAL)},
+    ),
+    "cw_dz_dT": (
+        cw_dz_dT,
+        {
+            "p": (0.5, inside(-1.0, 1.0)),
+            "q": (0.1, REAL),
+            "T": (1.0, POSITIVE),
+            "b": (1.0, POSITIVE),
+        },
+    ),
+    "cw_entropy": (cw_entropy, {"p": (0.5, inside(-1.0, 1.0))}),
+    "cw_entropy_y": (cw_entropy_y, {"y": (0.5, REAL)}),
+    "cw_from_barred": (
+        lambda t0, b: cw_from_barred(0.0, 0.1, 0.2, t0, b),
+        {"t0": (1.0, POSITIVE), "b": (1.0, POSITIVE)},
+    ),
+    "cw_magnetization_roots": (
+        lambda q: cw_magnetization_roots(q, CurieWeissParams(T=1.0, b=1.0)), {"q": (0.1, REAL)}
+    ),
+    "cw_to_barred": (
+        lambda t0, b: cw_to_barred(0.0, 0.1, 0.2, t0, b),
+        {"t0": (1.0, POSITIVE), "b": (1.0, POSITIVE)},
+    ),
+    "difference_front": (
+        lambda t0, t1, c: difference_front("cw", t0, t1, c),
+        {"t0": (2.0, POSITIVE), "t1": (3.0, REAL), "c": (1.0, REAL)},
+    ),
+    "find_chords": (
+        lambda scan_lo, scan_hi, grid_n: find_chords(
+            constant_front(), CW_FRONT, scan_lo, scan_hi, grid_n
+        ),
+        {
+            "scan_lo": (-20.0, REAL),
+            "scan_hi": (20.0, REAL),
+            "grid_n": (401, count(3, MAX_GRID_NODES)),
+        },
+    ),
+    "fokker_planck_relax": (
+        lambda dt0, t_end: fokker_planck_relax(SP, H, [0.0], lambda t: 1.0, RHO, dt0, t_end),
+        {"dt0": (0.1, POSITIVE), "t_end": (0.5, POSITIVE)},
+    ),
+    "free_energy": (lambda T: free_energy(SP, H, T, [0.0], RHO), {"T": (1.0, POSITIVE)}),
+    "gas_chord": (
+        gas_chord, {"t0": (1.0, POSITIVE), "t1": (5.0, REAL), "c": (2.0, POSITIVE)}
+    ),
+    "gas_from_barred": (lambda t0: gas_from_barred(0.0, 1.0, -1.0, t0), {"t0": (1.0, POSITIVE)}),
+    "gas_to_barred": (lambda t0: gas_to_barred(0.0, 1.0, -1.0, t0), {"t0": (1.0, POSITIVE)}),
+    "gibbs": (lambda T: gibbs(SP, H, T, [0.0]), {"T": (1.0, POSITIVE)}),
+    "lift_to_extended": (
+        lambda T: lift_to_extended(SP, H, T, [0.0], RHO), {"T": (1.0, POSITIVE)}
+    ),
+    "run_slow_isotopy": (
+        lambda b, slack: run_slow_isotopy("cw", SCHEDULE, [0.0], b=b, slack=slack),
+        {"b": (1.0, POSITIVE), "slack": (1e-8, NON_NEGATIVE)},
+    ),
+    "stirling_cycle": (
+        stirling_cycle,
+        {
+            "T_C": (1.0, POSITIVE),
+            "T_H": (5.0, REAL),
+            "v_min": (1.5, POSITIVE),
+            "v_max": (2.0, REAL),
+            "n_samples": (5, count(2)),
+        },
+    ),
+    "ultrafast_jump": (
+        lambda T0, T1: ultrafast_jump(SP, H, T0, T1, [0.0], [0.0]),
+        {"T0": (1.0, POSITIVE), "T1": (2.0, POSITIVE)},
+    ),
+}
+
+# The other public functions and constructors, and why the rule has no
+# scalar of theirs to read
+NO_SCALARS = {
+    **dict.fromkeys(
+        ["CWBranchPoint", "Chord", "CycleSegment", "GibbsResult", "IsotopyTrace", "JumpRecord",
+         "NonnegReport", "RelaxTrace", "StirlingCycleTrace"],
+        "a record of results that the library builds",
+    ),
+    **dict.fromkeys(
+        ["AffineHamiltonian", "MicrostateSpace", "SampledPath", "entropy", "internal_energy",
+         "normalized_density", "pressures", "total_variation", "uniform_density",
+         "sample_cw_legendrian", "sample_gas_legendrian", "admissibility_decrement",
+         "irreversible_entropy_rate", "reduce", "gas_front", "select_equilibrium"],
+        "takes arrays, densities, systems, paths, parameter records or branch points",
+    ),
+    **dict.fromkeys(
+        ["chords_to_csv", "chords_to_json", "densities_from_csv", "densities_to_csv",
+         "load_system", "save_system", "path_from_csv", "path_to_csv"],
+        "reads or writes a file",
+    ),
+    "FrontFunction": "takes callables and a domain whose ends may be infinite",
+    "lift_rows": "its T is one temperature per row, an array argument",
+}
+
+
+def _valid(name: str) -> dict:
+    return {arg: valid for arg, (valid, _) in CALLS[name][1].items()}
+
+
+def test_every_public_callable_is_listed_once():
+    # the package's public names, but its submodules and exception types
+    public = {
+        name
+        for name, obj in vars(thermocontact).items()
+        if not name.startswith("_")
+        and not inspect.ismodule(obj)
+        and not (isinstance(obj, type) and issubclass(obj, Exception))
+    }
+    assert not set(CALLS) & set(NO_SCALARS)
+    assert set(CALLS) | set(NO_SCALARS) == public
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_the_valid_call_runs(name):
+    CALLS[name][0](**_valid(name))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_a_forbidden_scalar_is_rejected(data):
+    name = data.draw(st.sampled_from(sorted(CALLS)), label="callable")
+    call, scalars = CALLS[name]
+    arg = data.draw(st.sampled_from(sorted(scalars)), label="argument")
+    bad = data.draw(scalars[arg][1], label="value")
+    with pytest.raises((ValueError, FloatingPointError)):
+        call(**{**_valid(name), arg: bad})
+
+
+@pytest.mark.parametrize(
+    "name, arg, value, message",
+    [
+        ("ReductionSpec", "tol", math.nan, "tol must be finite, got nan"),
+        ("ReductionSpec", "T0", math.nan, "T0 must be finite, got nan"),
+        ("ReductionSpec", "pin", math.nan, "frozen_q[1] must be finite, got nan"),
+        ("ReductionSpec", "k", 1.5, "k must be an integer, got 1.5"),
+        ("ReductionSpec", "k", True, "k must be an integer, got True"),
+        ("check_path_nonnegative", "slack", math.nan, "slack must be finite, got nan"),
+        ("check_path_nonnegative", "slack", math.inf, "slack must be finite, got inf"),
+        ("gibbs", "T", math.inf, "temperature must be finite, got inf"),
+        ("gibbs", "T", True, "temperature must be a number, got True"),
+        ("IdealGasParams", "T", math.inf, "temperature must be finite, got inf"),
+        ("IdealGasParams", "P_back", math.nan, "P_back must be finite, got nan"),
+        ("IdealGasParams", "T", 10**400, "temperature must be finite, got inf"),
+        ("CurieWeissParams", "T", math.inf, "temperature must be finite, got inf"),
+        ("stirling_cycle", "n_samples", 2.5, "n_samples must be an integer, got 2.5"),
+        ("cw_entropy", "p", -1.0, "magnetization must lie in (-1, 1), got -1.0"),
+        ("cw_coupling_derivatives", "p", 1.0, "magnetization must lie in (0, 1), got 1.0"),
+        ("ReductionSpec", "k", 0, "k must be at least 1"),
+    ],
+)
+def test_the_rejection_names_the_argument(name, arg, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CALLS[name][0](**{**_valid(name), arg: value})
