@@ -88,10 +88,8 @@ class Chord:
     tangential: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "q", float(self.q))
-        object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "z_start", float(self.z_start))
-        object.__setattr__(self, "z_end", float(self.z_end))
+        for name in ("q", "p", "z_start", "z_end"):
+            object.__setattr__(self, name, _scalar(getattr(self, name), name))
         if self.z_end == self.z_start:
             raise DegenerateChordError("chord endpoints coincide (zero length)")
 
@@ -112,9 +110,10 @@ def gas_chord(t0: float, t1: float, c: float) -> Chord:
     the chord points up exactly when p > 1 (c below the temperature gap).
     Degenerate at c = t1 - t0 where the families touch.
     """
-    if not _scalar(t0, "t0", positive=True) < _scalar(t1, "t1"):
+    t0, t1 = _scalar(t0, "t0", positive=True), _scalar(t1, "t1")
+    if not t0 < t1:
         raise ValueError("need t1 > t0 > 0")
-    _scalar(c, "pressure jump c", positive=True)
+    c = _scalar(c, "pressure jump c", positive=True)
     v = (t1 - t0) / c
     if v == 1.0:
         raise DegenerateChordError(
@@ -131,17 +130,18 @@ def cw_chord(t0: float, t1: float, c: float, b: float) -> Chord:
     the endpoints follow the magnet z-formula at background fields 0 and c.
     The chord always points up for t1 > t0 (z grows with T at fixed (p, q)).
     """
-    if not _scalar(t0, "t0", positive=True) < _scalar(t1, "t1"):
+    t0, t1 = _scalar(t0, "t0", positive=True), _scalar(t1, "t1")
+    if not t0 < t1:
         raise ValueError("need t1 > t0 > 0")
-    _scalar(b, "spin interaction b", positive=True)
-    p = math.tanh(_scalar(c, "c") / (t1 - t0))
+    b = _scalar(b, "spin interaction b", positive=True)
+    c = _scalar(c, "c")
+    p = math.tanh(c / (t1 - t0))
     q = c * t0 / (t1 - t0) - b * p
     # models.cw_phi takes x / T and doubles it, at each end of the chord
     for T, H in ((t0, 0.0), (t1, c)):
         if not math.isfinite(2.0 * ((q + H + b * p) / T)):
             raise FloatingPointError(
-                f"the magnet chord at t0={float(t0)!r}, t1={float(t1)!r}, "
-                f"c={float(c)!r}, b={float(b)!r} "
+                f"the magnet chord at t0={t0!r}, t1={t1!r}, c={c!r}, b={b!r} "
                 "is beyond double precision"
             )
     return Chord(q=q, p=p, z_start=_cw_z(p, q, t0, 0.0, b), z_end=_cw_z(p, q, t1, c, b))
@@ -190,7 +190,7 @@ def find_chords(
     for front in (f0, f1):
         if not (front.contains(lo) and front.contains(hi)):
             raise ValueError(
-                f"scan window [{scan_lo}, {scan_hi}] leaves the domain of "
+                f"scan window [{lo}, {hi}] leaves the domain of "
                 f"front {front.label!r}"
             )
 
@@ -198,7 +198,7 @@ def find_chords(
     # computes them.
     step = (hi - lo) / (grid_n - 1)
     if not math.isfinite(step):
-        raise ValueError(f"scan window [{scan_lo}, {scan_hi}] is wider than a double holds")
+        raise ValueError(f"scan window [{lo}, {hi}] is wider than a double holds")
     # From here on the derivatives are called directly, without the domain
     # check of FrontFunction.slope: each domain is an open interval holding
     # lo and hi, so it holds all of [lo, hi], and with a finite step every

@@ -237,8 +237,6 @@ def _cmd_chord(args: argparse.Namespace) -> Outcome:
     front pair with the chord segment (docs/formats.md).
     """
     t0, t1, c = _require(args, "t0"), _require(args, "t1"), _require(args, "c")
-    if args.grid_n < 3:
-        raise ValueError(f"need --grid-n >= 3, got {args.grid_n}")
     if args.grid < 2:
         raise ValueError(f"need --grid >= 2, got {args.grid}")
     # the magnet-only flags are checked whatever the model
@@ -248,8 +246,6 @@ def _cmd_chord(args: argparse.Namespace) -> Outcome:
         raise ValueError(f"need --span > 0, got {args.span!r}")
     _check_rising(args.p_lo, args.p_hi, "p")
     if args.model == "gas":
-        if not c > 0:
-            raise ValueError("the gas jump needs --c > 0")
         closed = gas_chord(t0, t1, c)
         f1 = difference_front("gas", t0, t1, c)
         lo = 10.0 * closed.q - 1.0
@@ -304,8 +300,6 @@ def _cmd_gibbs(args: argparse.Namespace) -> Outcome:
     sp, h = _read_checked(ms.load_system, _require(args, "system"), "system file")
     T = _require(args, "T")
     q = _parse_floats(_require(args, "q"), "q")
-    if q.size != h.n:
-        raise ValueError(f"q has length {q.size}, the system expects {h.n}")
     res = ms.gibbs(sp, h, T, q)
     z, S, p = ms.lift_to_extended(sp, h, T, q, res.rho_g)
     point = {"log_z": res.log_z, "z": z, "S": S, "T": T, "p": p.tolist(), "q": q.tolist()}
@@ -321,12 +315,11 @@ def _cmd_gibbs(args: argparse.Namespace) -> Outcome:
 def _cmd_relax(args: argparse.Namespace) -> Outcome:
     sp, h = _read_checked(ms.load_system, _require(args, "system"), "system file")
     q = _parse_floats(_require(args, "q"), "q")
-    if q.size != h.n:
-        raise ValueError(f"q has length {q.size}, the system expects {h.n}")
     T0 = _require(args, "T0")
     T1, ramp = _or(args.T1, T0), args.ramp
-    if not (T0 > 0 and T1 >= T0 and ramp >= 0 and args.t_end > 0 and args.dt0 > 0):
-        raise ValueError("need --T0 > 0, --T1 >= --T0, --ramp >= 0, --t-end > 0, --dt0 > 0")
+    # the library never sees T0 at --ramp 0, and a lower T1 is a valid constant schedule
+    if not (T0 > 0 and T1 >= T0 and ramp >= 0):
+        raise ValueError("need --T0 > 0, --T1 >= --T0, --ramp >= 0")
     if args.rho0 == "uniform":
         rho0 = ms.uniform_density(sp)
     else:
@@ -369,8 +362,9 @@ def _cmd_relax(args: argparse.Namespace) -> Outcome:
 
 def _cmd_isotopy(args: argparse.Namespace) -> Outcome:
     T0, T1 = _require(args, "T0"), _require(args, "T1")
-    if not (T0 > 0 and T1 > 0 and args.n_times >= 2):
-        raise ValueError("need positive temperatures and --n-times >= 2")
+    # Schedule.linear's line would name n_nodes, and _window's numpy's samples
+    if args.n_times < 2:
+        raise ValueError(f"need --n-times >= 2, got {args.n_times}")
     x_lo, x_hi = _require(args, "x_lo"), _require(args, "x_hi")
     if not (x_lo <= x_hi and args.n_x >= 1):
         raise ValueError("need --x-lo <= --x-hi and --n-x >= 1")
@@ -442,8 +436,6 @@ def _cmd_stirling(args: argparse.Namespace) -> Outcome:
 
 def _cmd_reduce(args: argparse.Namespace) -> Outcome:
     path = _read_checked(path_from_csv, _require(args, "input"), "input file")
-    if path.kind != "extended":
-        raise ValueError("reduce expects an extended path CSV")
     k = _require(args, "k")
     frozen: dict[int, float | None] = {}
     for piece in args.frozen.split(","):

@@ -213,7 +213,7 @@ def free_energy(sp: MicrostateSpace, h: AffineHamiltonian, T: float, q, rho) -> 
 
     Equals U - T S - sum_j p_j q_j; the two routes agree to roundoff.
     """
-    _scalar(T, "temperature", positive=True)
+    T = _scalar(T, "temperature", positive=True)
     _check_dims(sp, h)
     R = check_density(sp, rho)[None, :]
     S = _entropy_rows(sp.weights, R)
@@ -234,7 +234,7 @@ def gibbs(sp: MicrostateSpace, h: AffineHamiltonian, T: float, q) -> GibbsResult
     result: log Z is not finite (H/T overflows), or it is so large that the
     weights are lost in it and the density's mass is not 1.
     """
-    _scalar(T, "temperature", positive=True)
+    T = _scalar(T, "temperature", positive=True)
     _check_dims(sp, h)
     with np.errstate(over="ignore", invalid="ignore"):
         a = -h.energies(q) / T
@@ -286,7 +286,7 @@ def lift_to_extended(
     """(z, S, p) of one density at (T, q), z = -G: with T and q, its point
     of the extended phase space.  Raises FloatingPointError, naming T and
     q, when one of them overflows."""
-    _scalar(T, "temperature", positive=True)
+    T = _scalar(T, "temperature", positive=True)
     with np.errstate(over="ignore", invalid="ignore"):
         z, S, p = _lift(sp, h, T, q, check_density(sp, rho)[None, :])
     if not np.all(np.isfinite([z[0], S[0], *p[0]])):

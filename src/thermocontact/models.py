@@ -170,8 +170,8 @@ class IdealGasParams:
     P_back: float = 0.0
 
     def __post_init__(self):
-        _scalar(self.T, "temperature", positive=True)
-        _scalar(self.P_back, "P_back")
+        object.__setattr__(self, "T", _scalar(self.T, "temperature", positive=True))
+        object.__setattr__(self, "P_back", _scalar(self.P_back, "P_back"))
 
 
 @dataclass(frozen=True)
@@ -181,9 +181,9 @@ class CurieWeissParams:
     b: float = 1.0
 
     def __post_init__(self):
-        _scalar(self.T, "temperature", positive=True)
-        _scalar(self.H_back, "H_back")
-        _scalar(self.b, "spin interaction b", positive=True)
+        object.__setattr__(self, "T", _scalar(self.T, "temperature", positive=True))
+        object.__setattr__(self, "H_back", _scalar(self.H_back, "H_back"))
+        object.__setattr__(self, "b", _scalar(self.b, "spin interaction b", positive=True))
 
 
 @dataclass(frozen=True)
@@ -245,7 +245,7 @@ def gas_front(par: IdealGasParams) -> FrontFunction:
 
 def cw_entropy(p: float) -> float:
     """Mixing entropy of a magnetization p in (-1, 1); value in (0, ln 2]."""
-    _scalar(p, "magnetization", inside=(-1, 1))
+    p = _scalar(p, "magnetization", inside=(-1, 1))
     lo, hi = (1.0 - p) / 2.0, (1.0 + p) / 2.0
     out = 0.0
     if lo > 0:
@@ -299,13 +299,13 @@ def _check_self_consistency(y: float, q: float, par: CurieWeissParams) -> None:
     max because y is solved to an absolute tolerance, so g may be off by
     about T * MAGNET_YTOL even where its terms are far smaller than T.
     """
-    T, b = float(par.T), float(par.b)
-    target = float(q + par.H_back)
+    T, b = par.T, par.b
+    target = q + par.H_back
     residual = abs(T * y - b * math.tanh(y) - target)
     if residual > SELF_CONSISTENCY_TOL * max(T, abs(T * y), b, abs(target)):
         raise RuntimeError(
             f"self-consistency residual {residual:.3e} too large at T={T!r}, "
-            f"b={b!r}, H_back={float(par.H_back)!r}, p={math.tanh(y)!r}"
+            f"b={b!r}, H_back={par.H_back!r}, p={math.tanh(y)!r}"
         )
 
 
@@ -338,8 +338,9 @@ def cw_magnetization_roots(
     ``SELF_CONSISTENCY_TOL * max(T, |T y|, b, |q + H_back|)``.
     """
     # Python floats: an overflowing ratio is inf here, not a numpy warning
-    T, b = float(par.T), float(par.b)
-    target = _scalar(q, "q") + float(par.H_back)
+    T, b = par.T, par.b
+    q = _scalar(q, "q")
+    target = q + par.H_back
 
     def resid(y: float) -> float:
         return T * y - b * math.tanh(y) - target
@@ -436,7 +437,7 @@ def select_equilibrium(points: list[CWBranchPoint]) -> CWBranchPoint:
 def _cw_qz(p: float, par: CurieWeissParams) -> tuple[float, float]:
     """q = -b p + T atanh(p) - H_back and z over magnetization p, checked
     against the self-consistency equation."""
-    _scalar(p, "magnetization", inside=(-1, 1))
+    p = _scalar(p, "magnetization", inside=(-1, 1))
     y = math.atanh(p)
     q = -par.b * p + par.T * y - par.H_back
     _check_self_consistency(y, q, par)
@@ -451,7 +452,8 @@ def difference_front(model: str, t0: float, t1: float, c: float) -> FrontFunctio
     Phi_T(x) = T ln(2 cosh(x/T)).  The magnet's spin interaction cancels in
     the barred picture, so it does not enter here.
     """
-    if not _scalar(t0, "t0", positive=True) < _scalar(t1, "t1"):
+    t0, t1 = _scalar(t0, "t0", positive=True), _scalar(t1, "t1")
+    if not t0 < t1:
         raise ValueError("need t1 > t0 > 0")
     c = _scalar(c, "c")
     if model == "gas":
@@ -487,31 +489,32 @@ def _floats(*cols) -> tuple:
     return tuple(float(c) if np.ndim(c) == 0 else c for c in cols)
 
 
-def _gas_columns(z, p, q, t0) -> list[np.ndarray]:
-    _scalar(t0, "t0", positive=True)
+def _gas_columns(z, p, q, t0) -> tuple:
+    """The columns z, p, q and the t0 read, once every q is checked to be < 0."""
+    t0 = _scalar(t0, "t0", positive=True)
     z, p, q = _columns(z, p, q)
     if not np.all(q < 0):
         raise DomainError(f"gas barred map needs q < 0, got max q={float(np.max(q))}")
-    return [z, p, q]
+    return z, p, q, t0
 
 
 def gas_to_barred(z, p, q, t0: float) -> tuple:
     """(z, p, q) -> (z - phi_{t0}(q), p - phi'_{t0}(q), q); needs every q < 0."""
-    z, p, q = _gas_columns(z, p, q, t0)
+    z, p, q, t0 = _gas_columns(z, p, q, t0)
     return _floats(z - gas_phi(t0, q), p - gas_dphi(t0, q), q)
 
 
 def gas_from_barred(z, p, q, t0: float) -> tuple:
     """Inverse of :func:`gas_to_barred`; needs every q < 0."""
-    z, p, q = _gas_columns(z, p, q, t0)
+    z, p, q, t0 = _gas_columns(z, p, q, t0)
     return _floats(z + gas_phi(t0, q), p + gas_dphi(t0, q), q)
 
 
 def cw_to_barred(z, p, q, t0: float, b: float) -> tuple:
     """(z, p, q) -> (Z, P, Q) with Q = q + b p, P = p - Phi'_{t0}(Q),
     Z = z - Phi_{t0}(Q) + b p^2/2.  Preserves dz - p dq."""
-    _scalar(t0, "t0", positive=True)
-    _scalar(b, "spin interaction b", positive=True)
+    t0 = _scalar(t0, "t0", positive=True)
+    b = _scalar(b, "spin interaction b", positive=True)
     z, p, q = _columns(z, p, q)
     Q = q + b * p
     return _floats(z - cw_phi(t0, Q) + b * p * p / 2.0, p - cw_dphi(t0, Q), Q)
@@ -519,8 +522,8 @@ def cw_to_barred(z, p, q, t0: float, b: float) -> tuple:
 
 def cw_from_barred(Z, P, Q, t0: float, b: float) -> tuple:
     """Inverse of :func:`cw_to_barred`."""
-    _scalar(t0, "t0", positive=True)
-    _scalar(b, "spin interaction b", positive=True)
+    t0 = _scalar(t0, "t0", positive=True)
+    b = _scalar(b, "spin interaction b", positive=True)
     Z, P, Q = _columns(Z, P, Q)
     p = P + cw_dphi(t0, Q)
     return _floats(Z + cw_phi(t0, Q) - b * p * p / 2.0, p, Q - b * p)
@@ -539,9 +542,9 @@ def cw_coupling_derivatives(p: float, T: float, q: float) -> tuple[float, float]
 
     Both are positive for p in (0, 1) and q >= 0.
     """
-    _scalar(p, "magnetization", inside=(0, 1))
-    _scalar(T, "temperature", positive=True)
-    _scalar(q, "q")
+    p = _scalar(p, "magnetization", inside=(0, 1))
+    T = _scalar(T, "temperature", positive=True)
+    q = _scalar(q, "q")
     u = math.atanh(p)
     du = 1.0 / (1.0 - p * p)
     dz_db = p * p / 2.0
@@ -559,10 +562,10 @@ def cw_dz_dT(p: float, q: float, T: float, b: float) -> float:
     exponentially small tail representable instead of being absorbed by the
     large cosh term.
     """
-    _scalar(p, "magnetization", inside=(-1, 1))
-    _scalar(T, "temperature", positive=True)
-    _scalar(q, "q")
-    _scalar(b, "spin interaction b", positive=True)
+    p = _scalar(p, "magnetization", inside=(-1, 1))
+    T = _scalar(T, "temperature", positive=True)
+    q = _scalar(q, "q")
+    b = _scalar(b, "spin interaction b", positive=True)
     return cw_entropy_y((q + b * p) / T)
 
 

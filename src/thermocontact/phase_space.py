@@ -62,12 +62,15 @@ class ReductionSpec:
     tol: float = DEFAULT_REDUCTION_TOL
 
     def __post_init__(self):
-        _scalar(self.k, "k", count=True, at_least=1)
-        _scalar(self.tol, "tol", at_least=0)
-        pins = {"T0": self.T0} | {f"frozen_q[{i}]": v for i, v in self.frozen_q.items()}
-        for name, pinned in pins.items():
-            if pinned is not None:
-                _scalar(pinned, name)
+        object.__setattr__(self, "k", _scalar(self.k, "k", count=True, at_least=1))
+        object.__setattr__(self, "tol", _scalar(self.tol, "tol", at_least=0))
+        if self.T0 is not None:
+            object.__setattr__(self, "T0", _scalar(self.T0, "T0"))
+        pins = {
+            i: None if v is None else _scalar(v, f"frozen_q[{i}]")
+            for i, v in self.frozen_q.items()
+        }
+        object.__setattr__(self, "frozen_q", pins)
 
     def validate_for_dimension(self, n: int) -> None:
         kept = set(range(self.k))
@@ -284,7 +287,7 @@ def check_path_nonnegative(path: SampledPath, slack: float = DEFAULT_SLACK) -> N
     the sample, where the velocities or the form overflow doubles (the
     gradient does so for coordinates near the largest double).
     """
-    _scalar(slack, "slack", at_least=0)
+    slack = _scalar(slack, "slack", at_least=0)
     values = _form_values(path, _velocity_matrix(path))
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:

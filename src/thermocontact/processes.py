@@ -112,7 +112,7 @@ class Schedule:
         for what, lo, hi in (("temperature", T_start, T_end), ("background", bg_start, bg_end)):
             if not math.isfinite(hi - lo):
                 raise FloatingPointError(
-                    f"the {what} ramp from {float(lo)!r} to {float(hi)!r} is beyond "
+                    f"the {what} ramp from {lo!r} to {hi!r} is beyond "
                     "double precision"
                 )
         t = np.linspace(0.0, 1.0, n_nodes)
@@ -197,7 +197,7 @@ def run_slow_isotopy(
     else:
         if b is None:
             raise ValueError("the magnet model needs a positive spin interaction b")
-        _scalar(b, "spin interaction b", positive=True)
+        b = _scalar(b, "spin interaction b", positive=True)
         outside = x_grid[~(np.abs(x_grid) < 1.0)]
         if outside.size:
             raise ValueError(f"magnet chart value p={outside[0]} must lie in (-1, 1)")
@@ -261,8 +261,8 @@ def ultrafast_jump(
     against ``COINCIDENCE_TOL``; otherwise stage 2 is a relaxation
     (:func:`fokker_planck_relax`).
     """
-    _scalar(T0, "T0", positive=True)
-    _scalar(T1, "T1", positive=True)
+    T0 = _scalar(T0, "T0", positive=True)
+    T1 = _scalar(T1, "T1", positive=True)
     q = _array(q, "q")
     c = _array(background_jump, "background_jump")
     if q.size != c.size:
@@ -347,15 +347,14 @@ def fokker_planck_relax(
     hold G or its gradient.
     """
     q = _array(q, "q")
-    _scalar(dt0, "dt0", positive=True)
-    _scalar(t_end, "t_end", positive=True)
+    dt0 = _scalar(dt0, "dt0", positive=True)
+    t_end = _scalar(t_end, "t_end", positive=True)
     # the limits, bound once: the step loop reads them as locals
     max_steps, floor, rise_tol = MAX_RELAX_STEPS, RHO_FLOOR, LYAPUNOV_TOL
     min_dt, drop_tol = MIN_RELAX_DT, SCHEDULE_DROP_TOL
     if t_end > max_steps * dt0:
         raise ValueError(
-            f"dt0 = {float(dt0)!r} needs more than {max_steps} steps to reach "
-            f"t_end = {float(t_end)!r}"
+            f"dt0 = {dt0!r} needs more than {max_steps} steps to reach t_end = {t_end!r}"
         )
     rho0 = ms.check_density(sp, rho0)
     if float(rho0.min()) <= floor:
@@ -394,7 +393,7 @@ def fokker_planck_relax(
             break
         if len(ts) > max_steps:
             raise IntegrationError(
-                f"more than {max_steps} steps to reach t_end = {float(t_end)!r}: "
+                f"more than {max_steps} steps to reach t_end = {t_end!r}: "
                 f"at t={t:.6g} the step is dt={dt:.3e}"
             )
         g = T * (1.0 + log_rho) + energies
@@ -500,16 +499,18 @@ def stirling_cycle(
     admissibility convention for reduced processes.  Corners at volume 1 are
     degenerate (the chord shrinks to a point) and carry no chord record.
     """
-    if not _scalar(T_C, "T_C", positive=True) < _scalar(T_H, "T_H"):
+    T_C, T_H = _scalar(T_C, "T_C", positive=True), _scalar(T_H, "T_H")
+    if not T_C < T_H:
         raise ValueError("need T_H > T_C > 0")
-    if not _scalar(v_min, "v_min", positive=True) < _scalar(v_max, "v_max"):
+    v_min, v_max = _scalar(v_min, "v_min", positive=True), _scalar(v_max, "v_max")
+    if not v_min < v_max:
         raise ValueError("need v_max > v_min > 0")
-    _scalar(n_samples, "n_samples", count=True, at_least=2)
+    n_samples = _scalar(n_samples, "n_samples", count=True, at_least=2)
     # the largest |q| and |z| on the cycle (Python floats overflow to inf)
     if not all(map(math.isfinite, (T_H / v_min, T_H * math.log(v_min), T_H * math.log(v_max)))):
         raise FloatingPointError(
-            f"the Stirling cycle at T_C={float(T_C)!r}, T_H={float(T_H)!r}, "
-            f"v_min={float(v_min)!r}, v_max={float(v_max)!r} is beyond double precision"
+            f"the Stirling cycle at T_C={T_C!r}, T_H={T_H!r}, "
+            f"v_min={v_min!r}, v_max={v_max!r} is beyond double precision"
         )
 
     def isotherm(T: float, v_from: float, v_to: float, t0: float, name: str):
