@@ -108,7 +108,9 @@ def gas_chord(t0: float, t1: float, c: float) -> Chord:
     The common point has volume p = (t1 - t0)/c and pressure
     P = -q = c t0/(t1 - t0); the endpoints are z = t0 ln p and t1 ln p, so
     the chord points up exactly when p > 1 (c below the temperature gap).
-    Degenerate at c = t1 - t0 where the families touch.
+    Degenerate at c = t1 - t0 where the families touch.  Raises
+    FloatingPointError, naming t0, t1 and c, where p, q or z overflows
+    doubles or p underflows to 0.
     """
     t0, t1 = _scalar(t0, "t0", positive=True), _scalar(t1, "t1")
     if not t0 < t1:
@@ -120,7 +122,14 @@ def gas_chord(t0: float, t1: float, c: float) -> Chord:
             "c equals the temperature gap: the families touch (zero-length chord)"
         )
     q = -c * t0 / (t1 - t0)
-    return Chord(q=q, p=v, z_start=t0 * math.log(v), z_end=t1 * math.log(v))
+    # Python floats: an overflowing v, q or z is inf here; a v that underflows has no log
+    log_v = math.log(v) if v > 0.0 else -math.inf
+    z_start, z_end = t0 * log_v, t1 * log_v
+    if not all(map(math.isfinite, (v, q, z_start, z_end))):
+        raise FloatingPointError(
+            f"the gas chord at t0={t0!r}, t1={t1!r}, c={c!r} is beyond double precision"
+        )
+    return Chord(q=q, p=v, z_start=z_start, z_end=z_end)
 
 
 def cw_chord(t0: float, t1: float, c: float, b: float) -> Chord:
@@ -181,7 +190,8 @@ def find_chords(
     times it is below both flanks.  A psi' under FLAT_SLOPE_TOL at every
     node is reported as a degenerate family.  An empty result is a valid
     outcome.  Roots closer than COLLAPSE_CELLS grid cells collapse to one;
-    pick grid_n accordingly, from 3 to MAX_GRID_NODES.
+    pick grid_n accordingly, from 3 to MAX_GRID_NODES.  A chord whose p or
+    z is not finite raises FloatingPointError, naming its root.
     """
     grid_n = _scalar(grid_n, "grid_n", count=True, at_least=3, at_most=MAX_GRID_NODES)
     lo, hi = _scalar(scan_lo, "scan_lo"), _scalar(scan_hi, "scan_hi")
@@ -291,7 +301,13 @@ def find_chords(
         z1 = f1.value(x)
         if abs(z1 - z0) <= TRIVIAL_LENGTH_TOL:
             continue
-        out.append(Chord(q=x, p=f0.slope(x), z_start=z0, z_end=z1, tangential=tangential))
+        p = f0.slope(x)
+        if not all(map(math.isfinite, (p, z0, z1))):
+            raise FloatingPointError(
+                f"the chord at the root q={x!r} is beyond double precision "
+                f"(p={p!r}, z_start={z0!r}, z_end={z1!r})"
+            )
+        out.append(Chord(q=x, p=p, z_start=z0, z_end=z1, tangential=tangential))
     return out
 
 

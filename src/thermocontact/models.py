@@ -333,8 +333,10 @@ def cw_magnetization_roots(
     is a tie, resolved to the non-negative branch.
 
     Raises FloatingPointError, naming T, b and q + H_back, when doubles
-    cannot hold the y range or resolve its grid, and RuntimeError, naming
-    T, b, H_back and p, when a root y misses g(y) = 0 by more than
+    cannot hold the y range or resolve its grid; RuntimeError, naming
+    them too, when brentq does not converge (as at some q below
+    T/b ~ 1e-22); and RuntimeError, naming T, b, H_back and p, when a
+    root y misses g(y) = 0 by more than
     ``SELF_CONSISTENCY_TOL * max(T, |T y|, b, |q + H_back|)``.
     """
     # Python floats: an overflowing ratio is inf here, not a numpy warning
@@ -344,6 +346,15 @@ def cw_magnetization_roots(
 
     def resid(y: float) -> float:
         return T * y - b * math.tanh(y) - target
+
+    def solve(lo: float, hi: float) -> float:
+        try:
+            return brentq(resid, lo, hi, xtol=MAGNET_YTOL)
+        except RuntimeError as exc:
+            raise RuntimeError(
+                f"the magnetization root at T={T!r}, b={b!r}, q + H_back={target!r} "
+                f"on [{lo!r}, {hi!r}]: {exc}"
+            ) from exc
 
     y_lo = (target - b) / T - 1.0
     y_hi = (target + b) / T + 1.0
@@ -369,7 +380,7 @@ def cw_magnetization_roots(
                 # g(0) = 0 exactly, so the middle piece's root is y = 0
                 roots_y.append((0.0, 0))
             else:
-                pieces.append((brentq(resid, a, c, xtol=MAGNET_YTOL), a, c, piece))
+                pieces.append((solve(a, c), a, c, piece))
 
     # Nodes i - 1 .. i + 2 around the cell i holding each root, all in one
     # numpy call: node k is k * step + y_lo and the last node is y_hi, as
@@ -387,7 +398,7 @@ def cw_magnetization_roots(
         brackets += [(nodes[k], nodes[k + 1]) for k in range(3) if g[k] * g[k + 1] < 0.0]
         if brackets:
             lo, hi = min(brackets, key=lambda br: max(br[0] - y, y - br[1], 0.0))
-            cell_y = lo if lo == hi else brentq(resid, lo, hi, xtol=MAGNET_YTOL)
+            cell_y = lo if lo == hi else solve(lo, hi)
             if a <= cell_y <= c:
                 y = cell_y
         roots_y.append((y, piece))
@@ -540,11 +551,16 @@ def cw_coupling_derivatives(p: float, T: float, q: float) -> tuple[float, float]
         dz/db = p^2 / 2,
         db/dp = T ((p u'(p) - u(p)) + q/T) / p^2.
 
-    Both are positive for p in (0, 1) and q >= 0.
+    Both are positive for p in (0, 1) and q >= 0.  Raises
+    FloatingPointError, naming p, where p^2 underflows to 0.
     """
     p = _scalar(p, "magnetization", inside=(0, 1))
     T = _scalar(T, "temperature", positive=True)
     q = _scalar(q, "q")
+    if p * p == 0.0:
+        raise FloatingPointError(
+            f"the coupling derivatives at p={p!r} are beyond double precision (p^2 underflows)"
+        )
     u = math.atanh(p)
     du = 1.0 / (1.0 - p * p)
     dz_db = p * p / 2.0

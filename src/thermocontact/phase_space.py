@@ -271,30 +271,40 @@ def _form_values(path: SampledPath, vel: np.ndarray) -> np.ndarray:
     return values - np.vecdot(path.p, dq)
 
 
-def _extended_velocities(path: SampledPath, what: str) -> np.ndarray:
+def _require_extended(path: SampledPath, what: str) -> None:
     if path.kind != "extended":
         raise ValueError(f"{what} needs an extended path, got a {path.kind} one")
-    return _velocity_matrix(path)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def check_path_nonnegative(path: SampledPath, slack: float = DEFAULT_SLACK) -> NonnegReport:
-    """Certify that the contact form is >= -slack along a sampled path.
-
-    One gradient of the coordinate matrix gives the velocities; the path's
-    kind selects the form, which is evaluated on whole columns, and the
-    verdict reflects the minimum value.  Raises FloatingPointError, naming
-    the sample, where the velocities or the form overflow doubles (the
-    gradient does so for coordinates near the largest double).
-    """
-    slack = _scalar(slack, "slack", at_least=0)
-    values = _form_values(path, _velocity_matrix(path))
-    bad = np.flatnonzero(~np.isfinite(values))
+def _per_sample(
+    path: SampledPath, values: Callable[[SampledPath, np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """``values(path, vel)``, one per sample, with ``vel`` the path's
+    :func:`_velocity_matrix`.  Raises FloatingPointError, naming the first
+    sample, where a value overflows doubles, as it does where a velocity
+    that enters it overflows (the gradient does so for coordinates near
+    the largest double)."""
+    out = values(path, _velocity_matrix(path))
+    bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         raise FloatingPointError(
             f"the contact form along the path overflows doubles at sample {bad[0]} "
             f"(t={float(path.times[bad[0]])!r})"
         )
+    return out
+
+
+def check_path_nonnegative(path: SampledPath, slack: float = DEFAULT_SLACK) -> NonnegReport:
+    """Certify that the contact form is >= -slack along a sampled path.
+
+    One gradient of the coordinate matrix gives the velocities; the path's
+    kind selects the form, which is evaluated on whole columns, and the
+    verdict reflects the minimum value.  Raises FloatingPointError as
+    :func:`_per_sample` does.
+    """
+    slack = _scalar(slack, "slack", at_least=0)
+    values = _per_sample(path, _form_values)
     values.flags.writeable = False
     violating = tuple(np.flatnonzero(values < -slack).tolist())
     min_value = float(values.min())
@@ -307,15 +317,20 @@ def admissibility_decrement(path: SampledPath, spec: ReductionSpec) -> np.ndarra
 
     Returns S dT + sum over frozen indices of p_j dq_j at every sample of an
     extended path.  The S dT term is the temperature's contribution; it
-    vanishes for temperature-frozen paths.
+    vanishes for temperature-frozen paths.  Raises FloatingPointError as
+    :func:`_per_sample` does.
     """
-    vel = _extended_velocities(path, "admissibility_decrement")
+    _require_extended(path, "admissibility_decrement")
     spec.validate_for_dimension(path.dimension)
-    dq = vel[:, vel.shape[1] - path.dimension :]
-    total = path.S * vel[:, 2]
-    for i in spec.frozen_q:
-        total = total + path.p[:, i] * dq[:, i]
-    return total
+
+    def decrement(path: SampledPath, vel: np.ndarray) -> np.ndarray:
+        dq = vel[:, vel.shape[1] - path.dimension :]
+        total = path.S * vel[:, 2]
+        for i in spec.frozen_q:
+            total = total + path.p[:, i] * dq[:, i]
+        return total
+
+    return _per_sample(path, decrement)
 
 
 def reduce(path: SampledPath, spec: ReductionSpec) -> SampledPath:
@@ -358,8 +373,10 @@ def reduce(path: SampledPath, spec: ReductionSpec) -> SampledPath:
 
 def irreversible_entropy_rate(path: SampledPath) -> np.ndarray:
     """Entropy production rate at every sample of an extended path: the
-    form value divided by T."""
-    return _form_values(path, _extended_velocities(path, "irreversible_entropy_rate")) / path.T
+    form value divided by T.  Raises FloatingPointError as
+    :func:`_per_sample` does."""
+    _require_extended(path, "irreversible_entropy_rate")
+    return _per_sample(path, lambda path, vel: _form_values(path, vel) / path.T)
 
 
 # ---------------------------------------------------------------------------

@@ -498,6 +498,8 @@ def stirling_cycle(
     corner is flagged temperature-decreasing since it runs against the
     admissibility convention for reduced processes.  Corners at volume 1 are
     degenerate (the chord shrinks to a point) and carry no chord record.
+    Raises FloatingPointError where doubles cannot hold the cycle: its
+    largest |q| or |z|, a corner's pressure jump or its chord record.
     """
     T_C, T_H = _scalar(T_C, "T_C", positive=True), _scalar(T_H, "T_H")
     if not T_C < T_H:
@@ -534,6 +536,11 @@ def stirling_cycle(
         else:
             sign = "positive" if increment > 0 else "negative"
         c = abs(T_to - T_from) / v
+        if not c > 0.0:
+            raise FloatingPointError(
+                f"the {name} from T={T_from!r} to T={T_to!r} at v={v!r} is beyond "
+                "double precision (its pressure jump underflows to 0)"
+            )
         try:
             chord = gas_chord(min(T_from, T_to), max(T_from, T_to), c)
             degenerate = False

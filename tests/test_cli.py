@@ -677,6 +677,25 @@ class TestOverflow:
             (["chord", "cw", "--t0", "0.1", "--t1", "1", "--c", "1", "--q-lo=-1e308",
               "--q-hi", "1e308"],
              2, "failure: the --q-lo/--q-hi window [-1e+308, 1e+308] is beyond double precision"),
+            (["chord", "gas", "--t0", "1e-300", "--t1", "1e300", "--c", "1e-300"],
+             2, "failure: the gas chord at t0=1e-300, t1=1e+300, c=1e-300 is beyond double "
+             "precision"),
+            (["stirling", "--t-cold", "9.327288544196055e-186", "--t-hot",
+              "9.327288544197114e-186", "--v-min", "6.228100820612373e-186", "--v-max",
+              "2.621179005073122e+181"],
+             2, "failure: the heating_corner from T=9.327288544196055e-186 to "
+             "T=9.327288544197114e-186 at v=2.621179005073122e+181 is beyond double precision "
+             "(its pressure jump underflows to 0)"),
+            (["stirling", "--t-cold", "7.65889626690395e+135", "--t-hot",
+              "6.467883151584776e+203", "--v-min", "1.0100854264483892e-81", "--v-max",
+              "1.0100854264493078e-81"],
+             2, "failure: the gas chord at t0=7.65889626690395e+135, t1=6.467883151584776e+203, "
+             "c=6.403303109051693e+284 is beyond double precision"),
+            (["isotopy", "cw", "--T0", "1e-32", "--T1", "1e-32", "--b", "1", "--x-lo", "0.5",
+              "--x-hi", "0.5", "--n-x", "1", "--n-times", "2"],
+             2, "failure: the magnetization root at T=1e-32, b=1.0, q + H_back=-0.5 on "
+             "[-5.0005000500277e+27, 1.5001500149993029e+28]: "
+             "Failed to converge after 100 iterations."),
         ],
     )
     def test_one_line_and_no_file(self, tmp_path, system_file, capsys, argv, code, message):
@@ -770,6 +789,19 @@ class TestOneExitPath:
              "error: cannot read config '{dir}': [Errno 21] Is a directory: '{dir}'"),
             (["verify", "--criteria", "1.5"], "error: cannot parse criteria from '1.5'"),
             (["verify", "--criteria", "2,0"], "error: criteria indices are 1-based, got 0"),
+            # the library's line, where the CLI does not repeat its rule
+            (["gibbs", "--system", "{system}", "--T", "1", "--q", "0.3,0.4"],
+             "error: q has length 2, expected 1"),
+            (["relax", "--system", "{system}", "--q", "0.3", "--T0", "1", "--t-end", "0"],
+             "error: t_end must be positive"),
+            (["relax", "--system", "{system}", "--q", "0.3", "--T0", "1", "--dt0", "-1"],
+             "error: dt0 must be positive"),
+            (["isotopy", "gas", "--T0", "-1", "--T1", "5", "--x-lo", "-2.5", "--x-hi", "-0.5"],
+             "error: schedule temperatures must be positive"),
+            # the CLI's own rules
+            ([*_ISOTOPY, "--n-times", "1"], "error: need --n-times >= 2, got 1"),
+            (["relax", "--system", "{system}", "--q", "0.3", "--T0", "2", "--T1", "1"],
+             "error: need --T0 > 0, --T1 >= --T0, --ramp >= 0"),
         ],
     )
     def test_rejected_run_prints_its_line(self, tmp_path, system_file, capsys, argv, line):
@@ -783,6 +815,14 @@ class TestOneExitPath:
         }
         argv = [a.format(**names) for a in argv]
         assert self._one_line(tmp_path, capsys, argv, 1) == line.format(**names)
+
+    def test_reduce_of_a_reduced_path_prints_the_library_line(self, tmp_path, capsys):
+        red = tmp_path / "red.csv"
+        red.write_text("t,z,p_1,q_1\n0,0,1,0\n1,1,1,0\n")
+        argv = ["reduce", "--input", str(red), "--k", "1"]
+        assert self._one_line(tmp_path, capsys, argv, 1) == (
+            "error: only extended paths can be reduced"
+        )
 
     @pytest.mark.parametrize(
         "doc, line",

@@ -250,6 +250,17 @@ class TestMagnetizationRoots:
         with pytest.raises(ValueError):
             select_equilibrium([])
 
+    def test_a_root_brentq_does_not_reach_names_its_problem(self):
+        # at T/b = 1e-32 the grid cell around the middle root is ~2e28 wide,
+        # more than brentq's 100 iterations narrow to MAGNET_YTOL
+        with pytest.raises(RuntimeError) as info:
+            cw_magnetization_roots(0.7, CurieWeissParams(T=1e-32, b=1.0))
+        assert str(info.value) == (
+            "the magnetization root at T=1e-32, b=1.0, q + H_back=0.7 on "
+            "[-1.7001700170024826e+28, 3.0003000299959036e+27]: "
+            "Failed to converge after 100 iterations."
+        )
+
 
 @st.composite
 def _magnet_problems(draw):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermocontact import (
@@ -493,3 +493,45 @@ class TestStirlingCycle:
             stirling_cycle(5.0, 1.0, 1.0, 2.0)
         with pytest.raises(ValueError):
             stirling_cycle(1.0, 5.0, 2.0, 1.0)
+
+
+# 10^e for e uniform in [-300, 300]
+LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def rising_pairs(draw):
+    """lo < hi, log-uniform over 1e-300..1e300, or hi one ulp (k = 0) to
+    2^-1 (k = 1) above lo, hi = lo (1 + 2^-k)."""
+    lo = draw(LOG_UNIFORM)
+    k = draw(st.none() | st.integers(0, 52))
+    if k is None:
+        lo, hi = sorted((lo, draw(LOG_UNIFORM.filter(lambda x: x != lo))))
+    else:
+        hi = math.nextafter(lo, math.inf) if k == 0 else lo * (1.0 + 2.0**-k)
+    return lo, hi
+
+
+class TestStirlingCycleEdges:
+    """Across the whole range of doubles the cycle closes exactly and its
+    free energy balances to rounding, or it names the overflow."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(temperatures=rising_pairs(), volumes=rising_pairs())
+    # a corner's pressure jump underflows to 0
+    @example((9.327288544196055e-186, 9.327288544197114e-186),
+             (6.228100820612373e-186, 2.621179005073122e+181))
+    # a corner chord's q overflows
+    @example((7.65889626690395e+135, 6.467883151584776e+203),
+             (1.0100854264483892e-81, 1.0100854264493078e-81))
+    def test_cycle_closes_or_names_its_overflow(self, temperatures, volumes):
+        try:
+            trace = stirling_cycle(*temperatures, *volumes, n_samples=5)
+        except FloatingPointError:
+            return
+        assert trace.closure_residual == 0.0
+        # every path column and chord field is finite, or its constructor
+        # would have raised a ValueError
+        assert all(math.isfinite(seg.delta_G) for seg in trace.segments)
+        z_max = max(float(np.abs(seg.path.z).max()) for seg in trace.segments)
+        assert abs(trace.total_delta_G) <= 8 * np.finfo(float).eps * z_max

@@ -5,21 +5,26 @@ a window) must be a real number that is not a bool, finite, an integer
 where it counts something, and inside its bound.  Any other value raises a
 ValueError that names the argument.  The property below also lets a
 FloatingPointError pass, the library's error for numbers beyond double
-precision, but never a result or another exception type.
+precision, but never a result or another exception type.  A second
+property passes each scalar as a float, a numpy scalar and, where it is
+integral, an int, and wants the same outcome from all three.
 """
 
+import dataclasses
 import inspect
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import thermocontact
 from thermocontact import (
     AffineHamiltonian,
+    Chord,
     CurieWeissParams,
     IdealGasParams,
     MicrostateSpace,
@@ -50,6 +55,7 @@ from thermocontact import (
     ultrafast_jump,
 )
 from thermocontact.chords import MAX_GRID_NODES
+from thermocontact.processes import MAX_RELAX_STEPS
 
 SP = MicrostateSpace(("s0", "s1"), [1.0, 1.0])
 H = AffineHamiltonian([0.0, 1.0], [[1.0, -1.0]])
@@ -103,6 +109,9 @@ CALLS = {
             "bg_start": (0.0, REAL),
             "bg_end": (1.0, REAL),
         },
+    ),
+    "Chord": (
+        Chord, {"q": (0.0, REAL), "p": (1.0, REAL), "z_start": (0.0, REAL), "z_end": (1.0, REAL)}
     ),
     "check_path_nonnegative": (
         lambda slack: check_path_nonnegative(PATH, slack), {"slack": (1e-9, NON_NEGATIVE)}
@@ -190,7 +199,7 @@ CALLS = {
 # scalar of theirs to read
 NO_SCALARS = {
     **dict.fromkeys(
-        ["CWBranchPoint", "Chord", "CycleSegment", "GibbsResult", "IsotopyTrace", "JumpRecord",
+        ["CWBranchPoint", "CycleSegment", "GibbsResult", "IsotopyTrace", "JumpRecord",
          "NonnegReport", "RelaxTrace", "StirlingCycleTrace"],
         "a record of results that the library builds",
     ),
@@ -264,8 +273,95 @@ def test_a_forbidden_scalar_is_rejected(data):
         ("cw_entropy", "p", -1.0, "magnetization must lie in (-1, 1), got -1.0"),
         ("cw_coupling_derivatives", "p", 1.0, "magnetization must lie in (0, 1), got 1.0"),
         ("ReductionSpec", "k", 0, "k must be at least 1"),
+        ("Chord", "q", math.nan, "q must be finite, got nan"),
+        ("Chord", "z_end", math.inf, "z_end must be finite, got inf"),
     ],
 )
 def test_the_rejection_names_the_argument(name, arg, value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         CALLS[name][0](**{**_valid(name), arg: value})
+
+
+def _spellings(value) -> list:
+    """The ways a caller may pass a scalar: an int and np.int64 for a
+    count; a float, np.float64 and, where it holds the same bits, an int
+    for a real (so not -0.0)."""
+    if isinstance(value, int):
+        return [value, np.int64(value)]
+    out = [value, np.float64(value)]
+    if value.is_integer() and float(int(value)).hex() == value.hex():
+        out.append(int(value))
+    return out
+
+
+def _outcome(call, kwargs):
+    """The result of the call, or the type and message of what it raised;
+    a RuntimeWarning is raised too."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return call(**kwargs)
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def _same(a, b) -> bool:
+    """Equal, field by field, with the same types and bits; a function is
+    compared by its code and the values it closes over."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return a.hex() == b.hex()
+    if isinstance(a, np.ndarray):
+        return (a.dtype, a.shape, a.tobytes(), a.flags.writeable) == (
+            b.dtype, b.shape, b.tobytes(), b.flags.writeable
+        )
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if dataclasses.is_dataclass(a):
+        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if inspect.isfunction(a):
+        cells = [[c.cell_contents for c in f.__closure__ or ()] for f in (a, b)]
+        return a.__code__ is b.__code__ and _same(*cells)
+    return a == b
+
+
+def _check_spellings(call, values: dict) -> None:
+    """Call with every scalar spelt each way, and want one outcome."""
+    spelt = {arg: _spellings(value) for arg, value in values.items()}
+    first = _outcome(call, {arg: ways[0] for arg, ways in spelt.items()})
+    for way in (1, 2):
+        kwargs = {arg: ways[min(way, len(ways) - 1)] for arg, ways in spelt.items()}
+        assert _same(_outcome(call, kwargs), first), (kwargs, first)
+
+
+# a value for a real argument: its valid one or any finite float; for a
+# count: its valid one or a small int, so that each call stays quick
+def _values(valid):
+    if isinstance(valid, int):
+        return st.just(valid) | st.integers(-1, 40)
+    return st.just(valid) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_the_outcome_does_not_depend_on_how_a_scalar_is_spelt(data):
+    name = data.draw(st.sampled_from(sorted(CALLS)), label="callable")
+    call, scalars = CALLS[name]
+    values = {arg: data.draw(_values(valid), label=arg) for arg, (valid, _) in scalars.items()}
+    if name == "fokker_planck_relax" and values["dt0"] > 0 and values["t_end"] > 0:
+        # keep a run to ~100 steps, which never exceed dt0 (nor ~2 on this
+        # system), or to none, past MAX_RELAX_STEPS * dt0
+        dt0, t_end = values["dt0"], values["t_end"]
+        assume(t_end <= 100 * min(dt0, 1.0) or t_end > MAX_RELAX_STEPS * dt0)
+    _check_spellings(call, values)
+
+
+# a drawn call that took numpy's warning rules before the scalars it reads
+# were the ones it computed with
+def test_an_overflowing_cycle_is_spelt_alike():
+    values = {"T_C": 12387247.647497935, "T_H": 1.8976573441440942e+270,
+              "v_min": 3.131609715724274e-214, "v_max": 1.5476340718728332e+269, "n_samples": 5}
+    _check_spellings(stirling_cycle, values)
