@@ -362,7 +362,8 @@ def _cmd_relax(args: argparse.Namespace) -> Outcome:
 
 def _cmd_isotopy(args: argparse.Namespace) -> Outcome:
     T0, T1 = _require(args, "T0"), _require(args, "T1")
-    # Schedule.linear's line would name n_nodes, and _window's numpy's samples
+    # the CLI's own rules: the library's lines would name n_nodes, or for
+    # --n-x give numpy's wording
     if args.n_times < 2:
         raise ValueError(f"need --n-times >= 2, got {args.n_times}")
     x_lo, x_hi = _require(args, "x_lo"), _require(args, "x_hi")

@@ -359,8 +359,8 @@ def test_the_outcome_does_not_depend_on_how_a_scalar_is_spelt(data):
     _check_spellings(call, values)
 
 
-# a drawn call that took numpy's warning rules before the scalars it reads
-# were the ones it computed with
+# T_H / v_min overflows: as np.float64 that ratio warns, as a Python float
+# it is inf, which the cycle names in its FloatingPointError
 def test_an_overflowing_cycle_is_spelt_alike():
     values = {"T_C": 12387247.647497935, "T_H": 1.8976573441440942e+270,
               "v_min": 3.131609715724274e-214, "v_max": 1.5476340718728332e+269, "n_samples": 5}
