@@ -53,8 +53,8 @@ class MicrostateSpace:
             raise ValueError("need at least one microstate")
         if len(self.labels) != w.size:
             raise ValueError("labels and weights must have equal length")
-        if not np.all(np.isfinite(w)) or not np.all(w > 0):
-            raise ValueError("weights must be finite and strictly positive")
+        if not np.all(w > 0):
+            raise ValueError("weights must be strictly positive")
 
     @property
     def m(self) -> int:
@@ -129,8 +129,8 @@ def uniform_density(sp: MicrostateSpace) -> np.ndarray:
 def normalized_density(sp: MicrostateSpace, values) -> np.ndarray:
     """Rescale non-negative values so that sum_i w_i rho_i = 1."""
     v = _array(values, "density values")
-    if not np.all(np.isfinite(v) & (v >= 0)):
-        raise ValueError("density values must be finite and non-negative")
+    if not np.all(v >= 0):
+        raise ValueError("density values must be non-negative")
     mass = float(np.dot(sp.weights, v))
     if mass <= 0:
         raise ValueError("density values must have positive total mass")
@@ -160,8 +160,6 @@ class AffineHamiltonian:
             )
         if vb.shape[0] < 1:
             raise ValueError("need at least one intensive variable")
-        if not (np.all(np.isfinite(vi)) and np.all(np.isfinite(vb))):
-            raise ValueError("Hamiltonian entries must be finite")
 
     @property
     def m(self) -> int:
@@ -251,8 +249,8 @@ def _lift(sp: MicrostateSpace, h: AffineHamiltonian, T, q, R: np.ndarray):
     """(z, S, p) of each row of R, densities on sp already checked, with
     z = -G at (T, q); T is one temperature per row or one for all."""
     _check_dims(sp, h)
-    T = np.broadcast_to(np.asarray(T, dtype=float), R.shape[:1])
-    if not np.all((T > 0) & (T < math.inf)):
+    T = np.broadcast_to(T, R.shape[:1])
+    if not np.all(T > 0):
         raise ValueError("temperatures must be positive and finite")
     w = sp.weights
     S = _entropy_rows(w, R)
@@ -273,11 +271,11 @@ def lift_rows(
     :func:`free_energy`, :func:`entropy` and :func:`pressures` give for it,
     since both go through the same row formulas.
     """
-    R = np.asarray(rho, dtype=float)
-    if R.ndim != 2 or R.shape[1] != sp.m:
+    R = _array(rho, "densities", ndim=2)
+    if R.shape[1] != sp.m:
         raise ValueError(f"densities must have shape (N, {sp.m}), got {R.shape}")
     _check_rows(sp.weights, R)
-    return _lift(sp, h, T, q, R)
+    return _lift(sp, h, _array(T, "temperatures"), q, R)
 
 
 def lift_to_extended(
@@ -341,8 +339,8 @@ def save_system(
 
 def densities_to_csv(densities, dest: str | os.PathLike | IO[str]) -> None:
     """One density per row of the (N, m) array-like, columns rho_1..rho_m."""
-    rows = np.asarray(densities, dtype=float)
-    if rows.ndim != 2 or rows.size == 0:
+    rows = _array(densities, "densities", ndim=2)
+    if rows.size == 0:
         raise ValueError(f"need a non-empty (N, m) table of densities, got shape {rows.shape}")
     write_csv(dest, [f"rho_{i + 1}" for i in range(rows.shape[1])], rows)
 

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from ._solve import brentq
-from .phase_space import _scalar
+from .phase_space import _array, _scalar
 
 # largest |g(y)| = |T y - b tanh y - q - H_back| of a magnet root or point, y = atanh(p)
 # (relative, to max(T, |T y|, b, |q + H_back|))
@@ -489,11 +489,8 @@ def difference_front(model: str, t0: float, t1: float, c: float) -> FrontFunctio
 # barred changes of variables
 #
 # The four maps take scalars (and return floats) or equal-length columns
-# (and return arrays), as _cw_z does, and return the tuple (z, p, q).
-
-def _columns(*xs) -> list[np.ndarray]:
-    return [np.array(x, dtype=float) for x in xs]
-
+# (and return arrays), as _cw_z does, and return the tuple (z, p, q).  Each
+# coordinate is read by _array and kept in the shape given (a number is 0-d).
 
 def _floats(*cols) -> tuple:
     """0-d results as floats, columns as arrays."""
@@ -503,7 +500,7 @@ def _floats(*cols) -> tuple:
 def _gas_columns(z, p, q, t0) -> tuple:
     """The columns z, p, q and the t0 read, once every q is checked to be < 0."""
     t0 = _scalar(t0, "t0", positive=True)
-    z, p, q = _columns(z, p, q)
+    z, p, q = (_array(x, name).reshape(np.shape(x)) for x, name in zip((z, p, q), "zpq"))
     if not np.all(q < 0):
         raise DomainError(f"gas barred map needs q < 0, got max q={float(np.max(q))}")
     return z, p, q, t0
@@ -526,7 +523,7 @@ def cw_to_barred(z, p, q, t0: float, b: float) -> tuple:
     Z = z - Phi_{t0}(Q) + b p^2/2.  Preserves dz - p dq."""
     t0 = _scalar(t0, "t0", positive=True)
     b = _scalar(b, "spin interaction b", positive=True)
-    z, p, q = _columns(z, p, q)
+    z, p, q = (_array(x, name).reshape(np.shape(x)) for x, name in zip((z, p, q), "zpq"))
     Q = q + b * p
     return _floats(z - cw_phi(t0, Q) + b * p * p / 2.0, p - cw_dphi(t0, Q), Q)
 
@@ -535,7 +532,7 @@ def cw_from_barred(Z, P, Q, t0: float, b: float) -> tuple:
     """Inverse of :func:`cw_to_barred`."""
     t0 = _scalar(t0, "t0", positive=True)
     b = _scalar(b, "spin interaction b", positive=True)
-    Z, P, Q = _columns(Z, P, Q)
+    Z, P, Q = (_array(x, name).reshape(np.shape(x)) for x, name in zip((Z, P, Q), "ZPQ"))
     p = P + cw_dphi(t0, Q)
     return _floats(Z + cw_phi(t0, Q) - b * p * p / 2.0, p, Q - b * p)
 
@@ -590,7 +587,7 @@ def cw_dz_dT(p: float, q: float, T: float, b: float) -> float:
 
 def sample_gas_legendrian(par: IdealGasParams, q_grid) -> np.ndarray:
     """Columns (q, p, z) of the gas equilibrium family over a q grid."""
-    q = gas_front(par)._check(q_grid)
+    q = gas_front(par)._check(_array(q_grid, "q_grid"))
     z, p = _gas_zp(q, par.T, par.P_back)
     return np.column_stack([q, p, z])
 
@@ -598,7 +595,7 @@ def sample_gas_legendrian(par: IdealGasParams, q_grid) -> np.ndarray:
 def sample_cw_legendrian(par: CurieWeissParams, p_grid) -> np.ndarray:
     """Columns (q, p, z, S) of the magnet equilibrium family over a p grid."""
     rows = []
-    for p in np.asarray(p_grid, dtype=float).tolist():
+    for p in _array(p_grid, "p_grid").tolist():
         q, z = _cw_qz(p, par)
         rows.append([q, p, z, cw_entropy(p)])
     return np.array(rows)

@@ -93,24 +93,19 @@ def _first(mask: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def _array(values, name: str, ndim: int = 1) -> np.ndarray:
-    """An array argument as a read-only float copy with exactly ``ndim`` dimensions,
-    never flattened (a number is a vector of one); else a ValueError naming it."""
-    try:
-        arr = np.array(values, dtype=float, ndmin=1)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name} must be an array of numbers: {exc}") from exc
-    if arr.ndim != ndim:
-        raise ValueError(f"{name} must have {ndim} dimension(s), got shape {arr.shape}")
-    arr.flags.writeable = False
-    return arr
-
-
 # the types of a count and of a real scalar argument; bool, a subclass of
 # int, is neither (tuples of concrete types: isinstance against the
 # numbers ABCs cost ~0.7 µs a call on a 2-vCPU x86-64 VM under Python 3.11)
 _COUNTS = (int, np.integer)
 _REALS = (float, np.floating, *_COUNTS)
+
+
+def _float(number) -> float:
+    """float(number), with an int beyond the largest double read as inf."""
+    try:
+        return float(number)
+    except OverflowError:
+        return math.inf
 
 
 def _scalar(value, name: str, *, positive: bool = False, inside: tuple | None = None,
@@ -121,10 +116,7 @@ def _scalar(value, name: str, *, positive: bool = False, inside: tuple | None = 
     least ``at_least`` and at most ``at_most``; else a ValueError naming it."""
     if type(value) is bool or not isinstance(value, _COUNTS if count else _REALS):
         raise ValueError(f"{name} must be {'an integer' if count else 'a number'}, got {value!r}")
-    try:
-        number = int(value) if count else float(value)
-    except OverflowError:  # an int beyond the largest double
-        number = math.inf
+    number = int(value) if count else _float(value)
     if not (count or math.isfinite(number)):
         raise ValueError(f"{name} must be finite, got {number!r}")
     if positive and not number > 0:
@@ -139,18 +131,29 @@ def _scalar(value, name: str, *, positive: bool = False, inside: tuple | None = 
     return number
 
 
-def _column(values, name: str, n_rows: int, matrix: bool = False) -> np.ndarray:
-    """A read-only float copy of shape (n_rows,) or (n_rows, n), all finite."""
-    arr = np.array(values, dtype=float)
-    if matrix and arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    shape_ok = arr.ndim == (2 if matrix else 1) and arr.shape[0] == n_rows
-    if not shape_ok or arr.size == 0:
-        want = f"({n_rows}, n >= 1)" if matrix else f"({n_rows},)"
-        raise ValueError(f"{name} must have shape {want}, got {arr.shape}")
-    bad = _first(~np.isfinite(arr))
-    if bad is not None:
-        raise ValueError(f"{name} must be finite, got {arr[bad].tolist()!r} at sample {bad}")
+def _array(values, name: str, ndim: int = 1) -> np.ndarray:
+    """An array argument as a read-only float copy of real numbers, not bools, all
+    finite (an int beyond doubles reads as inf), with exactly ``ndim`` dimensions (a
+    number is a vector of one); else a ValueError naming it and a bad entry's row."""
+    arr = values
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        # the entries as Python objects: a float conversion takes a bool, text or None
+        arr = np.array(values, dtype=object, ndmin=1)
+        real = [type(x) is not bool and isinstance(x, _REALS) for x in arr.flat]
+        if not all(real):
+            bad = _first(~np.reshape(real, arr.shape))
+            got = arr[bad : bad + 1].tolist()[0]
+            raise ValueError(f"{name} must be an array of numbers: got {got!r} at index {bad}")
+    try:
+        arr = np.array(arr, dtype=float, ndmin=1)
+    except OverflowError:
+        arr = np.reshape([_float(x) for x in arr.flat], arr.shape)
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must have {ndim} dimension(s), got shape {arr.shape}")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = _first(~finite)
+        raise ValueError(f"{name} must be finite, got {arr[bad].tolist()!r} at index {bad}")
     arr.flags.writeable = False
     return arr
 
@@ -174,21 +177,25 @@ class SampledPath:
     T: np.ndarray | None = None
 
     def __post_init__(self):
-        n_rows = np.size(self.times)
+        cols = {"times": _array(self.times, "times")}
+        n_rows = cols["times"].size
         if n_rows < 2:
             raise ValueError("a sampled path needs at least 2 samples")
-        cols = {"times": _column(self.times, "times", n_rows), "z": _column(self.z, "z", n_rows)}
-        cols["p"] = _column(self.p, "p", n_rows, matrix=True)
-        cols["q"] = _column(self.q, "q", n_rows, matrix=True)
+        if (self.S is None) != (self.T is None):
+            raise ValueError("an extended path needs both S and T, a reduced path neither")
+        for name in ("z", "p", "q") if self.S is None else ("z", "p", "q", "S", "T"):
+            # p and q are (N, n), or (N,) for a path of one pair
+            values, matrix = getattr(self, name), name in ("p", "q")
+            arr = _array(values, name, ndim=2 if matrix and np.ndim(values) != 1 else 1)
+            cols[name] = arr = arr.reshape(-1, 1) if matrix and arr.ndim == 1 else arr
+            if arr.shape[0] != n_rows or arr.size == 0:
+                want = f"({n_rows}, n >= 1)" if matrix else f"({n_rows},)"
+                raise ValueError(f"{name} must have shape {want}, got {arr.shape}")
         if cols["p"].shape != cols["q"].shape:
             raise ValueError(
                 f"p and q must have equal shapes, got {cols['p'].shape} and {cols['q'].shape}"
             )
-        if (self.S is None) != (self.T is None):
-            raise ValueError("an extended path needs both S and T, a reduced path neither")
         if self.S is not None:
-            cols["S"] = _column(self.S, "S", n_rows)
-            cols["T"] = _column(self.T, "T", n_rows)
             bad = _first(cols["T"] <= 0)
             if bad is not None:
                 raise ValueError(

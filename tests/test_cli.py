@@ -843,8 +843,7 @@ class TestOneExitPath:
             ('{"labels": ["a"], "weights": [1], "v_int": [1], "v_bar": [1]}',
              "error: v_bar must have 2 dimension(s), got shape (1,)"),
             ('{"labels": ["a"], "weights": [{}], "v_int": [1], "v_bar": [[1]]}',
-             "error: weights must be an array of numbers: "
-             "float() argument must be a string or a real number, not 'dict'"),
+             "error: weights must be an array of numbers: got {} at index 0"),
         ],
     )
     def test_system_file_of_another_shape_prints_its_line(self, tmp_path, capsys, doc, line):
@@ -1023,7 +1022,7 @@ class TestOtherCommands:
         if command == "reduce":
             src.write_text(f"t,z,S,T,p_1,q_1\n{big},0,0.5,1,0.5,0\n1,4,0.75,1.5,0.25,0.1\n")
             argv = ["reduce", "--input", str(src), "--k", "1"]
-            error = ("error: times must be finite, got inf at sample 0", "")
+            error = ("error: times must be finite, got inf at index 0", "")
         else:
             src.write_text(f"rho_1,rho_2,rho_3\n{big},0.3,0.1\n")
             argv = ["relax", "--system", str(system_file), "--q", "0", "--T0", "1",

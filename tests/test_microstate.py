@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -114,8 +115,8 @@ DENSITY_ENTRY_POINTS = {
 BAD_DENSITIES = {
     "length": ([0.5, 0.5], "2 entries for a space of 3"),
     "negative": ([-0.1, 0.6, 0.5], "negative or non-finite"),
-    "nan": ([math.nan, 0.5, 0.5], "negative or non-finite"),
-    "inf": ([math.inf, 0.5, 0.5], "negative or non-finite"),
+    "nan": ([math.nan, 0.5, 0.5], "^density must be finite, got nan at index 0$"),
+    "inf": ([math.inf, 0.5, 0.5], "^density must be finite, got inf at index 0$"),
     "mass": ([0.5, 0.3, 0.3], "mass is 1.1"),
     "nested": ([[0.2, 0.3, 0.5]], r"density must have 1 dimension\(s\), got shape \(1, 3\)"),
 }
@@ -399,11 +400,21 @@ class TestLift:
         z_on_graph, _, _ = lift_to_extended(sp, h, 1.0, [0.2], res.rho_g)
         assert z < z_on_graph  # strictly higher free energy off equilibrium
 
-    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf, [1.0, math.inf]])
-    def test_rows_need_positive_finite_temperatures(self, T):
+    @pytest.mark.parametrize(
+        "T, message",
+        [
+            (0.0, "temperatures must be positive and finite"),
+            (-1.0, "temperatures must be positive and finite"),
+            (math.nan, "temperatures must be finite, got nan at index 0"),
+            (math.inf, "temperatures must be finite, got inf at index 0"),
+            ([1.0, math.inf], "temperatures must be finite, got inf at index 1"),
+        ],
+        ids=["0.0", "-1.0", "nan", "inf", "T4"],
+    )
+    def test_rows_need_positive_finite_temperatures(self, T, message):
         sp = unit_space(2)
         h = AffineHamiltonian([0.0, 1.0], [[1.0, -1.0]])
-        with pytest.raises(ValueError, match="^temperatures must be positive and finite$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             lift_rows(sp, h, T, [0.0], [[0.5, 0.5], [0.9, 0.1]])
 
 

@@ -214,7 +214,7 @@ class TestColumns:
         with pytest.raises(ValueError, match="entropy must be non-negative.*sample 2"):
             self.ext_path(S=S)
         z = np.array([0.0, 1.0, 2.0, 3.0, np.inf, np.nan])
-        with pytest.raises(ValueError, match="z must be finite.*sample 4"):
+        with pytest.raises(ValueError, match=r"^z must be finite, got inf at index 4$"):
             self.ext_path(z=z)
         with pytest.raises(ValueError, match="strictly increasing.*sample 2"):
             SampledPath([0.0, 1.0, 1.0, 0.5], np.zeros(4), np.zeros(4), np.zeros(4))

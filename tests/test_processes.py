@@ -48,9 +48,9 @@ class TestSchedule:
     @pytest.mark.parametrize(
         "times, temps, bgs, message",
         [
-            ([0, 1], [1, 2], [NAN, 0], "schedule backgrounds must be finite, got nan at node 0"),
-            ([0, 1], [1, INF], [0, 0], "schedule temperatures must be finite, got inf at node 1"),
-            ([0, -INF], [1, 2], [0, 0], "schedule times must be finite, got -inf at node 1"),
+            ([0, 1], [1, 2], [NAN, 0], "backgrounds must be finite, got nan at index 0"),
+            ([0, 1], [1, INF], [0, 0], "temperatures must be finite, got inf at index 1"),
+            ([0, -INF], [1, 2], [0, 0], "times must be finite, got -inf at index 1"),
             ([[0, 1]], [1, 2], [0, 0], "times must have 1 dimension(s), got shape (1, 2)"),
             ([0, 1], [[1], [2]], [0, 0], "temperatures must have 1 dimension(s), got shape (2, 1)"),
         ],
