@@ -66,11 +66,13 @@ class ReductionSpec:
         object.__setattr__(self, "tol", _scalar(self.tol, "tol", at_least=0))
         if self.T0 is not None:
             object.__setattr__(self, "T0", _scalar(self.T0, "T0"))
-        pins = {
-            i: None if v is None else _scalar(v, f"frozen_q[{i}]")
-            for i, v in self.frozen_q.items()
-        }
+        pins = {}
+        for i, v in self.frozen_q.items():
+            i = _scalar(i, "frozen_q index", count=True, at_least=0)
+            pins[i] = None if v is None else _scalar(v, f"frozen_q[{i}]")
         object.__setattr__(self, "frozen_q", pins)
+        zeroed = tuple(_scalar(e, "zeroed_p index", count=True, at_least=0) for e in self.zeroed_p)
+        object.__setattr__(self, "zeroed_p", zeroed)
 
     def validate_for_dimension(self, n: int) -> None:
         kept = set(range(self.k))

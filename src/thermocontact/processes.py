@@ -169,10 +169,13 @@ def run_slow_isotopy(
     so across a split or a merge the sign of y carries over and y = 0 goes
     to the middle piece.  When that root does not exist the branch has
     passed a fold, and :class:`BranchLossError` names the time node rather
-    than silently hopping branches.
+    than silently hopping branches.  ``b`` is required by the magnet only;
+    when given it must be a positive number, and the trace stores it as read.
     """
     if model not in ("gas", "cw"):
         raise ValueError(f"unknown model {model!r}, expected 'gas' or 'cw'")
+    if b is not None:
+        b = _scalar(b, "spin interaction b", positive=True)
     x_grid = _array(x_grid, "x_grid")
     if x_grid.size == 0:
         raise ValueError("x_grid must not be empty")
@@ -192,7 +195,6 @@ def run_slow_isotopy(
     else:
         if b is None:
             raise ValueError("the magnet model needs a positive spin interaction b")
-        b = _scalar(b, "spin interaction b", positive=True)
         outside = x_grid[~(np.abs(x_grid) < 1.0)]
         if outside.size:
             raise ValueError(f"magnet chart value p={outside[0]} must lie in (-1, 1)")

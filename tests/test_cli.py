@@ -844,6 +844,19 @@ class TestOneExitPath:
              "error: v_bar must have 2 dimension(s), got shape (1,)"),
             ('{"labels": ["a"], "weights": [{}], "v_int": [1], "v_bar": [[1]]}',
              "error: weights must be an array of numbers: got {} at index 0"),
+            # entries are real numbers: no text, bool or null that a float
+            # conversion would take, and an int beyond doubles reads as inf
+            ('{"labels": ["a", "b"], "weights": ["1", "1"], "v_int": [0, 1], "v_bar": [[1, 1]]}',
+             "error: weights must be an array of numbers: got '1' at index 0"),
+            ('{"labels": ["a", "b"], "weights": [true, 1], "v_int": [0, 1], "v_bar": [[1, 1]]}',
+             "error: weights must be an array of numbers: got True at index 0"),
+            ('{"labels": ["a", "b"], "weights": [1, 1], "v_int": [null, 1], "v_bar": [[1, 1]]}',
+             "error: v_int must be an array of numbers: got None at index 0"),
+            pytest.param(
+                '{"labels": ["a", "b"], "weights": [1, %s], "v_int": [0, 1], "v_bar": [[1, 1]]}'
+                % ("1" * 401), "error: weights must be finite, got inf at index 1",
+                id="a-401-digit-weight",
+            ),
         ],
     )
     def test_system_file_of_another_shape_prints_its_line(self, tmp_path, capsys, doc, line):
