@@ -88,9 +88,10 @@ class ReductionSpec:
 
 
 def _first(mask: np.ndarray) -> int | None:
-    """Index of the first True entry (over rows of a 2-D mask), or None."""
+    """Index of the first True entry (of the first row holding one, in a
+    mask of two or more dimensions), or None."""
     if mask.ndim > 1:
-        mask = mask.any(axis=1)
+        mask = mask.any(axis=tuple(range(1, mask.ndim)))
     hits = np.flatnonzero(mask)
     return int(hits[0]) if hits.size else None
 
