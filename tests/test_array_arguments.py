@@ -247,6 +247,10 @@ def test_a_forbidden_entry_is_rejected(data):
         ("SampledPath", "p", [[2.0, 0.1], [2.0, math.nan], [2.0, 0.3]],
          "p must be finite, got [2.0, nan] at index 1"),
         ("SampledPath", "z", [{}, {}, {}], "z must be an array of numbers: got {} at index 0"),
+        ("SampledPath", "p", [[2.0, 0.1], [2.0], [2.0, 0.3]],
+         "p must be an array of numbers: got [2.0, 0.1] at index 0"),
+        ("SampledPath", "q", [[-0.5, 0.0], [-0.5, 0.1], -0.5],
+         "q must be an array of numbers: got [-0.5, 0.0] at index 0"),
         ("MicrostateSpace", "weights", ["1", "1"],
          "weights must be an array of numbers: got '1' at index 0"),
         ("MicrostateSpace", "weights", [1, True],

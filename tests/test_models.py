@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thermocontact import (
@@ -33,6 +33,7 @@ from thermocontact.models import (
     _tanh_gap,
     cw_fold,
     cw_phi,
+    gas_dphi,
     gas_phi,
 )
 
@@ -427,8 +428,71 @@ class TestTanhGap:
     def test_floats_give_the_clip_bits(self, u):
         for v in _CLIP_EDGES:
             got, want = _tanh_gap(u, v), _tanh_gap_with_clip(u, v)
-            assert type(got) is type(want)
+            assert type(got) is float
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def _nudged(x: float, ulps: int) -> float:
+    """x moved by |ulps| doubles, up for ulps > 0 and down for ulps < 0."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@st.composite
+def _front_and_point(draw):
+    """A front of the finder's kinds and a float inside its domain: anywhere
+    up to |x| = 1e300, a few ulps inside a gas domain's end, or where the
+    magnet slope's u or v lies a few ulps from its +-350 clip."""
+    kind = draw(st.sampled_from(["gas front", "constant", "gas", "cw"]))
+    temperature = st.floats(0.01, 100.0)
+    if kind == "gas front":
+        front = gas_front(IdealGasParams(T=draw(temperature), P_back=draw(st.floats(-10, 10))))
+    elif kind == "constant":
+        front = constant_front(draw(st.floats(-1e300, 1e300)))
+    else:
+        t0 = draw(temperature)
+        t1 = t0 + draw(temperature)
+        c = draw(st.floats(-10.0, 10.0))
+        front = difference_front(kind, t0, t1, c)
+    lo, hi = front.domain
+    where = draw(st.sampled_from(["anywhere", "near the end", "near the clip"]))
+    if where == "near the end" and hi < math.inf:
+        x = _nudged(hi, -draw(st.integers(1, 4)))
+    elif where == "near the clip" and kind == "cw":
+        edge = draw(st.sampled_from([350.0, -350.0]))
+        x = edge * t0 if draw(st.booleans()) else edge * t1 - c
+        x = _nudged(x, draw(st.integers(-3, 3)))
+    else:
+        x = draw(st.floats(max(lo, -1e300), min(hi, 1e300), exclude_max=True))
+    assume(lo < x < hi)
+    return front, x
+
+
+def _outcome(fn, x):
+    """The bits of fn(x), or the type and text of what it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return np.float64(fn(x)).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestFloatPath:
+    """The chord finder calls the fronts on Python floats; each f and fprime
+    gives there the bits (or the error) of the same call on a 0-d array."""
+
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(_front_and_point())
+    def test_a_float_gives_the_bits_of_a_0d_array(self, front_and_point):
+        front, x = front_and_point
+        for fn in (front.f, front.fprime):
+            assert _outcome(fn, x) == _outcome(fn, np.asarray(x))
+
+    def test_the_gas_slope_at_a_float_zero_is_numpys(self):
+        # float division by zero would raise ZeroDivisionError
+        with np.errstate(divide="ignore"):
+            assert gas_dphi(2.0, 0.0) == -math.inf and gas_dphi(2.0, -0.0) == math.inf
 
 
 class TestBarredMaps:
