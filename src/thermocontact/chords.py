@@ -15,15 +15,14 @@ finds its brackets with boolean masks over shifted views of each block
 neighbours, isolated exact zeros and touching minima.  Python only iterates
 over the blocks and the flagged cells, so the scan costs a few array
 operations per block, and the per-bracket refinement is the only scalar
-work.  The scan window is checked against both fronts' domains once, by
-float comparisons; the scan and the refinement then call each front's
-derivative ``fprime`` directly (on arrays of nodes and on Python floats),
-and each chord's z ends come from ``f`` on the float root, not through
-``FrontFunction.value``/``slope``, whose domain check would repeat on every
-call.  Only a chord's p is read through ``FrontFunction.slope``.  The
-difference fronts' slopes keep a float a float (``models._num``), with the
-bits of the same call on a 0-d array.  Where f0 is a ``constant_front``, whose
-slope is zero, psi' is f1's slope alone and f0's is not evaluated.
+work.  Each front's ``contains`` checks the window's ends once; the scan
+and the refinement then call each front's derivative ``fprime`` directly
+(on arrays of nodes and on Python floats, the one route of a number into a
+front, ``models._num``), and each chord's z ends come from ``f`` on the
+float root, not through ``FrontFunction.value``/``slope``, whose domain
+check would repeat on every call.  Only a chord's p is read through
+``FrontFunction.slope``.  Where f0 is a ``constant_front``, whose slope is
+zero, psi' is f1's slope alone and f0's is not evaluated.
 """
 
 from __future__ import annotations
@@ -178,8 +177,8 @@ def find_chords(
     CHORD_XTOL in the abscissa, and turns each root x into a chord (z from
     ``f0.f`` and ``f1.f`` at x, p from ``f0.slope``).  The scan is a set of
     array masks over blocks of SCAN_BLOCK nodes, so only the grid cells it
-    flags reach brentq or the minimizer below.  The window is checked
-    against both domains once, and the scan, brentq and the minimizer then
+    flags reach brentq or the minimizer below.  Both fronts' ``contains``
+    check the window's ends once, and the scan, brentq and the minimizer then
     call ``f0.fprime`` and ``f1.fprime`` directly, as the chord ends call
     ``f0.f`` and ``f1.f``, so each ``f`` and ``fprime`` must accept a float
     as well as an array of nodes.  Where f0 is a ``constant_front``, its zero slope
@@ -202,7 +201,7 @@ def find_chords(
     if not lo < hi:
         raise ValueError("need scan_lo < scan_hi")
     for front in (f0, f1):
-        if not (front.domain[0] < lo and hi < front.domain[1]):
+        if not (front.contains(lo) and front.contains(hi)):
             raise ValueError(
                 f"scan window [{lo}, {hi}] leaves the domain of "
                 f"front {front.label!r}"

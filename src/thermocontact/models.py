@@ -66,24 +66,25 @@ class FrontFunction:
 
     def contains(self, x) -> bool:
         lo, hi = self.domain
-        x = np.asarray(x, dtype=float)
+        x = _num(x)
+        if type(x) is float:
+            return lo < x < hi
         return bool(((x > lo) & (x < hi)).all())
 
-    def _check(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+    def _checked(self, fn, x):
+        x = _num(x)
         if not self.contains(x):
             raise DomainError(
                 f"argument outside the open domain {self.domain} of front {self.label!r}"
             )
-        return x
+        out = fn(x)
+        return float(out) if type(x) is float else np.asarray(out, dtype=float)
 
     def value(self, x):
-        out = self.f(self._check(x))
-        return float(out) if np.ndim(x) == 0 else np.asarray(out, dtype=float)
+        return self._checked(self.f, x)
 
     def slope(self, x):
-        out = self.fprime(self._check(x))
-        return float(out) if np.ndim(x) == 0 else np.asarray(out, dtype=float)
+        return self._checked(self.fprime, x)
 
 
 def _zero_slope(x):
@@ -135,14 +136,18 @@ def cw_dphi(T: float, x):
 
 
 def _num(x):
-    """A Python float as it is, anything else as a float array.
+    """A number (a float, an int, a numpy scalar or a 0-d array) as a
+    Python float, anything else as a float array.
 
     IEEE + - * / give the same bits on a float as on a 0-d array, and numpy
     ufuncs the same bits on either, but each operation on a 0-d array costs
-    about a microsecond.  The chord finder calls the fronts on floats for
-    its scalar work, so the difference fronts keep a float a float.
+    about a microsecond.  So FrontFunction's checked calls and the
+    difference fronts' slopes read x by this rule.
     """
-    return x if type(x) is float else np.asarray(x, dtype=float)
+    if type(x) is float:
+        return x
+    x = np.asarray(x, dtype=float)
+    return float(x) if x.ndim == 0 else x
 
 
 def _tanh_gap(u, v):
@@ -155,29 +160,24 @@ def _tanh_gap(u, v):
     +-350, where tanh is 1 to within 1e-304, so that neither sinh(u - v)
     nor the product of the cosh values can overflow.  The clip is spelt
     np.minimum(np.maximum(...)), which gives np.clip's bits without the
-    cost of its Python wrapper, on blocks of nodes and on floats alike.
-    Arrays of one shape and dtype are written in place: after the two
-    np.maximum copies and the difference u - v, every step writes with
-    ``out=`` into one of those three, with the same operations in the same
-    operand order as the float path, so a block of nodes allocates three
-    arrays instead of ten.  A pair of Python floats is clipped with
+    cost of its Python wrapper.  u and v are two Python floats or two
+    float64 arrays of one shape, as x read by _num gives.  Arrays are
+    written in place: after the two np.maximum copies and the difference
+    u - v, every step writes with ``out=`` into one of those three, with the
+    same operations in the same operand order as the float path, so a block
+    of nodes allocates three arrays instead of ten.  Floats are clipped with
     ``min(max(...))``, which keeps a nan and a signed zero as np.clip does,
     and numpy is called only for sinh and cosh of the floats (the libm
     functions of ``math`` give other bits for some arguments); the result is
     a Python float with the bits of the array path.
     """
-    if type(u) is float and type(v) is float:
+    if type(u) is float:
         u = min(max(u, -350.0), 350.0)
         v = min(max(v, -350.0), 350.0)
         # the product of two cosh values is at least 1 (or nan): never a zero divisor
         return float(np.sinh(u - v)) / (float(np.cosh(u)) * float(np.cosh(v)))
     u = np.maximum(u, -350.0)
     v = np.maximum(v, -350.0)
-    arrays = isinstance(u, np.ndarray) and isinstance(v, np.ndarray)
-    if not (arrays and u.shape == v.shape and u.dtype == v.dtype):
-        u = np.minimum(u, 350.0)
-        v = np.minimum(v, 350.0)
-        return np.sinh(u - v) / (np.cosh(u) * np.cosh(v))
     np.minimum(u, 350.0, out=u)
     np.minimum(v, 350.0, out=v)
     gap = np.subtract(u, v)
@@ -494,14 +494,14 @@ def difference_front(model: str, t0: float, t1: float, c: float) -> FrontFunctio
     if model == "gas":
         return FrontFunction(
             f=lambda x: gas_phi(t1, np.asarray(x, dtype=float) - c) - gas_phi(t0, x),
-            fprime=lambda x: gas_dphi(t1, _num(x) - c) - gas_dphi(t0, x),
+            fprime=lambda x: gas_dphi(t1, _num(x) - c) - gas_dphi(t0, _num(x)),
             domain=(-math.inf, min(0.0, c)),
             label=f"gas difference front t0={t0:g}, t1={t1:g}, c={c:g}",
         )
     if model == "cw":
         return FrontFunction(
             f=lambda x: cw_phi(t1, np.asarray(x, dtype=float) + c) - cw_phi(t0, x),
-            fprime=lambda x: _tanh_gap((_num(x) + c) / t1, x / t0),
+            fprime=lambda x: _tanh_gap((_num(x) + c) / t1, _num(x) / t0),
             domain=(-math.inf, math.inf),
             label=f"cw difference front t0={t0:g}, t1={t1:g}, c={c:g}",
         )
@@ -610,9 +610,9 @@ def cw_dz_dT(p: float, q: float, T: float, b: float) -> float:
 
 def sample_gas_legendrian(par: IdealGasParams, q_grid) -> np.ndarray:
     """Columns (q, p, z) of the gas equilibrium family over a q grid."""
-    q = gas_front(par)._check(_array(q_grid, "q_grid"))
-    z, p = _gas_zp(q, par.T, par.P_back)
-    return np.column_stack([q, p, z])
+    front = gas_front(par)
+    q = _array(q_grid, "q_grid")
+    return np.column_stack([q, front.slope(q), front.value(q)])
 
 
 def sample_cw_legendrian(par: CurieWeissParams, p_grid) -> np.ndarray:
