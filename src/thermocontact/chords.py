@@ -94,6 +94,11 @@ class Chord:
             object.__setattr__(self, name, _scalar(getattr(self, name), name))
         if self.z_end == self.z_start:
             raise DegenerateChordError("chord endpoints coincide (zero length)")
+        if not math.isfinite(self.z_end - self.z_start):
+            raise FloatingPointError(
+                f"the chord at q={self.q!r} from z={self.z_start!r} to z={self.z_end!r} "
+                "is beyond double precision (its length overflows)"
+            )
 
     @property
     def length(self) -> float:

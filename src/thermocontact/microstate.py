@@ -33,7 +33,7 @@ from typing import IO
 import numpy as np
 
 from ._solve import logsumexp
-from .phase_space import _array, _opened, _scalar, read_csv, write_csv
+from .phase_space import _array, _first, _opened, _scalar, read_csv, write_csv
 
 # largest |sum_i w_i rho_i - 1| of a density (absolute, in mass)
 NORMALIZATION_TOL = 1e-12
@@ -71,12 +71,6 @@ class MicrostateSpace:
 # np.matmul multiplies each row as ``@`` does, so a single row gives the
 # same bits as the one-vector form.
 
-def _first_bad_row(R: np.ndarray) -> int | None:
-    """The index of the first row with a negative or non-finite entry."""
-    bad = np.flatnonzero(~np.all(np.isfinite(R) & (R >= 0), axis=1))
-    return int(bad[0]) if bad.size else None
-
-
 def _check_rows(w: np.ndarray, R: np.ndarray) -> None:
     """Raise for the first row r with a negative or non-finite entry, or
     else for the first whose mass sum_i w_i r_i is not 1."""
@@ -84,14 +78,14 @@ def _check_rows(w: np.ndarray, R: np.ndarray) -> None:
     def what(i) -> str:
         return "density" if len(R) == 1 else f"density row {i}"
 
-    bad = _first_bad_row(R)
+    bad = _first(~(np.isfinite(R) & (R >= 0)))
     if bad is not None:
         raise ValueError(f"{what(bad)} has negative or non-finite entries")
     mass = np.vecdot(R, w)
-    bad = np.flatnonzero(np.abs(mass - 1.0) > NORMALIZATION_TOL)
-    if bad.size:
+    bad = _first(np.abs(mass - 1.0) > NORMALIZATION_TOL)
+    if bad is not None:
         raise ValueError(
-            f"{what(bad[0])} mass is {float(mass[bad[0]])!r}, not 1 within {NORMALIZATION_TOL}"
+            f"{what(bad)} mass is {float(mass[bad])!r}, not 1 within {NORMALIZATION_TOL}"
         )
 
 
@@ -361,7 +355,7 @@ def densities_from_csv(src: str | os.PathLike | IO[str]) -> np.ndarray:
         return None
 
     _, table, lines = read_csv(src, "density", header_error)
-    bad = _first_bad_row(table)
+    bad = _first(~(np.isfinite(table) & (table >= 0)))
     if bad is not None:
         raise ValueError(
             f"density CSV line {lines[bad]}: density entries must be finite and non-negative"

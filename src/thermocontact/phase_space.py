@@ -300,11 +300,11 @@ def _per_sample(
     that enters it overflows (the gradient does so for coordinates near
     the largest double)."""
     out = values(path, _velocity_matrix(path))
-    bad = np.flatnonzero(~np.isfinite(out))
-    if bad.size:
+    bad = _first(~np.isfinite(out))
+    if bad is not None:
         raise FloatingPointError(
-            f"the contact form along the path overflows doubles at sample {bad[0]} "
-            f"(t={float(path.times[bad[0]])!r})"
+            f"the contact form along the path overflows doubles at sample {bad} "
+            f"(t={float(path.times[bad])!r})"
         )
     return out
 

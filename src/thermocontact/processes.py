@@ -36,7 +36,7 @@ from .models import (
     _gas_zp,
     cw_magnetization_roots,
 )
-from .phase_space import NonnegReport, SampledPath, _array, _scalar, check_path_nonnegative
+from .phase_space import NonnegReport, SampledPath, _array, _first, _scalar, check_path_nonnegative
 
 # fokker_planck_relax: largest t_end / dt0, and most accepted steps of a run (a count)
 MAX_RELAX_STEPS = 100_000
@@ -434,8 +434,8 @@ def fokker_planck_relax(
     rho_rows = np.array(rhos)
     rho_rows.flags.writeable = False
     z, _, p = ms.lift_rows(sp, h, temperatures, q, rho_rows)
-    if not np.all(np.isfinite(z)):
-        j = int(np.argmin(np.isfinite(z)))
+    j = _first(~np.isfinite(z))
+    if j is not None:
         raise ms._beyond_double("the free energy", temperatures[j], q, f"node {j}")
     reduced_path = SampledPath(t_grid, z, p, np.broadcast_to(q, p.shape))
     form_values = np.diff(z) / np.diff(t_grid)

@@ -104,6 +104,11 @@ class TestChordRecord:
         assert Chord(0.0, 1.0, 0.0, 2.0).direction == 1
         assert Chord(0.0, 1.0, 2.0, 0.0).direction == -1
 
+    def test_overflowing_length_rejected(self):
+        with pytest.raises(FloatingPointError, match=r"^the chord at q=0\.0 from z=-1e\+308 "
+                           r"to z=1e\+308 is beyond double precision \(its length overflows\)$"):
+            Chord(q=0.0, p=0.0, z_start=-1e308, z_end=1e308)
+
 
 class TestFindChords:
     def test_parabola_vertex(self):
@@ -225,6 +230,12 @@ class TestFindChords:
         found = find_chords(constant_front(), f1, -1.0, 1.0, grid_n=grid_n)
         assert [ch.q for ch in found] == pytest.approx(qs, abs=1e-12)
         assert not any(ch.tangential for ch in found)
+
+    def test_a_chord_whose_length_overflows_names_its_ends(self):
+        # both ends are finite doubles; their difference is not
+        f1 = FrontFunction(f=lambda x: 1e308 + 0 * x, fprime=lambda x: x, domain=(-1.0, 1.0))
+        with pytest.raises(FloatingPointError, match=r"^the chord at q=0\.0 from z=-1e\+308 "):
+            find_chords(constant_front(-1e308), f1, -0.5, 0.5, 101)
 
     def test_scan_window_must_sit_in_domains(self):
         f1 = difference_front("gas", 1.0, 5.0, 2.0)

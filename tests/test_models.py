@@ -470,16 +470,31 @@ def _outcome(fn, x):
         return type(exc), str(exc)
 
 
+def _float_outcome(fn, x):
+    """_outcome of fn(x), where fn(x) must return a Python float if it returns."""
+    out = _outcome(fn, x)
+    if isinstance(out, bytes):
+        with np.errstate(all="ignore"):
+            assert type(fn(x)) is float
+    return out
+
+
 class TestFloatPath:
-    """The chord finder calls the fronts on Python floats; each f and fprime
-    gives there the bits (or the error) of the same call on a 0-d array."""
+    """A number enters a front as a Python float: each f and fprime gives on
+    a float the bits (or the error) of the same call on a 0-d array and on a
+    block of one node, and FrontFunction.value and slope give on a float,
+    a numpy scalar or a 0-d array a Python float with those bits."""
 
     @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
     @given(_front_and_point())
     def test_a_float_gives_the_bits_of_a_0d_array(self, front_and_point):
         front, x = front_and_point
-        for fn in (front.f, front.fprime):
-            assert _outcome(fn, x) == _outcome(fn, np.asarray(x))
+        for fn, checked in ((front.f, front.value), (front.fprime, front.slope)):
+            want = _outcome(fn, np.asarray(x))
+            assert _outcome(fn, x) == want
+            assert _outcome(lambda block: fn(block)[0], np.asarray([x])) == want
+            for number in (x, np.float64(x), np.asarray(x)):
+                assert _float_outcome(checked, number) == want
 
     def test_the_gas_slope_at_a_float_zero_is_numpys(self):
         # float division by zero would raise ZeroDivisionError
