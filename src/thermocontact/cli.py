@@ -2,8 +2,8 @@
 
 Subcommands: gibbs, chord, relax, isotopy, stirling, reduce, verify.
 Each subcommand computes everything first and returns an :class:`Outcome`
-holding the text of its files; :func:`dispatch` alone writes them, after
-the subcommand has returned, all of them or none, so a run that exits
+holding a writer for each of its files; :func:`dispatch` alone writes them,
+after the subcommand has returned, all of them or none, so a run that exits
 non-zero creates no directory and leaves no file, even when a write fails.
 Identical configurations produce byte-identical output files (full double
 precision, deterministic ordering).
@@ -22,14 +22,13 @@ import argparse
 import contextlib
 import errno
 import functools
-import io
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import IO, Any, Callable
 
 import numpy as np
 
@@ -80,33 +79,32 @@ from .verify import run_all
 FINDER_TOL = 1e-8
 
 
+Writer = Callable[[IO[str]], object]  # writes one output file to the stream it is given
+
+
 @dataclass
 class Outcome:
-    """A subcommand's output files (name to text), stdout and exit status."""
+    """A subcommand's output files (name to writer), stdout and exit status."""
 
-    files: dict[str, str]
+    files: dict[str, Writer]
     stdout: str
     status: int = 0
 
 
-def _json(doc) -> str:
-    """Strict JSON: a document that holds nan or inf is a numerical failure."""
+def _text(text: str) -> Writer:
+    return lambda out: out.write(text)
+
+
+def _json(doc) -> Writer:
+    """Strict JSON, dumped now: nan or inf is a numerical failure before any write."""
     try:
-        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return _text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
     except ValueError as exc:
         raise FloatingPointError(f"cannot write JSON: {exc}") from exc
 
 
-def _csv(write: Callable[..., None], *args) -> str:
-    """The text that a library CSV writer, called as ``write(*args, stream)``,
-    writes."""
-    out = io.StringIO()
-    write(*args, out)
-    return out.getvalue()
-
-
-def _table(header: list[str], rows) -> str:
-    return _csv(lambda out: write_csv(out, header, rows))
+def _table(header: list[str], rows) -> Writer:
+    return functools.partial(write_csv, header=header, rows=rows)
 
 
 def _require(args: argparse.Namespace, key: str):
@@ -200,14 +198,14 @@ def _finder_check(found: list[Chord], q: float, pair: str, lo: float, hi: float)
     return error
 
 
-def _chords(args: argparse.Namespace, name: str, chords: list[Chord]) -> dict[str, str]:
+def _chords(args: argparse.Namespace, name: str, chords: list[Chord]) -> dict[str, Writer]:
     if args.format == "json":
-        return {f"{name}.json": chords_to_json(chords) + "\n"}
-    return {f"{name}.csv": _csv(chords_to_csv, chords)}
+        return {f"{name}.json": _text(chords_to_json(chords) + "\n")}
+    return {f"{name}.csv": functools.partial(chords_to_csv, chords)}
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _front_pair(fig: str, front: FrontFunction, qs: np.ndarray, qstar: float) -> dict[str, str]:
+def _front_pair(fig: str, front: FrontFunction, qs: np.ndarray, qstar: float) -> dict[str, Writer]:
     """fig3/fig4: the difference front and the zero section over qs, and the
     vertical chord segment at qstar."""
     zs, zstar = front.value(qs), front.value(qstar)
@@ -305,7 +303,7 @@ def _cmd_gibbs(args: argparse.Namespace) -> Outcome:
     point = {"log_z": res.log_z, "z": z, "S": S, "T": T, "p": p.tolist(), "q": q.tolist()}
     return Outcome(
         {
-            "gibbs_density.csv": _csv(ms.densities_to_csv, [res.rho_g]),
+            "gibbs_density.csv": functools.partial(ms.densities_to_csv, [res.rho_g]),
             "gibbs_point.json": _json(point),
         },
         f"gibbs: m={sp.m} n={h.n} T={T:g} log_z={res.log_z:.12g} G={-z:.12g} S={S:.12g}",
@@ -334,8 +332,8 @@ def _cmd_relax(args: argparse.Namespace) -> Outcome:
     trace = fokker_planck_relax(sp, h, q, T_of_t, rho0, args.dt0, args.t_end)
 
     files = {
-        "relax_path.csv": _csv(path_to_csv, trace.reduced_path),
-        "relax_densities.csv": _csv(ms.densities_to_csv, trace.densities),
+        "relax_path.csv": functools.partial(path_to_csv, trace.reduced_path),
+        "relax_densities.csv": functools.partial(ms.densities_to_csv, trace.densities),
     }
     terminal = ms.gibbs(sp, h, trace.temperatures[-1], q).rho_g
     tv = ms.total_variation(sp, trace.densities[-1], terminal)
@@ -375,7 +373,7 @@ def _cmd_isotopy(args: argparse.Namespace) -> Outcome:
     files, entries = {}, []
     for i, (path, report) in enumerate(zip(trace.paths, trace.reports)):
         fname = f"isotopy_path_{i:03d}.csv"
-        files[fname] = _csv(path_to_csv, path)
+        files[fname] = functools.partial(path_to_csv, path)
         entries.append(
             {"x": float(x_grid[i]), "file": fname, "report": json.loads(report.to_json())}
         )
@@ -406,7 +404,7 @@ def _cmd_stirling(args: argparse.Namespace) -> Outcome:
     files, segments = {}, []
     for seg in trace.segments:
         fname = f"stirling_{seg.name}.csv"
-        files[fname] = _csv(path_to_csv, seg.path)
+        files[fname] = functools.partial(path_to_csv, seg.path)
         segments.append(
             {
                 "name": seg.name,
@@ -458,8 +456,8 @@ def _cmd_reduce(args: argparse.Namespace) -> Outcome:
     report = check_path_nonnegative(reduced, slack=args.slack)
     return Outcome(
         {
-            "reduced_path.csv": _csv(path_to_csv, reduced),
-            "reduced_report.json": report.to_json() + "\n",
+            "reduced_path.csv": functools.partial(path_to_csv, reduced),
+            "reduced_report.json": _text(report.to_json() + "\n"),
         },
         f"reduce: {path.n_samples} samples, n={path.dimension} -> k={k}, "
         f"verdict={report.verdict} min form={report.min_form_value:.3e}",
@@ -649,10 +647,10 @@ def _with_config(
     return command.parse_args(argv[1:], argparse.Namespace(command=args.command, **given))
 
 
-def _write(out_dir: Path, files: dict[str, str]) -> None:
+def _write(out_dir: Path, files: dict[str, Writer]) -> None:
     """Write every file into out_dir, making it as needed, or leave nothing.
 
-    Each text is written to a temporary name in out_dir, and the files are
+    Each writer writes its file to a temporary name in out_dir, and the files are
     renamed into place once all of them are written.  On any failure the
     temporary files and the directories made here are removed."""
     # the directories to make: out_dir and its ancestors up to the first
@@ -667,10 +665,11 @@ def _write(out_dir: Path, files: dict[str, str]) -> None:
     staged: dict[Path, Path] = {}
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name, text in files.items():
+        for name, write in files.items():
             tmp = out_dir / f".{name}.{os.getpid()}.tmp"
             staged[tmp] = out_dir / name
-            tmp.write_text(text, newline="")
+            with open(tmp, "w", newline="") as out:
+                write(out)
         for final in staged.values():
             # a rename onto a directory fails; find it before any rename
             if final.is_dir():

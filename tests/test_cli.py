@@ -1,4 +1,5 @@
 import argparse
+import builtins
 import collections
 import contextlib
 import errno
@@ -500,14 +501,14 @@ class TestFailedRunsWriteNothing:
         assert list((tmp_path / "fig1_chord.csv").iterdir()) == []
 
     def test_failed_write_removes_the_directories_it_made(self, tmp_path, capsys, monkeypatch):
-        write_text = Path.write_text
+        real_open = builtins.open
 
-        def full_disk(path, text, **kwargs):
-            if path.name.startswith(".fig1_family_hot.csv."):
+        def full_disk(file, *args, **kwargs):
+            if Path(str(file)).name.startswith(".fig1_family_hot.csv."):
                 raise OSError(errno.ENOSPC, "No space left on device")
-            return write_text(path, text, **kwargs)
+            return real_open(file, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "write_text", full_disk)
+        monkeypatch.setattr(builtins, "open", full_disk)
         argv = ["chord", "gas", "--t0", "1", "--t1", "5", "--c", "2"]
         assert dispatch([*argv, "--out-dir", str(tmp_path / "new" / "sub")]) == 2
         assert capsys.readouterr().err.splitlines() == [
