@@ -222,9 +222,11 @@ def _beyond_double(what: str, T, q, detail: str) -> FloatingPointError:
 def gibbs(sp: MicrostateSpace, h: AffineHamiltonian, T: float, q) -> GibbsResult:
     """Free-energy minimizer exp(-H(q, .)/T)/Z and log Z (weighted).
 
-    Raises FloatingPointError, naming T and q, when doubles cannot hold the
-    result: log Z is not finite (H/T overflows), or it is so large that the
-    weights are lost in it and the density's mass is not 1.
+    Where |log Z| is so large that its rounding scales every entry alike
+    and the mass misses 1 by more than NORMALIZATION_TOL, the density is
+    divided by its mass.  Raises FloatingPointError, naming T and q, when
+    doubles cannot hold the result: log Z is not finite (H/T overflows), or
+    the mass is still not 1.
     """
     T = _scalar(T, "temperature", positive=True)
     _check_dims(sp, h)
@@ -233,6 +235,9 @@ def gibbs(sp: MicrostateSpace, h: AffineHamiltonian, T: float, q) -> GibbsResult
         log_z = logsumexp(a, sp.weights)
         rho = np.exp(a - log_z)
     mass = float(np.vecdot(rho, sp.weights))
+    if math.isfinite(log_z) and 0.0 < mass < math.inf and abs(mass - 1.0) > NORMALIZATION_TOL:
+        rho /= mass
+        mass = float(np.vecdot(rho, sp.weights))
     if not (math.isfinite(log_z) and abs(mass - 1.0) <= NORMALIZATION_TOL):
         raise _beyond_double("the Gibbs density", T, q, f"log Z = {log_z!r}, mass {mass!r}")
     rho.flags.writeable = False

@@ -919,6 +919,8 @@ class TestOtherCommands:
             ("1e308", "1e308", 2, None),
             # the ground state alone: a representable limit
             ("1e-320", "0", 0, "rho_1,rho_2,rho_3\n1,0,0\n"),
+            # log Z = -19999.3, whose rounding moves the mass 1.6e-12 off 1
+            ("1e-5", "0.3", 0, "rho_1,rho_2,rho_3\n0,0.5,0\n"),
         ],
     )
     def test_gibbs_at_extreme_inputs(self, tmp_path, T, q, code, density):

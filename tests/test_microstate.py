@@ -25,7 +25,7 @@ from thermocontact import (
     total_variation,
     uniform_density,
 )
-from thermocontact.microstate import check_density, lift_rows
+from thermocontact.microstate import NORMALIZATION_TOL, check_density, lift_rows
 from thermocontact.processes import fokker_planck_relax
 
 
@@ -351,6 +351,29 @@ class TestGibbs:
             rho = gibbs(sp, h, T, q).rho_g
             grad = T * (1.0 + np.log(rho)) + h.energies(q)
             assert grad.max() - grad.min() < 1e-9
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_low_temperature_densities_have_mass_one(self, data):
+        # where |log Z| is large its rounding scales every entry alike, and
+        # gibbs divides that out; the density stays one the lift can take
+        m = data.draw(st.integers(1, 12))
+        n = data.draw(st.integers(1, 3))
+        value = st.floats(-5.0, 5.0, allow_nan=False)
+        sp = MicrostateSpace(
+            tuple(f"s{i}" for i in range(m)),
+            data.draw(arrays(float, m, elements=st.floats(0.1, 5.0))),
+        )
+        h = AffineHamiltonian(
+            data.draw(arrays(float, m, elements=value)),
+            data.draw(arrays(float, (n, m), elements=value)),
+        )
+        T = 10.0 ** data.draw(st.floats(-300.0, 0.0))
+        q = data.draw(arrays(float, n, elements=value))
+        rho = gibbs(sp, h, T, q).rho_g
+        assert abs(float(np.vecdot(rho, sp.weights)) - 1.0) <= NORMALIZATION_TOL
+        lift_to_extended(sp, h, T, q, rho)
+        free_energy(sp, h, T, q, rho)
 
     def test_gibbs_mass_is_one(self):
         rng = np.random.default_rng(22)
