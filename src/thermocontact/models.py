@@ -44,6 +44,9 @@ MAGNET_MERGE_YTOL = 10 * MAGNET_YTOL
 MAGNET_Z_TIE_RTOL = 1e-12
 # cw_magnetization_roots: nodes of the grid on whose cells each root is refined (a count)
 SCAN_NODES = 10_000
+# cw_magnetization_roots: each end of the y range moves out by max(1, |y_end| * this),
+# as 1.0 alone rounds away once |y_end| > 2**53 (relative, to |y_end|)
+MAGNET_RANGE_PAD = 2.0**-40
 
 
 class DomainError(ValueError):
@@ -348,7 +351,9 @@ def cw_magnetization_roots(
     piece's root is y = 0.0 (so p = 0.0), taken as it is.  Each other root
     is then refined again on the cell that brackets it in a grid of
     ``SCAN_NODES`` nodes over [y_lo, y_hi], built as np.linspace builds it,
-    so the result does not depend on the piece ends.  A root whose cell
+    where y_lo and y_hi are (q + H_back -+ b)/T, each moved out by
+    max(1, |end| * ``MAGNET_RANGE_PAD``) so that g differs in sign there
+    from its root side at every T/b; so the result does not depend on the piece ends.  A root whose cell
     has no sign change (two roots of a near-fold pair sharing one cell)
     keeps its piece solution.  Roots closer than ``MAGNET_MERGE_YTOL`` in y
     are one.  A root is unstable iff 1 - (b/T)(1 - p^2) < 0; among the
@@ -380,8 +385,10 @@ def cw_magnetization_roots(
                 f"on [{lo!r}, {hi!r}]: {exc}"
             ) from exc
 
-    y_lo = (target - b) / T - 1.0
-    y_hi = (target + b) / T + 1.0
+    y_lo, y_hi = (target - b) / T, (target + b) / T
+    if math.isfinite(y_lo) and math.isfinite(y_hi):
+        y_lo -= max(1.0, abs(y_lo) * MAGNET_RANGE_PAD)
+        y_hi += max(1.0, abs(y_hi) * MAGNET_RANGE_PAD)
     if not (math.isfinite(y_lo) and math.isfinite(y_hi) and y_lo < y_hi):
         raise FloatingPointError(
             f"magnetization roots at T={T!r}, b={b!r}, q + H_back={target!r} are "

@@ -672,9 +672,9 @@ class TestOverflow:
             (["isotopy", "cw", "--T0", "1e-320", "--T1", "1.76", "--bg0=-1", "--bg1", "4.1",
               "--n-times", "5", "--x-lo", "1e-320", "--x-hi", "0.5", "--b", "4.69"],
              2, "failure: magnetization roots at T=1e-320, b=4.69"),
-            (["isotopy", "cw", "--T0", "2", "--T1", "14.7", "--bg1", "1e300", "--n-times", "2",
+            (["isotopy", "cw", "--T0", "2", "--T1", "1e-10", "--bg1", "1e300", "--n-times", "2",
               "--x-lo", "1e-320", "--x-hi", "0.17", "--b", "1e-320"],
-             2, "failure: magnetization roots at T=14.7, b=1e-320, q + H_back=1e+300"),
+             2, "failure: magnetization roots at T=1e-10, b=1e-320, q + H_back=1e+300"),
             (["chord", "cw", "--t0", "0.1", "--t1", "1", "--c", "1", "--q-lo=-1e308",
               "--q-hi", "1e308"],
              2, "failure: the --q-lo/--q-hi window [-1e+308, 1e+308] is beyond double precision"),
@@ -695,7 +695,7 @@ class TestOverflow:
             (["isotopy", "cw", "--T0", "1e-32", "--T1", "1e-32", "--b", "1", "--x-lo", "0.5",
               "--x-hi", "0.5", "--n-x", "1", "--n-times", "2"],
              2, "failure: the magnetization root at T=1e-32, b=1.0, q + H_back=-0.5 on "
-             "[-5.0005000500277e+27, 1.5001500149993029e+28]: "
+             "[-5.000500050009686e+27, 1.5001500150029058e+28]: "
              "Failed to converge after 100 iterations."),
         ],
     )
@@ -710,6 +710,16 @@ class TestOverflow:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(message)
         assert not out.exists()
+
+    def test_magnet_cooled_to_tiny_t_keeps_its_stable_root(self, tmp_path, capsys):
+        # at T1/b ~ 7.5e-20 the root continuing p = 0.999988 was dropped and
+        # the run ended in "vanished at a fold"
+        argv = ["isotopy", "cw", "--T0", "0.5", "--T1", "7.48699923658469e-20", "--b", "1",
+                "--x-lo", "0.9579853483427075", "--x-hi", "0.9579853483427075", "--n-x", "1",
+                "--n-times", "4"]
+        assert dispatch([*argv, "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("isotopy cw: 1 paths")
+        assert (tmp_path / "isotopy_path_000.csv").exists()
 
     def test_gas_chord_with_overflowing_scan_products(self, tmp_path, capsys):
         # the finder's slope products overflow; their signs still hold

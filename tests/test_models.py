@@ -251,6 +251,13 @@ class TestMagnetizationRoots:
         with pytest.raises(ValueError):
             select_equilibrium([])
 
+    def test_a_stable_root_survives_at_tiny_t_over_b(self):
+        # (q + b)/T = 1e20: a range end padded by 1.0 alone rounded back onto
+        # it, g there had the root's sign, and the stable root at p = 1 was lost
+        points = cw_magnetization_roots(1e-4, CurieWeissParams(T=1e-20, b=1.0))
+        assert [pt.stability for pt in points] == ["local_min", "unstable", "global_min"]
+        assert [pt.p for pt in points][::2] == [-1.0, 1.0]
+
     def test_a_root_brentq_does_not_reach_names_its_problem(self):
         # at T/b = 1e-32 the grid cell around the middle root is ~2e28 wide,
         # more than brentq's 100 iterations narrow to MAGNET_YTOL
@@ -258,7 +265,7 @@ class TestMagnetizationRoots:
             cw_magnetization_roots(0.7, CurieWeissParams(T=1e-32, b=1.0))
         assert str(info.value) == (
             "the magnetization root at T=1e-32, b=1.0, q + H_back=0.7 on "
-            "[-1.7001700170024826e+28, 3.0003000299959036e+27]: "
+            "[-1.7001700170033833e+28, 3.000300030004911e+27]: "
             "Failed to converge after 100 iterations."
         )
 
