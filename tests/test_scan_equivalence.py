@@ -134,12 +134,19 @@ def test_magnetization_roots_match_loop(draw):
 
 
 def test_exact_zero_on_a_node_is_a_root():
-    # the residual is exactly 0.0 on node 4343 of the 10^4-node grid; the
-    # piece solution alone lands one ulp away from that node
-    q, par = -0.4389697289957094, CurieWeissParams(T=2.0, b=1.0)
+    # a q whose residual is exactly 0.0 on node 4343 of the 10^4-node grid;
+    # the piece solution alone lands one ulp away from that node.  The q is
+    # found here, since np.tanh's bits depend on numpy's CPU dispatch level
+    par = CurieWeissParams(T=2.0, b=1.0)
+    q = -0.4389697289957094
+    for _ in range(10):
+        node = np.linspace((q - 1.0) / 2.0 - 1.0, (q + 1.0) / 2.0 + 1.0, 10_000)[4343]
+        residual = 2.0 * node - np.tanh(node) - q
+        if residual == 0.0:
+            break
+        q = float(2.0 * node - np.tanh(node))
+    assert residual == 0.0, f"no q in 10 steps has a zero residual on node 4343: {residual!r}"
     roots = cw_magnetization_roots(q, par)
-    node = np.linspace((q - 1.0) / 2.0 - 1.0, (q + 1.0) / 2.0 + 1.0, 10_000)[4343]
-    assert 2.0 * node - np.tanh(node) - q == 0.0
     assert [r.y for r in roots] == [node]
     assert roots == loop_cw_magnetization_roots(q, par)
 
