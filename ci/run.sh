@@ -1,0 +1,42 @@
+#!/usr/bin/env bash
+# The whole CI, offline: the installed requirements, Tier-1, the acceptance
+# criteria and 2-s benchmark smoke runs.  Run from anywhere as `ci/run.sh`
+# once the package's requirements are installed; the first failing step
+# ends the run with its exit status.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+
+step() { printf '\n== %s\n' "$*"; }
+
+# the last line a benchmark run prints, checked by the Python test given
+smoke() {
+    local check=$1 label=$2
+    shift 2
+    local last
+    last=$(python3 perfbench/run.py "$@" | tail -n 1)
+    echo "$label: $last"
+    echo "$last" | python3 -c "import json, sys; r = json.load(sys.stdin); sys.exit(not ($check))"
+}
+
+step "installed requirements"
+python -m pip check
+
+step "Tier-1 tests"
+python -m pytest -q --continue-on-collection-errors --durations=15
+
+step "acceptance criteria"
+python -m thermocontact.cli verify
+
+step "benchmark smoke runs"
+for w in chord_scan relax_paths cli_session; do
+    smoke 'r["correct"] is True and r["failed"] == 0' "$w" \
+        --workload "$w" --seed 1 --seconds 2 --trace 0
+done
+
+step "traced benchmark smoke run"
+# the tracer counts front evaluations by patching FrontFunction.value/slope
+smoke 'r["correct"] is True and r["failed"] == 0 and r["metrics"]["models.front_evals"]["value"] > 0' \
+    "chord_scan --trace 1" --workload chord_scan --seed 1 --seconds 2 --trace 1
+
+step "all steps passed"

@@ -1,15 +1,18 @@
 """The README command set writes byte-identical files and stdout.
 
 Determinism is a documented contract of the CLI: the same configuration
-gives the same bytes.  Each command below runs in-process through
-``cli.dispatch`` on fixed inputs, and the SHA-256 of every file it writes
-and of its stdout is compared with a recorded digest.  A change that moves
-any output by one bit (a different summation order, a different float
-format) fails here and names the file.
+gives the same bytes for one numpy build at one CPU dispatch level.  Each
+command below runs in-process through ``cli.dispatch`` on fixed inputs;
+each output file is formatted by its writer straight into the output
+directory, and the SHA-256 of every file and of stdout is compared with a
+recorded digest.  A change that moves any output by one bit (a different
+summation order, a different float format) fails here and names the file.
 
-The digests were recorded with numpy 2.4 on x86-64 Linux; transcendental
-functions may round differently on another platform or numpy build, in
-which case they must be re-recorded from a known-good commit there.
+The digests were recorded with numpy 2.4.6 on x86-64 Linux, on a CPU where
+numpy dispatches up to AVX512_SPR (``np.show_runtime()`` prints the level).
+numpy's float64 kernels round differently at other dispatch levels, on
+other platforms and in other builds; there the digests must be re-recorded
+from a known-good commit.
 """
 
 from __future__ import annotations
