@@ -650,9 +650,9 @@ def _with_config(
 def _write(out_dir: Path, files: dict[str, Writer]) -> None:
     """Write every file into out_dir, making it as needed, or leave nothing.
 
-    Each writer writes its file to a temporary name in out_dir, and the files are
-    renamed into place once all of them are written.  On any failure the
-    temporary files and the directories made here are removed."""
+    Each writer writes its file to a temporary name in out_dir, and the
+    files are renamed into place once all of them are written.  On any
+    failure the temporary files and the directories made here are removed."""
     # the directories to make: out_dir and its ancestors up to the first
     # that exists, or up to a path that is its own parent, such as "."
     made: list[Path] = []

@@ -351,9 +351,9 @@ def cw_magnetization_roots(
     piece's root is y = 0.0 (so p = 0.0), taken as it is.  Each other root
     is then refined again on the cell that brackets it in a grid of
     ``SCAN_NODES`` nodes over [y_lo, y_hi], built as np.linspace builds it,
-    where y_lo and y_hi are (q + H_back -+ b)/T, each moved out by
-    max(1, |end| * ``MAGNET_RANGE_PAD``) so that g differs in sign there
-    from its root side at every T/b; so the result does not depend on the piece ends.  A root whose cell
+    so the result does not depend on the piece ends.  y_lo and y_hi are
+    (q + H_back -+ b)/T, each moved out by max(1, |end| * ``MAGNET_RANGE_PAD``)
+    so that the move outlasts rounding at every T/b.  A root whose cell
     has no sign change (two roots of a near-fold pair sharing one cell)
     keeps its piece solution.  Roots closer than ``MAGNET_MERGE_YTOL`` in y
     are one.  A root is unstable iff 1 - (b/T)(1 - p^2) < 0; among the
