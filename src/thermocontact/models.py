@@ -25,7 +25,7 @@ and shareable across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -346,20 +346,21 @@ def cw_magnetization_roots(
     g(y) = T y - b tanh(y) - q - H_back = 0, which keeps near-saturated
     roots resolvable.  g is monotone on each piece cut at the folds +-y* of
     :func:`cw_fold`, so each piece whose ends differ in sign holds exactly
-    one root, found there to ``MAGNET_YTOL`` in y and labelled with that
-    ``piece``.  At q + H_back = 0, where g(0) = 0 exactly, the middle
-    piece's root is y = 0.0 (so p = 0.0), taken as it is.  Each other root
-    is then refined again on the cell that brackets it in a grid of
-    ``SCAN_NODES`` nodes over [y_lo, y_hi], built as np.linspace builds it,
-    so the result does not depend on the piece ends.  y_lo and y_hi are
+    one root, labelled with that ``piece``, and goes once through solve,
+    refine and label.  At q + H_back = 0 the middle piece's root is y = 0.0
+    (so p = 0.0), where g(0) = 0 exactly.  Any other root is solved on its
+    piece to ``MAGNET_YTOL`` in y, then again on the bracket nearest it (an
+    exact zero or a sign change of g) among the 3 cells around it in a grid
+    of ``SCAN_NODES`` nodes over [y_lo, y_hi], built as np.linspace builds
+    it, which replaces the piece solution if it lies on the piece; so the
+    result does not depend on the piece ends.  y_lo and y_hi are
     (q + H_back -+ b)/T, each moved out by max(1, |end| * ``MAGNET_RANGE_PAD``)
-    so that the move outlasts rounding at every T/b.  A root whose cell
-    has no sign change (two roots of a near-fold pair sharing one cell)
-    keeps its piece solution.  Roots closer than ``MAGNET_MERGE_YTOL`` in y
-    are one.  A root is unstable iff 1 - (b/T)(1 - p^2) < 0; among the
-    stable ones the largest z (smallest free energy) is the global minimum,
-    where z within ``MAGNET_Z_TIE_RTOL * max(1, |z_max|)`` of the largest
-    is a tie, resolved to the non-negative branch.
+    so that the move outlasts rounding at every T/b.  Roots closer than ``MAGNET_MERGE_YTOL`` in y are
+    one.  Each is built once, in y (so p) order, as unstable iff
+    1 - (b/T)(1 - p^2) < 0 and otherwise as a local minimum; the stable one
+    of largest z (smallest free energy) is then relabelled the global
+    minimum, where z within ``MAGNET_Z_TIE_RTOL * max(1, |z_max|)`` of the
+    largest is a tie, resolved to the non-negative branch.
 
     Raises FloatingPointError, naming T, b and q + H_back, when doubles
     cannot hold the y range or resolve its grid; RuntimeError, naming
@@ -398,32 +399,27 @@ def cw_magnetization_roots(
     cuts = [] if fold is None else [y for y in (-fold, fold) if y_lo < y < y_hi]
     edges = [y_lo, *cuts, y_hi]
     g_edges = [resid(y) for y in edges]
-    roots_y = []  # (root, piece)
-    pieces = []  # (root on the piece, piece ends, piece), to be refined
-    for a, c, ga, gc in zip(edges, edges[1:], g_edges, g_edges[1:]):
-        if min(ga, gc) <= 0.0 <= max(ga, gc):
-            if fold is None:
-                # g is increasing and g(0) = -target: the exact sign of y
-                piece = int(target > 0.0) - int(target < 0.0)
-            else:
-                piece = int(a >= fold) - int(c <= -fold)
-            if target == 0.0 and piece == 0:
-                # g(0) = 0 exactly, so the middle piece's root is y = 0
-                roots_y.append((0.0, 0))
-            else:
-                pieces.append((solve(a, c), a, c, piece))
-
-    # Nodes i - 1 .. i + 2 around the cell i holding each root, all in one
-    # numpy call: node k is k * step + y_lo and the last node is y_hi, as
-    # np.linspace computes them.
     step = (y_hi - y_lo) / (SCAN_NODES - 1)
-    first = [min(max(int((y - y_lo) / step), 1), SCAN_NODES - 3) - 1 for y, *_ in pieces]
-    index = np.add.outer(first, np.arange(4)).astype(float)
-    ys = index * step + y_lo
-    ys[index == SCAN_NODES - 1] = y_hi
-    vals = T * ys - b * np.tanh(ys) - target
-
-    for (y, a, c, piece), nodes, g in zip(pieces, ys.tolist(), vals.tolist()):
+    roots_y = []  # (root, piece)
+    for a, c, ga, gc in zip(edges, edges[1:], g_edges, g_edges[1:]):
+        if not min(ga, gc) <= 0.0 <= max(ga, gc):
+            continue
+        if fold is None:
+            # g is increasing and g(0) = -target: the exact sign of y
+            piece = int(target > 0.0) - int(target < 0.0)
+        else:
+            piece = int(a >= fold) - int(c <= -fold)
+        if target == 0.0 and piece == 0:
+            # g(0) = 0 exactly, so the middle piece's root is y = 0
+            roots_y.append((0.0, 0))
+            continue
+        y = solve(a, c)
+        # nodes i - 1 .. i + 2 around the cell i holding y: node k is
+        # k * step + y_lo and the last node is y_hi, as np.linspace computes them
+        first = min(max(int((y - y_lo) / step), 1), SCAN_NODES - 3) - 1
+        ys = np.array([y_hi if k == SCAN_NODES - 1 else k * step + y_lo
+                       for k in range(first, first + 4)])
+        nodes, g = ys.tolist(), (T * ys - b * np.tanh(ys) - target).tolist()
         # exact zeros on a node are roots; a sign change brackets one
         brackets = [(nodes[k], nodes[k]) for k in range(4) if g[k] == 0.0]
         brackets += [(nodes[k], nodes[k + 1]) for k in range(3) if g[k] * g[k + 1] < 0.0]
@@ -439,31 +435,21 @@ def cw_magnetization_roots(
         if not deduped or abs(y - deduped[-1][0]) > MAGNET_MERGE_YTOL:
             deduped.append((y, piece))
 
+    # in y order, so in p order: tanh is monotone
     points = []
     for y, piece in deduped:
         p = math.tanh(y)
         _check_self_consistency(y, q, par)
-        unstable = 1.0 - (b / T) * (1.0 - p * p) < 0.0
-        points.append([p, _cw_z(p, q, T, par.H_back, b), unstable, y, piece])
+        label = "unstable" if 1.0 - (b / T) * (1.0 - p * p) < 0.0 else "local_min"
+        points.append(CWBranchPoint(p, q, _cw_z(p, q, T, par.H_back, b), label, y, piece))
 
-    stable = [pt for pt in points if not pt[2]]
-    best = None
+    stable = [i for i, pt in enumerate(points) if pt.stability == "local_min"]
     if stable:
-        z_max = max(pt[1] for pt in stable)
+        z_max = max(points[i].z for i in stable)
         tie = z_max - MAGNET_Z_TIE_RTOL * max(1.0, abs(z_max))
-        candidates = [pt for pt in stable if pt[1] >= tie]
-        best = max(candidates, key=lambda pt: pt[0] >= 0)
-
-    out = []
-    for pt in sorted(points, key=lambda pt: pt[0]):
-        if pt[2]:
-            label = "unstable"
-        elif pt is best:
-            label = "global_min"
-        else:
-            label = "local_min"
-        out.append(CWBranchPoint(pt[0], q, pt[1], label, pt[3], pt[4]))
-    return out
+        best = max((i for i in stable if points[i].z >= tie), key=lambda i: points[i].p >= 0)
+        points[best] = replace(points[best], stability="global_min")
+    return points
 
 
 def select_equilibrium(points: list[CWBranchPoint]) -> CWBranchPoint:
@@ -476,13 +462,18 @@ def select_equilibrium(points: list[CWBranchPoint]) -> CWBranchPoint:
     return max(points, key=lambda pt: pt.z)
 
 
+def _cw_q(p: float, T: float, H_back: float, b: float) -> float:
+    """The magnet chart q = -b p + T atanh(p) - H_back, unchecked: where
+    |H_back| dwarfs b, q + H_back misses the equation by H_back's rounding."""
+    return -b * p + T * math.atanh(p) - H_back
+
+
 def _cw_qz(p: float, par: CurieWeissParams) -> tuple[float, float]:
-    """q = -b p + T atanh(p) - H_back and z over magnetization p, checked
-    against the self-consistency equation."""
+    """q = _cw_q(p) and z over magnetization p, checked against the
+    self-consistency equation."""
     p = _scalar(p, "magnetization", inside=(-1, 1))
-    y = math.atanh(p)
-    q = -par.b * p + par.T * y - par.H_back
-    _check_self_consistency(y, q, par)
+    q = _cw_q(p, par.T, par.H_back, par.b)
+    _check_self_consistency(math.atanh(p), q, par)
     return q, _cw_z(p, q, par.T, par.H_back, par.b)
 
 

@@ -32,6 +32,7 @@ from . import microstate as ms
 from .chords import Chord, DegenerateChordError, gas_chord
 from .models import (
     CurieWeissParams,
+    _cw_q,
     _cw_z,
     _gas_zp,
     cw_magnetization_roots,
@@ -201,7 +202,7 @@ def run_slow_isotopy(
         splits = (temps < b).tolist()
         for x in x_grid:
             y0 = math.atanh(x)
-            q = -b * x + temps[0] * y0 - bgs[0]
+            q = _cw_q(x, temps[0], bgs[0], b)
             z, p = np.empty(times.size), np.empty(times.size)
             for j, split in enumerate(splits):
                 roots = cw_magnetization_roots(q, CurieWeissParams(T=temps[j], H_back=bgs[j], b=b))
