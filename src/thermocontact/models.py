@@ -607,10 +607,11 @@ def cw_dz_dT(p: float, q: float, T: float, b: float) -> float:
 # sampling helpers
 
 def sample_gas_legendrian(par: IdealGasParams, q_grid) -> np.ndarray:
-    """Columns (q, p, z) of the gas equilibrium family over a q grid."""
-    front = gas_front(par)
+    """Columns (q, p, z) of the gas equilibrium family over a q grid, from
+    one checked evaluation of the front's z and p."""
     q = _array(q_grid, "q_grid")
-    return np.column_stack([q, front.slope(q), front.value(q)])
+    z, p = gas_front(par)._checked(lambda x: _gas_zp(x, par.T, par.P_back), q)
+    return np.column_stack([q, p, z])
 
 
 def sample_cw_legendrian(par: CurieWeissParams, p_grid) -> np.ndarray:
