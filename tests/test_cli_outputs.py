@@ -10,9 +10,16 @@ summation order, a different float format) fails here and names the file.
 
 The digests were recorded with numpy 2.4.6 on x86-64 Linux, on a CPU where
 numpy dispatches up to AVX512_SPR (``np.show_runtime()`` prints the level).
-numpy's float64 kernels round differently at other dispatch levels, on
-other platforms and in other builds; there the digests must be re-recorded
-from a known-good commit.
+numpy's float64 kernels round differently at other dispatch levels, so
+``LEVEL_DIGESTS`` holds, for each lower level, the digests that differ
+there, and the test checks the table of the level it runs at
+(:func:`dispatch_level`).  ``tests/test_dispatch_levels.py`` reruns this
+file at every lower level the CPU has.  On other platforms and in other
+builds the digests must be re-recorded from a known-good commit.
+
+Run as a script, this file prints the digests that differ from
+``DIGESTS`` at the level it runs at, which is how ``LEVEL_DIGESTS`` was
+recorded.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import io
 import json
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
 
 from thermocontact.cli import dispatch
 
@@ -144,6 +152,55 @@ DIGESTS: dict[str, dict[str, str]] = {
     },
 }
 
+# The digests that differ from DIGESTS at each lower dispatch level, each
+# recorded on the CPU above by running this file as a script with numpy's
+# targets above the level switched off (PYTHONPATH=src):
+#   AVX512_ICL  NPY_DISABLE_CPU_FEATURES="AVX512_SPR"
+#   X86_V4      NPY_DISABLE_CPU_FEATURES="AVX512_ICL AVX512_SPR"
+#   X86_V3      NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"
+#   X86_V2      NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+# Below X86_V4 the gas family's np.log gives other bits.
+_BELOW_X86_V4 = {
+    "chord_gas": {
+        "fig1_family_hot.csv": "7eb7a26e0f01c6e06e349d087d02f13c6e11f6f895997b120af64c4a49bb781f",
+    },
+    "chord_gas_json": {
+        "fig1_family_hot.csv": "7eb7a26e0f01c6e06e349d087d02f13c6e11f6f895997b120af64c4a49bb781f",
+    },
+    "isotopy_gas": {
+        "isotopy_path_001.csv": "9f86fa5518283d00216637767f69bac004721512ba40f00846d0455fe6cee621",
+    },
+}
+LEVEL_DIGESTS: dict[str, dict[str, dict[str, str]]] = {
+    "AVX512_SPR": {},
+    "AVX512_ICL": {},
+    "X86_V4": {},
+    "X86_V3": _BELOW_X86_V4,
+    "X86_V2": _BELOW_X86_V4,
+}
+
+
+def dispatch_level() -> str:
+    """The numpy CPU dispatch level this process runs at: the last target of
+    ``__cpu_dispatch__`` (listed lowest first) before the first one that is
+    off, or the baseline where none is on.
+
+    A target that is on above one that is off does not count: with only
+    X86_V4 disabled, the digests are those of X86_V3 although AVX512_SPR is
+    still on, since a kernel runs its highest target whose features are all on.
+    """
+    level = __cpu_baseline__[-1] if __cpu_baseline__ else "baseline"
+    for target in __cpu_dispatch__:
+        if not __cpu_features__.get(target):
+            break
+        level = target
+    return level
+
+
+def expected_digests(name: str) -> dict[str, str]:
+    """DIGESTS[name], with the digests recorded for this level put over it."""
+    return {**DIGESTS[name], **LEVEL_DIGESTS.get(dispatch_level(), {}).get(name, {})}
+
 
 def _run(name: str, tmp_path) -> dict[str, str]:
     in_dir = tmp_path / "in"
@@ -168,4 +225,16 @@ def _run(name: str, tmp_path) -> dict[str, str]:
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_outputs_match_recorded_digests(name, tmp_path):
-    assert _run(name, tmp_path) == DIGESTS[name]
+    assert _run(name, tmp_path) == expected_digests(name)
+
+
+if __name__ == "__main__":
+    import pathlib
+    import tempfile
+
+    moved = {}
+    for name in sorted(COMMANDS):
+        with tempfile.TemporaryDirectory() as tmp:
+            got = _run(name, pathlib.Path(tmp))
+        moved[name] = {f: d for f, d in got.items() if DIGESTS[name].get(f) != d}
+    print(dispatch_level(), json.dumps({n: m for n, m in moved.items() if m}, indent=4))
