@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from thermocontact import (
     AffineHamiltonian,
@@ -24,6 +26,7 @@ from thermocontact import (
     ultrafast_jump,
     uniform_density,
 )
+from thermocontact.microstate import NORMALIZATION_TOL
 from thermocontact.phase_space import SampledPath
 
 LN2 = math.log(2.0)
@@ -279,6 +282,44 @@ class TestUltrafastJump:
         sp, h = self.system()
         with pytest.raises(ValueError, match=rf"^{name} must have 1 dimension\(s\)"):
             ultrafast_jump(sp, h, 1.0, 1.5, q, jump)
+
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_low_temperature_jumps_freeze_a_gibbs_state(self, data):
+        # down to T0 = 1e-300 (and at it) the jump gives a finite record
+        # whose p is the T0 Gibbs state's, bit for bit, or a FloatingPointError
+        # naming T and q; at the lowest T that state sits on the states of
+        # least energy
+        m = data.draw(st.integers(1, 12))
+        n = data.draw(st.integers(1, 3))
+        value = st.floats(-5.0, 5.0, allow_nan=False)
+        sp = MicrostateSpace(
+            tuple(f"s{i}" for i in range(m)),
+            data.draw(arrays(float, m, elements=st.floats(0.1, 5.0))),
+        )
+        h = AffineHamiltonian(
+            data.draw(arrays(float, m, elements=value)),
+            data.draw(arrays(float, (n, m), elements=value)),
+        )
+        q = data.draw(arrays(float, n, elements=value))
+        c = data.draw(arrays(float, n, elements=value))
+        for T0 in (10.0 ** data.draw(st.floats(-300.0, 0.0)), 1e-300):
+            try:
+                rec = ultrafast_jump(sp, h, T0, 2.0 * T0, q, c)
+            except FloatingPointError as exc:
+                named = re.search(r" at T=(\S+), q=\[", str(exc))
+                assert named and float(named[1]) in (T0, 2.0 * T0), str(exc)
+                continue
+            fields = [rec.z_before, rec.z_after_stage1, *rec.p, *rec.q, rec.gibbs_residual]
+            assert all(math.isfinite(v) for v in fields)
+            rho = gibbs(sp, h, T0, q).rho_g
+            assert np.array_equal(rec.p, pressures(sp, h, rho))
+            assert 0.0 <= rec.gibbs_residual <= 1.0
+            if T0 == 1e-300:
+                energies = h.energies(q)
+                lowest = energies == energies.min()
+                mass = float(np.vecdot(rho[lowest], sp.weights[lowest]))
+                assert abs(mass - 1.0) <= NORMALIZATION_TOL
 
 
 class TestFokkerPlanck:
