@@ -355,12 +355,13 @@ def cw_magnetization_roots(
     it, which replaces the piece solution if it lies on the piece; so the
     result does not depend on the piece ends.  y_lo and y_hi are
     (q + H_back -+ b)/T, each moved out by max(1, |end| * ``MAGNET_RANGE_PAD``)
-    so that the move outlasts rounding at every T/b.  Roots closer than ``MAGNET_MERGE_YTOL`` in y are
-    one.  Each is built once, in y (so p) order, as unstable iff
-    1 - (b/T)(1 - p^2) < 0 and otherwise as a local minimum; the stable one
-    of largest z (smallest free energy) is then relabelled the global
-    minimum, where z within ``MAGNET_Z_TIE_RTOL * max(1, |z_max|)`` of the
-    largest is a tie, resolved to the non-negative branch.
+    so that the move outlasts rounding at every T/b.  Roots closer than
+    ``MAGNET_MERGE_YTOL`` in y are one.  Each is built once, in y (so p)
+    order, as unstable iff 1 - (b/T)(1 - p^2) < 0 and otherwise as a local
+    minimum; the stable one of largest z (smallest free energy) is then
+    relabelled the global minimum, where z within
+    ``MAGNET_Z_TIE_RTOL * max(1, |z_max|)`` of the largest is a tie,
+    resolved to the non-negative branch.
 
     Raises FloatingPointError, naming T, b and q + H_back, when doubles
     cannot hold the y range or resolve its grid; RuntimeError, naming

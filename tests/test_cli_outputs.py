@@ -180,17 +180,20 @@ LEVEL_DIGESTS: dict[str, dict[str, dict[str, str]]] = {
 }
 
 
+# numpy's CPU dispatch levels, lowest first: the baseline, then each target
+LEVELS = [__cpu_baseline__[-1] if __cpu_baseline__ else "baseline", *__cpu_dispatch__]
+
+
 def dispatch_level() -> str:
-    """The numpy CPU dispatch level this process runs at: the last target of
-    ``__cpu_dispatch__`` (listed lowest first) before the first one that is
-    off, or the baseline where none is on.
+    """The level this process runs at: the last target before the first one
+    that is off, or the baseline where none is on.
 
     A target that is on above one that is off does not count: with only
     X86_V4 disabled, the digests are those of X86_V3 although AVX512_SPR is
     still on, since a kernel runs its highest target whose features are all on.
     """
-    level = __cpu_baseline__[-1] if __cpu_baseline__ else "baseline"
-    for target in __cpu_dispatch__:
+    level = LEVELS[0]
+    for target in LEVELS[1:]:
         if not __cpu_features__.get(target):
             break
         level = target

@@ -33,12 +33,10 @@ from pathlib import Path
 import pytest
 from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
 
-from test_cli_outputs import dispatch_level
+from test_cli_outputs import LEVELS, dispatch_level
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
-BASELINE = __cpu_baseline__[-1] if __cpu_baseline__ else "baseline"
-LEVELS = [BASELINE, *__cpu_dispatch__]
 ON = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
 # what this process's environment switched off, kept off in every rerun
 OFF = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()
@@ -82,9 +80,9 @@ def test_digests_hold_at_lower_level(level):
 
 
 def test_disabling_a_baseline_feature_stops_the_import():
-    proc = _python("import numpy", BASELINE)
+    proc = _python("import numpy", LEVELS[0])
     assert proc.returncode != 0
-    assert f"cannot disable CPU feature '{BASELINE}'" in proc.stderr
+    assert f"cannot disable CPU feature '{LEVELS[0]}'" in proc.stderr
     assert "part of the baseline optimizations" in proc.stderr
 
 
