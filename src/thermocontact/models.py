@@ -463,18 +463,14 @@ def select_equilibrium(points: list[CWBranchPoint]) -> CWBranchPoint:
     return max(points, key=lambda pt: pt.z)
 
 
-def _cw_q(p: float, T: float, H_back: float, b: float) -> float:
-    """The magnet chart q = -b p + T atanh(p) - H_back, unchecked: where
-    |H_back| dwarfs b, q + H_back misses the equation by H_back's rounding."""
-    return -b * p + T * math.atanh(p) - H_back
-
-
 def _cw_qz(p: float, par: CurieWeissParams) -> tuple[float, float]:
-    """q = _cw_q(p) and z over magnetization p, checked against the
-    self-consistency equation."""
+    """The magnet chart q = -b p + T atanh(p) - H_back and z over
+    magnetization p, checked against the self-consistency equation (which
+    q + H_back misses by H_back's rounding once |H_back| dwarfs b)."""
     p = _scalar(p, "magnetization", inside=(-1, 1))
-    q = _cw_q(p, par.T, par.H_back, par.b)
-    _check_self_consistency(math.atanh(p), q, par)
+    y = math.atanh(p)
+    q = -par.b * p + par.T * y - par.H_back
+    _check_self_consistency(y, q, par)
     return q, _cw_z(p, q, par.T, par.H_back, par.b)
 
 

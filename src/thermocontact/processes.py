@@ -32,7 +32,7 @@ from . import microstate as ms
 from .chords import Chord, DegenerateChordError, gas_chord
 from .models import (
     CurieWeissParams,
-    _cw_q,
+    _cw_qz,
     _cw_z,
     _gas_zp,
     cw_magnetization_roots,
@@ -202,7 +202,7 @@ def run_slow_isotopy(
         splits = (temps < b).tolist()
         for x in x_grid:
             y0 = math.atanh(x)
-            q = _cw_q(x, temps[0], bgs[0], b)
+            q, _ = _cw_qz(x, CurieWeissParams(T=temps[0], H_back=bgs[0], b=b))
             z, p = np.empty(times.size), np.empty(times.size)
             for j, split in enumerate(splits):
                 roots = cw_magnetization_roots(q, CurieWeissParams(T=temps[j], H_back=bgs[j], b=b))
@@ -257,7 +257,9 @@ def ultrafast_jump(
     c . v_bar.  The jump is ultrafast when the frozen density already is the
     minimizer of the post-jump parameters, measured in total variation
     against ``COINCIDENCE_TOL``; otherwise stage 2 is a relaxation
-    (:func:`fokker_planck_relax`).
+    (:func:`fokker_planck_relax`).  Raises FloatingPointError, naming T and
+    q, where the Gibbs state or its lift before or after the jump is beyond
+    double precision.
     """
     T0 = _scalar(T0, "T0", positive=True)
     T1 = _scalar(T1, "T1", positive=True)
@@ -266,9 +268,8 @@ def ultrafast_jump(
     if q.size != c.size:
         raise ValueError("background jump must match the dimension of q")
     rho0 = ms.gibbs(sp, h, T0, q).rho_g
-    p0 = ms.pressures(sp, h, rho0)
-    z0 = -ms.free_energy(sp, h, T0, q, rho0)
-    z1 = -ms.free_energy(sp, h, T1, q + c, rho0)
+    z0, _, p0 = ms.lift_to_extended(sp, h, T0, q, rho0)
+    z1, _, _ = ms.lift_to_extended(sp, h, T1, q + c, rho0)
     residual = ms.total_variation(sp, rho0, ms.gibbs(sp, h, T1, q + c).rho_g)
     p0.flags.writeable = False
     return JumpRecord(z0, z1, p0, q, residual <= COINCIDENCE_TOL, residual)

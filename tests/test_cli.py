@@ -1147,6 +1147,32 @@ class TestOtherCommands:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("bg, residual", [("1e9", "2.718e-08"), ("1e12", "1.880e-06")])
+    def test_isotopy_chart_point_off_the_magnet_equation(self, tmp_path, capsys, bg, residual):
+        # q + H_back keeps only H_back's rounding of T atanh(p) - b p, so the
+        # chart point misses its equation; the run must not start elsewhere
+        argv = ["isotopy", "cw", "--T0", "1", "--T1", "1.2", "--b", "1", "--bg0", bg,
+                "--bg1", bg, "--x-lo", "0.3", "--x-hi", "0.3", "--n-x", "1", "--n-times", "3"]
+        out = tmp_path / "out"
+        assert dispatch([*argv, "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"failure: self-consistency residual {residual} too large at T=1.0, b=1.0, "
+            f"H_back={float(bg)!r}, p=0.30000000000000004"
+        ]
+        assert not out.exists()
+
+    def test_isotopy_chart_point_at_a_large_background(self, tmp_path):
+        # at --bg0 1e6 the chart point passes its check, and the path's q
+        # is the chart formula's, bit for bit
+        argv = ["isotopy", "cw", "--T0", "1", "--T1", "1.2", "--b", "1", "--bg0", "1e6",
+                "--bg1", "1e6", "--x-lo", "0.3", "--x-hi", "0.3", "--n-x", "1", "--n-times", "3"]
+        assert dispatch([*argv, "--out-dir", str(tmp_path)]) == 0
+        path = path_from_csv(str(tmp_path / "isotopy_path_000.csv"))
+        q = -1.0 * 0.3 + 1.0 * math.atanh(0.3) - 1e6
+        assert path.q[:, 0].tolist() == [q, q, q]
+
     def test_stirling(self, tmp_path, capsys):
         code = dispatch(
             [

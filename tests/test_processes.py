@@ -215,6 +215,23 @@ class TestSlowIsotopyMagnet:
         with pytest.raises(ValueError):
             run_slow_isotopy("cw", sched, [1.5], b=1.0)
 
+    @pytest.mark.parametrize("bg", [1e9, 1e12])
+    def test_chart_point_off_the_magnet_equation_is_rejected(self, bg):
+        # q = -b p + T atanh(p) - H_back keeps only H_back's rounding of
+        # T atanh(p) - b p, so the path would start elsewhere than p = 0.3
+        # (at 0.29999973 for 1e9, 0.30001901 for 1e12)
+        sched = Schedule.linear(3, 1.0, 1.2, bg, bg)
+        with pytest.raises(RuntimeError, match=rf"^self-consistency residual .* H_back={bg!r}"):
+            run_slow_isotopy("cw", sched, [0.3], b=1.0)
+
+    def test_chart_point_at_a_large_background_keeps_its_q(self):
+        # at H_back = 1e6 the chart point passes its check, and the path's
+        # q is the chart formula's, bit for bit
+        trace = run_slow_isotopy("cw", Schedule.linear(3, 1.0, 1.2, 1e6, 1e6), [0.3], b=1.0)
+        q = -1.0 * 0.3 + 1.0 * math.atanh(0.3) - 1e6
+        assert trace.paths[0].q[:, 0].tolist() == [q, q, q]
+        assert abs(float(trace.paths[0].p[0, 0]) - 0.3) < 1e-8
+
 
 class TestUltrafastJump:
     def system(self):
@@ -282,6 +299,16 @@ class TestUltrafastJump:
         sp, h = self.system()
         with pytest.raises(ValueError, match=rf"^{name} must have 1 dimension\(s\)"):
             ultrafast_jump(sp, h, 1.0, 1.5, q, jump)
+
+    def test_overflowing_lift_names_T_and_q(self):
+        # the T0 Gibbs state is finite, but -T S overflows at T = 1.7e308
+        sp = MicrostateSpace(tuple("abcd"), [30.0, 30.0, 30.0, 10.0])
+        h = AffineHamiltonian(np.zeros(4), [[0.0, 1.0, 0.0, 1.0]])
+        with pytest.raises(
+            FloatingPointError,
+            match=r"^the lift at T=1\.7e\+308, q=\[0\.0\] is beyond double precision",
+        ):
+            ultrafast_jump(sp, h, 1.7e308, 1.7e308, [0.0], [0.0])
 
     @settings(max_examples=250, deadline=None, derandomize=True, database=None)
     @given(st.data())
