@@ -132,10 +132,15 @@ def normalized_density(sp: MicrostateSpace, values) -> np.ndarray:
 
 
 def total_variation(sp: MicrostateSpace, a, b) -> float:
-    """Total-variation distance (1/2) sum_i w_i |a_i - b_i|."""
+    """Total-variation distance (1/2) sum_i w_i |a_i - b_i|, in [0, 1].
+
+    Two densities of disjoint support are 1 apart: the sum can exceed 2 only
+    by the rounding of their masses, within NORMALIZATION_TOL, so it is
+    clipped at 1.
+    """
     a = check_density(sp, a)
     b = check_density(sp, b)
-    return 0.5 * float(np.dot(sp.weights, np.abs(a - b)))
+    return min(1.0, 0.5 * float(np.dot(sp.weights, np.abs(a - b))))
 
 
 @dataclass(frozen=True)

@@ -150,6 +150,14 @@ class TestDensityContract:
         with pytest.raises(ValueError, match="finite"):
             normalized_density(unit_space(3), [value, 1.0, 1.0])
 
+    def test_total_variation_of_disjoint_supports_is_one(self):
+        # both masses are 1 within NORMALIZATION_TOL, the second from above:
+        # half their sum would exceed the distance's range
+        sp = MicrostateSpace(tuple("abc"), [1.0, 1.0, 1.0])
+        a, b = [1.0, 0.0, 0.0], [0.0, 0.5, 0.5 + 0.5 * NORMALIZATION_TOL]
+        assert total_variation(sp, a, b) == 1.0
+        assert total_variation(sp, b, a) == 1.0
+
     def test_normalized_density_rejects_zero_mass(self):
         with pytest.raises(ValueError, match="positive total mass"):
             normalized_density(unit_space(3), [0.0, 0.0, 0.0])

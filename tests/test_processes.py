@@ -300,6 +300,16 @@ class TestUltrafastJump:
         with pytest.raises(ValueError, match=rf"^{name} must have 1 dimension\(s\)"):
             ultrafast_jump(sp, h, 1.0, 1.5, q, jump)
 
+    def test_gibbs_states_of_disjoint_support_are_one_apart(self):
+        # at T = 1e-300 the pre-jump state sits on state 0 and the post-jump
+        # one on states 1-5, whose mass rounds to 1.0000000000000002: the
+        # total variation is 1, not half the sum of the two masses
+        sp = MicrostateSpace(tuple("abcdef"), [1.0, 1.5, 2.5, 0.1, 0.1, 0.1])
+        h = AffineHamiltonian(np.zeros(6), [[0.0, 1.0, 1.0, 1.0, 1.0, 1.0]])
+        rec = ultrafast_jump(sp, h, 1e-300, 2e-300, [1.0], [-2.0])
+        assert rec.gibbs_residual == 1.0
+        assert not rec.is_ultrafast
+
     def test_overflowing_lift_names_T_and_q(self):
         # the T0 Gibbs state is finite, but -T S overflows at T = 1.7e308
         sp = MicrostateSpace(tuple("abcd"), [30.0, 30.0, 30.0, 10.0])
