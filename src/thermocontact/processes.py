@@ -160,9 +160,9 @@ def run_slow_isotopy(
 
     Each x is a chart parameter of the initial family: an intensive value q
     for the gas, a magnetization p for the magnet.  The intensive coordinate
-    of every traced point is held fixed while the family moves, so the gas
-    point follows its root of T y - b tanh y = q + bg (p = tanh y) by the
-    ``piece`` that :func:`~thermocontact.models.cw_magnetization_roots`
+    of every traced point is held fixed while the family moves, so the
+    magnet point follows its root of T y - b tanh y = q + bg (p = tanh y)
+    by the ``piece`` that :func:`~thermocontact.models.cw_magnetization_roots`
     labels it with: y <= -y*, |y| < y* or y >= y* where T < b and the
     family folds at +-y*, else the sign of y, read exactly from the sign of
     q + bg.  Between two nodes with T >= b the single root always
@@ -170,8 +170,10 @@ def run_slow_isotopy(
     so across a split or a merge the sign of y carries over and y = 0 goes
     to the middle piece.  When that root does not exist the branch has
     passed a fold, and :class:`BranchLossError` names the time node rather
-    than silently hopping branches.  ``b`` is required by the magnet only;
-    when given it must be a positive number, and the trace stores it as read.
+    than silently hopping branches.  Each magnet chart point must meet its
+    equation as a root does (RuntimeError where q + bg keeps only the
+    rounding of a large bg).  ``b`` is required by the magnet only; when
+    given it must be a positive number, and the trace stores it as read.
     """
     if model not in ("gas", "cw"):
         raise ValueError(f"unknown model {model!r}, expected 'gas' or 'cw'")

@@ -697,6 +697,16 @@ class TestOverflow:
              2, "failure: the magnetization root at T=1e-32, b=1.0, q + H_back=-0.5 on "
              "[-5.000500050009686e+27, 1.5001500150029058e+28]: "
              "Failed to converge after 100 iterations."),
+            # q + bg keeps only bg's rounding of T atanh(p) - b p, so the
+            # chart point misses its equation and the path would start elsewhere
+            (["isotopy", "cw", "--T0", "1", "--T1", "1.2", "--b", "1", "--bg0", "1e9",
+              "--bg1", "1e9", "--x-lo", "0.3", "--x-hi", "0.3", "--n-x", "1", "--n-times", "3"],
+             2, "failure: self-consistency residual 2.718e-08 too large at T=1.0, b=1.0, "
+             "H_back=1000000000.0, p=0.30000000000000004"),
+            (["isotopy", "cw", "--T0", "1", "--T1", "1.2", "--b", "1", "--bg0", "1e12",
+              "--bg1", "1e12", "--x-lo", "0.3", "--x-hi", "0.3", "--n-x", "1", "--n-times", "3"],
+             2, "failure: self-consistency residual 1.880e-06 too large at T=1.0, b=1.0, "
+             "H_back=1000000000000.0, p=0.30000000000000004"),
         ],
     )
     def test_one_line_and_no_file(self, tmp_path, system_file, capsys, argv, code, message):
@@ -1147,25 +1157,9 @@ class TestOtherCommands:
         )
         assert code == 0
 
-    @pytest.mark.parametrize("bg, residual", [("1e9", "2.718e-08"), ("1e12", "1.880e-06")])
-    def test_isotopy_chart_point_off_the_magnet_equation(self, tmp_path, capsys, bg, residual):
-        # q + H_back keeps only H_back's rounding of T atanh(p) - b p, so the
-        # chart point misses its equation; the run must not start elsewhere
-        argv = ["isotopy", "cw", "--T0", "1", "--T1", "1.2", "--b", "1", "--bg0", bg,
-                "--bg1", bg, "--x-lo", "0.3", "--x-hi", "0.3", "--n-x", "1", "--n-times", "3"]
-        out = tmp_path / "out"
-        assert dispatch([*argv, "--out-dir", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == [
-            f"failure: self-consistency residual {residual} too large at T=1.0, b=1.0, "
-            f"H_back={float(bg)!r}, p=0.30000000000000004"
-        ]
-        assert not out.exists()
-
     def test_isotopy_chart_point_at_a_large_background(self, tmp_path):
-        # at --bg0 1e6 the chart point passes its check, and the path's q
-        # is the chart formula's, bit for bit
+        # at --bg0 1e6 the chart point passes its check, and the path's q,
+        # which alone sets its roots, is the chart formula's, bit for bit
         argv = ["isotopy", "cw", "--T0", "1", "--T1", "1.2", "--b", "1", "--bg0", "1e6",
                 "--bg1", "1e6", "--x-lo", "0.3", "--x-hi", "0.3", "--n-x", "1", "--n-times", "3"]
         assert dispatch([*argv, "--out-dir", str(tmp_path)]) == 0
