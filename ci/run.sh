@@ -24,10 +24,12 @@ python -m pip check
 
 step "Tier-1 tests"
 # numpy's CPU dispatch level names the digest table tests/test_cli_outputs.py
-# checks; tests/test_dispatch_levels.py reruns that file at each lower level
+# checks (tests/test_dispatch_levels.py reruns that file at each lower
+# level), and the hypothesis version chooses the derandomized draws
 python - <<'PY'
 import sys
 
+import hypothesis
 import numpy as np
 from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
 
@@ -36,7 +38,8 @@ from test_cli_outputs import dispatch_level
 
 on = " ".join(t for t in __cpu_dispatch__ if __cpu_features__[t]) or "none"
 print(f"numpy {np.__version__}: baseline {' '.join(__cpu_baseline__)}, "
-      f"dispatch targets on: {on}, digest level {dispatch_level()}")
+      f"dispatch targets on: {on}, digest level {dispatch_level()}; "
+      f"hypothesis {hypothesis.__version__}")
 PY
 python -m pytest -q --continue-on-collection-errors --durations=15
 
