@@ -52,9 +52,12 @@ for w in chord_scan relax_paths cli_session; do
         --workload "$w" --seed 1 --seconds 2 --trace 0
 done
 
-step "traced benchmark smoke run"
+step "traced benchmark smoke runs"
 # the tracer counts front evaluations by patching FrontFunction.value/slope
 smoke 'r["correct"] is True and r["failed"] == 0 and r["metrics"]["models.front_evals"]["value"] > 0' \
     "chord_scan --trace 1" --workload chord_scan --seed 1 --seconds 2 --trace 1
+# the traced path I/O layer: write_csv's kernel formats the path CSVs
+smoke 'r["correct"] is True and r["failed"] == 0 and r["metrics"]["phase_space.csv_bytes"]["value"] > 0' \
+    "relax_paths --trace 1" --workload relax_paths --seed 1 --seconds 2 --trace 1
 
 step "all steps passed"

@@ -250,14 +250,22 @@ def find_chords(
 
         # A sign change between nodes i and i + 1 brackets a root.
         own = start - k0
-        for i in (dpsi[own:-1] * dpsi[own + 1:] < 0.0).nonzero()[0].tolist():
+        product = dpsi[own:-1] * dpsi[own + 1:]
+        for i in (product < 0.0).nonzero()[0].tolist():
             crossings.append((float(xs[own + i]), float(xs[own + i + 1])))
 
-        # Both masks below need |psi'| < TOUCH_SLOPE_TOL at the middle node,
-        # so a block without such a node has neither exact zeros nor dips.
-        abs_mid = mag[1:-1]
-        if not (abs_mid < TOUCH_SLOPE_TOL).any():
+        # The product underflows to 0 only where a node has |psi'| below
+        # ~1e-162, and the masks below need |psi'| < TOUCH_SLOPE_TOL at a
+        # node too, so a block without such a node skips them all.
+        if not (mag < TOUCH_SLOPE_TOL).any():
             continue
+
+        # A sign change whose product underflowed (both slopes nonzero).
+        underflow = (product == 0.0) & (np.sign(dpsi[own:-1]) * np.sign(dpsi[own + 1:]) < 0.0)
+        for i in underflow.nonzero()[0].tolist():
+            crossings.append((float(xs[own + i]), float(xs[own + i + 1])))
+
+        abs_mid = mag[1:-1]
 
         # Position k of these views is node k, k + 1, k + 2, so position k
         # of an interior mask is node k + 1.

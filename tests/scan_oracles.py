@@ -65,7 +65,8 @@ def loop_find_chords(
         if a == 0.0:
             if 0 < i and dpsi[i - 1] != 0.0 and c != 0.0:
                 roots.append((float(xs[i]), dpsi[i - 1] * c > 0.0))
-        elif a * c < 0.0:
+        elif a * c < 0.0 or (a * c == 0.0 and c != 0.0 and (a < 0.0) != (c < 0.0)):
+            # a sign change, also where the product underflows to 0
             roots.append((float(brentq(slope_gap, xs[i], xs[i + 1], xtol=tol)), False))
 
     for i in range(1, grid_n - 1):

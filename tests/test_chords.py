@@ -124,6 +124,13 @@ class TestFindChords:
         assert abs(ch.length - 1.0) < 1e-12
         assert ch.direction == 1 and not ch.tangential
 
+    def test_sign_change_whose_product_underflows(self):
+        # the magnet pair (1, 0), (2, 200): the slope gaps around Q* = 200
+        # are ~1e-175, so the product of the two ends of its cell is 0
+        found = find_chords(constant_front(), difference_front("cw", 1.0, 2.0, 200.0),
+                            -600.0, 600.0, grid_n=20001)
+        assert [ch.q for ch in found] == [200.0]
+
     def test_degenerate_family(self):
         with pytest.raises(DegenerateFamilyError):
             find_chords(constant_front(0.0), constant_front(1.0), -1.0, 1.0)

@@ -177,6 +177,28 @@ class TestChordFlagChecks:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize("c", ["150", "200", "300", "340"])
+    def test_magnet_chords_with_underflowing_slopes(self, tmp_path, capsys, c):
+        # the slope gaps around Q* are 1e-132 (c = 150) to 1e-297 (c = 340):
+        # their products underflow in the scan, and at c = 150 a secant
+        # denominator underflows in brentq
+        argv = ["chord", "cw", "--t0", "1", "--t1", "2", "--c", c]
+        assert dispatch([*argv, "--out-dir", str(tmp_path)]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        error = float(re.search(r"finder\|dQ\|=(\S+)", line).group(1))
+        assert error <= cli.FINDER_TOL * max(1.0, float(c))
+
+    def test_magnet_chord_beyond_the_finder_s_reach_exits_2(self, tmp_path, capsys):
+        # c / (t1 - t0) = 350: _tanh_gap clips both arguments, so the fronts
+        # are parallel to double precision and the scan finds no sign change
+        argv = ["chord", "cw", "--t0", "1", "--t1", "2", "--c", "350"]
+        out = tmp_path / "out"
+        assert dispatch([*argv, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "failure: the finder found no cw chord in its scan window [-1050.0, 1050.0]"
+        ]
+        assert not out.exists()
+
     def test_scan_window_wider_than_a_double_exits_1(self, tmp_path, capsys):
         # span = 3 |Q*| = 1.2e308, so the scan's node step overflows
         argv = ["chord", "cw", "--t0", "1", "--t1", "2", "--c", "4e307", "--b", "1"]

@@ -1,9 +1,12 @@
-"""The CLI digests hold at every numpy CPU dispatch level this CPU has.
+"""The CLI digests and the CSV cells hold at every numpy CPU dispatch level
+this CPU has.
 
 numpy reads ``NPY_DISABLE_CPU_FEATURES`` once, when it is imported, so each
-lower level reruns ``tests/test_cli_outputs.py`` in a fresh interpreter with
-the dispatch targets above that level switched off; that file then checks
-the digest table of the level it runs at.  A level above this process's
+lower level reruns ``tests/test_cli_outputs.py`` and ``tests/test_csv_format.py``
+in a fresh interpreter with the dispatch targets above that level switched
+off; the first checks the digest table of the level it runs at, the second
+that every CSV cell is ``%.17g`` although ``np.log10``, on which the CSV
+kernel's fast path rests, gives other bits there.  A level above this process's
 level is skipped: the CPU lacks one of its targets, or the environment
 switched one off.
 
@@ -73,7 +76,8 @@ def test_digests_hold_at_lower_level(level):
         pytest.skip("NPY_ENABLE_CPU_FEATURES is set")
     above = LEVELS[LEVELS.index(level) + 1:]
     proc = _python(_CHILD, " ".join(OFF + [t for t in above if t in ON]),
-                   "-q", "-p", "no:cacheprovider", str(TESTS / "test_cli_outputs.py"))
+                   "-q", "-p", "no:cacheprovider", str(TESTS / "test_cli_outputs.py"),
+                   str(TESTS / "test_csv_format.py"))
     on = [t for t in ON if t not in above]
     assert proc.stdout.splitlines()[:1] == [repr(on)], proc.stdout + proc.stderr
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-2000:]

@@ -63,6 +63,10 @@ NODE_CASES = {
     "run of zeros": ([1.0, 0.0, 0.0, -1.0, -2.0], []),
     "touching minimum": ([1.0, 0.5, 1e-13, 0.5, 1.0], [(2.0, True)]),
     "shallow touching minimum": ([1.0, 2e-13, 1e-13, 2e-13, 1.0], []),
+    # products of two slopes below ~1e-162 underflow to 0
+    "sign change whose product underflows": ([1.0, 1e-200, -1e-200, -1.0, -2.0], [(1.5, False)]),
+    "underflowing product at the first node": ([1e-310, -1e-20, -1.0, -2.0, -3.0], [(0.0, False)]),
+    "underflowing product at the last node": ([3.0, 2.0, 1.0, 1e-20, -1e-310], [(4.0, False)]),
     "several sign changes": (
         [1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 0.5],
         [(0.5, False), (4.0 / 3.0, False), (2.5, False), (3.4, False), (4.5, False),

@@ -16,6 +16,7 @@ import textwrap
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -121,6 +122,25 @@ class TestBrentq:
             return float(f1.slope(x) - f0.slope(x))
 
         _assert_same(slope_gap, qstar - left * scale, qstar + right * scale, xtol)
+
+    @pytest.mark.parametrize(
+        "c, lo, hi, root",
+        [
+            (150.0, 149.985, 150.02999999999997, 149.99999999999997),
+            (300.0, 299.97, 300.05999999999995, 299.9999999999998),
+        ],
+    )
+    def test_underflowed_interpolation_denominator_bisects(self, c, lo, hi, root):
+        # chord cw --t0 1 --t1 2 --c 150: the slope gaps at the bracket ends
+        # are ~1e-132, so fcur - fpre underflows to 0 in the secant step;
+        # scipy's C code gets inf or nan there and bisects
+        f1 = difference_front("cw", 1.0, 2.0, c)
+
+        def slope_gap(x):
+            return float(f1.fprime(x))
+
+        _assert_same(slope_gap, lo, hi, 1e-12)
+        assert brentq(slope_gap, lo, hi, xtol=1e-12) == root
 
     def test_same_sign_bracket_raises_value_error(self):
         f = _magnet_resid(2.0, 1.0, 0.3)
