@@ -46,6 +46,10 @@ def _edges() -> list[float]:
     out += [5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308]
     out += [9.9999999999999991e-05, 9.9999999999999995e-06, 99999999999999984.0]
     out += [0.0, math.inf, math.nan, 1.0, 7.0, 0.1, 1.0 / 3.0]
+    # scaled values 4.1e-10, 8.2e-11 and 2.5e-10 from a half-integer, inside
+    # CSV_HALF_MARGIN, and one 1.2e-9 from it, outside
+    out += [6.338254616070557e29, 5.070602914861384e30, 5.070607375092775e30,
+            6.338254583397571e29]
     return out + [-v for v in out]
 
 
