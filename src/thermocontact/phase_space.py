@@ -9,7 +9,11 @@ pairs of extensive/intensive variables.  The reduced phase space keeps only
     reduced:   dz - sum_j p_j dq_j
 
 A sampled path is admissible when the form paired with its velocity is
-non-negative at every sample.  Paths are stored by column (one array per
+non-negative at every sample.  The forms read only the time derivatives of
+z, T and q, each the gradient of its own column: second-order central
+differences at interior samples (on non-uniform grids too) and one-sided
+differences at the two end samples (second order with three or more
+samples, first order with two).  Paths are stored by column (one array per
 coordinate), so certification, reduction and CSV I/O work on whole arrays.
 Only the sign of the verdict is independent of the choice of contact form
 representing the co-oriented distribution; the numeric values reported are
@@ -261,28 +265,21 @@ class NonnegReport:
         )
 
 
-def _velocity_matrix(path: SampledPath) -> np.ndarray:
-    """Time derivatives of :meth:`SampledPath.coordinates`, one row per sample.
+def _derivatives(path: SampledPath) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """The time derivatives that the contact forms read: dz, dT (None on a
+    reduced path) and dq, of shape (N, n).
 
-    Central differences at interior nodes (second order on non-uniform
-    grids), one-sided differences at the endpoints (second order when the
-    path has at least three samples).
+    One ``np.gradient`` of the columns z[, T], q alone, which it
+    differentiates one by one: central differences at interior samples
+    (second order on non-uniform grids too), one-sided differences at the
+    end samples (second order when the path has at least three samples,
+    first order with two).  dq is copied to a contiguous array, so that
+    ``np.vecdot`` reads each row of it at unit stride.
     """
-    edge_order = 2 if path.n_samples >= 3 else 1
-    return np.gradient(path.coordinates(), path.times, axis=0, edge_order=edge_order)
-
-
-def _form_values(path: SampledPath, vel: np.ndarray) -> np.ndarray:
-    """dz - S dT - p . dq (extended) or dz - p . dq (reduced) at every sample.
-
-    ``vel`` is :func:`_velocity_matrix` of the path; ``p . dq`` goes through
-    ``np.vecdot``, which sums each row as ``np.dot`` does.
-    """
-    dq = np.ascontiguousarray(vel[:, vel.shape[1] - path.dimension :])
-    values = vel[:, 0]
-    if path.kind == "extended":
-        values = values - path.S * vel[:, 2]
-    return values - np.vecdot(path.p, dq)
+    head = [path.z] if path.T is None else [path.z, path.T]
+    d = np.gradient(np.column_stack([*head, path.q]), path.times, axis=0,
+                    edge_order=2 if path.n_samples >= 3 else 1)
+    return d[:, 0], None if path.T is None else d[:, 1], np.ascontiguousarray(d[:, len(head):])
 
 
 def _require_extended(path: SampledPath, what: str) -> None:
@@ -290,35 +287,35 @@ def _require_extended(path: SampledPath, what: str) -> None:
         raise ValueError(f"{what} needs an extended path, got a {path.kind} one")
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _per_sample(
-    path: SampledPath, values: Callable[[SampledPath, np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """``values(path, vel)``, one per sample, with ``vel`` the path's
-    :func:`_velocity_matrix`.  Raises FloatingPointError, naming the first
-    sample, where a value overflows doubles, as it does where a velocity
-    that enters it overflows (the gradient does so for coordinates near
-    the largest double)."""
-    out = values(path, _velocity_matrix(path))
-    bad = _first(~np.isfinite(out))
+def _per_sample(path: SampledPath, values: np.ndarray) -> np.ndarray:
+    """``values``, one per sample, computed with over- and invalid-value
+    warnings off.  Raises FloatingPointError, naming the first sample, where
+    a value overflows doubles, as it does where a derivative that enters it
+    overflows (the gradient does so for coordinates near the largest
+    double)."""
+    bad = _first(~np.isfinite(values))
     if bad is not None:
         raise FloatingPointError(
             f"the contact form along the path overflows doubles at sample {bad} "
             f"(t={float(path.times[bad])!r})"
         )
-    return out
+    return values
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_path_nonnegative(path: SampledPath, slack: float = DEFAULT_SLACK) -> NonnegReport:
     """Certify that the contact form is >= -slack along a sampled path.
 
-    One gradient of the coordinate matrix gives the velocities; the path's
-    kind selects the form, which is evaluated on whole columns, and the
-    verdict reflects the minimum value.  Raises FloatingPointError as
-    :func:`_per_sample` does.
+    The path's kind selects the form, dz - S dT - p . dq (extended) or
+    dz - p . dq (reduced), evaluated on whole columns of
+    :func:`_derivatives` (``p . dq`` through ``np.vecdot``, which sums each
+    row as ``np.dot`` does); the verdict reflects the minimum value.
+    Raises FloatingPointError as :func:`_per_sample` does.
     """
     slack = _scalar(slack, "slack", at_least=0)
-    values = _per_sample(path, _form_values)
+    dz, dT, dq = _derivatives(path)
+    form = dz if dT is None else dz - path.S * dT
+    values = _per_sample(path, form - np.vecdot(path.p, dq))
     values.flags.writeable = False
     violating = tuple(np.flatnonzero(values < -slack).tolist())
     min_value = float(values.min())
@@ -326,6 +323,7 @@ def check_path_nonnegative(path: SampledPath, slack: float = DEFAULT_SLACK) -> N
     return NonnegReport(min_value, violating, values, verdict, slack)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def admissibility_decrement(path: SampledPath, spec: ReductionSpec) -> np.ndarray:
     """Free-energy decrement contributed by the reduced intensive variables.
 
@@ -336,15 +334,11 @@ def admissibility_decrement(path: SampledPath, spec: ReductionSpec) -> np.ndarra
     """
     _require_extended(path, "admissibility_decrement")
     spec.validate_for_dimension(path.dimension)
-
-    def decrement(path: SampledPath, vel: np.ndarray) -> np.ndarray:
-        dq = vel[:, vel.shape[1] - path.dimension :]
-        total = path.S * vel[:, 2]
-        for i in spec.frozen_q:
-            total = total + path.p[:, i] * dq[:, i]
-        return total
-
-    return _per_sample(path, decrement)
+    _, dT, dq = _derivatives(path)
+    total = path.S * dT
+    for i in spec.frozen_q:
+        total = total + path.p[:, i] * dq[:, i]
+    return _per_sample(path, total)
 
 
 def reduce(path: SampledPath, spec: ReductionSpec) -> SampledPath:
@@ -385,12 +379,13 @@ def reduce(path: SampledPath, spec: ReductionSpec) -> SampledPath:
     return SampledPath(path.times, path.z, path.p[:, : spec.k], path.q[:, : spec.k])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def irreversible_entropy_rate(path: SampledPath) -> np.ndarray:
     """Entropy production rate at every sample of an extended path: the
-    form value divided by T.  Raises FloatingPointError as
-    :func:`_per_sample` does."""
+    form value of :func:`check_path_nonnegative` divided by T.  Raises
+    FloatingPointError as :func:`_per_sample` does."""
     _require_extended(path, "irreversible_entropy_rate")
-    return _per_sample(path, lambda path, vel: _form_values(path, vel) / path.T)
+    return _per_sample(path, check_path_nonnegative(path).per_step_values / path.T)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from thermocontact import (
     reduce,
 )
 from thermocontact.models import cw_entropy
-from thermocontact.phase_space import _velocity_matrix
+from thermocontact.phase_space import _derivatives, write_csv
 
 
 # Paths through one point with one constant velocity: every column is
@@ -169,21 +169,39 @@ class TestPathChecks:
     def test_interior_velocities_are_second_order(self):
         # quadratic coordinates are differentiated exactly at interior nodes
         t = np.linspace(0.0, 1.0, 11)
-        vel = _velocity_matrix(SampledPath(t, 3 * t**2, t, 2 * t))  # rows dz, dp, dq
-        for ti, (dz, _, dq) in list(zip(t, vel))[1:-1]:
-            assert abs(dz - 6 * ti) < 1e-12
-            assert abs(dq - 2.0) < 1e-12
+        dz, dT, dq = _derivatives(SampledPath(t, 3 * t**2, t, 2 * t))
+        assert dT is None
+        for ti, dz_i, (dq_i,) in list(zip(t, dz, dq))[1:-1]:
+            assert abs(dz_i - 6 * ti) < 1e-12
+            assert abs(dq_i - 2.0) < 1e-12
 
     def test_extended_velocities_carry_all_coordinates(self):
         t = np.linspace(0.0, 1.0, 7)
         p, q = np.column_stack([3.0 * t, 0 * t]), np.column_stack([0 * t, -t])
-        vel = _velocity_matrix(SampledPath(t, t, p, q, 2.0 * t, 1.0 + t))
-        dz, dS, dT, dp_1, _, _, dq_2 = vel[3]  # row dz, dS, dT, dp_1, dp_2, dq_1, dq_2
-        assert abs(dz - 1.0) < 1e-12
-        assert abs(dS - 2.0) < 1e-12
-        assert abs(dT - 1.0) < 1e-12
-        assert abs(dp_1 - 3.0) < 1e-12
-        assert abs(dq_2 + 1.0) < 1e-12
+        dz, dT, dq = _derivatives(SampledPath(t, t, p, q, 2.0 * t, 1.0 + t))
+        assert abs(dz[3] - 1.0) < 1e-12
+        assert abs(dT[3] - 1.0) < 1e-12
+        assert abs(dq[3, 1] + 1.0) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 201])
+    @pytest.mark.parametrize("kind", ["extended", "reduced"])
+    def test_derivatives_are_the_gradient_columns(self, n, kind):
+        # each derivative has the bits of its column of the coordinate
+        # matrix's gradient, on a non-uniform grid
+        rng = np.random.default_rng(n)
+        t = np.cumsum(rng.uniform(0.1, 1.0, n))
+        p, q = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+        ST = (rng.uniform(0.0, 2.0, n), rng.uniform(0.5, 2.0, n)) if kind == "extended" else ()
+        path = SampledPath(t, rng.normal(size=n), p, q, *ST)
+        whole = np.gradient(path.coordinates(), path.times, axis=0,
+                            edge_order=2 if n >= 3 else 1)
+        dz, dT, dq = _derivatives(path)
+        assert np.array_equal(dz, whole[:, 0])
+        if kind == "extended":
+            assert np.array_equal(dT, whole[:, 2])
+        else:
+            assert dT is None
+        assert np.array_equal(dq, whole[:, -3:])
 
 
 class TestColumns:
@@ -268,6 +286,13 @@ class TestAdmissibilityDecrement:
 
 
 class TestReduce:
+    @pytest.mark.parametrize("spec", [ReductionSpec(k=1, frozen_q={0: None, 1: 3.0}),
+                                      ReductionSpec(k=1, frozen_q={1: 3.0}, zeroed_p=(1,))])
+    def test_overlapping_index_sets_are_rejected(self, spec):
+        path = ext_line(z=1.5, S=0.7, T=2.0, p=(0.4, 0.0), q=(1.1, 3.0), t=T2)
+        with pytest.raises(ValueError, match="^kept, frozen and zeroed index sets must be disjoint$"):
+            reduce(path, spec)
+
     def test_projection_example(self):
         path = ext_line(z=1.5, S=0.7, T=2.0, p=(0.4, 0.0), q=(1.1, 3.0), t=T2)
         spec = ReductionSpec(k=1, frozen_q={}, zeroed_p=(1,), T0=2.0)
@@ -358,6 +383,12 @@ class TestEntropyRate:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("rows, shape", [([[1.0]], (1, 1)), ([1.0, 2.0], (2,))])
+    def test_rows_that_do_not_fit_the_header(self, rows, shape):
+        with pytest.raises(ValueError) as info:
+            write_csv(io.StringIO(), ["a", "b"], rows)
+        assert str(info.value) == f"rows of shape {shape} do not fit a 2-column header"
+
     def test_extended_roundtrip(self):
         t = np.linspace(0.0, 1.0, 5)
         p, q = np.column_stack([t, -t]), np.column_stack([np.full(5, 0.5), t])
