@@ -260,8 +260,11 @@ def find_chords(
         if not (mag < TOUCH_SLOPE_TOL).any():
             continue
 
-        # A sign change whose product underflowed (both slopes nonzero).
-        underflow = (product == 0.0) & (np.sign(dpsi[own:-1]) * np.sign(dpsi[own + 1:]) < 0.0)
+        # The masks below read the nodes' signs, whose products never
+        # underflow.  A sign change whose product underflowed (both slopes
+        # nonzero):
+        sign = np.sign(dpsi)
+        underflow = (product == 0.0) & (sign[own:-1] * sign[own + 1:] < 0.0)
         for i in underflow.nonzero()[0].tolist():
             crossings.append((float(xs[own + i]), float(xs[own + i + 1])))
 
@@ -269,7 +272,7 @@ def find_chords(
 
         # Position k of these views is node k, k + 1, k + 2, so position k
         # of an interior mask is node k + 1.
-        left, mid, right = dpsi[:-2], dpsi[1:-1], dpsi[2:]
+        left, mid, right = sign[:-2], sign[1:-1], sign[2:]
 
         # An exact zero of psi' at a grid node is a root only when isolated
         # (both neighbours nonzero); runs of exact zeros are underflowed

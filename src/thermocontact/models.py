@@ -420,10 +420,11 @@ def cw_magnetization_roots(
         first = min(max(int((y - y_lo) / step), 1), SCAN_NODES - 3) - 1
         ys = np.array([y_hi if k == SCAN_NODES - 1 else k * step + y_lo
                        for k in range(first, first + 4)])
-        nodes, g = ys.tolist(), (T * ys - b * np.tanh(ys) - target).tolist()
-        # exact zeros on a node are roots; a sign change brackets one
-        brackets = [(nodes[k], nodes[k]) for k in range(4) if g[k] == 0.0]
-        brackets += [(nodes[k], nodes[k + 1]) for k in range(3) if g[k] * g[k + 1] < 0.0]
+        nodes, sign = ys.tolist(), np.sign(T * ys - b * np.tanh(ys) - target).tolist()
+        # exact zeros on a node are roots; a sign change brackets one (by
+        # the signs: a product of two residuals below ~1e-162 underflows)
+        brackets = [(nodes[k], nodes[k]) for k in range(4) if sign[k] == 0.0]
+        brackets += [(nodes[k], nodes[k + 1]) for k in range(3) if sign[k] * sign[k + 1] < 0.0]
         if brackets:
             lo, hi = min(brackets, key=lambda br: max(br[0] - y, y - br[1], 0.0))
             cell_y = lo if lo == hi else solve(lo, hi)

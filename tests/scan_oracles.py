@@ -59,19 +59,21 @@ def loop_find_chords(
     def slope_gap(x: float) -> float:
         return float(f1.slope(x) - f0.slope(x))
 
+    # signs, not products, of neighbouring slopes: a product underflows to 0
+    sign = np.sign(dpsi)
     roots: list[tuple[float, bool]] = []
     for i in range(grid_n - 1):
         a, c = dpsi[i], dpsi[i + 1]
         if a == 0.0:
             if 0 < i and dpsi[i - 1] != 0.0 and c != 0.0:
-                roots.append((float(xs[i]), dpsi[i - 1] * c > 0.0))
-        elif a * c < 0.0 or (a * c == 0.0 and c != 0.0 and (a < 0.0) != (c < 0.0)):
-            # a sign change, also where the product underflows to 0
+                roots.append((float(xs[i]), sign[i - 1] * sign[i + 1] > 0.0))
+        elif sign[i] * sign[i + 1] < 0.0:
             roots.append((float(brentq(slope_gap, xs[i], xs[i + 1], xtol=tol)), False))
 
     for i in range(1, grid_n - 1):
         a, mid, c = dpsi[i - 1], dpsi[i], dpsi[i + 1]
-        if mid != 0.0 and abs(mid) < tol and a * c > 0.0 and abs(mid) < min(abs(a), abs(c)):
+        if (mid != 0.0 and abs(mid) < tol and sign[i - 1] * sign[i + 1] > 0.0
+                and abs(mid) < min(abs(a), abs(c))):
             res = minimize_scalar(
                 lambda x: abs(slope_gap(x)),
                 bounds=(float(xs[i - 1]), float(xs[i + 1])),
@@ -112,13 +114,13 @@ def loop_cw_magnetization_roots(
     y_hi = (target + b) / T + 1.0
     ys = np.linspace(y_lo, y_hi, scan_points)
     vals = T * ys - b * np.tanh(ys) - target
+    sign = np.sign(vals)  # a product of two residuals underflows to 0
 
     roots_y: list[float] = []
     for i in range(scan_points - 1):
-        a, c = vals[i], vals[i + 1]
-        if a == 0.0:
+        if vals[i] == 0.0:
             roots_y.append(float(ys[i]))
-        elif a * c < 0.0:
+        elif sign[i] * sign[i + 1] < 0.0:
             roots_y.append(float(brentq(resid, ys[i], ys[i + 1], xtol=tol)))
     if vals[-1] == 0.0:
         roots_y.append(float(ys[-1]))

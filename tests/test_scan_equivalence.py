@@ -67,6 +67,11 @@ NODE_CASES = {
     "sign change whose product underflows": ([1.0, 1e-200, -1e-200, -1.0, -2.0], [(1.5, False)]),
     "underflowing product at the first node": ([1e-310, -1e-20, -1.0, -2.0, -3.0], [(0.0, False)]),
     "underflowing product at the last node": ([3.0, 2.0, 1.0, 1e-20, -1e-310], [(4.0, False)]),
+    # ... and so does the product of the two flanks of a node
+    "isolated zero, same-sign flanks whose product underflows": (
+        [1.0, 1e-200, 0.0, 1e-200, 1.0], [(2.0, True)]),
+    "touching minimum whose flank product underflows": (
+        [1.0, 1e-170, 1e-180, 1e-170, 1.0], [(2.0, True)]),
     "several sign changes": (
         [1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 0.5],
         [(0.5, False), (4.0 / 3.0, False), (2.5, False), (3.4, False), (4.5, False),
@@ -135,6 +140,15 @@ def test_magnetization_roots_match_loop(draw):
     assert _outcome(cw_magnetization_roots, q, par) == _outcome(
         loop_cw_magnetization_roots, q, par
     )
+
+
+def test_magnet_cell_whose_residual_products_underflow():
+    # at T = b = 1e-170 every residual on the grid is below ~1e-162, so the
+    # product of two underflows to 0: the refinement cell is found by signs
+    par = CurieWeissParams(T=1e-170, b=1e-170)
+    roots = cw_magnetization_roots(5e-171, par)
+    assert len(roots) == 1
+    assert roots == loop_cw_magnetization_roots(5e-171, par)
 
 
 def test_exact_zero_on_a_node_is_a_root():
