@@ -28,13 +28,11 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float) -> floa
 
     Brent's method: inverse quadratic interpolation or secant steps,
     falling back to bisection, until the bracket is narrower than
-    xtol + 4 eps |x|.  An end where f is exactly zero is returned as is.
+    xtol + 4 eps |x|, with xtol > 0 (the callers pass CHORD_XTOL and
+    MAGNET_YTOL).  An end where f is exactly zero is returned as is.
     Raises ValueError when f(a) and f(b) have the same sign or f returns
     NaN, and RuntimeError when _MAXITER iterations do not converge.
     """
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-
     def call(x: float) -> float:
         fx = float(f(x))
         if fx != fx:

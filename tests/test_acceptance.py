@@ -14,6 +14,7 @@ from a known-good commit there.
 
 import pytest
 
+from thermocontact import verify
 from thermocontact.verify import CRITERIA, run_all
 
 LINES = (
@@ -52,3 +53,15 @@ def test_runner_rejects_out_of_range_indices():
 def test_runner_subset_order():
     results = run_all([2, 1])
     assert [r.index for r in results] == [2, 1]
+
+
+@pytest.mark.parametrize("copies", [0, 2])
+def test_a_finder_result_without_one_chord_fails_criterion_10(monkeypatch, copies):
+    # no chord, or two, has no length to compare: the first draw fails
+    find_chords = verify.find_chords
+    monkeypatch.setattr(verify, "find_chords", lambda *scan: find_chords(*scan)[:1] * copies)
+    (result,) = run_all([10])
+    assert not result.passed
+    assert result.line().startswith(
+        "FAIL criterion 10 [upward chord existence]: gas draw failed at t0="
+    )

@@ -1267,6 +1267,31 @@ class TestOtherCommands:
         assert code == 0
         assert "PASS criterion  1" in out
 
+    def test_verify_reports_a_failed_criterion(self, tmp_path, capsys, monkeypatch):
+        from thermocontact import verify
+
+        def failing():
+            return verify.CriterionResult(4, "Gibbs minimality", False, "forced to fail")
+
+        criteria = list(verify.CRITERIA)
+        criteria[3] = failing
+        monkeypatch.setattr(verify, "CRITERIA", criteria)
+        code = dispatch(["verify", "--criteria", "4,1", "--out-dir", str(tmp_path)])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert out[0] == "FAIL criterion  4 [Gibbs minimality]: forced to fail"
+        assert out[1].startswith("PASS criterion  1 ")
+        assert out[2:] == ["verify: 1 criteria failed: [4]"]
+
+    def test_main_exits_with_the_status(self, tmp_path, capsys, monkeypatch):
+        # the console script's entry point, in this process
+        argv = ["thermocontact", "verify", "--criteria", "1", "--out-dir", str(tmp_path)]
+        monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit) as exit_:
+            cli.main()
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "verify: all 1 criteria passed"
+
     def test_verify_makes_no_directory(self, tmp_path, capsys):
         # verify writes no file, so it makes no --out-dir either
         argv = ["verify", "--criteria", "1", "--out-dir", str(tmp_path / "new" / "sub")]

@@ -85,6 +85,27 @@ class TestValidation:
             fn(*args)
         assert str(info.value) == f"{name} must have {ndim} dimension(s), got shape {shape}"
 
+    @pytest.mark.parametrize(
+        "fn, args, message",
+        [
+            (MicrostateSpace, ((), []), "need at least one microstate"),
+            (normalized_density, (unit_space(2), [-1.0, 2.0]),
+             "density values must be non-negative"),
+            (AffineHamiltonian, ([0.0, 1.0], np.zeros((0, 2))),
+             "need at least one intensive variable"),
+            (internal_energy, (unit_space(2), AffineHamiltonian([0.0] * 3, [[1.0] * 3]), [0.5] * 2),
+             "Hamiltonian has 3 states, space has 2"),
+            (lift_rows, (unit_space(2), AffineHamiltonian([0.0] * 2, [[1.0] * 2]), 1.0, [0.0],
+                         [[0.2, 0.3, 0.5]]),
+             "densities must have shape (N, 2), got (1, 3)"),
+            (densities_to_csv, (np.zeros((0, 2)), io.StringIO()),
+             "need a non-empty (N, m) table of densities, got shape (0, 2)"),
+        ],
+    )
+    def test_each_rejection_names_its_reason(self, fn, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fn(*args)
+
     def test_entries_that_are_not_numbers_are_named(self):
         with pytest.raises(ValueError, match="^weights must be an array of numbers: "):
             MicrostateSpace(("a",), [{}])

@@ -28,6 +28,7 @@ from thermocontact import (
 )
 from thermocontact.models import (
     MAGNET_YTOL,
+    CWBranchPoint,
     SELF_CONSISTENCY_TOL,
     _check_self_consistency,
     _tanh_gap,
@@ -95,6 +96,12 @@ def test_contains_is_the_open_domain_test(domain, x, expected):
     xs = np.asarray(x, dtype=float)
     assert bool(np.all((xs > lo) & (xs < hi))) is expected
     assert front.contains(x) is expected
+
+
+@pytest.mark.parametrize("domain", [(1.0, 0.0), (0.5, 0.5)])
+def test_an_empty_domain_is_rejected(domain):
+    with pytest.raises(ValueError, match=r"^domain must be a non-empty open interval, got"):
+        FrontFunction(f=np.asarray, fprime=np.asarray, domain=domain)
 
 
 class TestGasFront:
@@ -246,6 +253,12 @@ class TestMagnetizationRoots:
         best = select_equilibrium(roots)
         assert best.p > 0.9
         assert best.z == max(r.z for r in roots)
+
+    def test_select_without_a_global_min_takes_the_largest_z(self):
+        points = [CWBranchPoint(-0.9, 0.0, 1.0, "local_min", -1.5, -1),
+                  CWBranchPoint(0.0, 0.0, 3.0, "unstable", 0.0, 0),
+                  CWBranchPoint(0.9, 0.0, 2.0, "local_min", 1.5, 1)]
+        assert select_equilibrium(points) is points[1]
 
     def test_select_from_empty_raises(self):
         with pytest.raises(ValueError):

@@ -49,6 +49,14 @@ class TestSchedule:
             Schedule(np.array([0.0, 1.0]), np.array([1.0, -1.0]), np.zeros(2))
 
     @pytest.mark.parametrize(
+        "times, temps, bgs",
+        [([0.0, 1.0], [1.0], [0.0, 0.0]), ([0.0], [1.0], [0.0])],
+    )
+    def test_nodes_of_unequal_length_or_one_node(self, times, temps, bgs):
+        with pytest.raises(ValueError, match="^schedule needs >= 2 nodes of equal length$"):
+            Schedule(times, temps, bgs)
+
+    @pytest.mark.parametrize(
         "times, temps, bgs, message",
         [
             ([0, 1], [1, 2], [NAN, 0], "backgrounds must be finite, got nan at index 0"),
@@ -112,6 +120,10 @@ class TestSlowIsotopyGas:
     def test_domain_violation_rejected(self):
         with pytest.raises(ValueError):
             run_slow_isotopy("gas", self.example_schedule(), [1.5])
+
+    def test_empty_x_grid_rejected(self):
+        with pytest.raises(ValueError, match="^x_grid must not be empty$"):
+            run_slow_isotopy("gas", self.example_schedule(), [])
 
     def test_nested_x_grid_rejected(self):
         with pytest.raises(ValueError, match=r"^x_grid must have 1 dimension\(s\), got shape"):

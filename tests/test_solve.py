@@ -198,6 +198,23 @@ class TestBoundedMinimizer:
         x, fx = minimize_scalar_bounded(f, lo, hi, xatol=xatol)
         assert (x, fx) == (float(res.x), float(res.fun))
 
+    def test_stops_after_500_calls(self):
+        # |x| with a tolerance far below a double's spacing at 1: the
+        # bracket shrinks around 0 until the 500th call, as scipy stops
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return abs(x)
+
+        res = optimize.minimize_scalar(f, bounds=(-1.0, 2.0), method="bounded",
+                                       options={"xatol": 1e-300})
+        assert res.nfev == 500
+        del calls[:]
+        x, fx = minimize_scalar_bounded(f, -1.0, 2.0, xatol=1e-300)
+        assert len(calls) == 500
+        assert (x, fx) == (float(res.x), float(res.fun))
+
 
 @st.composite
 def _weighted_terms(draw):
