@@ -3,6 +3,9 @@
 # criteria and 2-s benchmark smoke runs.  Run from anywhere as `ci/run.sh`
 # once the package's requirements are installed; the first failing step
 # ends the run with its exit status.
+#
+# Not run here: `python ci/unrun.py` reruns Tier-1 under sys.settrace and
+# lists the package statements no test executes (about three minutes).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
