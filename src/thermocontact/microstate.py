@@ -72,13 +72,13 @@ class MicrostateSpace:
 # same bits as the one-vector form.
 
 def _check_rows(w: np.ndarray, R: np.ndarray) -> None:
-    """Raise for the first row r with a negative or non-finite entry, or
-    else for the first whose mass sum_i w_i r_i is not 1."""
+    """Raise for the first row r (of an R read by ``_array``, so finite) with a
+    negative entry, or else for the first whose mass sum_i w_i r_i is not 1."""
 
     def what(i) -> str:
         return "density" if len(R) == 1 else f"density row {i}"
 
-    bad = _first(~(np.isfinite(R) & (R >= 0)))
+    bad = _first(R < 0)
     if bad is not None:
         raise ValueError(f"{what(bad)} has negative or non-finite entries")
     mass = np.vecdot(R, w)

@@ -464,15 +464,15 @@ def select_equilibrium(points: list[CWBranchPoint]) -> CWBranchPoint:
     return max(points, key=lambda pt: pt.z)
 
 
-def _cw_qz(p: float, par: CurieWeissParams) -> tuple[float, float]:
-    """The magnet chart q = -b p + T atanh(p) - H_back and z over
-    magnetization p, checked against the self-consistency equation (which
-    q + H_back misses by H_back's rounding once |H_back| dwarfs b)."""
+def _cw_qz(p: float, par: CurieWeissParams) -> tuple[float, float, float]:
+    """The magnet chart q = -b p + T atanh(p) - H_back, z and y = atanh(p)
+    over magnetization p, checked against the self-consistency equation
+    (which q + H_back misses by H_back's rounding once |H_back| dwarfs b)."""
     p = _scalar(p, "magnetization", inside=(-1, 1))
     y = math.atanh(p)
     q = -par.b * p + par.T * y - par.H_back
     _check_self_consistency(y, q, par)
-    return q, _cw_z(p, q, par.T, par.H_back, par.b)
+    return q, _cw_z(p, q, par.T, par.H_back, par.b), y
 
 
 def difference_front(model: str, t0: float, t1: float, c: float) -> FrontFunction:
@@ -616,6 +616,6 @@ def sample_cw_legendrian(par: CurieWeissParams, p_grid) -> np.ndarray:
     """Columns (q, p, z, S) of the magnet equilibrium family over a p grid."""
     rows = []
     for p in _array(p_grid, "p_grid").tolist():
-        q, z = _cw_qz(p, par)
+        q, z, _ = _cw_qz(p, par)
         rows.append([q, p, z, cw_entropy(p)])
     return np.array(rows)

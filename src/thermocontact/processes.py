@@ -35,6 +35,7 @@ from .models import (
     _cw_qz,
     _cw_z,
     _gas_zp,
+    cw_fold,
     cw_magnetization_roots,
 )
 from .phase_space import NonnegReport, SampledPath, _array, _first, _scalar, check_path_nonnegative
@@ -201,10 +202,9 @@ def run_slow_isotopy(
         outside = x_grid[~(np.abs(x_grid) < 1.0)]
         if outside.size:
             raise ValueError(f"magnet chart value p={outside[0]} must lie in (-1, 1)")
-        splits = (temps < b).tolist()
+        splits = [cw_fold(T, b) is not None for T in temps.tolist()]
         for x in x_grid:
-            y0 = math.atanh(x)
-            q, _ = _cw_qz(x, CurieWeissParams(T=temps[0], H_back=bgs[0], b=b))
+            q, _, y0 = _cw_qz(x, CurieWeissParams(T=temps[0], H_back=bgs[0], b=b))
             z, p = np.empty(times.size), np.empty(times.size)
             for j, split in enumerate(splits):
                 roots = cw_magnetization_roots(q, CurieWeissParams(T=temps[j], H_back=bgs[j], b=b))
@@ -530,8 +530,8 @@ def stirling_cycle(
         q = [-T_from / v, -T_to / v]
         path = SampledPath([t0, t0 + 1.0], z, [v, v], q)
         delta_G = -(z[1] - z[0])
-        # form increment dz - p dq along the straight corner segment
-        increment = (z[1] - z[0]) - v * (q[1] - q[0])
+        # dz - p dq: over two samples one time unit apart np.gradient is the difference
+        increment = check_path_nonnegative(path).min_form_value
         if abs(increment) <= CORNER_SIGN_TOL:
             sign = "zero"
         else:
