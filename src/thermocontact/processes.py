@@ -331,8 +331,11 @@ def fokker_planck_relax(
 
     The descent direction is the variational derivative
     g_i = T (1 + ln rho_i) + H(q, m_i) recentred by its weighted mean, so
-    mass is conserved exactly and the free energy is a Lyapunov function at
-    fixed temperature.  Explicit Euler steps are halved whenever an entry
+    mass is conserved up to the rounding of that mean and the free energy
+    is a Lyapunov function at fixed temperature.  The rounding adds up over
+    the steps, so a trial whose mass misses 1 by more than
+    ``NORMALIZATION_TOL`` is divided by its mass, as ``microstate.gibbs``
+    divides its density.  Explicit Euler steps are halved whenever an entry
     would drop to ``RHO_FLOOR`` or G would rise (beyond ``LYAPUNOV_TOL``)
     at the step temperature; a step below ``MIN_RELAX_DT`` aborts the run.
     Steps never exceed dt0, so a dt0 below t_end / MAX_RELAX_STEPS is
@@ -352,7 +355,7 @@ def fokker_planck_relax(
     t_end = _scalar(t_end, "t_end", positive=True)
     # the limits, bound once: the step loop reads them as locals
     max_steps, floor, rise_tol = MAX_RELAX_STEPS, RHO_FLOOR, LYAPUNOV_TOL
-    min_dt, drop_tol = MIN_RELAX_DT, SCHEDULE_DROP_TOL
+    min_dt, drop_tol, mass_tol = MIN_RELAX_DT, SCHEDULE_DROP_TOL, ms.NORMALIZATION_TOL
     if t_end > max_steps * dt0:
         raise ValueError(
             f"dt0 = {dt0!r} needs more than {max_steps} steps to reach t_end = {t_end!r}"
@@ -411,9 +414,13 @@ def fokker_planck_relax(
         # trial.min().  g_mean is finite and the weights are positive, so g
         # is a finite row minus g_mean: finite or +-inf.  rho is finite, since
         # an infinite trial entry makes its G inf or nan and fails the test
-        # below.  So rho - dt * g is finite or +-inf.
+        # below.  So rho - dt * g is finite or +-inf, and so is its quotient
+        # by a finite positive mass.
         while True:
             trial = rho - dt * g
+            mass = float(dot(w, trial))
+            if 0.0 < mass < math.inf and abs(mass - 1.0) > mass_tol:
+                trial = trial / mass
             if min(trial.tolist()) > floor:
                 log_trial = log(trial)
                 a_trial = float(dot(w, trial * log_trial))

@@ -6,7 +6,8 @@ trial, reuses the accepted trial's ln rho and G terms in the next step and
 reads the step temperature from the node it starts at.  Every float is
 still computed by the same operations in the same order, so its trace must
 equal (``array_equal``) this loop's on every input, and it must raise the
-same errors with the same messages.
+same errors with the same messages.  Both divide a trial by its mass
+where that misses 1 by more than ``NORMALIZATION_TOL``.
 """
 
 from __future__ import annotations
@@ -96,6 +97,9 @@ def loop_fokker_planck_relax(
         dt = min(dt, t_end - t)
         while True:
             trial = rho - dt * g
+            mass = float(np.dot(w, trial))
+            if 0.0 < mass < math.inf and abs(mass - 1.0) > ms.NORMALIZATION_TOL:
+                trial = trial / mass
             if float(trial.min()) > RHO_FLOOR and G_of(T, trial) <= g_curr + LYAPUNOV_TOL:
                 break
             dt *= 0.5

@@ -26,8 +26,10 @@ from thermocontact import (
     ultrafast_jump,
     uniform_density,
 )
+from thermocontact import processes
 from thermocontact.microstate import NORMALIZATION_TOL
 from thermocontact.phase_space import SampledPath
+from thermocontact.processes import CORNER_SIGN_TOL, LYAPUNOV_TOL
 
 LN2 = math.log(2.0)
 NAN, INF = math.nan, math.inf
@@ -392,6 +394,18 @@ class TestFokkerPlanck:
             assert abs(float(np.dot(sp.weights, d)) - 1.0) < 1e-10
             assert float(d.min()) > 0.0
 
+    def test_heavy_weights_keep_every_row_mass_one(self):
+        # total weight 192.6: the rounding of the recentring mean moves the
+        # mass by ~6e-16 a step, past NORMALIZATION_TOL by node ~1650 unless
+        # a trial that misses 1 by more is divided by its mass
+        sp = MicrostateSpace(tuple("abcd"), [89.03, 64.5, 0.13, 38.92])
+        h = AffineHamiltonian([-0.2, -0.31, -1.05, 0.41], [[0.39, 0.81, 1.31, 0.82]])
+        trace = fokker_planck_relax(sp, h, [0.0], lambda t: 1.0, uniform_density(sp), 0.01, 20.0)
+        assert trace.t_grid[-1] == pytest.approx(20.0)
+        assert np.abs(np.vecdot(trace.densities, sp.weights) - 1.0).max() <= NORMALIZATION_TOL
+        G = trace.G_values
+        assert np.all(np.diff(G) <= LYAPUNOV_TOL + 8 * np.spacing(np.abs(G[1:])))
+
     def test_rising_temperature_keeps_form_nonnegative(self):
         rng = np.random.default_rng(67)
         for _ in range(5):
@@ -511,6 +525,94 @@ class TestFokkerPlanck:
         assert 2.0 < gap < 6.0
 
 
+@st.composite
+def edge_relaxations(draw):
+    """Up to 64 states with weights 10^-2..10^3, T0 log-uniform down to
+    0.01, constant or ramped by up to 2 over up to 3 time units, a positive
+    starting density, a step and an end time."""
+    m = draw(st.integers(1, 64))
+    n = draw(st.integers(1, 2))
+
+    def floats(lo, hi, shape):
+        return draw(arrays(float, shape, elements=st.floats(lo, hi)))
+
+    sp = MicrostateSpace(tuple(f"s{i}" for i in range(m)), 10.0 ** floats(-2.0, 3.0, m))
+    h = AffineHamiltonian(floats(-1.0, 1.0, m), floats(-1.0, 1.0, (n, m)))
+    q = floats(-1.0, 1.0, n)
+    T0 = 10.0 ** draw(st.floats(-2.0, 0.0))
+    dT, ramp = draw(st.just((0.0, 0.0)) | st.tuples(st.floats(0.05, 2.0), st.floats(0.1, 3.0)))
+    rho0 = normalized_density(sp, floats(0.05, 1.0, m))
+    dt0 = draw(st.sampled_from([0.01, 0.05, 0.1]))
+    t_end = draw(st.floats(0.1, 3.0))
+    return sp, h, q, (T0, dT, ramp), rho0, dt0, t_end
+
+
+# the drawn runs stop at this many steps (a stiff draw needs up to
+# MAX_RELAX_STEPS steps), so the cap's error is one of their outcomes
+EDGE_STEP_CAP = 2000
+
+
+class TestFokkerPlanckEdges:
+    """At the edges of the drawn systems a relaxation gives a trace that
+    keeps the contract to rounding, or an error that names its inputs."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(run=edge_relaxations())
+    def test_runs_keep_the_contract_or_name_their_inputs(self, run):
+        sp, h, q, (T0, dT, ramp), rho0, dt0, t_end = run
+
+        def T_of_t(t):
+            return T0 + dT * min(t, ramp) / ramp if ramp > 0 else T0
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(processes, "MAX_RELAX_STEPS", EDGE_STEP_CAP)
+            try:
+                trace = fokker_planck_relax(sp, h, q, T_of_t, rho0, dt0, t_end)
+            except IntegrationError as exc:
+                capped = re.match(r"more than (\d+) steps to reach t_end = (\S+): ", str(exc))
+                underflow = re.match(r"step size underflow at t=(\S+) \(dt=", str(exc))
+                if capped:
+                    assert capped[1] == str(EDGE_STEP_CAP) and capped[2] == repr(t_end)
+                else:
+                    assert underflow and 0.0 <= float(underflow[1]) <= t_end, str(exc)
+                return
+            except FloatingPointError as exc:
+                named = re.search(r" at T=(\S+), q=(\[.*?\]) is beyond", str(exc))
+                assert named and named[2] == str(q.tolist()), str(exc)
+                assert T0 <= float(named[1]) <= T0 + dT, str(exc)
+                return
+        w, R, T = sp.weights, trace.densities, trace.temperatures
+        for values in (trace.t_grid, R, T, trace.form_values, trace.G_values):
+            assert np.all(np.isfinite(values))
+        assert np.abs(np.vecdot(R, w) - 1.0).max() <= NORMALIZATION_TOL
+        # G of both ends of each step at the step temperature, as the loop
+        # and criterion 6 compute it
+        a, b = np.vecdot(R * np.log(R), w), np.vecdot(R, w * h.energies(q))
+        g0, g1 = T[:-1] * a[:-1] + b[:-1], T[:-1] * a[1:] + b[1:]
+        assert np.all(g1 - g0 <= LYAPUNOV_TOL + 4 * np.spacing(np.maximum(abs(g0), abs(g1))))
+        # z rises by the drop of G at the step temperature plus dT S of the
+        # node reached (S = -a), so the form is >= -LYAPUNOV_TOL where T does
+        # not fall only where that S is non-negative
+        rise = trace.form_values * np.diff(trace.t_grid)
+        heat = np.diff(T) * -a[1:]
+        scale = np.max([abs(g0), abs(g1), abs(T[1:] * a[1:]), abs(b[1:]), abs(rise), abs(heat)],
+                       axis=0)
+        assert np.all(rise - heat >= -(LYAPUNOV_TOL + 16 * np.spacing(scale)))
+
+    def test_heating_lowers_z_where_the_entropy_is_negative(self):
+        # total weight 0.03: every density has S <= ln 0.03 < 0, so G rises
+        # with T and the form dz/dt is negative on each heating step, though
+        # G falls over each step at the step temperature
+        sp = MicrostateSpace(("a", "b"), [0.01, 0.02])
+        h = AffineHamiltonian([0.0, 0.1], np.zeros((1, 2)))
+        rho0 = normalized_density(sp, [1.0, 1.0])
+        trace = fokker_planck_relax(
+            sp, h, [0.0], lambda t: 1.0 + 0.5 * min(t, 1.0), rho0, 0.01, 2.0
+        )
+        heating = np.diff(trace.temperatures) > 0
+        assert heating.sum() > 50 and trace.form_values[heating].max() < 0.0
+
+
 class TestStirlingCycle:
     def test_reference_heating_corner_matches_reference_chord(self):
         trace = stirling_cycle(1.0, 5.0, 1.0, 2.0)
@@ -595,8 +697,9 @@ def rising_pairs(draw):
 
 
 class TestStirlingCycleEdges:
-    """Across the whole range of doubles the cycle closes exactly and its
-    free energy balances to rounding, or it names the overflow."""
+    """Across the whole range of doubles the cycle closes exactly, its free
+    energy balances to rounding and each corner is labelled by the sign of
+    its form increment, or it names the overflow."""
 
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(temperatures=rising_pairs(), volumes=rising_pairs())
@@ -617,3 +720,19 @@ class TestStirlingCycleEdges:
         assert all(math.isfinite(seg.delta_G) for seg in trace.segments)
         z_max = max(float(np.abs(seg.path.z).max()) for seg in trace.segments)
         assert abs(trace.total_delta_G) <= 8 * np.finfo(float).eps * z_max
+        T_C, T_H = temperatures
+        for seg, T_from, T_to in ((trace.segments[1], T_H, T_C), (trace.segments[3], T_C, T_H)):
+            (z0, z1), ((q0,), (q1,)), v = seg.path.z, seg.path.q, float(seg.path.p[0, 0])
+            increment = float((z1 - z0) - v * (q1 - q0))
+            assert check_path_nonnegative(seg.path).min_form_value == increment
+            labels = {1.0: "positive", -1.0: "negative"}
+            assert seg.form_sign == ("zero" if abs(increment) <= CORNER_SIGN_TOL
+                                     else labels[math.copysign(1.0, increment)])
+            # the exact increment (T_to - T_from)(ln v + 1), where rounding
+            # cannot move it across the tolerance
+            exact = (T_to - T_from) * (math.log(v) + 1.0)
+            error = 16 * np.finfo(float).eps * (T_from + T_to) * (abs(math.log(v)) + 1.0)
+            if abs(exact) > CORNER_SIGN_TOL + error:
+                assert seg.form_sign == labels[math.copysign(1.0, exact)]
+            elif abs(exact) < CORNER_SIGN_TOL - error:
+                assert seg.form_sign == "zero"
