@@ -235,16 +235,26 @@ class CWBranchPoint:
     piece: int
 
 
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _gas_zp(q, T, P_back):
     """z = phi_T(q - P_back) and p = phi_T'(q - P_back) on the gas front.
 
     Takes scalars (returns floats) or columns (returns arrays), as _cw_z
     does; T and P_back may be columns too, one value per sample.  Raises
     FloatingPointError, naming T and q - P_back, where z or p overflows.
+    Three Python floats with finite z and p take the float operations of
+    the array route (np.log, not math.log, whose bits differ), without
+    its 0-d arrays; anything else takes the array route.
     """
-    x = np.asarray(q, dtype=float) - P_back
-    z, p = gas_phi(T, x), gas_dphi(T, x)
+    if type(q) is float and type(T) is float and type(P_back) is float:
+        x = q - P_back
+        v = -x / T
+        if v > 0.0:
+            z, p = -T * float(np.log(v)), -T / x
+            if math.isfinite(z) and math.isfinite(p):
+                return z, p
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = np.asarray(q, dtype=float) - P_back
+        z, p = gas_phi(T, x), gas_dphi(T, x)
     bad = ~(np.isfinite(z) & np.isfinite(p))
     if np.any(bad):
         T_bad, x_bad = (np.broadcast_to(v, bad.shape)[bad][0] for v in (T, x))
