@@ -28,8 +28,10 @@ python -m pip check
 step "Tier-1 tests"
 # numpy's CPU dispatch level names the digest table tests/test_cli_outputs.py
 # checks (tests/test_dispatch_levels.py reruns that file at each lower
-# level), and the hypothesis version chooses the derandomized draws
+# level, one rerun per usable CPU at a time), and the hypothesis version
+# chooses the derandomized draws
 python - <<'PY'
+import os
 import sys
 
 import hypothesis
@@ -42,7 +44,7 @@ from test_cli_outputs import dispatch_level
 on = " ".join(t for t in __cpu_dispatch__ if __cpu_features__[t]) or "none"
 print(f"numpy {np.__version__}: baseline {' '.join(__cpu_baseline__)}, "
       f"dispatch targets on: {on}, digest level {dispatch_level()}; "
-      f"hypothesis {hypothesis.__version__}")
+      f"hypothesis {hypothesis.__version__}; {len(os.sched_getaffinity(0))} CPUs")
 PY
 python -m pytest -q --continue-on-collection-errors --durations=15
 

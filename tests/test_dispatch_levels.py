@@ -6,9 +6,10 @@ lower level reruns ``tests/test_cli_outputs.py`` and ``tests/test_csv_format.py`
 in a fresh interpreter with the dispatch targets above that level switched
 off; the first checks the digest table of the level it runs at, the second
 that every CSV cell is ``%.17g`` although ``np.log10``, on which the CSV
-kernel's fast path rests, gives other bits there.  A level above this process's
-level is skipped: the CPU lacks one of its targets, or the environment
-switched one off.
+kernel's fast path rests, gives other bits there.  The reruns start
+together, at most one per CPU this process may use at a time.  A level
+above this process's level is skipped: the CPU lacks one of its targets,
+or the environment switched one off.
 
 What numpy 2.4.6 does with a name it cannot disable, as the tests at the end
 of this file check on x86-64:
@@ -31,6 +32,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -63,21 +65,45 @@ def _python(code: str, disable: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-@pytest.mark.parametrize("level", LEVELS)
-def test_digests_hold_at_lower_level(level):
+def _skip_reason(level: str) -> str | None:
+    """Why the rerun at ``level`` is skipped, or None."""
     here = dispatch_level()
     if level == here:
-        pytest.skip(f"{level} is this process's level, checked in-process")
+        return f"{level} is this process's level, checked in-process"
     if LEVELS.index(level) > LEVELS.index(here):
-        pytest.skip(f"{level} is above this process's level {here}")
+        return f"{level} is above this process's level {here}"
     if "NPY_ENABLE_CPU_FEATURES" in os.environ:
         # it cannot be set with NPY_DISABLE_CPU_FEATURES, and it hides which
         # targets the CPU has
-        pytest.skip("NPY_ENABLE_CPU_FEATURES is set")
+        return "NPY_ENABLE_CPU_FEATURES is set"
+    return None
+
+
+def _rerun(level: str) -> subprocess.CompletedProcess:
     above = LEVELS[LEVELS.index(level) + 1:]
-    proc = _python(_CHILD, " ".join(OFF + [t for t in above if t in ON]),
+    return _python(_CHILD, " ".join(OFF + [t for t in above if t in ON]),
                    "-q", "-p", "no:cacheprovider", str(TESTS / "test_cli_outputs.py"),
                    str(TESTS / "test_csv_format.py"))
+
+
+@pytest.fixture(scope="module")
+def reruns(request):
+    """The rerun of each selected level that is not skipped, all started at
+    once and run at most one per CPU this process may use at a time."""
+    levels = {item.callspec.params["level"] for item in request.session.items
+              if item.originalname == "test_digests_hold_at_lower_level"}
+    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
+        yield {level: pool.submit(_rerun, level)
+               for level in LEVELS if level in levels and _skip_reason(level) is None}
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_digests_hold_at_lower_level(level, reruns):
+    reason = _skip_reason(level)
+    if reason is not None:
+        pytest.skip(reason)
+    proc = reruns[level].result()
+    above = LEVELS[LEVELS.index(level) + 1:]
     on = [t for t in ON if t not in above]
     assert proc.stdout.splitlines()[:1] == [repr(on)], proc.stdout + proc.stderr
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-2000:]
