@@ -64,5 +64,8 @@ smoke 'r["correct"] is True and r["failed"] == 0 and r["metrics"]["models.front_
 # the traced path I/O layer: write_csv's kernel formats the path CSVs
 smoke 'r["correct"] is True and r["failed"] == 0 and r["metrics"]["phase_space.csv_bytes"]["value"] > 0' \
     "relax_paths --trace 1" --workload relax_paths --seed 1 --seconds 2 --trace 1
+# the relax command and every writer of the CLI session under the tracer
+smoke 'r["correct"] is True and r["failed"] == 0 and r["metrics"]["cli.bytes_written"]["value"] > 0' \
+    "cli_session --trace 1" --workload cli_session --seed 1 --seconds 2 --trace 1
 
 step "all steps passed"

@@ -569,7 +569,7 @@ def _format_cells(x: np.ndarray, ncols: int) -> str:
     cls = np.take(class_t, e)
     cls -= tz
     neg = np.signbit(x)
-    cls[neg] += _NEG
+    cls += _NEG * neg
     zero = x == 0.0
     if zero.any():
         cls[zero] = neg[zero] * _NEG + _ZERO * _SD

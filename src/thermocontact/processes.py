@@ -38,7 +38,7 @@ from .models import (
     cw_fold,
     cw_magnetization_roots,
 )
-from .phase_space import NonnegReport, SampledPath, _array, _first, _scalar, check_path_nonnegative
+from .phase_space import NonnegReport, SampledPath, _array, _scalar, check_path_nonnegative
 
 # fokker_planck_relax: largest t_end / dt0, and most accepted steps of a run (a count)
 MAX_RELAX_STEPS = 100_000
@@ -347,7 +347,10 @@ def fokker_planck_relax(
     node, the last one included; the intensive variables q stay fixed.  The
     trace carries the reduced (z, p, q) path, per-step contact-form
     estimates (z difference quotients, q being constant) and the free-energy
-    values.  Raises FloatingPointError, naming T and q, when doubles cannot
+    values.  z = -G and G are the values the step loop checked at each node
+    (the last node's G is taken once after the loop), so they equal
+    ``microstate.lift_rows`` of the trace's densities and temperatures bit
+    for bit.  Raises FloatingPointError, naming T and q, when doubles cannot
     hold G or its gradient.
     """
     q = _array(q, "q")
@@ -367,19 +370,21 @@ def fokker_planck_relax(
     w = sp.weights
     w_total = sp.total_weight
     energies = h.energies(q)
-    w_energies = w * energies
-    log, dot = np.log, np.dot
+    # w.dot is the routine np.dot calls, without its Python dispatch
+    w_dot, e_dot, log = w.dot, (w * energies).dot, np.log
 
     t = 0.0
     # never written in place: each accepted step binds a fresh trial array
     rho = rho0
     # ln rho, and a and b of G(T, rho) = T * a + b
     log_rho = log(rho)
-    a, b = float(dot(w, rho * log_rho)), float(dot(w_energies, rho))
+    a, b = float(w_dot(rho * log_rho)), float(e_dot(rho))
 
     ts = [0.0]
     rhos = [rho]
     temps = [float(T_of_t(0.0))]
+    # G at each node but the last, as its step checked it
+    Gs = []
     last_T = temps[0]
     dt = min(dt0, t_end)
     t_stop = t_end - T_END_RTOL * t_end
@@ -401,15 +406,17 @@ def fokker_planck_relax(
                 f"at t={t:.6g} the step is dt={dt:.3e}"
             )
         g = T * (1.0 + log_rho) + energies
-        g_mean = float(dot(w, g)) / w_total
-        g = g - g_mean
+        g_mean = float(w_dot(g)) / w_total
+        g -= g_mean
         g_curr = T * a + b
         if not (math.isfinite(g_curr) and math.isfinite(g_mean)):
             raise ms._beyond_double(
                 "the free energy", T, q, f"G = {g_curr!r}, mean gradient {g_mean!r} at t={t:.6g}"
             )
+        Gs.append(g_curr)
         g_max = g_curr + rise_tol
-        dt = min(dt, t_end - t)
+        if dt > t_end - t:
+            dt = t_end - t
         # No trial entry is nan, so the builtin min of the list equals
         # trial.min().  g_mean is finite and the weights are positive, so g
         # is a finite row minus g_mean: finite or +-inf.  rho is finite, since
@@ -418,13 +425,13 @@ def fokker_planck_relax(
         # by a finite positive mass.
         while True:
             trial = rho - dt * g
-            mass = float(dot(w, trial))
+            mass = float(w_dot(trial))
             if 0.0 < mass < math.inf and abs(mass - 1.0) > mass_tol:
                 trial = trial / mass
             if min(trial.tolist()) > floor:
                 log_trial = log(trial)
-                a_trial = float(dot(w, trial * log_trial))
-                b_trial = float(dot(w_energies, trial))
+                a_trial = float(w_dot(trial * log_trial))
+                b_trial = float(e_dot(trial))
                 if T * a_trial + b_trial <= g_max:
                     break
             dt *= 0.5
@@ -438,19 +445,27 @@ def fokker_planck_relax(
         ts.append(t)
         rhos.append(rho)
         temps.append(float(T_of_t(t)))
-        dt = min(dt * 2.0, dt0)
+        dt *= 2.0
+        if dt > dt0:
+            dt = dt0
 
     t_grid = np.array(ts)
     temperatures = np.array(temps)
+    # the step test stops a T of +inf at every node but the last; a
+    # Hamiltonian of one state broadcasts over any space in the loop
+    _array(temperatures, "temperatures")
+    ms._check_dims(sp, h)
+    Gs.append(T * a + b)
+    if not math.isfinite(Gs[-1]):
+        raise ms._beyond_double("the free energy", T, q, f"node {len(ts) - 1}")
+    G = np.array(Gs)
     rho_rows = np.array(rhos)
     rho_rows.flags.writeable = False
-    z, _, p = ms.lift_rows(sp, h, temperatures, q, rho_rows)
-    j = _first(~np.isfinite(z))
-    if j is not None:
-        raise ms._beyond_double("the free energy", temperatures[j], q, f"node {j}")
+    z = -G
+    p = ms._pressure_rows(w, h.v_bar, rho_rows)
     reduced_path = SampledPath(t_grid, z, p, np.broadcast_to(q, p.shape))
     form_values = np.diff(z) / np.diff(t_grid)
-    return RelaxTrace(t_grid, rho_rows, temperatures, reduced_path, form_values, -z)
+    return RelaxTrace(t_grid, rho_rows, temperatures, reduced_path, form_values, G)
 
 
 # ---------------------------------------------------------------------------

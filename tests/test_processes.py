@@ -27,7 +27,7 @@ from thermocontact import (
     uniform_density,
 )
 from thermocontact import processes
-from thermocontact.microstate import NORMALIZATION_TOL
+from thermocontact.microstate import NORMALIZATION_TOL, lift_rows
 from thermocontact.phase_space import SampledPath
 from thermocontact.processes import CORNER_SIGN_TOL, LYAPUNOV_TOL
 
@@ -481,6 +481,18 @@ class TestFokkerPlanck:
         with pytest.raises(ValueError, match=r"non-decreasing \(drops at t=1\)"):
             fokker_planck_relax(sp, h, [0.2], T_of_t, uniform_density(sp), 0.01, 1.0)
 
+    def test_infinite_temperature_at_the_last_node_rejected(self):
+        # the run ends at t = 1, node 100, where the schedule is +inf
+        sp = unit_space(2)
+        h = AffineHamiltonian([0.0, 1.0], np.zeros((1, 2)))
+
+        def T_of_t(t):
+            return 1.0 if t < 0.999 else INF
+
+        with pytest.raises(ValueError) as info:
+            fokker_planck_relax(sp, h, [0.2], T_of_t, uniform_density(sp), 0.01, 1.0)
+        assert str(info.value) == "temperatures must be finite, got inf at index 100"
+
     def test_nested_q_rejected(self):
         h = AffineHamiltonian([0.0, 1.0], np.zeros((1, 2)))
         with pytest.raises(ValueError, match=r"^q must have 1 dimension\(s\), got shape \(1, 1\)$"):
@@ -526,10 +538,10 @@ class TestFokkerPlanck:
 
 
 @st.composite
-def edge_relaxations(draw):
-    """Up to 64 states with weights 10^-2..10^3, T0 log-uniform down to
-    0.01, constant or ramped by up to 2 over up to 3 time units, a positive
-    starting density, a step and an end time."""
+def edge_relaxations(draw, log_T0=(-2.0, 0.0)):
+    """Up to 64 states with weights 10^-2..10^3, T0 log-uniform over
+    10^log_T0 (down to 0.01 by default), constant or ramped by up to 2 over
+    up to 3 time units, a positive starting density, a step and an end time."""
     m = draw(st.integers(1, 64))
     n = draw(st.integers(1, 2))
 
@@ -539,7 +551,7 @@ def edge_relaxations(draw):
     sp = MicrostateSpace(tuple(f"s{i}" for i in range(m)), 10.0 ** floats(-2.0, 3.0, m))
     h = AffineHamiltonian(floats(-1.0, 1.0, m), floats(-1.0, 1.0, (n, m)))
     q = floats(-1.0, 1.0, n)
-    T0 = 10.0 ** draw(st.floats(-2.0, 0.0))
+    T0 = 10.0 ** draw(st.floats(*log_T0))
     dT, ramp = draw(st.just((0.0, 0.0)) | st.tuples(st.floats(0.05, 2.0), st.floats(0.1, 3.0)))
     rho0 = normalized_density(sp, floats(0.05, 1.0, m))
     dt0 = draw(st.sampled_from([0.01, 0.05, 0.1]))
@@ -552,6 +564,15 @@ def edge_relaxations(draw):
 EDGE_STEP_CAP = 2000
 
 
+def _ramp(T0, dT, ramp):
+    """T0, then a linear rise by dT over [0, ramp] where ramp > 0."""
+
+    def T_of_t(t):
+        return T0 + dT * min(t, ramp) / ramp if ramp > 0 else T0
+
+    return T_of_t
+
+
 class TestFokkerPlanckEdges:
     """At the edges of the drawn systems a relaxation gives a trace that
     keeps the contract to rounding, or an error that names its inputs."""
@@ -560,9 +581,7 @@ class TestFokkerPlanckEdges:
     @given(run=edge_relaxations())
     def test_runs_keep_the_contract_or_name_their_inputs(self, run):
         sp, h, q, (T0, dT, ramp), rho0, dt0, t_end = run
-
-        def T_of_t(t):
-            return T0 + dT * min(t, ramp) / ramp if ramp > 0 else T0
+        T_of_t = _ramp(T0, dT, ramp)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(processes, "MAX_RELAX_STEPS", EDGE_STEP_CAP)
@@ -598,6 +617,24 @@ class TestFokkerPlanckEdges:
         scale = np.max([abs(g0), abs(g1), abs(T[1:] * a[1:]), abs(b[1:]), abs(rise), abs(heat)],
                        axis=0)
         assert np.all(rise - heat >= -(LYAPUNOV_TOL + 16 * np.spacing(scale)))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(run=edge_relaxations(log_T0=(-1.5, 0.5)))
+    def test_trace_is_the_lift_of_its_own_nodes(self, run):
+        # z and G come from the step loop, p from the accepted rows: each
+        # equals what lift_rows gives for the trace's densities and
+        # temperatures, bit for bit
+        sp, h, q, schedule, rho0, dt0, t_end = run
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(processes, "MAX_RELAX_STEPS", EDGE_STEP_CAP)
+            try:
+                trace = fokker_planck_relax(sp, h, q, _ramp(*schedule), rho0, dt0, t_end)
+            except (IntegrationError, FloatingPointError):
+                return
+        z, _, p = lift_rows(sp, h, trace.temperatures, q, trace.densities)
+        assert np.array_equal(trace.reduced_path.z, z)
+        assert np.array_equal(trace.G_values, -z)
+        assert np.array_equal(trace.reduced_path.p, p)
 
     def test_heating_lowers_z_where_the_entropy_is_negative(self):
         # total weight 0.03: every density has S <= ln 0.03 < 0, so G rises
