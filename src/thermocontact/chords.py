@@ -92,6 +92,9 @@ class Chord:
     def __post_init__(self):
         for name in ("q", "p", "z_start", "z_end"):
             object.__setattr__(self, name, _scalar(getattr(self, name), name))
+        if not isinstance(self.tangential, (bool, np.bool_)):
+            raise ValueError(f"tangential must be a bool, got {self.tangential!r}")
+        object.__setattr__(self, "tangential", bool(self.tangential))
         if self.z_end == self.z_start:
             raise DegenerateChordError("chord endpoints coincide (zero length)")
         if not math.isfinite(self.z_end - self.z_start):

@@ -284,12 +284,7 @@ def cw_entropy(p: float) -> float:
     """Mixing entropy of a magnetization p in (-1, 1); value in (0, ln 2]."""
     p = _scalar(p, "magnetization", inside=(-1, 1))
     lo, hi = (1.0 - p) / 2.0, (1.0 + p) / 2.0
-    out = 0.0
-    if lo > 0:
-        out -= lo * math.log(lo)
-    if hi > 0:
-        out -= hi * math.log(hi)
-    return out
+    return 0.0 - lo * math.log(lo) - hi * math.log(hi)
 
 
 def cw_entropy_y(y: float) -> float:

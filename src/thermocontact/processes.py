@@ -341,10 +341,11 @@ def fokker_planck_relax(
     Steps never exceed dt0, so a dt0 below t_end / MAX_RELAX_STEPS is
     rejected, and a run whose halved steps need more than MAX_RELAX_STEPS
     accepted steps to reach t_end raises IntegrationError.  The run ends
-    once t is within ``T_END_RTOL * t_end`` of t_end.  The temperature
-    schedule must be positive and non-decreasing (a drop of at most
-    ``SCHEDULE_DROP_TOL`` between steps is let pass), checked at every
-    node, the last one included; the intensive variables q stay fixed.  The
+    once t is within ``T_END_RTOL * t_end`` of t_end.  The Hamiltonian's
+    state count is checked before the first step, and each schedule value,
+    the last included, at the node that reads it: it must be finite,
+    positive and non-decreasing (a drop of at most ``SCHEDULE_DROP_TOL``
+    between steps is let pass); the intensive variables q stay fixed.  The
     trace carries the reduced (z, p, q) path, per-step contact-form
     estimates (z difference quotients, q being constant) and the free-energy
     values.  z = -G and G are the values the step loop checked at each node
@@ -366,6 +367,7 @@ def fokker_planck_relax(
     rho0 = ms.check_density(sp, rho0)
     if float(rho0.min()) <= floor:
         raise ValueError("initial density must be strictly positive (above the floor)")
+    ms._check_dims(sp, h)
 
     w = sp.weights
     w_total = sp.total_weight
@@ -393,6 +395,8 @@ def fokker_planck_relax(
         T = temps[-1]
         if not T > 0:
             raise ValueError(f"temperature schedule must be positive at t={t:.6g}")
+        if T == math.inf:
+            raise ValueError(f"temperatures must be finite, got inf at index {len(ts) - 1}")
         if T < last_T - drop_tol:
             raise ValueError(
                 f"temperature schedule must be non-decreasing (drops at t={t:.6g})"
@@ -451,10 +455,6 @@ def fokker_planck_relax(
 
     t_grid = np.array(ts)
     temperatures = np.array(temps)
-    # the step test stops a T of +inf at every node but the last; a
-    # Hamiltonian of one state broadcasts over any space in the loop
-    _array(temperatures, "temperatures")
-    ms._check_dims(sp, h)
     Gs.append(T * a + b)
     if not math.isfinite(Gs[-1]):
         raise ms._beyond_double("the free energy", T, q, f"node {len(ts) - 1}")

@@ -109,6 +109,19 @@ class TestChordRecord:
                            r"to z=1e\+308 is beyond double precision \(its length overflows\)$"):
             Chord(q=0.0, p=0.0, z_start=-1e308, z_end=1e308)
 
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+    def test_tangential_is_stored_as_a_bool(self, flag):
+        ch = Chord(0.0, 1.0, 0.0, 1.0, tangential=flag)
+        assert type(ch.tangential) is bool and ch.tangential == flag
+        assert json.loads(chords_to_json([ch]))[0]["tangential"] is bool(flag)
+
+    @pytest.mark.parametrize("flag", ["yes", 2, 1, 0, 1.0, None, np.int64(1)])
+    def test_tangential_that_is_not_a_bool_rejected(self, flag):
+        # "yes" used to fail only in chords_to_csv, and 2 to reach the JSON as 2
+        with pytest.raises(ValueError) as info:
+            Chord(0.0, 1.0, 0.0, 1.0, tangential=flag)
+        assert str(info.value) == f"tangential must be a bool, got {flag!r}"
+
 
 class TestFindChords:
     def test_parabola_vertex(self):

@@ -29,7 +29,7 @@ from thermocontact import (
 from thermocontact import processes
 from thermocontact.microstate import NORMALIZATION_TOL, lift_rows
 from thermocontact.phase_space import SampledPath
-from thermocontact.processes import CORNER_SIGN_TOL, LYAPUNOV_TOL
+from thermocontact.processes import CORNER_SIGN_TOL, LYAPUNOV_TOL, SCHEDULE_DROP_TOL
 
 LN2 = math.log(2.0)
 NAN, INF = math.nan, math.inf
@@ -648,6 +648,110 @@ class TestFokkerPlanckEdges:
         )
         heating = np.diff(trace.temperatures) > 0
         assert heating.sum() > 50 and trace.form_values[heating].max() < 0.0
+
+
+@st.composite
+def calm_relaxations(draw):
+    """Up to 8 states with weights 10^-1..10, energies in [-1, 1], T0
+    log-uniform over 10^-0.5..10^0.5, constant or ramped by up to 1, a
+    positive starting density and a step: runs of at most ~100 nodes that
+    reach t_end."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 2))
+
+    def floats(lo, hi, shape):
+        return draw(arrays(float, shape, elements=st.floats(lo, hi)))
+
+    sp = MicrostateSpace(tuple(f"s{i}" for i in range(m)), 10.0 ** floats(-1.0, 1.0, m))
+    h = AffineHamiltonian(floats(-1.0, 1.0, m), floats(-1.0, 1.0, (n, m)))
+    q = floats(-1.0, 1.0, n)
+    T0 = 10.0 ** draw(st.floats(-0.5, 0.5))
+    dT, ramp = draw(st.just((0.0, 0.0)) | st.tuples(st.floats(0.05, 1.0), st.floats(0.1, 2.0)))
+    rho0 = normalized_density(sp, floats(0.05, 1.0, m))
+    dt0 = draw(st.sampled_from([0.02, 0.05, 0.1]))
+    t_end = draw(st.floats(0.1, 2.0))
+    return sp, h, q, (T0, dT, ramp), rho0, dt0, t_end
+
+
+def _recording(T_of_t, fault_at=None, value=None):
+    """T_of_t, recording each call's (t, T) in a list returned with it; call
+    number fault_at returns value instead."""
+    calls = []
+
+    def schedule(t):
+        T = value if len(calls) == fault_at else T_of_t(t)
+        calls.append((t, T))
+        return T
+
+    return schedule, calls
+
+
+class TestFokkerPlanckContract:
+    """Each input is checked where it enters: the state count before the
+    first step, each schedule value at the node that reads it."""
+
+    @pytest.mark.parametrize("v_int, v_bar", [([0.5], [[1.0]]), ([0.5, 0.1], [[1.0, 0.0]])])
+    def test_state_count_checked_before_the_schedule_is_called(self, v_int, v_bar):
+        # one state broadcasts over the space, two do not
+        sp = MicrostateSpace(("a", "b", "c"), [1, 1, 1])
+        h = AffineHamiltonian(v_int, v_bar)
+        T_of_t, calls = _recording(lambda t: 1.0)
+        with pytest.raises(ValueError) as info:
+            fokker_planck_relax(sp, h, [0.2], T_of_t, uniform_density(sp), 0.01, 20.0)
+        assert str(info.value) == f"Hamiltonian has {len(v_int)} states, space has 3"
+        assert calls == []
+
+    @pytest.mark.parametrize("k", [0, 50])
+    def test_infinite_temperature_rejected_at_its_node(self, k):
+        # dt0 = 0.01 and t_end = 1: node k is at t = k / 100 (TestFokkerPlanck
+        # has the last node, 100)
+        sp = unit_space(2)
+        h = AffineHamiltonian([0.0, 1.0], np.zeros((1, 2)))
+        T_of_t, calls = _recording(lambda t: 1.0, fault_at=k, value=INF)
+        with pytest.raises(ValueError) as info:
+            fokker_planck_relax(sp, h, [0.2], T_of_t, uniform_density(sp), 0.01, 1.0)
+        assert str(info.value) == f"temperatures must be finite, got inf at index {k}"
+        assert len(calls) == k + 1
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(run=calm_relaxations(), data=st.data())
+    def test_another_state_count_is_rejected_before_any_step(self, run, data):
+        sp, _, q, schedule, rho0, dt0, t_end = run
+        # any count from 1 to 9 but sp.m
+        m = data.draw(st.integers(1, 8).map(lambda m: m + (m >= sp.m)), label="states")
+        h = AffineHamiltonian(np.zeros(m), np.zeros((q.size, m)))
+        T_of_t, calls = _recording(_ramp(*schedule))
+        with pytest.raises(ValueError) as info:
+            fokker_planck_relax(sp, h, q, T_of_t, rho0, dt0, t_end)
+        assert str(info.value) == f"Hamiltonian has {m} states, space has {sp.m}"
+        assert calls == []
+
+    @pytest.mark.parametrize("fault", ["+inf", "-inf", "nan", "zero", "negative", "drop"])
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(run=calm_relaxations(), data=st.data())
+    def test_a_schedule_fault_is_rejected_at_its_node(self, fault, run, data):
+        sp, h, q, schedule, rho0, dt0, t_end = run
+        # the clean run's calls give node k's t and the value before it
+        T_of_t, clean = _recording(_ramp(*schedule))
+        fokker_planck_relax(sp, h, q, T_of_t, rho0, dt0, t_end)
+        k = data.draw(st.integers(1 if fault == "drop" else 0, len(clean) - 1), label="node")
+        t = clean[k][0]
+        positive = f"temperature schedule must be positive at t={t:.6g}"
+        if fault == "+inf":
+            value, message = INF, f"temperatures must be finite, got inf at index {k}"
+        elif fault == "drop":
+            last = clean[k - 1][1]
+            value = last - data.draw(st.floats(2 * SCHEDULE_DROP_TOL, last / 2), label="drop")
+            message = f"temperature schedule must be non-decreasing (drops at t={t:.6g})"
+        elif fault == "negative":
+            value, message = -data.draw(st.floats(5e-324, 1e300), label="-T"), positive
+        else:
+            value, message = {"-inf": -INF, "nan": NAN, "zero": 0.0}[fault], positive
+        T_of_t, calls = _recording(_ramp(*schedule), fault_at=k, value=value)
+        with pytest.raises(ValueError) as info:
+            fokker_planck_relax(sp, h, q, T_of_t, rho0, dt0, t_end)
+        assert str(info.value) == message
+        assert len(calls) == k + 1 and calls[k][0] == t
 
 
 class TestStirlingCycle:
